@@ -14,7 +14,7 @@ witnessing the gap falls out of the LP duals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,11 @@ from .structures import (
     marginalize,
     validate_structure,
 )
+
+
+# Gap-LP solves witness_game makes before giving up: the first, then
+# re-solves with a perturbed objective while the witness recheck fails.
+WITNESS_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -95,7 +100,8 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
 
     Variable order: t(k,e,f) cell slacks, then q1 rows, then q2 rows.  The
     2*K*L1*L2 absolute-value rows come first (all '+' rows, then all '-'
-    rows) so witness extraction can slice duals by position.
+    rows) so witness extraction can slice duals by position; the q1 and q2
+    simplex rows follow.  Cell (k,e,f) has row (k*L1 + e)*L2 + f.
     """
     if u.state_count != v.state_count:
         raise ShapeMismatch(
@@ -108,62 +114,53 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     n_q1 = u.signals1_count * l1
     n_q2 = v.signals2_count * l2
 
-    builder = lp.LpBuilder(n_cells + n_q1 + n_q2)
-    builder.objective[:n_cells] = 1.0
+    # diff(k,e,f) = sum_c u(k,c,f) q1(c,e) - sum_d v(k,e,d) q2(d,f), one
+    # triplet per positive entry of u (resp. v) and per e (resp. f).
+    k, c, f = np.nonzero(u.probs > 0.0)
+    e = np.arange(l1)
+    u_rows = ((k[:, None] * l1 + e) * l2 + f[:, None]).ravel()
+    u_cols = (n_cells + c[:, None] * l1 + e).ravel()
+    u_vals = np.repeat(u.probs[k, c, f], l1)
+    k, e, d = np.nonzero(v.probs > 0.0)
+    f = np.arange(l2)
+    v_rows = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
+    v_cols = (n_cells + n_q1 + d[:, None] * l2 + f).ravel()
+    v_vals = np.repeat(-v.probs[k, e, d], l2)
+    diff_rows = np.concatenate((u_rows, v_rows))
+    diff_cols = np.concatenate((u_cols, v_cols))
+    diff_vals = np.concatenate((u_vals, v_vals))
 
-    def t_var(k, e, f):
-        return (k * l1 + e) * l2 + f
-
-    def q1_var(c, e):
-        return n_cells + c * l1 + e
-
-    def q2_var(d, f):
-        return n_cells + n_q1 + d * l2 + f
-
-    up = u.probs
-    vp = v.probs
-    cells = [(k, e, f) for k in range(n_k) for e in range(l1) for f in range(l2)]
-    cell_cols = []
-    cell_vals = []
-    for k, e, f in cells:
-        cols = [t_var(k, e, f)]
-        vals = [-1.0]
-        if f < u.signals2_count:
-            support = np.flatnonzero(up[k, :, f] > 0.0)
-            cols.extend(q1_var(c, e) for c in support)
-            vals.extend(up[k, support, f])
-        if e < v.signals1_count:
-            support = np.flatnonzero(vp[k, e, :] > 0.0)
-            cols.extend(q2_var(d, f) for d in support)
-            vals.extend(-vp[k, e, support])
-        cell_cols.append(np.asarray(cols))
-        cell_vals.append(np.asarray(vals))
-
-    for cols, vals in zip(cell_cols, cell_vals):
-        builder.add_row(cols, vals, lp.LEQ, 0.0)  # diff - t <= 0
-    for cols, vals in zip(cell_cols, cell_vals):
-        flipped = vals.copy()
-        flipped[1:] = -flipped[1:]
-        builder.add_row(cols, flipped, lp.LEQ, 0.0)  # -diff - t <= 0
-    for c in range(u.signals1_count):
-        builder.add_row(
-            [q1_var(c, e) for e in range(l1)], np.ones(l1), lp.EQ, 1.0
-        )
-    for d in range(v.signals2_count):
-        builder.add_row(
-            [q2_var(d, f) for f in range(l2)], np.ones(l2), lp.EQ, 1.0
-        )
+    cells = np.arange(n_cells)
+    q_cols = np.arange(n_cells, n_cells + n_q1 + n_q2)
+    q_rows = 2 * n_cells + np.concatenate(
+        (np.arange(n_q1) // l1, u.signals1_count + np.arange(n_q2) // l2)
+    )
+    n_simplex = u.signals1_count + v.signals2_count
+    problem = lp.LpProblem(
+        objective=np.concatenate((np.ones(n_cells), np.zeros(n_q1 + n_q2))),
+        # diff - t <= 0, then -diff - t <= 0, then the simplex rows.
+        row_idx=np.concatenate((cells, diff_rows, n_cells + cells, n_cells + diff_rows, q_rows)),
+        col_idx=np.concatenate((cells, diff_cols, cells, diff_cols, q_cols)),
+        coefficients=np.concatenate(
+            (-np.ones(n_cells), diff_vals, -np.ones(n_cells), -diff_vals, np.ones(n_q1 + n_q2))
+        ),
+        senses=(lp.LEQ,) * (2 * n_cells) + (lp.EQ,) * n_simplex,
+        rhs=np.concatenate((np.zeros(2 * n_cells), np.ones(n_simplex))),
+        bounds=((0.0, None),) * (n_cells + n_q1 + n_q2),
+    )
     dims = (n_k, l1, l2, n_cells, n_q1, n_q2)
-    return builder, dims
+    return problem, dims
 
 
 def _solve_gap(u, v, perturbation_seed=None):
-    builder, dims = _gap_problem(u, v)
+    problem, dims = _gap_problem(u, v)
     if perturbation_seed is not None:
         rng = np.random.default_rng(perturbation_seed)
         n_cells = dims[3]
-        builder.objective[:n_cells] *= 1.0 + 1e-9 * rng.random(n_cells)
-    sol = lp.solve(builder.build())
+        objective = problem.objective.copy()
+        objective[:n_cells] *= 1.0 + 1e-9 * rng.random(n_cells)
+        problem = replace(problem, objective=objective)
+    sol = lp.solve(problem)
     if sol.status != lp.OPTIMAL:
         raise NumericalFailure(f"gap LP ended with status {sol.status}")
     return sol, dims
@@ -192,9 +189,7 @@ def value_distance(u: InformationStructure, v: InformationStructure) -> float:
     return max(one_sided_gap(u, v).gap, one_sided_gap(v, u).gap)
 
 
-def witness_game(
-    u: InformationStructure, v: InformationStructure, retries: int = 3
-) -> ZeroSumGame:
+def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGame:
     """Payoff function achieving sup_g (val(v,g) - val(u,g)).
 
     Extracted from the duals of the gap LP: with multiplier pairs
@@ -206,22 +201,24 @@ def witness_game(
 
     which pins val(v,g) - val(u,g) = gap by the sandwich
     inf_q2 <g, v.q2> <= val(v,g) and val(u,g) <= sup_q1 <g, q1.u>.
-    Rechecked by solving both games; retried with a perturbed LP on failure.
+    The gap and the first witness come from one solve.  The witness is
+    rechecked by solving both games; on a failed recheck the gap LP is
+    re-solved with a perturbed objective, up to WITNESS_ATTEMPTS solves.
     """
-    target = one_sided_gap(u, v).gap
-    for attempt in range(retries):
-        seed = None if attempt == 0 else attempt
-        sol, (n_k, l1, l2, n_cells, _, _) = _solve_gap(u, v, perturbation_seed=seed)
+    sol, (n_k, l1, l2, n_cells, _, _) = _solve_gap(u, v)
+    target = max(sol.objective, 0.0)
+    u_emb, v_emb = common_embedding(u, v)
+    for attempt in range(WITNESS_ATTEMPTS):
+        if attempt:
+            sol, _ = _solve_gap(u, v, perturbation_seed=attempt)
         dual_a = sol.dual[:n_cells]
         dual_b = sol.dual[n_cells : 2 * n_cells]
-        g = np.clip((dual_a - dual_b).reshape(n_k, l1, l2), -1.0, 1.0)
-        game = ZeroSumGame(g)
-        u_emb, v_emb = common_embedding(u, v)
+        game = ZeroSumGame(np.clip((dual_a - dual_b).reshape(n_k, l1, l2), -1.0, 1.0))
         achieved = value(v_emb, game).value - value(u_emb, game).value
         if abs(achieved - target) <= WITNESS_TOL:
             return game
     raise NumericalFailure(
-        f"witness recheck failed after {retries} attempts "
+        f"witness recheck failed after {WITNESS_ATTEMPTS} attempts "
         f"(target {target:.2e}, achieved {achieved:.2e})"
     )
 
@@ -240,41 +237,6 @@ def is_better(
     return False, None
 
 
-def _single_garbling_gap(target: np.ndarray, source: np.ndarray) -> float:
-    """min_q || target - q.source || over q: source-signals -> target-signals.
-
-    Both arguments are (K, signals) marginals over state and player-1 signal.
-    """
-    n_k, n_t = target.shape
-    n_s = source.shape[1]
-    n_cells = n_k * n_t
-    builder = lp.LpBuilder(n_cells + n_s * n_t)
-
-    def t_var(k, c):
-        return k * n_t + c
-
-    def q_var(s, c):
-        return n_cells + s * n_t + c
-
-    builder.objective[:n_cells] = 1.0
-    for k in range(n_k):
-        for c in range(n_t):
-            cols = [t_var(k, c)] + [q_var(s, c) for s in range(n_s)]
-            # target - q.source <= t  and  q.source - target <= t
-            vals = np.concatenate(([-1.0], -source[k]))
-            builder.add_row(cols, vals, lp.LEQ, -target[k, c])
-            vals_flip = np.concatenate(([-1.0], source[k]))
-            builder.add_row(cols, vals_flip, lp.LEQ, target[k, c])
-    for s in range(n_s):
-        builder.add_row(
-            [q_var(s, c) for c in range(n_t)], np.ones(n_t), lp.EQ, 1.0
-        )
-    sol = lp.solve(builder.build())
-    if sol.status != lp.OPTIMAL:
-        raise NumericalFailure(f"single-agent LP ended with status {sol.status}")
-    return max(sol.objective, 0.0)
-
-
 def single_agent_distance(
     u: InformationStructure, v: InformationStructure
 ) -> float:
@@ -282,16 +244,15 @@ def single_agent_distance(
 
         d1(u,v) = max{ min_q ||u' - q.v'||, min_q ||q.u' - v'|| }
 
-    computed on the marginals over (state, player-1 signal).  Always
-    <= value_distance(u, v).
+    on the marginals u', v' over (state, player-1 signal).  That is the
+    value distance of u' and v' as structures with a single player-2
+    signal: there q2 is trivial and the gap LP reduces to min over q1 of
+    ||q1.u' - v'||.  Always <= value_distance(u, v).
     """
-    if u.state_count != v.state_count:
-        raise ShapeMismatch(
-            f"state counts differ: {u.state_count} vs {v.state_count}"
-        )
-    mu = u.probs.sum(axis=2)
-    mv = v.probs.sum(axis=2)
-    return max(_single_garbling_gap(mu, mv), _single_garbling_gap(mv, mu))
+    return value_distance(
+        InformationStructure(u.probs.sum(axis=2, keepdims=True)),
+        InformationStructure(v.probs.sum(axis=2, keepdims=True)),
+    )
 
 
 def _min_overlap_value(p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray) -> float:
@@ -305,17 +266,22 @@ def _ascend_overlap(p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray
     certifies a lower estimate of the maximum.
     """
     k = p.size
+    idx = np.arange(k)
 
     def best_response(weights_const: np.ndarray, weights_var: np.ndarray) -> np.ndarray:
-        # max sum_k min(const_k, w_k x_k) over the simplex in x.
-        builder = lp.LpBuilder(2 * k, maximize=True)
-        builder.objective[:k] = 1.0
-        for i in range(k):
-            builder.bounds[i] = (None, None)
-            builder.add_row([i], [1.0], lp.LEQ, weights_const[i])
-            builder.add_row([i, k + i], [1.0, -weights_var[i]], lp.LEQ, 0.0)
-        builder.add_row(np.arange(k, 2 * k), np.ones(k), lp.EQ, 1.0)
-        sol = lp.solve(builder.build())
+        # max sum_k min(const_k, w_k x_k) over the simplex in x.  Variables
+        # (y, x); rows y_i <= const_i and y_i - w_i x_i <= 0, interleaved.
+        problem = lp.LpProblem(
+            objective=np.concatenate((np.ones(k), np.zeros(k))),
+            row_idx=np.concatenate((2 * idx, 2 * idx + 1, 2 * idx + 1, np.full(k, 2 * k))),
+            col_idx=np.concatenate((idx, idx, k + idx, k + idx)),
+            coefficients=np.concatenate((np.ones(2 * k), -weights_var, np.ones(k))),
+            senses=(lp.LEQ,) * (2 * k) + (lp.EQ,),
+            rhs=np.append(np.stack((weights_const, np.zeros(k)), axis=1).ravel(), 1.0),
+            bounds=((None, None),) * k + ((0.0, None),) * k,
+            maximize=True,
+        )
+        sol = lp.solve(problem)
         x = np.clip(sol.primal[k:], 0.0, None)
         return x / x.sum()
 

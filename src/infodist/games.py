@@ -161,37 +161,21 @@ def value(u: InformationStructure, g: ZeroSumGame) -> ValueResult:
     n_i, n_j = g.actions1_count, g.actions2_count
     coeff = _coefficients(u, g)
 
-    # Variables: sigma(c, i) flattened, then z(d).
-    n_sigma = n_c * n_i
-    builder = lp.LpBuilder(n_sigma + n_d, maximize=True)
-    builder.objective[n_sigma:] = 1.0
-    for d in range(n_d):
-        builder.bounds[n_sigma + d] = (None, None)
-    sigma_cols = np.arange(n_sigma)
-    for d in range(n_d):
-        for j in range(n_j):
-            cols = np.concatenate((sigma_cols, [n_sigma + d]))
-            vals = np.concatenate((-coeff[:, :, d, j].ravel(), [1.0]))
-            builder.add_row(cols, vals, lp.LEQ, 0.0)
-    for c in range(n_c):
-        builder.add_row(c * n_i + np.arange(n_i), np.ones(n_i), lp.EQ, 1.0)
+    # Variables: sigma(c, i) flattened, then z(d); rows (d, j).
+    payoff = coeff.transpose(2, 3, 0, 1).reshape(n_d, n_j, n_c * n_i)
+    objective, sigma, duals = lp.best_response(payoff, n_c)
 
-    sol = lp.solve(builder.build())
-    if sol.status != lp.OPTIMAL:
-        raise NumericalFailure(f"value LP ended with status {sol.status}")
-
-    sigma = np.clip(sol.primal[:n_sigma].reshape(n_c, n_i), 0.0, None)
+    sigma = np.clip(sigma.reshape(n_c, n_i), 0.0, None)
     sigma /= sigma.sum(axis=1, keepdims=True)
-    # For a maximization problem duals on the (d, j) rows are >= 0 and, for
-    # each d, sum to 1 by stationarity in z_d: they are tau(j|d).
-    tau = np.clip(sol.dual[: n_d * n_j].reshape(n_d, n_j), 0.0, None)
+    # The duals on the (d, j) rows are tau(j|d).
+    tau = np.clip(duals, 0.0, None)
     sums = tau.sum(axis=1)
     degenerate = sums <= NORM_TOL
     if degenerate.any():
         tau[degenerate] = 1.0 / n_j
         sums = tau.sum(axis=1)
     tau /= sums[:, None]
-    return ValueResult(sol.objective, Garbling(sigma), Garbling(tau))
+    return ValueResult(objective, Garbling(sigma), Garbling(tau))
 
 
 def guarantee(
@@ -284,45 +268,15 @@ def value_normal_form(
         a = np.zeros((n_c, n_i, n_rules2))
         for d in range(n_d):
             a += coeff[:, :, d, rules2[:, d]]
-        builder = lp.LpBuilder(n_rules2 + n_c, maximize=False)
-        builder.objective[n_rules2:] = 1.0
-        for c in range(n_c):
-            builder.bounds[n_rules2 + c] = (None, None)
-        for c in range(n_c):
-            for i in range(n_i):
-                cols = np.concatenate((np.arange(n_rules2), [n_rules2 + c]))
-                vals = np.concatenate((a[c, i], [-1.0]))
-                builder.add_row(cols, vals, lp.LEQ, 0.0)
-        builder.add_row(np.arange(n_rules2), np.ones(n_rules2), lp.EQ, 1.0)
-        sol = lp.solve(builder.build())
-        if sol.status != lp.OPTIMAL:
-            raise NumericalFailure(f"normal-form LP ended with status {sol.status}")
-        return sol.objective
+        # That is minus the best-response LP on the negated payoff.
+        return -lp.best_response(-a, 1)[0]
 
     # Symmetric case: enumerate player 1's rules, decompose player 2.
     rules1 = _pure_rules(n_c, n_i)
     a = np.zeros((n_d, n_j, len(rules1)))
     for c in range(n_c):
         a += coeff[c, rules1[:, c], :, :].transpose(1, 2, 0)
-    builder = lp.LpBuilder(len(rules1) + n_d, maximize=True)
-    builder.objective[len(rules1):] = 1.0
-    for d in range(n_d):
-        builder.bounds[len(rules1) + d] = (None, None)
-    for d in range(n_d):
-        for j in range(n_j):
-            cols = np.concatenate((np.arange(len(rules1)), [len(rules1) + d]))
-            vals = np.concatenate((-a[d, j], [1.0]))
-            builder.add_row(cols, vals, lp.LEQ, 0.0)
-    builder.add_row(np.arange(len(rules1)), np.ones(len(rules1)), lp.EQ, 1.0)
-    sol = lp.solve(builder.build())
-    if sol.status != lp.OPTIMAL:
-        raise NumericalFailure(f"normal-form LP ended with status {sol.status}")
-    return sol.objective
-
-
-def value_gap_bounded(u: InformationStructure, v: InformationStructure, g: ZeroSumGame) -> float:
-    """|val(u,g) - val(v,g)|, convenience for Lipschitz-style checks."""
-    return abs(value(u, g).value - value(v, g).value)
+    return lp.best_response(a, 1)[0]
 
 
 def assert_optimal(u: InformationStructure, g: ZeroSumGame, result: ValueResult) -> None:

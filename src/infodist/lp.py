@@ -7,7 +7,9 @@ package relies on:
 - optimal solutions carry row duals oriented so that ``dual[i]`` is the
   derivative of the *reported* objective with respect to ``rhs[i]``,
 - primal feasibility residual <= 1e-8, duality gap <= 1e-8 * (1 + |obj|),
-  else ``NumericalFailure`` so the caller can retry with a perturbation.
+  else ``NumericalFailure``, which propagates to the caller.  No solve is
+  retried; only ``distance.witness_game`` re-solves, with a perturbed
+  objective, and only when its witness recheck fails.
 
 For a minimization problem the Lagrange multiplier of a ``<=`` row is
 ``-dual[i] >= 0``; witness-game extraction consumes these directly.
@@ -63,7 +65,7 @@ class LpProblem:
             raise ShapeMismatch("LP coefficients must be finite")
         if len(self.senses) != rhs.size:
             raise ShapeMismatch("senses and rhs lengths differ")
-        if any(s not in (LEQ, EQ, GEQ) for s in self.senses):
+        if not np.isin(np.asarray(self.senses, dtype=str), (LEQ, EQ, GEQ)).all():
             raise ShapeMismatch("row sense must be <=, == or >=")
         if len(self.bounds) != c.size:
             raise ShapeMismatch("bounds and objective lengths differ")
@@ -96,60 +98,20 @@ class LpSolution:
     objective: float = float("nan")
 
 
-class LpBuilder:
-    """Incremental triplet assembly for LpProblem.
-
-    Variables default to bounds (0, inf); adjust ``bounds`` entries for free
-    variables before ``build``.
-    """
-
-    def __init__(self, n_vars: int, maximize: bool = False):
-        self.n_vars = n_vars
-        self.maximize = maximize
-        self.objective = np.zeros(n_vars)
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-        self._senses: list[str] = []
-        self._rhs: list[float] = []
-        self.bounds: list[tuple[float | None, float | None]] = [(0.0, None)] * n_vars
-
-    def add_row(self, cols, vals, sense: str, rhs: float) -> int:
-        row = len(self._rhs)
-        cols = np.atleast_1d(np.asarray(cols, dtype=int))
-        vals = np.atleast_1d(np.asarray(vals, dtype=float))
-        self._rows.append(np.full(cols.size, row))
-        self._cols.append(cols)
-        self._vals.append(vals)
-        self._senses.append(sense)
-        self._rhs.append(float(rhs))
-        return row
-
-    def build(self) -> LpProblem:
-        return LpProblem(
-            objective=self.objective,
-            row_idx=np.concatenate(self._rows) if self._rows else np.zeros(0, dtype=int),
-            col_idx=np.concatenate(self._cols) if self._cols else np.zeros(0, dtype=int),
-            coefficients=np.concatenate(self._vals) if self._vals else np.zeros(0),
-            senses=tuple(self._senses),
-            rhs=np.asarray(self._rhs, dtype=float),
-            bounds=tuple(self.bounds),
-            maximize=self.maximize,
-        )
+def _sense_masks(senses: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the ``<=`` rows and the ``>=`` rows."""
+    arr = np.asarray(senses, dtype=str)
+    return arr == LEQ, arr == GEQ
 
 
-def _residuals(problem: LpProblem, x: np.ndarray, duals_min: np.ndarray) -> tuple[float, float, float]:
-    """(primal, dual-sign, relative-gap) residuals, minimization orientation."""
-    a = problem.matrix()
-    ax = a @ x
-    primal = 0.0
-    for sense, lhs, rhs in zip(problem.senses, ax, problem.rhs):
-        if sense == LEQ:
-            primal = max(primal, lhs - rhs)
-        elif sense == GEQ:
-            primal = max(primal, rhs - lhs)
-        else:
-            primal = max(primal, abs(lhs - rhs))
+def _residuals(
+    problem: LpProblem, a: sp.csr_matrix, x: np.ndarray, duals_min: np.ndarray
+) -> tuple[float, float, float]:
+    """(primal, dual-sign, relative-gap) residuals, minimization orientation;
+    ``a`` is ``problem.matrix()``."""
+    leq, geq = _sense_masks(problem.senses)
+    diff = a @ x - problem.rhs
+    primal = float(np.where(leq, diff, np.where(geq, -diff, np.abs(diff))).max(initial=0.0))
     lower = np.array([-np.inf if lo is None else lo for lo, _ in problem.bounds])
     upper = np.array([np.inf if hi is None else hi for _, hi in problem.bounds])
     if x.size:
@@ -157,12 +119,7 @@ def _residuals(problem: LpProblem, x: np.ndarray, duals_min: np.ndarray) -> tupl
 
     c_min = -problem.objective if problem.maximize else problem.objective
     lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
-    dual_sign = 0.0
-    for sense, l in zip(problem.senses, lam):
-        if sense == LEQ and l < 0:
-            dual_sign = max(dual_sign, -l)
-        elif sense == GEQ and l > 0:
-            dual_sign = max(dual_sign, l)
+    dual_sign = float(np.where(leq, -lam, np.where(geq, lam, 0.0)).max(initial=0.0))
     reduced = c_min + a.T @ lam
     finite_lo = np.isfinite(lower)
     finite_up = np.isfinite(upper)
@@ -182,12 +139,10 @@ def _residuals(problem: LpProblem, x: np.ndarray, duals_min: np.ndarray) -> tupl
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve with HiGHS; returns status, primal, row duals, objective."""
-    senses = np.asarray(problem.senses)
-    a = problem.matrix().tocsr()
-    leq_mask = senses == LEQ
-    geq_mask = senses == GEQ
+    a = problem.matrix()
+    leq_mask, geq_mask = _sense_masks(problem.senses)
     ub_rows = np.flatnonzero(leq_mask | geq_mask)
-    eq_rows = np.flatnonzero(senses == EQ)
+    eq_rows = np.flatnonzero(~(leq_mask | geq_mask))
     sign = np.where(geq_mask[ub_rows], -1.0, 1.0)
 
     a_ub = sp.diags(sign) @ a[ub_rows] if ub_rows.size else None
@@ -218,7 +173,7 @@ def solve(problem: LpProblem) -> LpSolution:
     if eq_rows.size:
         duals_min[eq_rows] = res.eqlin.marginals
 
-    primal_res, dual_res, gap = _residuals(problem, res.x, duals_min)
+    primal_res, dual_res, gap = _residuals(problem, a, res.x, duals_min)
     if primal_res > LP_TOL or dual_res > _DUAL_GATE or gap > LP_TOL:
         raise NumericalFailure(
             f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"
@@ -232,42 +187,58 @@ def solve(problem: LpProblem) -> LpSolution:
 def complementary_slackness(problem: LpProblem, solution: LpSolution) -> float:
     """max over inequality rows of |dual_i * slack_i|."""
     slack = problem.rhs - problem.matrix() @ solution.primal
-    worst = 0.0
-    for sense, s, y in zip(problem.senses, slack, solution.dual):
-        if sense != EQ:
-            worst = max(worst, abs(s * y))
-    return worst
+    leq, geq = _sense_masks(problem.senses)
+    return float(np.abs(slack * solution.dual)[leq | geq].max(initial=0.0))
+
+
+def best_response(payoff: np.ndarray, n_blocks: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """Solve the per-signal best-response LP
+
+        max sum_d z_d   s.t.   z_d <= payoff[d, j, :] . x   for every (d, j),
+
+    with x cut into ``n_blocks`` equal consecutive blocks, each on the
+    simplex.  Variables are x, then the free z.  Returns the objective, x
+    and the (D, J) duals of the (d, j) rows; for each d these are >= 0 and
+    sum to 1 by stationarity in z_d.
+    """
+    n_d, n_j, n_x = payoff.shape
+    n_rows = n_d * n_j
+    rows = np.arange(n_rows)
+    x_cols = np.arange(n_x)
+    problem = LpProblem(
+        objective=np.concatenate((np.zeros(n_x), np.ones(n_d))),
+        row_idx=np.concatenate(
+            (np.repeat(rows, n_x), rows, n_rows + x_cols // (n_x // n_blocks))
+        ),
+        col_idx=np.concatenate((np.tile(x_cols, n_rows), n_x + rows // n_j, x_cols)),
+        coefficients=np.concatenate((-payoff.ravel(), np.ones(n_rows), np.ones(n_x))),
+        senses=(LEQ,) * n_rows + (EQ,) * n_blocks,
+        rhs=np.concatenate((np.zeros(n_rows), np.ones(n_blocks))),
+        bounds=((0.0, None),) * n_x + ((None, None),) * n_d,
+        maximize=True,
+    )
+    sol = solve(problem)
+    if sol.status != OPTIMAL:
+        raise NumericalFailure(f"best-response LP ended with status {sol.status}")
+    return sol.objective, sol.primal[:n_x], sol.dual[:n_rows].reshape(n_d, n_j)
 
 
 def solve_matrix_game(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Value and optimal mixed strategies of a zero-sum matrix game.
 
     ``matrix[i, j]`` is the payoff to the row maximizer.  Returns
-    ``(value, row_strategy, col_strategy)``; the column strategy comes from
-    the duals of the value constraints, which sum to 1 by stationarity in v.
+    ``(value, row_strategy, col_strategy)``: the best-response LP with one
+    opponent signal, z <= x.A[:, j] for every column j, whose row duals give
+    the column strategy.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ShapeMismatch(f"matrix game needs a 2-D payoff array, got {a.shape}")
-    m, n = a.shape
-    # Variables (v, x_1..x_m); max v s.t. v <= x.A[:, j] for all j, sum x = 1.
-    builder = LpBuilder(1 + m, maximize=True)
-    builder.objective[0] = 1.0
-    builder.bounds[0] = (None, None)
-    for j in range(n):
-        builder.add_row(
-            np.concatenate(([0], 1 + np.arange(m))),
-            np.concatenate(([1.0], -a[:, j])),
-            LEQ,
-            0.0,
-        )
-    builder.add_row(1 + np.arange(m), np.ones(m), EQ, 1.0)
-    sol = solve(builder.build())
-    if sol.status != OPTIMAL:
-        raise NumericalFailure(f"matrix game LP ended with status {sol.status}")
-    x = np.clip(sol.primal[1:], 0.0, None)
+    n = a.shape[1]
+    value, x, duals = best_response(a.T[np.newaxis], 1)
+    x = np.clip(x, 0.0, None)
     x /= x.sum()
-    y = np.clip(sol.dual[:n], 0.0, None)
+    y = np.clip(duals[0], 0.0, None)
     total = y.sum()
     y = np.full(n, 1.0 / n) if total <= 0 else y / total
-    return sol.objective, x, y
+    return value, x, y

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import infodist as inf
-from infodist import PLAYER1
+from infodist import PLAYER1, lp
+from infodist.distance import _gap_problem
 from infodist.structures import common_embedding
 
 from conftest import random_ci_structure, random_garbling, random_structure
@@ -62,6 +63,61 @@ def test_witness_recheck_random(rng):
         u_emb, v_emb = common_embedding(u, v)
         achieved = inf.value(v_emb, g).value - inf.value(u_emb, g).value
         assert achieved == pytest.approx(gap, abs=1e-5)
+
+
+def test_witness_solves_the_gap_lp_once(rng, monkeypatch):
+    # One gap solve gives both the target gap and the witness; the recheck
+    # then solves the game on each structure.
+    u = random_structure(rng, 2, 3, 3)
+    v = random_structure(rng, 2, 3, 2)
+    rows = []
+    solve = lp.solve
+
+    def counting_solve(problem):
+        rows.append(problem.n_rows)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    inf.witness_game(u, v)
+    gap_rows = 2 * 2 * 3 * 3 + 3 + 2
+    value_rows = 3 * 3 + 3
+    assert rows == [gap_rows, value_rows, value_rows]
+
+
+def test_gap_lp_row_layout():
+    # witness_game slices the gap-LP duals by position, so the layout is
+    # pinned: K*L1*L2 '+diff' rows, then as many '-diff' rows, then the q1
+    # and q2 simplex rows.  Variables: t(k,e,f), q1(c,e), q2(d,f).
+    u = inf.validate_structure(
+        np.array([[[0.1, 0.2], [0.0, 0.1]], [[0.15, 0.05], [0.25, 0.15]]])
+    )
+    v = inf.validate_structure(
+        np.array([[[0.3, 0.0], [0.1, 0.05]], [[0.05, 0.2], [0.1, 0.2]]])
+    )
+    problem, dims = _gap_problem(u, v)
+    assert dims == (2, 2, 2, 8, 4, 4)
+    expected = np.zeros((20, 16))
+    for k in range(2):
+        for e in range(2):
+            for f in range(2):
+                cell = (k * 2 + e) * 2 + f
+                diff = np.zeros(16)
+                diff[cell] = -1.0
+                for c in range(2):
+                    diff[8 + c * 2 + e] = u.probs[k, c, f]
+                for d in range(2):
+                    diff[12 + d * 2 + f] = -v.probs[k, e, d]
+                expected[cell] = diff
+                expected[8 + cell] = -diff
+                expected[8 + cell, cell] = -1.0
+    for s in range(2):
+        expected[16 + s, 8 + 2 * s : 10 + 2 * s] = 1.0
+        expected[18 + s, 12 + 2 * s : 14 + 2 * s] = 1.0
+    assert np.array_equal(problem.matrix().toarray(), expected)
+    assert problem.coefficients.size == np.count_nonzero(expected)
+    assert problem.senses == ("<=",) * 16 + ("==",) * 4
+    assert np.array_equal(problem.rhs, [0.0] * 16 + [1.0] * 4)
+    assert np.array_equal(problem.objective, [1.0] * 8 + [0.0] * 8)
 
 
 def test_is_better_after_garbling(rng):

@@ -54,14 +54,16 @@ def test_brute_force_oracle_small(rng):
 
 
 def test_normal_form_partial_enumeration_path(rng):
-    u = random_structure(rng, 2, 3, 2)
-    g = random_game(rng, 2, 2, 2)
-    full = inf.value_normal_form(u, g)
-    # force the smaller-side enumeration branch
-    partial = inf.value_normal_form(u, g, budget=30)
-    assert full == pytest.approx(partial, abs=1e-7)
-    with pytest.raises(inf.BudgetExceeded):
-        inf.value_normal_form(u, g, budget=2)
+    # 3 x 2 signals enumerate player 2's rules, 2 x 3 player 1's.
+    for n_c, n_d in ((3, 2), (2, 3)):
+        u = random_structure(rng, 2, n_c, n_d)
+        g = random_game(rng, 2, 2, 2)
+        full = inf.value_normal_form(u, g)
+        # force the smaller-side enumeration branch
+        partial = inf.value_normal_form(u, g, budget=30)
+        assert full == pytest.approx(partial, abs=1e-7)
+        with pytest.raises(inf.BudgetExceeded):
+            inf.value_normal_form(u, g, budget=2)
 
 
 def test_garbling_monotonicity(rng):

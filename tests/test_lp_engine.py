@@ -6,11 +6,22 @@ from infodist import lp
 from conftest import random_game, random_structure
 
 
+def _one_variable_problem(objective, rows, maximize):
+    """Problem in x >= 0 with rows ``coefficient * x <= rhs``."""
+    return lp.LpProblem(
+        objective=[objective],
+        row_idx=np.arange(len(rows)),
+        col_idx=np.zeros(len(rows), dtype=int),
+        coefficients=[coefficient for coefficient, _ in rows],
+        senses=(lp.LEQ,) * len(rows),
+        rhs=[rhs for _, rhs in rows],
+        bounds=((0.0, None),),
+        maximize=maximize,
+    )
+
+
 def _simple_problem(scale=1.0):
-    builder = lp.LpBuilder(1, maximize=True)
-    builder.objective[0] = scale
-    builder.add_row([0], [1.0], lp.LEQ, 3.0)
-    return builder.build()
+    return _one_variable_problem(scale, [(1.0, 3.0)], maximize=True)
 
 
 def test_bounded_maximum():
@@ -23,16 +34,12 @@ def test_bounded_maximum():
 
 
 def test_infeasible_detected():
-    builder = lp.LpBuilder(1)
-    builder.add_row([0], [1.0], lp.LEQ, -1.0)
-    sol = lp.solve(builder.build())
+    sol = lp.solve(_one_variable_problem(0.0, [(1.0, -1.0)], maximize=False))
     assert sol.status == lp.INFEASIBLE
 
 
 def test_unbounded_detected():
-    builder = lp.LpBuilder(1, maximize=True)
-    builder.objective[0] = 1.0
-    sol = lp.solve(builder.build())
+    sol = lp.solve(_one_variable_problem(1.0, [], maximize=True))
     assert sol.status == lp.UNBOUNDED
 
 
@@ -63,18 +70,19 @@ def test_scale_invariance_of_argmax():
 def test_complementary_slackness(rng):
     for _ in range(10):
         matrix = rng.uniform(-1, 1, (4, 4))
-        builder = lp.LpBuilder(1 + 4, maximize=True)
-        builder.objective[0] = 1.0
-        builder.bounds[0] = (None, None)
-        for j in range(4):
-            builder.add_row(
-                np.concatenate(([0], 1 + np.arange(4))),
-                np.concatenate(([1.0], -matrix[:, j])),
-                lp.LEQ,
-                0.0,
-            )
-        builder.add_row(1 + np.arange(4), np.ones(4), lp.EQ, 1.0)
-        problem = builder.build()
+        # Variables (v, x_1..x_4); max v s.t. v <= x.A[:, j], sum x = 1.
+        problem = lp.LpProblem(
+            objective=[1.0, 0.0, 0.0, 0.0, 0.0],
+            row_idx=np.concatenate((np.repeat(np.arange(4), 5), np.full(4, 4))),
+            col_idx=np.concatenate((np.tile(np.arange(5), 4), 1 + np.arange(4))),
+            coefficients=np.concatenate(
+                (np.column_stack((np.ones(4), -matrix.T)).ravel(), np.ones(4))
+            ),
+            senses=(lp.LEQ,) * 4 + (lp.EQ,),
+            rhs=[0.0, 0.0, 0.0, 0.0, 1.0],
+            bounds=((None, None),) + ((0.0, None),) * 4,
+            maximize=True,
+        )
         sol = lp.solve(problem)
         assert sol.status == lp.OPTIMAL
         assert lp.complementary_slackness(problem, sol) <= 1e-7
