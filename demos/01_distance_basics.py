@@ -32,7 +32,8 @@ print("recheck ||q1.u1 - u2.q2|| =", cert.recheck(u1, u2))
 better, match = inf.is_better(u2, u1)
 print("\nplayer 1 prefers u2 to u1 in every game:", better)
 
-# A payoff function witnessing the gap, extracted from LP duals.
+# A payoff function witnessing the gap: the primal solution of the same
+# game-space LP whose row duals are the garblings above.
 game = inf.witness_game(u1, u2)
 u1e, u2e = inf.embed_signals(u1, 3, 2), inf.embed_signals(u2, 3, 2)
 print("\nwitness game achieves val(u2,g*) - val(u1,g*) =",

@@ -8,7 +8,8 @@ masquerades as mathematical signal:
 - ``LP_TOL``    primal/dual feasibility and duality-gap residuals,
 - ``VALUE_TOL`` equality of game values (duality, guarantees, symmetry),
 - ``DIST_TOL``  equality of distances (triangle inequality, prop bounds),
-- ``WITNESS_TOL`` acceptance gate for dual-extracted witness games.
+- ``WITNESS_TOL`` acceptance gate for the witness-game recheck (the
+  witness is the primal of the game-space gap LP).
 """
 
 import os

@@ -1,25 +1,29 @@
 """Value-based distance between information structures.
 
 The distance is the largest gap in zero-sum game values over all payoff
-functions bounded by 1.  It is computed without touching the game space: the
-one-sided gap
+functions bounded by 1.  With both structures embedded into common
+per-player signal ranges of size L = max of the two counts, the one-sided
+gap is one linear program in game space,
 
-    sup_g (val(v,g) - val(u,g)) = min_{q1,q2} || q1.u - v.q2 ||
+    sup_g (val(v,g) - val(u,g))
+        = max_g sum_d min_f <v(.,.,d), g(.,.,f)> - sum_c max_e <u(.,c,.), g(.,e,.)>
+        = min_{q1,q2} || q1.u - v.q2 ||,
 
-is a linear program over a pair of garblings, with both structures embedded
-into common per-player signal ranges of size L = max of the two counts.  The
-full distance is the max of the two one-sided gaps, and a payoff function
-witnessing the gap falls out of the LP duals.
+over g in [-1,1]^{K*L1*L2}, whose LP dual is the garbling problem.  One
+solve gives all three: the optimum is the gap, the primal g is a witness
+game (it attains the gap by a sandwich argument, see ``witness_game``), and
+the row duals are the attaining garblings q1 and q2.  The full distance is
+the max of the two one-sided gaps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import lp
-from .config import DIST_TOL, NORM_TOL, VALUE_TOL, WITNESS_TOL, ZERO_TOL
+from .config import DIST_TOL, NORM_TOL, WITNESS_TOL, ZERO_TOL
 from .errors import HypothesisViolated, NumericalFailure, ShapeMismatch
 from .games import ZeroSumGame, value
 from .structures import (
@@ -36,11 +40,6 @@ from .structures import (
     marginalize,
     validate_structure,
 )
-
-
-# Gap-LP solves witness_game makes before giving up: the first, then
-# re-solves with a perturbed objective while the witness recheck fails.
-WITNESS_ATTEMPTS = 3
 
 
 @dataclass(frozen=True)
@@ -96,70 +95,63 @@ class DiameterBounds:
 
 
 def _gap_problem(u: InformationStructure, v: InformationStructure):
-    """LP for min || q1.u - v.q2 || on the common embedding.
+    """Game-space LP for sup_g (val(v,g) - val(u,g)) on the common embedding:
 
-    Variable order: t(k,e,f) cell slacks, then q1 rows, then q2 rows.  The
-    2*K*L1*L2 absolute-value rows come first (all '+' rows, then all '-'
-    rows) so witness extraction can slice duals by position; the q1 and q2
-    simplex rows follow.  Cell (k,e,f) has row (k*L1 + e)*L2 + f.
+        max  sum_d beta_d - sum_c alpha_c
+        s.t. <u(.,c,.), g(.,e,.)> - alpha_c <= 0   for every (c, e),
+             beta_d - <v(.,.,d), g(.,.,f)> <= 0    for every (d, f),
+             g in [-1, 1]^{K*L1*L2}, alpha and beta free.
+
+    Variable order: g(k,e,f) at (k*L1 + e)*L2 + f, then alpha_c, then
+    beta_d.  Row order: the (c,e) rows at c*L1 + e, then the (d,f) rows at
+    n1*L1 + d*L2 + f.  The primal g is the witness game and the row duals
+    are q1(c,e) and q2(d,f).
     """
     if u.state_count != v.state_count:
         raise ShapeMismatch(
             f"state counts differ: {u.state_count} vs {v.state_count}"
         )
     n_k = u.state_count
-    l1 = max(u.signals1_count, v.signals1_count)
-    l2 = max(u.signals2_count, v.signals2_count)
+    n1 = u.signals1_count
+    n2 = v.signals2_count
+    l1 = max(n1, v.signals1_count)
+    l2 = max(u.signals2_count, n2)
     n_cells = n_k * l1 * l2
-    n_q1 = u.signals1_count * l1
-    n_q2 = v.signals2_count * l2
+    n_q1 = n1 * l1
 
-    # diff(k,e,f) = sum_c u(k,c,f) q1(c,e) - sum_d v(k,e,d) q2(d,f), one
-    # triplet per positive entry of u (resp. v) and per e (resp. f).
+    # One triplet per positive entry of u (resp. v) and per e (resp. f).
     k, c, f = np.nonzero(u.probs > 0.0)
     e = np.arange(l1)
-    u_rows = ((k[:, None] * l1 + e) * l2 + f[:, None]).ravel()
-    u_cols = (n_cells + c[:, None] * l1 + e).ravel()
+    u_rows = (c[:, None] * l1 + e).ravel()
+    u_cols = ((k[:, None] * l1 + e) * l2 + f[:, None]).ravel()
     u_vals = np.repeat(u.probs[k, c, f], l1)
     k, e, d = np.nonzero(v.probs > 0.0)
     f = np.arange(l2)
-    v_rows = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
-    v_cols = (n_cells + n_q1 + d[:, None] * l2 + f).ravel()
+    v_rows = (n_q1 + d[:, None] * l2 + f).ravel()
+    v_cols = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
     v_vals = np.repeat(-v.probs[k, e, d], l2)
-    diff_rows = np.concatenate((u_rows, v_rows))
-    diff_cols = np.concatenate((u_cols, v_cols))
-    diff_vals = np.concatenate((u_vals, v_vals))
 
-    cells = np.arange(n_cells)
-    q_cols = np.arange(n_cells, n_cells + n_q1 + n_q2)
-    q_rows = 2 * n_cells + np.concatenate(
-        (np.arange(n_q1) // l1, u.signals1_count + np.arange(n_q2) // l2)
-    )
-    n_simplex = u.signals1_count + v.signals2_count
+    # -alpha_c in every (c,e) row, +beta_d in every (d,f) row.
+    ce = np.arange(n_q1)
+    df = np.arange(n2 * l2)
+    n_rows = n_q1 + df.size
     problem = lp.LpProblem(
-        objective=np.concatenate((np.ones(n_cells), np.zeros(n_q1 + n_q2))),
-        # diff - t <= 0, then -diff - t <= 0, then the simplex rows.
-        row_idx=np.concatenate((cells, diff_rows, n_cells + cells, n_cells + diff_rows, q_rows)),
-        col_idx=np.concatenate((cells, diff_cols, cells, diff_cols, q_cols)),
-        coefficients=np.concatenate(
-            (-np.ones(n_cells), diff_vals, -np.ones(n_cells), -diff_vals, np.ones(n_q1 + n_q2))
+        objective=np.concatenate((np.zeros(n_cells), -np.ones(n1), np.ones(n2))),
+        row_idx=np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
+        col_idx=np.concatenate(
+            (u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)
         ),
-        senses=(lp.LEQ,) * (2 * n_cells) + (lp.EQ,) * n_simplex,
-        rhs=np.concatenate((np.zeros(2 * n_cells), np.ones(n_simplex))),
-        bounds=((0.0, None),) * (n_cells + n_q1 + n_q2),
+        coefficients=np.concatenate((u_vals, v_vals, -np.ones(n_q1), np.ones(df.size))),
+        senses=(lp.LEQ,) * n_rows,
+        rhs=np.zeros(n_rows),
+        bounds=((-1.0, 1.0),) * n_cells + ((None, None),) * (n1 + n2),
+        maximize=True,
     )
-    dims = (n_k, l1, l2, n_cells, n_q1, n_q2)
-    return problem, dims
+    return problem, (n_k, l1, l2)
 
 
-def _solve_gap(u, v, perturbation_seed=None):
+def _solve_gap(u, v):
     problem, dims = _gap_problem(u, v)
-    if perturbation_seed is not None:
-        rng = np.random.default_rng(perturbation_seed)
-        n_cells = dims[3]
-        objective = problem.objective.copy()
-        objective[:n_cells] *= 1.0 + 1e-9 * rng.random(n_cells)
-        problem = replace(problem, objective=objective)
     sol = lp.solve(problem)
     if sol.status != lp.OPTIMAL:
         raise NumericalFailure(f"gap LP ended with status {sol.status}")
@@ -169,12 +161,15 @@ def _solve_gap(u, v, perturbation_seed=None):
 def one_sided_gap(
     u: InformationStructure, v: InformationStructure
 ) -> GapCertificate:
-    """min_{q1,q2} || q1.u - v.q2 || = sup_g (val(v,g) - val(u,g))."""
-    sol, (n_k, l1, l2, n_cells, n_q1, n_q2) = _solve_gap(u, v)
-    q1 = sol.primal[n_cells : n_cells + n_q1].reshape(u.signals1_count, l1)
-    q2 = sol.primal[n_cells + n_q1 :].reshape(v.signals2_count, l2)
-    q1 = np.clip(q1, 0.0, None)
-    q2 = np.clip(q2, 0.0, None)
+    """min_{q1,q2} || q1.u - v.q2 || = sup_g (val(v,g) - val(u,g)).
+
+    The garblings are the row duals of the game-space gap LP; each row sums
+    to 1 by stationarity in alpha and beta, up to the LP's dual gate.
+    """
+    sol, (_, l1, l2) = _solve_gap(u, v)
+    n_q1 = u.signals1_count * l1
+    q1 = np.clip(sol.dual[:n_q1].reshape(u.signals1_count, l1), 0.0, None)
+    q2 = np.clip(sol.dual[n_q1:].reshape(v.signals2_count, l2), 0.0, None)
     gap = max(sol.objective, 0.0)
     return GapCertificate(
         gap=gap,
@@ -192,35 +187,28 @@ def value_distance(u: InformationStructure, v: InformationStructure) -> float:
 def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGame:
     """Payoff function achieving sup_g (val(v,g) - val(u,g)).
 
-    Extracted from the duals of the gap LP: with multiplier pairs
-    (lamA, lamB) on the two absolute-value rows of each cell, the tensor
-    g = dualA - dualB lies in [-1, 1] and satisfies
+    The witness is the primal g of the gap LP.  Its constraints give
 
         sum_d min_f <v(.,.,d), g(.,.,f)> - sum_c max_e <u(.,c,.), g(.,e,.)>
-            = gap,
+            >= sum_d beta_d - sum_c alpha_c = gap,
 
     which pins val(v,g) - val(u,g) = gap by the sandwich
-    inf_q2 <g, v.q2> <= val(v,g) and val(u,g) <= sup_q1 <g, q1.u>.
-    The gap and the first witness come from one solve.  The witness is
-    rechecked by solving both games; on a failed recheck the gap LP is
-    re-solved with a perturbed objective, up to WITNESS_ATTEMPTS solves.
+    inf_q2 <g, v.q2> <= val(v,g) and val(u,g) <= sup_q1 <g, q1.u>, with the
+    gap itself as the upper bound.  One gap solve gives both the target
+    and the witness; the witness is then rechecked by solving both games,
+    and a recheck missing the target by more than WITNESS_TOL raises.
     """
-    sol, (n_k, l1, l2, n_cells, _, _) = _solve_gap(u, v)
+    sol, (n_k, l1, l2) = _solve_gap(u, v)
     target = max(sol.objective, 0.0)
+    g = sol.primal[: n_k * l1 * l2].reshape(n_k, l1, l2)
+    game = ZeroSumGame(np.clip(g, -1.0, 1.0))
     u_emb, v_emb = common_embedding(u, v)
-    for attempt in range(WITNESS_ATTEMPTS):
-        if attempt:
-            sol, _ = _solve_gap(u, v, perturbation_seed=attempt)
-        dual_a = sol.dual[:n_cells]
-        dual_b = sol.dual[n_cells : 2 * n_cells]
-        game = ZeroSumGame(np.clip((dual_a - dual_b).reshape(n_k, l1, l2), -1.0, 1.0))
-        achieved = value(v_emb, game).value - value(u_emb, game).value
-        if abs(achieved - target) <= WITNESS_TOL:
-            return game
-    raise NumericalFailure(
-        f"witness recheck failed after {WITNESS_ATTEMPTS} attempts "
-        f"(target {target:.2e}, achieved {achieved:.2e})"
-    )
+    achieved = value(v_emb, game).value - value(u_emb, game).value
+    if abs(achieved - target) > WITNESS_TOL:
+        raise NumericalFailure(
+            f"witness recheck failed (target {target:.2e}, achieved {achieved:.2e})"
+        )
+    return game
 
 
 def is_better(

@@ -7,12 +7,13 @@ package relies on:
 - optimal solutions carry row duals oriented so that ``dual[i]`` is the
   derivative of the *reported* objective with respect to ``rhs[i]``,
 - primal feasibility residual <= 1e-8, duality gap <= 1e-8 * (1 + |obj|),
-  else ``NumericalFailure``, which propagates to the caller.  No solve is
-  retried; only ``distance.witness_game`` re-solves, with a perturbed
-  objective, and only when its witness recheck fails.
+  else ``NumericalFailure``, which propagates to the caller,
+- HiGHS runs at feasibility tolerances an order of magnitude below these
+  gates, and no solve is retried anywhere.
 
 For a minimization problem the Lagrange multiplier of a ``<=`` row is
-``-dual[i] >= 0``; witness-game extraction consumes these directly.
+``-dual[i] >= 0``; for a maximization it is ``dual[i] >= 0``, which is how
+the gap LP's row duals become garblings.
 """
 
 from __future__ import annotations
@@ -37,6 +38,14 @@ UNBOUNDED = "unbounded"
 # HiGHS reports duals at slightly looser precision than primals on degenerate
 # problems; the dual gate is therefore one order looser than LP_TOL.
 _DUAL_GATE = LP_TOL * 10
+
+# HiGHS's own feasibility tolerances default to 1e-7, looser than the gates
+# above, so it could call a point optimal that the gates then reject.  It
+# runs an order of magnitude below LP_TOL instead.
+_HIGHS_OPTIONS = {
+    "primal_feasibility_tolerance": LP_TOL / 10,
+    "dual_feasibility_tolerance": LP_TOL / 10,
+}
 
 
 @dataclass(frozen=True)
@@ -159,6 +168,7 @@ def solve(problem: LpProblem) -> LpSolution:
         b_eq=b_eq,
         bounds=list(problem.bounds),
         method="highs",
+        options=_HIGHS_OPTIONS,
     )
     if res.status == 2:
         return LpSolution(status=INFEASIBLE)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import infodist as inf
-from infodist import PLAYER1, lp
+from infodist import PLAYER1, PLAYER2, lp
 from infodist.distance import _gap_problem
+from infodist.games import guarantee
 from infodist.structures import common_embedding
 
 from conftest import random_ci_structure, random_garbling, random_structure
@@ -79,15 +80,17 @@ def test_witness_solves_the_gap_lp_once(rng, monkeypatch):
 
     monkeypatch.setattr(lp, "solve", counting_solve)
     inf.witness_game(u, v)
-    gap_rows = 2 * 2 * 3 * 3 + 3 + 2
+    gap_rows = 3 * 3 + 2 * 3
     value_rows = 3 * 3 + 3
     assert rows == [gap_rows, value_rows, value_rows]
 
 
 def test_gap_lp_row_layout():
-    # witness_game slices the gap-LP duals by position, so the layout is
-    # pinned: K*L1*L2 '+diff' rows, then as many '-diff' rows, then the q1
-    # and q2 simplex rows.  Variables: t(k,e,f), q1(c,e), q2(d,f).
+    # Witness and garbling extraction slice the gap LP by position, so the
+    # layout is pinned.  Variables: g(k,e,f) in [-1,1], then the free
+    # alpha_c, then the free beta_d.  Rows: <u(.,c,.), g(.,e,.)> - alpha_c
+    # <= 0 for each (c,e), then beta_d - <v(.,.,d), g(.,.,f)> <= 0 for each
+    # (d,f); maximize sum beta - sum alpha.
     u = inf.validate_structure(
         np.array([[[0.1, 0.2], [0.0, 0.1]], [[0.15, 0.05], [0.25, 0.15]]])
     )
@@ -95,29 +98,64 @@ def test_gap_lp_row_layout():
         np.array([[[0.3, 0.0], [0.1, 0.05]], [[0.05, 0.2], [0.1, 0.2]]])
     )
     problem, dims = _gap_problem(u, v)
-    assert dims == (2, 2, 2, 8, 4, 4)
-    expected = np.zeros((20, 16))
-    for k in range(2):
+    assert dims == (2, 2, 2)
+    expected = np.zeros((8, 12))
+    for c in range(2):
         for e in range(2):
-            for f in range(2):
-                cell = (k * 2 + e) * 2 + f
-                diff = np.zeros(16)
-                diff[cell] = -1.0
-                for c in range(2):
-                    diff[8 + c * 2 + e] = u.probs[k, c, f]
-                for d in range(2):
-                    diff[12 + d * 2 + f] = -v.probs[k, e, d]
-                expected[cell] = diff
-                expected[8 + cell] = -diff
-                expected[8 + cell, cell] = -1.0
-    for s in range(2):
-        expected[16 + s, 8 + 2 * s : 10 + 2 * s] = 1.0
-        expected[18 + s, 12 + 2 * s : 14 + 2 * s] = 1.0
+            for k in range(2):
+                for f in range(2):
+                    expected[c * 2 + e, (k * 2 + e) * 2 + f] = u.probs[k, c, f]
+            expected[c * 2 + e, 8 + c] = -1.0
+    for d in range(2):
+        for f in range(2):
+            for k in range(2):
+                for e in range(2):
+                    expected[4 + d * 2 + f, (k * 2 + e) * 2 + f] = -v.probs[k, e, d]
+            expected[4 + d * 2 + f, 10 + d] = 1.0
     assert np.array_equal(problem.matrix().toarray(), expected)
     assert problem.coefficients.size == np.count_nonzero(expected)
-    assert problem.senses == ("<=",) * 16 + ("==",) * 4
-    assert np.array_equal(problem.rhs, [0.0] * 16 + [1.0] * 4)
-    assert np.array_equal(problem.objective, [1.0] * 8 + [0.0] * 8)
+    assert problem.senses == ("<=",) * 8
+    assert np.array_equal(problem.rhs, np.zeros(8))
+    assert np.array_equal(problem.objective, [0.0] * 8 + [-1.0] * 2 + [1.0] * 2)
+    assert problem.bounds == ((-1.0, 1.0),) * 8 + ((None, None),) * 4
+    assert problem.maximize
+
+
+def test_certificate_meets_witness_lower_bound(rng):
+    # Strong duality of the returned pair, with no LP involved: the
+    # garblings bound the gap from above, and the witness bounds it from
+    # below through the identity strategies on the embedded structures.
+    for _ in range(20):
+        n_k = int(rng.integers(2, 4))
+        u = random_structure(rng, n_k, *rng.integers(1, 5, 2), zeros=0.3)
+        v = random_structure(rng, n_k, *rng.integers(1, 5, 2), zeros=0.3)
+        cert = inf.one_sided_gap(u, v)
+        g = inf.witness_game(u, v)
+        u_emb, v_emb = common_embedding(u, v)
+        _, l1, l2 = g.payoffs.shape
+        lower = guarantee(v_emb, g, inf.Garbling(np.eye(l1)), PLAYER1) - guarantee(
+            u_emb, g, inf.Garbling(np.eye(l2)), PLAYER2
+        )
+        assert cert.recheck(u, v) == pytest.approx(lower, abs=1e-7)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_blackwell_members_pass_the_gates(n):
+    # HiGHS's default feasibility tolerances (1e-7) let it report points
+    # the residual gates reject on these pairs; it must run below the gates.
+    a = inf.blackwell_structure(inf.BlackwellSpec(n + 2, n, 0.75, 0.75))
+    b = inf.blackwell_structure(inf.BlackwellSpec(n, n, 0.75, 0.75))
+    d = inf.value_distance(a, b)
+    gaps = []
+    for u, v in ((a, b), (b, a)):
+        cert = inf.one_sided_gap(u, v)
+        assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=1e-6)
+        g = inf.witness_game(u, v)
+        u_emb, v_emb = common_embedding(u, v)
+        achieved = inf.value(v_emb, g).value - inf.value(u_emb, g).value
+        assert achieved == pytest.approx(cert.gap, abs=1e-5)
+        gaps.append(cert.gap)
+    assert d == pytest.approx(max(gaps), abs=1e-9)
 
 
 def test_is_better_after_garbling(rng):
