@@ -14,10 +14,19 @@ solve gives all three: the optimum is the gap, the primal g is a witness
 game (it attains the gap by a sandwich argument, see ``witness_game``), and
 the row duals are the attaining garblings q1 and q2.  The full distance is
 the max of the two one-sided gaps.
+
+Calls on the same pair of structure objects share one gap solve:
+``one_sided_gap``, ``value_distance``, ``witness_game`` and ``is_better``
+read the last few (u, v) solves from a small LRU memo.  The memo is keyed
+on object identity, not content.  A structure's tensor is read-only, so the
+same pair of objects always has the same gap, and comparing identities
+costs nothing where hashing the tensors would read both on every call.  A
+structure rebuilt from the same tensor is solved afresh.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,12 +159,42 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     return problem, (n_k, l1, l2)
 
 
-def _solve_gap(u, v):
-    problem, dims = _gap_problem(u, v)
+class _Same:
+    """Cache key for one object: hashes by ``id()``, compares by ``is``.
+
+    The key holds the object, so its id cannot be reused while the key lives.
+    """
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
+@functools.lru_cache(maxsize=4)
+def _solve_gap_of(u_key: _Same, v_key: _Same):
+    problem, dims = _gap_problem(u_key.obj, v_key.obj)
     sol = lp.solve(problem)
     if sol.status != lp.OPTIMAL:
         raise NumericalFailure(f"gap LP ended with status {sol.status}")
+    # Every caller gets this same solution, so none may write into it.
+    sol.primal.setflags(write=False)
+    sol.dual.setflags(write=False)
     return sol, dims
+
+
+def _solve_gap(u, v):
+    """The (u, v) gap LP's solution, shared by calls on the same objects.
+
+    A raised NumericalFailure is not cached: the next call solves again.
+    """
+    return _solve_gap_of(_Same(u), _Same(v))
 
 
 def one_sided_gap(
@@ -195,7 +234,9 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     which pins val(v,g) - val(u,g) = gap by the sandwich
     inf_q2 <g, v.q2> <= val(v,g) and val(u,g) <= sup_q1 <g, q1.u>, with the
     gap itself as the upper bound.  One gap solve gives both the target
-    and the witness; the witness is then rechecked by solving both games,
+    and the witness, and on the same (u, v) objects it is the solve that
+    ``value_distance``, ``one_sided_gap`` and ``is_better`` use (see the
+    module docstring).  The witness is then rechecked by solving both games,
     and a recheck missing the target by more than WITNESS_TOL raises.
     """
     sol, (n_k, l1, l2) = _solve_gap(u, v)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from infodist import Garbling, ZeroSumGame, validate_structure
+from infodist import Garbling, ZeroSumGame, lp, validate_structure
 
 
 def random_structure(rng, n_k, n_c, n_d, zeros=0.0):
@@ -38,3 +38,17 @@ def random_garbling(rng, source, target):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def solve_rows(monkeypatch):
+    """Row counts of the LPs handed to ``lp.solve``, in call order."""
+    rows = []
+    solve = lp.solve
+
+    def counting_solve(problem):
+        rows.append(problem.n_rows)
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", counting_solve)
+    return rows

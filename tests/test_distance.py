@@ -3,7 +3,9 @@ import pytest
 
 import infodist as inf
 from infodist import PLAYER1, PLAYER2, lp
-from infodist.distance import _gap_problem
+from infodist.config import DIST_TOL
+from infodist.distance import _gap_problem, _solve_gap
+from infodist.errors import NumericalFailure
 from infodist.games import guarantee
 from infodist.structures import common_embedding
 
@@ -83,6 +85,54 @@ def test_witness_solves_the_gap_lp_once(rng, monkeypatch):
     gap_rows = 3 * 3 + 2 * 3
     value_rows = 3 * 3 + 3
     assert rows == [gap_rows, value_rows, value_rows]
+
+
+def test_calls_on_the_same_pair_share_one_gap_solve(rng, solve_rows):
+    u = random_structure(rng, 2, 3, 3)
+    v = random_structure(rng, 2, 3, 2)
+    d = inf.value_distance(u, v)
+    inf.witness_game(u, v)
+    ok, _ = inf.is_better(u, v)
+    cert = inf.one_sided_gap(u, v)
+    gap_uv = 3 * 3 + 2 * 3
+    gap_vu = 3 * 3 + 3 * 3
+    value_rows = 3 * 3 + 3
+    assert solve_rows == [gap_uv, gap_vu, value_rows, value_rows]
+    assert ok == (cert.gap <= DIST_TOL)
+    assert d >= cert.gap
+    # Every caller shares the cached solution, so it is read-only.
+    sol, _ = _solve_gap(u, v)
+    assert not sol.primal.flags.writeable and not sol.dual.flags.writeable
+    assert len(solve_rows) == 4
+
+
+def test_gap_memo_is_keyed_on_identity(rng, solve_rows):
+    u = random_structure(rng, 2, 3, 3)
+    v = random_structure(rng, 2, 3, 2)
+    cert = inf.one_sided_gap(u, v)
+    again = inf.one_sided_gap(inf.validate_structure(u.probs.copy()), v)
+    assert solve_rows == [15, 15]
+    assert again.gap == pytest.approx(cert.gap, abs=1e-12)
+
+
+def test_gap_memo_does_not_keep_failures(rng, monkeypatch):
+    u = random_structure(rng, 2, 3, 3)
+    v = random_structure(rng, 2, 3, 2)
+    calls = []
+    solve = lp.solve
+
+    def fail_first(problem):
+        calls.append(problem.n_rows)
+        if len(calls) == 1:
+            raise NumericalFailure("injected")
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "solve", fail_first)
+    with pytest.raises(NumericalFailure):
+        inf.one_sided_gap(u, v)
+    cert = inf.one_sided_gap(u, v)
+    assert calls == [15, 15]
+    assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
 
 
 def test_gap_lp_row_layout():
