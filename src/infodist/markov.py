@@ -256,48 +256,86 @@ def revelation_game(
 # ---------------------------------------------------------------------------
 
 
+# Each statistic counts the symbols i in an intersection of successor sets
+# {i : S[c, i]}, written "c>", and predecessor sets {i : S[i, a]}, written
+# ">a".  Per family of ``_StatKernel.stats``: scale and intersected sets.
+_STAT_SETS = {
+    "Y_a": (2.0, (">a",)),
+    "Y_c": (2.0, ("c>",)),
+    "Y_ab": (4.0, (">a", ">b")),
+    "Y_cd": (4.0, ("c>", "d>")),
+    "Y_a_c": (4.0, (">a", "c>")),
+    "Y_ab_c": (8.0, (">a", ">b", "c>")),
+    "Y_a_cd": (8.0, (">a", "c>", "d>")),
+    "Y_ab_cd": (16.0, (">a", ">b", "c>", "d>")),
+}
+
+# Per kind of ``_StatKernel.conditional_ratio``: the sets of the
+# conditioning constraints on i, and the set of the one more constraint.
+_RATIO_SETS = {
+    "aligned": (("a>",), ">e"),  # successor i of a; P(i precedes e)
+    "pair-sup": (("a>",), "b>"),  # successor i of a; P(i also succeeds b)
+    "pair-sub": ((">a",), ">b"),  # predecessor i of a; P(i also precedes b)
+    "generic-tail": (("a>", "b>"), ">e"),  # i succeeds a and b; P(i precedes e)
+    "continuation": (("a>", ">e"), "b>"),  # i succeeds a, precedes e; P(i succeeds b)
+    "triple": (("c>", ">a"), ">b"),  # i succeeds c, precedes a; P(i precedes b)
+    "quad": (("c>", "d>", ">a"), ">b"),  # i succeeds c and d, precedes a; P(i precedes b)
+}
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows as little-endian bit sets in uint64 words, zero-padded."""
+    padded = np.zeros((rows.shape[0], -(-rows.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : rows.shape[1]] = rows
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
 class _StatKernel:
     """Batched evaluation of counting statistics over index tuples.
 
-    Pairwise statistics come from cached Gram-type products; triple and
-    quadruple products are reduced chunk by chunk to bound memory.
+    The successor sets (rows of S) and the predecessor sets (columns of S)
+    are packed once into uint64 words, N/64 rounded up per set, so every
+    statistic is a gather of one word row per set, an AND and a popcount,
+    all exact integers.  Tuples are gathered ``BLOCK`` at a time, so the
+    working memory stays at ``BLOCK`` word rows per set (1 MB at N=2000)
+    whatever the number of tuples.
     """
 
-    CHUNK = 1024
+    BLOCK = 4096
 
     def __init__(self, matrix: MixingMatrix):
-        self.n = matrix.N
-        self.x = matrix.S.astype(np.float32)
-        self.col_sums = self.x.sum(axis=0)  # #predecessors of each symbol
-        self.gram_cols = self.x.T @ self.x  # [a, b] = #common predecessors
-        self.gram_rows = self.x @ self.x.T  # [c, d] = #common successors
-        self.row_col = self.x @ self.x  # [c, a] = #(successor of c that precedes a)
+        self.succ = _pack(matrix.S)
+        self.pred = _pack(matrix.S.T)
+
+    def _counts(
+        self, terms: dict[str, tuple[str, ...]], idx: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
+        """Per tuple, the size of each term's intersection of sets, as float."""
+        size = next(iter(idx.values())).size
+        names = {name for sets in terms.values() for name in sets}
+        out = {key: np.empty(size) for key in terms}
+        for start in range(0, size, self.BLOCK):
+            sl = slice(start, start + self.BLOCK)
+            words = {
+                name: self.succ[idx[name[0]][sl]]
+                if name.endswith(">")
+                else self.pred[idx[name[1]][sl]]
+                for name in names
+            }
+            for key, sets in terms.items():
+                meet = words[sets[0]]
+                for name in sets[1:]:
+                    meet = meet & words[name]
+                out[key][sl] = np.bitwise_count(meet).sum(axis=1)
+        return out
 
     def stats(self, a, b, c, d) -> dict[str, np.ndarray]:
         """The eight scaled statistics, each with mean ~ N under uniform S."""
-        n = self.n
-        size = a.size
-        out = {
-            "Y_a": 2.0 * self.col_sums[a].astype(float),
-            "Y_c": np.full(size, float(n)),
-            "Y_ab": 4.0 * self.gram_cols[a, b].astype(float),
-            "Y_cd": 4.0 * self.gram_rows[c, d].astype(float),
-            "Y_a_c": 4.0 * self.row_col[c, a].astype(float),
-            "Y_ab_c": np.empty(size),
-            "Y_a_cd": np.empty(size),
-            "Y_ab_cd": np.empty(size),
-        }
-        for start in range(0, size, self.CHUNK):
-            sl = slice(start, min(start + self.CHUNK, size))
-            col_a = self.x[:, a[sl]]
-            col_b = self.x[:, b[sl]]
-            row_c = self.x[c[sl], :].T
-            row_d = self.x[d[sl], :].T
-            ab = col_a * col_b
-            out["Y_ab_c"][sl] = 8.0 * (ab * row_c).sum(axis=0)
-            out["Y_a_cd"][sl] = 8.0 * (col_a * row_c * row_d).sum(axis=0)
-            out["Y_ab_cd"][sl] = 16.0 * (ab * row_c * row_d).sum(axis=0)
-        return out
+        counts = self._counts(
+            {name: sets for name, (_, sets) in _STAT_SETS.items()},
+            {"a": a, "b": b, "c": c, "d": d},
+        )
+        return {name: scale * counts[name] for name, (scale, _) in _STAT_SETS.items()}
 
     def conditional_ratio(self, kind: str, idx: dict[str, np.ndarray]) -> np.ndarray:
         """Closed-form truth-telling conditional probabilities.
@@ -306,50 +344,14 @@ class _StatKernel:
         constraints), reduced through the Markov property to a ratio of
         counting sums; NaN marks empty conditioning sets.
         """
-        n2 = self.n / 2.0
-        if kind == "aligned":
-            # successor i of a; P(i precedes e) = sum_i X[a,i]X[i,e] / (N/2)
-            return self.row_col[idx["a"], idx["e"]].astype(float) / n2
-        if kind == "pair-sup":
-            # successor i of a; P(i also succeeds b)
-            return self.gram_rows[idx["a"], idx["b"]].astype(float) / n2
-        if kind == "pair-sub":
-            # predecessor i of a; P(i also precedes b)
-            den = self.col_sums[idx["a"]].astype(float)
-            num = self.gram_cols[idx["a"], idx["b"]].astype(float)
-            return np.where(den > 0, num / np.where(den > 0, den, 1.0), np.nan)
-        size = next(iter(idx.values())).size
-        out = np.full(size, np.nan)
-        for start in range(0, size, self.CHUNK):
-            sl = slice(start, min(start + self.CHUNK, size))
-            if kind == "generic-tail":
-                # i succeeds both a and b; P(i precedes e)
-                base = self.x[idx["a"][sl], :] * self.x[idx["b"][sl], :]
-                extra = self.x[:, idx["e"][sl]].T
-            elif kind == "continuation":
-                # i succeeds a and precedes e; P(i succeeds b)
-                base = self.x[idx["a"][sl], :] * self.x[:, idx["e"][sl]].T
-                extra = self.x[idx["b"][sl], :]
-            elif kind == "triple":
-                # i succeeds c and precedes a; P(i precedes b)
-                base = self.x[idx["c"][sl], :] * self.x[:, idx["a"][sl]].T
-                extra = self.x[:, idx["b"][sl]].T
-            elif kind == "quad":
-                # i succeeds c and d and precedes a; P(i precedes b)
-                base = (
-                    self.x[idx["c"][sl], :]
-                    * self.x[idx["d"][sl], :]
-                    * self.x[:, idx["a"][sl]].T
-                )
-                extra = self.x[:, idx["b"][sl]].T
-            else:
-                raise InvalidParameters(f"unknown ratio kind {kind!r}")
-            den = base.sum(axis=1)
-            num = (base * extra).sum(axis=1)
-            vals = np.full(den.size, np.nan)
-            ok = den > 0
-            vals[ok] = num[ok] / den[ok]
-            out[sl] = vals
+        if kind not in _RATIO_SETS:
+            raise InvalidParameters(f"unknown ratio kind {kind!r}")
+        given, extra = _RATIO_SETS[kind]
+        counts = self._counts({"den": given, "num": given + (extra,)}, idx)
+        den = counts["den"]
+        out = np.full(den.size, np.nan)
+        ok = den > 0
+        out[ok] = counts["num"][ok] / den[ok]
         return out
 
 

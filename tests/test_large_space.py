@@ -273,3 +273,99 @@ def test_truthful_strategy_shapes(world4):
     assert s2.rows.shape == (16, 1)
     with pytest.raises(inf.InvalidParameters):
         markov.truthful_strategy(world4, 1, 2, inf.PLAYER1)
+
+
+def test_reports_pinned_at_n300():
+    # Recorded from the dense float32 kernel that the packed one replaced.
+    # The statistics are integer counts, so no kernel may move these values.
+    matrix = inf.sample_S(300, 0)
+    assert inf.concentration_report(matrix, sample_budget=5000, seed=0) == (
+        markov.ConcentrationReport(
+            n=300,
+            alpha=0.04,
+            n_tuples=5000,
+            exhaustive=False,
+            family_max_dev={
+                "Y_a": 0.21333333333333337,
+                "Y_c": 0.0,
+                "Y_ab": 0.3866666666666667,
+                "Y_cd": 0.22666666666666668,
+                "Y_a_c": 0.3600000000000001,
+                "Y_ab_c": 0.6799999999999999,
+                "Y_a_cd": 0.4933333333333334,
+                "Y_ab_cd": 0.76,
+            },
+            condition_pass_fraction={
+                "Y_ab/Y_a": 0.666,
+                "Y_ab_c/Y_a_c": 0.5,
+                "Y_a_cd/Y_a_c": 0.566,
+                "Y_ab_cd/Y_a_cd": 0.3848,
+                "Y_cd/Y_c": 0.818,
+                "Y_a_c/Y_c": 0.66,
+                "Y_a_cd/Y_cd": 0.5026,
+            },
+            all_pass_fraction=0.045,
+            seed=0,
+        )
+    )
+    assert inf.mixing_implication_check(matrix, sample_budget=5000, seed=0) == (
+        markov.MixingImplicationReport(n_tuples=5000, n_e_pass=225, n_violations=0)
+    )
+
+
+@pytest.mark.parametrize("n", [70, 128, 300])
+def test_stat_kernel_matches_integer_products(n):
+    # N=70 leaves part of the last 64-bit word as padding, N=128 fills whole
+    # words; 5000 tuples cross a gather-block boundary.
+    matrix = inf.sample_S(n, n)
+    x = matrix.S.astype(np.int64)
+    kernel = markov._StatKernel(matrix)
+    rng = np.random.default_rng(n)
+    a, b, c, d, e = rng.integers(0, n, (5, 5000))
+
+    def succ(i):
+        return x[i]
+
+    def pred(i):
+        return x[:, i].T
+
+    def common(*rows):
+        return np.einsum(",".join(["ti"] * len(rows)) + "->t", *rows)
+
+    common_pred = x.T @ x  # [a, b] = #i with i -> a and i -> b
+    common_succ = x @ x.T  # [c, d] = #i with c -> i and d -> i
+    succ_pred = x @ x  # [c, a] = #i with c -> i -> a
+    stats = kernel.stats(a, b, c, d)
+    expected = {
+        "Y_a": 2 * x.sum(axis=0)[a],
+        "Y_c": 2 * x.sum(axis=1)[c],
+        "Y_ab": 4 * common_pred[a, b],
+        "Y_cd": 4 * common_succ[c, d],
+        "Y_a_c": 4 * succ_pred[c, a],
+        "Y_ab_c": 8 * common(pred(a), pred(b), succ(c)),
+        "Y_a_cd": 8 * common(pred(a), succ(c), succ(d)),
+        "Y_ab_cd": 16 * common(pred(a), pred(b), succ(c), succ(d)),
+    }
+    assert list(stats) == list(markov.Y_FAMILIES)
+    for name in markov.Y_FAMILIES:
+        assert stats[name].dtype == np.float64
+        np.testing.assert_array_equal(stats[name], expected[name].astype(float), err_msg=name)
+
+    # (numerator, denominator) counts of each closed-form conditional ratio
+    quad_base = common(succ(c), succ(d), pred(a))
+    counts = {
+        "aligned": (succ_pred[a, e], x.sum(axis=1)[a]),
+        "pair-sup": (common_succ[a, b], x.sum(axis=1)[a]),
+        "pair-sub": (common_pred[a, b], x.sum(axis=0)[a]),
+        "generic-tail": (common(succ(a), succ(b), pred(e)), common_succ[a, b]),
+        "continuation": (common(succ(a), pred(e), succ(b)), succ_pred[a, e]),
+        "triple": (common(succ(c), pred(a), pred(b)), succ_pred[c, a]),
+        "quad": (common(succ(c), succ(d), pred(a), pred(b)), quad_base),
+    }
+    idx = {"a": a, "b": b, "c": c, "d": d, "e": e}
+    for kind, (num, den) in counts.items():
+        with np.errstate(invalid="ignore", divide="ignore"):
+            ratio = np.where(den > 0, num / den, np.nan)
+        np.testing.assert_array_equal(kernel.conditional_ratio(kind, idx), ratio, err_msg=kind)
+    with pytest.raises(inf.InvalidParameters):
+        kernel.conditional_ratio("no-such-kind", idx)
