@@ -175,7 +175,7 @@ def _cmd_witness(args) -> int:
     v = _load_structure(args.v)
     game = dist.witness_game(u, v)
     _write(args.output, game.to_json())
-    # witness_game has checked that the game attains this gap within WITNESS_TOL.
+    # witness_game has bracketed the game's gap within WITNESS_TOL of this one.
     _emit(config, {"gap": dist.one_sided_gap(u, v).gap})
     return 0
 

@@ -8,8 +8,9 @@ masquerades as mathematical signal:
 - ``LP_TOL``    primal/dual feasibility and duality-gap residuals,
 - ``VALUE_TOL`` equality of game values (duality, guarantees, symmetry),
 - ``DIST_TOL``  equality of distances (triangle inequality, prop bounds),
-- ``WITNESS_TOL`` acceptance gate for the witness-game recheck (the
-  witness is the primal of the game-space gap LP).
+- ``WITNESS_TOL`` acceptance gate for the witness game's exact bracket:
+  the LP gap must lie within it of both the identity strategies' lower
+  bound and the garblings' upper bound.
 """
 
 import os

@@ -11,9 +11,14 @@ gap is one linear program in game space,
 
 over g in [-1,1]^{K*L1*L2}, whose LP dual is the garbling problem.  One
 solve gives all three: the optimum is the gap, the primal g is a witness
-game (it attains the gap by a sandwich argument, see ``witness_game``), and
-the row duals are the attaining garblings q1 and q2.  The full distance is
-the max of the two one-sided gaps.
+game, and the row duals are the attaining garblings q1 and q2.  The full
+distance is the max of the two one-sided gaps.
+
+Weak duality brackets every game's gap between two exact numbers that need
+no LP: the identity strategies guarantee val(v,g) - val(u,g) from below, and
+the garblings' || q1.u - v.q2 || caps it, and the supremum too, from above.
+``witness_game`` accepts its game only if that bracket lies within
+WITNESS_TOL of the LP gap.
 
 Calls on the same pair of structure objects share one gap solve:
 ``one_sided_gap``, ``value_distance``, ``witness_game`` and ``is_better``
@@ -34,7 +39,7 @@ import numpy as np
 from . import lp
 from .config import DIST_TOL, NORM_TOL, WITNESS_TOL, ZERO_TOL
 from .errors import HypothesisViolated, NumericalFailure, ShapeMismatch
-from .games import ZeroSumGame, value
+from .games import ZeroSumGame, guarantee, value
 from .structures import (
     ConditionalQuery,
     Garbling,
@@ -193,6 +198,7 @@ def _solve_gap(u, v):
     """The (u, v) gap LP's solution, shared by calls on the same objects.
 
     A raised NumericalFailure is not cached: the next call solves again.
+    Neither is a solve whose witness fails its bracket in ``witness_game``.
     """
     return _solve_gap_of(_Same(u), _Same(v))
 
@@ -226,28 +232,37 @@ def value_distance(u: InformationStructure, v: InformationStructure) -> float:
 def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGame:
     """Payoff function achieving sup_g (val(v,g) - val(u,g)).
 
-    The witness is the primal g of the gap LP.  Its constraints give
+    The witness is the primal g of the gap LP, so one gap solve gives both
+    the target and the witness, and on the same (u, v) objects it is the
+    solve that ``value_distance``, ``one_sided_gap`` and ``is_better`` use
+    (see the module docstring).  The witness is certified without an LP by
+    an exact bracket on the common embedding:
 
-        sum_d min_f <v(.,.,d), g(.,.,f)> - sum_c max_e <u(.,c,.), g(.,e,.)>
-            >= sum_d beta_d - sum_c alpha_c = gap,
+        lower = guarantee(v, g, identity, PLAYER1) - guarantee(u, g, identity, PLAYER2)
+             <= val(v,g) - val(u,g)
+             <= sup_g' (val(v,g') - val(u,g'))
+             <= || q1.u - v.q2 || = upper
 
-    which pins val(v,g) - val(u,g) = gap by the sandwich
-    inf_q2 <g, v.q2> <= val(v,g) and val(u,g) <= sup_q1 <g, q1.u>, with the
-    gap itself as the upper bound.  One gap solve gives both the target
-    and the witness, and on the same (u, v) objects it is the solve that
-    ``value_distance``, ``one_sided_gap`` and ``is_better`` use (see the
-    module docstring).  The witness is then rechecked by solving both games,
-    and a recheck missing the target by more than WITNESS_TOL raises.
+    by weak duality for any g and for the garblings of the same solve.  A
+    target farther than WITNESS_TOL from either end means the witness
+    misses the target or the target misses the supremum, and this raises.
     """
     sol, (n_k, l1, l2) = _solve_gap(u, v)
     target = max(sol.objective, 0.0)
     g = sol.primal[: n_k * l1 * l2].reshape(n_k, l1, l2)
     game = ZeroSumGame(np.clip(g, -1.0, 1.0))
     u_emb, v_emb = common_embedding(u, v)
-    achieved = value(v_emb, game).value - value(u_emb, game).value
-    if abs(achieved - target) > WITNESS_TOL:
+    lower = guarantee(v_emb, game, Garbling.identity(l1), PLAYER1) - guarantee(
+        u_emb, game, Garbling.identity(l2), PLAYER2
+    )
+    upper = one_sided_gap(u, v).recheck(u, v)
+    miss = max(upper - target, target - lower)
+    if miss > WITNESS_TOL:
+        # The solve failed its certificate: no later call may read it back.
+        _solve_gap_of.cache_clear()
         raise NumericalFailure(
-            f"witness recheck failed (target {target:.2e}, achieved {achieved:.2e})"
+            f"witness recheck failed: target {target!r} is {miss:.2e} from "
+            f"an end of its bracket [{lower!r}, {upper!r}]"
         )
     return game
 

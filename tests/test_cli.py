@@ -61,13 +61,13 @@ def test_witness_round_trip(capsys, files):
     assert float(out.strip()) == pytest.approx(0.5, abs=1e-5)
 
 
-def test_witness_command_solves_three_lps(capsys, files, solve_rows):
-    # One gap solve and the witness recheck's two game values; the printed
-    # gap comes from the same gap solve.
+def test_witness_command_solves_one_lp(capsys, files, solve_rows):
+    # The witness, its bracket and the printed gap all come from one gap
+    # solve.
     out_path = files["tmp"] / "witness.json"
     code, _, _ = _run(capsys, "witness", files["u1"], files["u2"], "-o", str(out_path))
     assert code == 0
-    assert solve_rows == [11, 7, 7]
+    assert solve_rows == [11]
 
 
 def test_d1_dnzs_reduce_decompose(capsys, files, tmp_path):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import infodist as inf
 from infodist import PLAYER1, PLAYER2, lp
-from infodist.config import DIST_TOL
+from infodist.config import DIST_TOL, WITNESS_TOL
 from infodist.distance import _gap_problem, _solve_gap
 from infodist.errors import NumericalFailure
 from infodist.games import guarantee
@@ -42,10 +44,17 @@ def test_certificate_recheck_random(rng):
         assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=1e-7)
 
 
-def test_witness_on_equal_structures(rng):
-    u = random_structure(rng, 2, 2, 2)
-    g = inf.witness_game(u, u)
-    assert abs(inf.value(u, g).value - inf.value(u, g).value) <= 1e-5
+def test_witness_attains_a_positive_gap_to_a_garbling(rng):
+    # w garbles u's player-1 signal strictly, so player 1 loses in some game
+    # moving from u to w: the gap from w to u is positive.
+    u = random_structure(rng, 2, 3, 2)
+    w = inf.garble(u, PLAYER1, inf.Garbling([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]))
+    gap = inf.one_sided_gap(w, u).gap
+    assert gap > 10 * DIST_TOL
+    g = inf.witness_game(w, u)
+    w_emb, u_emb = common_embedding(w, u)
+    achieved = inf.value(u_emb, g).value - inf.value(w_emb, g).value
+    assert achieved == pytest.approx(gap, abs=WITNESS_TOL)
 
 
 def test_witness_canonical_examples():
@@ -68,23 +77,13 @@ def test_witness_recheck_random(rng):
         assert achieved == pytest.approx(gap, abs=1e-5)
 
 
-def test_witness_solves_the_gap_lp_once(rng, monkeypatch):
-    # One gap solve gives both the target gap and the witness; the recheck
-    # then solves the game on each structure.
+def test_witness_solves_the_gap_lp_once(rng, solve_rows):
+    # One gap solve gives the target gap, the witness and the garblings that
+    # bound the witness's bracket from above; the bracket needs no LP.
     u = random_structure(rng, 2, 3, 3)
     v = random_structure(rng, 2, 3, 2)
-    rows = []
-    solve = lp.solve
-
-    def counting_solve(problem):
-        rows.append(problem.n_rows)
-        return solve(problem)
-
-    monkeypatch.setattr(lp, "solve", counting_solve)
     inf.witness_game(u, v)
-    gap_rows = 3 * 3 + 2 * 3
-    value_rows = 3 * 3 + 3
-    assert rows == [gap_rows, value_rows, value_rows]
+    assert solve_rows == [3 * 3 + 2 * 3]
 
 
 def test_calls_on_the_same_pair_share_one_gap_solve(rng, solve_rows):
@@ -96,14 +95,13 @@ def test_calls_on_the_same_pair_share_one_gap_solve(rng, solve_rows):
     cert = inf.one_sided_gap(u, v)
     gap_uv = 3 * 3 + 2 * 3
     gap_vu = 3 * 3 + 3 * 3
-    value_rows = 3 * 3 + 3
-    assert solve_rows == [gap_uv, gap_vu, value_rows, value_rows]
+    assert solve_rows == [gap_uv, gap_vu]
     assert ok == (cert.gap <= DIST_TOL)
     assert d >= cert.gap
     # Every caller shares the cached solution, so it is read-only.
     sol, _ = _solve_gap(u, v)
     assert not sol.primal.flags.writeable and not sol.dual.flags.writeable
-    assert len(solve_rows) == 4
+    assert len(solve_rows) == 2
 
 
 def test_gap_memo_is_keyed_on_identity(rng, solve_rows):
@@ -133,6 +131,41 @@ def test_gap_memo_does_not_keep_failures(rng, monkeypatch):
     cert = inf.one_sided_gap(u, v)
     assert calls == [15, 15]
     assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
+
+
+def _halve_witness(sol, n_cells):
+    return replace(sol, primal=np.concatenate((sol.primal[:n_cells] / 2, sol.primal[n_cells:])))
+
+
+def _shift_target(sol, n_cells):
+    return replace(sol, objective=sol.objective + 2 * WITNESS_TOL)
+
+
+@pytest.mark.parametrize("corrupt", [_halve_witness, _shift_target])
+def test_witness_bracket_rejects_a_bad_gap_solution(rng, monkeypatch, corrupt):
+    # A witness that misses the target, or a target that misses the
+    # supremum, leaves the target outside the bracket by more than
+    # WITNESS_TOL.  The bad solve must not be kept for the next call.
+    u = random_structure(rng, 2, 3, 3)
+    v = random_structure(rng, 2, 3, 2)
+    calls = []
+    solve = lp.solve
+
+    def corrupt_first(problem):
+        calls.append(problem.n_rows)
+        sol = solve(problem)
+        return corrupt(sol, 2 * 3 * 3) if len(calls) == 1 else sol
+
+    monkeypatch.setattr(lp, "solve", corrupt_first)
+    with pytest.raises(NumericalFailure, match="witness recheck failed"):
+        inf.witness_game(u, v)
+    g = inf.witness_game(u, v)
+    assert calls == [15, 15]
+    gap = inf.one_sided_gap(u, v).gap
+    assert gap > 4 * WITNESS_TOL
+    u_emb, v_emb = common_embedding(u, v)
+    achieved = inf.value(v_emb, g).value - inf.value(u_emb, g).value
+    assert achieved == pytest.approx(gap, abs=WITNESS_TOL)
 
 
 def test_gap_lp_row_layout():

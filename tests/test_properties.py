@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import infodist as inf
-from infodist.config import DIST_TOL, WITNESS_TOL
+from infodist.config import DIST_TOL, VALUE_TOL, WITNESS_TOL
 from infodist.structures import common_embedding
 
 # Cells are 0 or at least 0.05, so a generated structure is no worse
@@ -61,3 +61,25 @@ def test_shared_gap_solve_matches_fresh_solves(pair):
     u_emb, v_emb = common_embedding(u, v)
     achieved = inf.value(v_emb, game).value - inf.value(u_emb, game).value
     assert abs(achieved - cert.gap) <= WITNESS_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_pairs())
+def test_witness_bracket_holds_the_achieved_gap(pair):
+    # Weak duality: the identity strategies bound the witness's gap from
+    # below and the garblings bound every game's gap from above.  The
+    # bracket must hold the gap the value LPs compute and sit within
+    # WITNESS_TOL of the LP gap.
+    u, v = _fresh(*pair)
+    cert = inf.one_sided_gap(u, v)
+    game = inf.witness_game(u, v)
+    u_emb, v_emb = common_embedding(u, v)
+    _, l1, l2 = game.payoffs.shape
+    lower = inf.guarantee(v_emb, game, inf.Garbling.identity(l1), inf.PLAYER1) - inf.guarantee(
+        u_emb, game, inf.Garbling.identity(l2), inf.PLAYER2
+    )
+    upper = cert.recheck(u, v)
+    achieved = inf.value(v_emb, game).value - inf.value(u_emb, game).value
+    assert lower - VALUE_TOL <= achieved <= upper + VALUE_TOL
+    assert max(upper - cert.gap, cert.gap - lower) <= WITNESS_TOL
+    assert inf.value_distance(u, v) <= inf.l1_distance(u_emb, v_emb) + DIST_TOL
