@@ -1,6 +1,10 @@
 """Deterministic linear programming with primal and dual extraction.
 
-Thin adapter over scipy's HiGHS backend.  The contract the rest of the
+Thin adapter over the HiGHS solver that scipy vendors, called through its
+private binding ``scipy.optimize._highspy._core`` (the package's only
+private scipy import; scipy >= 1.17).  Each solve passes one column-wise
+model, ``row_lower <= A.x <= row_upper`` with column bounds, so ``<=``,
+``==`` and ``>=`` rows are row bounds.  The contract the rest of the
 package relies on:
 
 - ``solve`` is deterministic for identical input (HiGHS, single thread),
@@ -22,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
 
 from .config import LP_TOL
 from .errors import NumericalFailure, ShapeMismatch
@@ -39,12 +43,32 @@ UNBOUNDED = "unbounded"
 # problems; the dual gate is therefore one order looser than LP_TOL.
 _DUAL_GATE = LP_TOL * 10
 
-# HiGHS's own feasibility tolerances default to 1e-7, looser than the gates
-# above, so it could call a point optimal that the gates then reject.  It
-# runs an order of magnitude below LP_TOL instead.
-_HIGHS_OPTIONS = {
-    "primal_feasibility_tolerance": LP_TOL / 10,
-    "dual_feasibility_tolerance": LP_TOL / 10,
+
+def _highs_options() -> _highs.HighsOptions:
+    options = _highs.HighsOptions()
+    # What ``scipy.optimize.linprog(method="highs")`` set: silent, presolve
+    # on, dual simplex.
+    options.output_flag = False
+    options.log_to_console = False
+    options.presolve = "on"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    # HiGHS's own feasibility tolerances default to 1e-7, looser than the
+    # gates above, so it could call a point optimal that the gates then
+    # reject.  It runs an order of magnitude below LP_TOL instead.
+    options.primal_feasibility_tolerance = LP_TOL / 10
+    options.dual_feasibility_tolerance = LP_TOL / 10
+    return options
+
+
+_HIGHS_OPTIONS = _highs_options()
+
+# HiGHS model status -> solve status, as ``scipy.optimize.linprog`` maps it;
+# any other status is a NumericalFailure.
+_STATUS = {
+    _highs.HighsModelStatus.kOptimal: OPTIMAL,
+    _highs.HighsModelStatus.kInfeasible: INFEASIBLE,
+    _highs.HighsModelStatus.kModelError: INFEASIBLE,
+    _highs.HighsModelStatus.kUnbounded: UNBOUNDED,
 }
 
 
@@ -92,8 +116,8 @@ class LpProblem:
     def n_rows(self) -> int:
         return self.rhs.size
 
-    def matrix(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
+    def matrix(self) -> sp.csc_matrix:
+        return sp.csc_matrix(
             (self.coefficients, (self.row_idx, self.col_idx)),
             shape=(self.n_rows, self.n_vars),
         )
@@ -113,21 +137,83 @@ def _sense_masks(senses: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     return arr == LEQ, arr == GEQ
 
 
+@dataclass(frozen=True)
+class HighsResult:
+    """One HiGHS run: status, primal ``x`` and ``row_dual`` (both empty
+    unless OPTIMAL) and ``nit``, simplex plus IPM iterations."""
+
+    status: str
+    x: np.ndarray
+    row_dual: np.ndarray
+    nit: int
+
+
+def linprog(
+    cost: np.ndarray,
+    a: sp.csc_matrix,
+    row_bounds: tuple[np.ndarray, np.ndarray],
+    col_bounds: tuple[np.ndarray, np.ndarray],
+) -> HighsResult:
+    """min cost.x  s.t.  row_lower <= a.x <= row_upper,  col_lower <= x <= col_upper.
+
+    The one function that talks to HiGHS; ``status`` is OPTIMAL, INFEASIBLE,
+    UNBOUNDED or else HiGHS's own name for its model status.  ``solve``
+    calls it through this module's global, so a wrapper installed as
+    ``lp.linprog`` (the benchmark's tracer) times every HiGHS call and reads
+    its ``nit``.
+    """
+    n_rows, n_cols = a.shape
+    model = _highs.HighsLp()
+    model.num_col_ = n_cols
+    model.num_row_ = n_rows
+    model.col_cost_ = cost
+    model.col_lower_, model.col_upper_ = col_bounds
+    model.row_lower_, model.row_upper_ = row_bounds
+    matrix = model.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = n_cols
+    matrix.num_row_ = n_rows
+    matrix.start_ = a.indptr
+    matrix.index_ = a.indices
+    matrix.value_ = a.data
+
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    if highs.passModel(model) == _highs.HighsStatus.kError:
+        model_status = _highs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    nit = max(info.simplex_iteration_count, 0) + max(info.ipm_iteration_count, 0)
+    status = _STATUS.get(model_status) or highs.modelStatusToString(model_status)
+    if status != OPTIMAL:
+        return HighsResult(status, np.zeros(0), np.zeros(0), nit)
+    solution = highs.getSolution()
+    return HighsResult(status, np.array(solution.col_value), np.array(solution.row_dual), nit)
+
+
 def _residuals(
-    problem: LpProblem, a: sp.csr_matrix, x: np.ndarray, duals_min: np.ndarray
+    problem: LpProblem,
+    a: sp.csc_matrix,
+    row_bounds: tuple[np.ndarray, np.ndarray],
+    col_bounds: tuple[np.ndarray, np.ndarray],
+    x: np.ndarray,
+    duals_min: np.ndarray,
 ) -> tuple[float, float, float]:
-    """(primal, dual-sign, relative-gap) residuals, minimization orientation;
-    ``a`` is ``problem.matrix()``."""
-    leq, geq = _sense_masks(problem.senses)
-    diff = a @ x - problem.rhs
-    primal = float(np.where(leq, diff, np.where(geq, -diff, np.abs(diff))).max(initial=0.0))
-    lower = np.array([-np.inf if lo is None else lo for lo, _ in problem.bounds])
-    upper = np.array([np.inf if hi is None else hi for _, hi in problem.bounds])
+    """(primal, dual-sign, relative-gap) residuals, minimization orientation,
+    of the model ``solve`` handed to ``linprog``."""
+    row_lower, row_upper = row_bounds
+    lower, upper = col_bounds
+    ax = a @ x
+    primal = float(np.maximum(row_lower - ax, ax - row_upper).max(initial=0.0))
     if x.size:
         primal = max(primal, float(np.max(lower - x)), float(np.max(x - upper)))
 
     c_min = -problem.objective if problem.maximize else problem.objective
     lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
+    leq = np.isneginf(row_lower)
+    geq = np.isposinf(row_upper)
     dual_sign = float(np.where(leq, -lam, np.where(geq, lam, 0.0)).max(initial=0.0))
     reduced = c_min + a.T @ lam
     finite_lo = np.isfinite(lower)
@@ -149,41 +235,21 @@ def _residuals(
 def solve(problem: LpProblem) -> LpSolution:
     """Solve with HiGHS; returns status, primal, row duals, objective."""
     a = problem.matrix()
-    leq_mask, geq_mask = _sense_masks(problem.senses)
-    ub_rows = np.flatnonzero(leq_mask | geq_mask)
-    eq_rows = np.flatnonzero(~(leq_mask | geq_mask))
-    sign = np.where(geq_mask[ub_rows], -1.0, 1.0)
+    leq, geq = _sense_masks(problem.senses)
+    row_bounds = (np.where(leq, -np.inf, problem.rhs), np.where(geq, np.inf, problem.rhs))
+    bounds = np.array(problem.bounds, dtype=float).reshape(-1, 2)  # None -> NaN
+    col_bounds = tuple(np.where(np.isnan(bounds), (-np.inf, np.inf), bounds).T.copy())
+    cost = -problem.objective if problem.maximize else problem.objective
 
-    a_ub = sp.diags(sign) @ a[ub_rows] if ub_rows.size else None
-    b_ub = sign * problem.rhs[ub_rows] if ub_rows.size else None
-    a_eq = a[eq_rows] if eq_rows.size else None
-    b_eq = problem.rhs[eq_rows] if eq_rows.size else None
+    res = linprog(cost, a, row_bounds, col_bounds)
+    if res.status in (INFEASIBLE, UNBOUNDED):
+        return LpSolution(status=res.status)
+    if res.status != OPTIMAL:
+        raise NumericalFailure(f"HiGHS failed: {res.status}")
 
-    c = -problem.objective if problem.maximize else problem.objective
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=list(problem.bounds),
-        method="highs",
-        options=_HIGHS_OPTIONS,
-    )
-    if res.status == 2:
-        return LpSolution(status=INFEASIBLE)
-    if res.status == 3:
-        return LpSolution(status=UNBOUNDED)
-    if res.status != 0:
-        raise NumericalFailure(f"HiGHS failed: {res.message}")
-
-    duals_min = np.zeros(problem.n_rows)
-    if ub_rows.size:
-        duals_min[ub_rows] = sign * res.ineqlin.marginals
-    if eq_rows.size:
-        duals_min[eq_rows] = res.eqlin.marginals
-
-    primal_res, dual_res, gap = _residuals(problem, a, res.x, duals_min)
+    # HiGHS solved the minimization, so its row duals are duals_min.
+    duals_min = res.row_dual
+    primal_res, dual_res, gap = _residuals(problem, a, row_bounds, col_bounds, res.x, duals_min)
     if primal_res > LP_TOL or dual_res > _DUAL_GATE or gap > LP_TOL:
         raise NumericalFailure(
             f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"

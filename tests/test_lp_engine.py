@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.optimize import linprog  # the oracle for lp.solve only
 
-from infodist import lp
+from infodist import distance, games, lp
+from infodist.config import LP_TOL
 
 from conftest import random_game, random_structure
 
@@ -105,3 +108,117 @@ def test_value_duality_through_player_swap(rng):
             infodist.validate_structure(swapped_structure), ZeroSumGame(swapped_game)
         ).value
         assert direct == pytest.approx(-mirrored, abs=1e-7)
+
+
+def _linprog_oracle(problem):
+    """``problem`` through ``scipy.optimize.linprog`` at the tolerances
+    ``lp.solve`` gives HiGHS: ``<=`` and sign-flipped ``>=`` rows as A_ub,
+    ``==`` rows as A_eq.  Returns (status, primal, duals, objective), the
+    duals oriented as ``lp.solve`` reports them."""
+    a = problem.matrix().tocsr()
+    senses = np.asarray(problem.senses)
+    ub = np.flatnonzero(senses != lp.EQ)
+    eq = np.flatnonzero(senses == lp.EQ)
+    sign = np.where(senses[ub] == lp.GEQ, -1.0, 1.0)
+    res = linprog(
+        -problem.objective if problem.maximize else problem.objective,
+        A_ub=sp.diags(sign) @ a[ub] if ub.size else None,
+        b_ub=sign * problem.rhs[ub] if ub.size else None,
+        A_eq=a[eq] if eq.size else None,
+        b_eq=problem.rhs[eq] if eq.size else None,
+        bounds=list(problem.bounds),
+        method="highs",
+        options={"primal_feasibility_tolerance": LP_TOL / 10, "dual_feasibility_tolerance": LP_TOL / 10},
+    )
+    status = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[res.status]
+    if status != lp.OPTIMAL:
+        return status, None, None, None
+    duals = np.zeros(problem.n_rows)
+    duals[ub] = sign * res.ineqlin.marginals
+    duals[eq] = res.eqlin.marginals
+    if problem.maximize:
+        duals = -duals
+    return status, res.x, duals, float(problem.objective @ res.x)
+
+
+def _recorded_problems(monkeypatch, call):
+    """The LpProblems ``call()`` hands to ``lp.solve``."""
+    problems = []
+    solve = lp.solve
+
+    def recording_solve(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "solve", recording_solve)
+        call()
+    return problems
+
+
+def _oracle_problems(monkeypatch):
+    rng = np.random.default_rng(20261018)
+    problems = []
+    # Gap LPs: unequal signal counts, zero cells, one-signal players.
+    for shape_u, shape_v, zeros in [
+        ((2, 3, 2), (2, 2, 3), 0.0),
+        ((3, 4, 2), (3, 2, 4), 0.3),
+        ((2, 1, 3), (2, 3, 1), 0.0),
+        ((3, 3, 3), (3, 2, 2), 0.4),
+        ((4, 2, 3), (4, 3, 3), 0.2),
+    ]:
+        u = random_structure(rng, *shape_u, zeros=zeros)
+        v = random_structure(rng, *shape_v, zeros=zeros)
+        problems.append(distance._gap_problem(u, v)[0])
+        problems.append(distance._gap_problem(v, u)[0])
+    # games.value's best-response LP, zero cells included.
+    for shape, actions in [((2, 3, 2), (2, 3)), ((3, 2, 4), (3, 2))]:
+        u = random_structure(rng, *shape, zeros=0.3)
+        g = random_game(rng, shape[0], *actions)
+        problems += _recorded_problems(monkeypatch, lambda: games.value(u, g))
+    # The coordinate-ascent LPs of diameter_bounds.
+    p, q = rng.dirichlet(np.ones(4), size=2)
+    problems += _recorded_problems(
+        monkeypatch, lambda: distance._ascend_overlap(p, q, p.copy(), q.copy())
+    )
+    # Small problems, one with >= and == rows.
+    problems.append(_simple_problem())
+    problems.append(_one_variable_problem(-1.0, [(1.0, 3.0), (-2.0, 1.0)], maximize=False))
+    problems.append(
+        lp.LpProblem(
+            objective=[1.0, 2.0],
+            row_idx=[0, 0, 1, 1],
+            col_idx=[0, 1, 0, 1],
+            coefficients=[1.0, 1.0, 1.0, -1.0],
+            senses=(lp.GEQ, lp.EQ),
+            rhs=[1.0, 0.2],
+            bounds=((0.0, None), (None, 5.0)),
+        )
+    )
+    return problems
+
+
+def test_solve_matches_linprog(monkeypatch):
+    # The direct HiGHS model and linprog's A_ub/A_eq split hand HiGHS the
+    # same LP at the same options, so every number agrees bit for bit.
+    problems = _oracle_problems(monkeypatch)
+    assert len(problems) > 15
+    for problem in problems:
+        sol = lp.solve(problem)
+        status, primal, duals, objective = _linprog_oracle(problem)
+        assert sol.status == status == lp.OPTIMAL
+        assert np.array_equal(sol.primal, primal)
+        assert np.array_equal(sol.dual, duals)
+        assert sol.objective == objective
+
+
+@pytest.mark.parametrize(
+    "problem, status",
+    [
+        (_one_variable_problem(0.0, [(1.0, -1.0)], maximize=False), lp.INFEASIBLE),
+        (_one_variable_problem(1.0, [], maximize=True), lp.UNBOUNDED),
+        (_one_variable_problem(-1.0, [(-1.0, 1.0)], maximize=False), lp.UNBOUNDED),
+    ],
+)
+def test_infeasible_and_unbounded_match_linprog(problem, status):
+    assert lp.solve(problem).status == _linprog_oracle(problem)[0] == status

@@ -83,3 +83,29 @@ def test_witness_bracket_holds_the_achieved_gap(pair):
     assert lower - VALUE_TOL <= achieved <= upper + VALUE_TOL
     assert max(upper - cert.gap, cert.gap - lower) <= WITNESS_TOL
     assert inf.value_distance(u, v) <= inf.l1_distance(u_emb, v_emb) + DIST_TOL
+
+
+@st.composite
+def games_on_structures(draw):
+    """A structure on 2-3 states with 1-3 signals per player and a game with
+    1-3 actions per player, small enough for the normal-form oracle."""
+    n_k = draw(st.integers(2, 3))
+    small = st.integers(1, 3)
+    probs = draw(hnp.arrays(float, (n_k, draw(small), draw(small)), elements=_CELL))
+    if probs.sum() == 0.0:
+        probs[0, 0, 0] = 1.0
+    payoffs = draw(hnp.arrays(float, (n_k, draw(small), draw(small)), elements=st.floats(-1.0, 1.0)))
+    return inf.validate_structure(probs / probs.sum()), inf.ZeroSumGame(payoffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(games_on_structures(), st.booleans())
+def test_value_matches_the_normal_form_oracle(pair, partial):
+    # The behavioral LP against the pure-rule normal form; ``partial`` caps
+    # the budget at the smaller side's rule count, which enumerates that
+    # side only and decomposes the other per signal.
+    u, g = pair
+    rules1 = g.actions1_count**u.signals1_count
+    rules2 = g.actions2_count**u.signals2_count
+    budget = min(rules1, rules2) if partial else None
+    assert abs(inf.value(u, g).value - inf.value_normal_form(u, g, budget=budget)) <= VALUE_TOL
