@@ -6,14 +6,24 @@ player, repeatedly split signals whose conditional distributions over
 (state, opponent classes) differ, stop at the fixpoint.  Two signals then
 share a class iff all finite-level belief hierarchies coincide.
 
-Belief vectors are rounded to 12 decimal digits before hashing so that class
-membership is a genuine equivalence relation rather than an eps-relation; an
-exact mode reruns the refinement in Fraction arithmetic for tensors whose
-entries are exact binary rationals.
+Each round is a handful of array operations over both players at once.  One
+matrix product with the one-hot matrix of the opponents' current classes
+sums every signal's mass over (state, opponent class); dividing by the
+signal's mass gives its belief row, and new class ids go by first occurrence
+of (old class, belief row), numbered per player.  Belief vectors are rounded
+to 12 decimal digits before hashing, exactly as ``round(x, 12)`` rounds, so
+that class membership is a genuine equivalence relation rather than an
+eps-relation.  The exact mode runs the same rounds on an object array of
+Python integers, each signal's row of the tensor read as Fractions (floats
+are exact binary rationals) and scaled to a common denominator; belief rows
+are then equal iff the integer rows are proportional, with no rounding.
+Signals of mass at most ZERO_TOL are null: they form the class -1 and count
+as absent in the other player's beliefs.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +32,7 @@ import numpy as np
 
 from .config import DIST_TOL, NORM_TOL, ZERO_TOL
 from .errors import ShapeMismatch
-from .structures import InformationStructure, validate_structure
+from .structures import PLAYER1, PLAYER2, InformationStructure, validate_structure
 
 _ROUND_DIGITS = 12
 NULL_CLASS = -1
@@ -38,10 +48,15 @@ class SignalPartition:
     player2_classes: tuple[int, ...]
     level: int
 
-    def class_count(self, player: int) -> int:
-        classes = self.player1_classes if player == 1 else self.player2_classes
-        live = {c for c in classes if c != NULL_CLASS}
-        return len(live)
+    def class_count(self, player: str) -> int:
+        """Number of live classes of ``PLAYER1`` or ``PLAYER2``."""
+        if player == PLAYER1:
+            classes = self.player1_classes
+        elif player == PLAYER2:
+            classes = self.player2_classes
+        else:
+            raise ShapeMismatch(f"player must be {PLAYER1!r} or {PLAYER2!r}, got {player!r}")
+        return len(set(classes) - {NULL_CLASS})
 
 
 @dataclass(frozen=True)
@@ -57,103 +72,111 @@ class Decomposition:
         return tuple(w for w, _ in self.components)
 
 
-def _canonical_ids(signatures: list) -> list[int]:
-    """Assign class ids by first occurrence (stable under signal order)."""
-    mapping: dict = {}
+def _number(keys: list, n_c: int) -> list[int]:
+    """Class ids by first occurrence of each key, numbered per player
+    (player 1's signals are the first ``n_c``)."""
     out = []
-    for sig in signatures:
-        if sig not in mapping:
-            mapping[sig] = len(mapping)
-        out.append(mapping[sig])
+    for side in (keys[:n_c], keys[n_c:]):
+        ids: dict = {}
+        out += [ids.setdefault(key, len(ids)) for key in side]
     return out
 
 
-def _refine(
-    tensor, labels1: list[int], labels2: list[int], rounder
-) -> tuple[list[int], list[int]]:
-    n_k = len(tensor)
-    n_c = len(tensor[0])
-    n_d = len(tensor[0][0])
-    sigs1 = []
-    for c in range(n_c):
-        if labels1[c] == NULL_CLASS:
-            sigs1.append(NULL_CLASS)
-            continue
-        mass = sum(tensor[k][c][d] for k in range(n_k) for d in range(n_d))
-        cells: dict = {}
-        for k in range(n_k):
-            for d in range(n_d):
-                key = (k, labels2[d])
-                cells[key] = cells.get(key, 0) + tensor[k][c][d]
-        sigs1.append(
-            tuple(sorted((key, rounder(val / mass)) for key, val in cells.items() if val > 0))
-        )
-    sigs2 = []
-    for d in range(n_d):
-        if labels2[d] == NULL_CLASS:
-            sigs2.append(NULL_CLASS)
-            continue
-        mass = sum(tensor[k][c][d] for k in range(n_k) for c in range(n_c))
-        cells = {}
-        for k in range(n_k):
-            for c in range(n_c):
-                key = (k, labels1[c])
-                cells[key] = cells.get(key, 0) + tensor[k][c][d]
-        sigs2.append(
-            tuple(sorted((key, rounder(val / mass)) for key, val in cells.items() if val > 0))
-        )
-    new1 = _canonical_ids([(labels1[c], sigs1[c]) for c in range(n_c)])
-    new2 = _canonical_ids([(labels2[d], sigs2[d]) for d in range(n_d)])
-    for c in range(n_c):
-        if labels1[c] == NULL_CLASS:
-            new1[c] = NULL_CLASS
-    for d in range(n_d):
-        if labels2[d] == NULL_CLASS:
-            new2[d] = NULL_CLASS
-    return new1, new2
+def _grid(beliefs: np.ndarray) -> np.ndarray:
+    """Index of each belief on the 10**-12 grid, the one ``round(x, 12)``
+    rounds to.
+
+    ``beliefs * 10**12`` is within 2**-14 of the exact product for beliefs
+    up to 1, so ``rint`` picks the exact grid point except near a tie; the
+    few products that close to a tie are rounded exactly, half to even.
+    """
+    scaled = beliefs * 10.0**_ROUND_DIGITS
+    grid = np.rint(scaled)
+    for i in np.flatnonzero(np.abs(scaled - grid) > 0.499):
+        grid.flat[i] = round(Fraction(beliefs.flat[i]) * 10**_ROUND_DIGITS)
+    return grid
+
+
+def _integer_rows(rows: np.ndarray) -> np.ndarray:
+    """Each row's entries as Fractions (floats are exact binary rationals),
+    scaled by the row's common denominator to Python integers."""
+    out = []
+    for row in rows.tolist():
+        exact = [Fraction(x).limit_denominator(10**15) for x in row]
+        scale = math.lcm(*(x.denominator for x in exact))
+        out.append([x.numerator * (scale // x.denominator) for x in exact])
+    return np.array(out, dtype=object)
+
+
+def _belief_keys(cells: np.ndarray, mass: np.ndarray | None) -> list:
+    """One key per signal, equal iff the signals' beliefs over (state,
+    opponent class) are.
+
+    Float cells are divided by the signal's mass and rounded to the grid, an
+    empty cell reading -1.  Integer cells (exact mode, no ``mass``) are
+    proportional iff the beliefs are equal, and equal once divided by their
+    gcd.
+    """
+    if mass is None:
+        gcd = np.gcd.reduce(cells, axis=1)
+        gcd[gcd == 0] = 1
+        return [tuple(row) for row in (cells // gcd[:, None]).tolist()]
+    beliefs = _grid(cells / mass)
+    beliefs[cells == 0] = -1
+    return beliefs.view(np.dtype((np.void, beliefs.strides[0]))).ravel().tolist()
 
 
 def hierarchy_partition(u: InformationStructure, exact: bool = False) -> SignalPartition:
     """Partition each player's signals by finite-level belief hierarchy.
 
     Refinement stabilizes in at most |C| + |D| rounds.  With ``exact=True``
-    the conditionals are computed in Fraction arithmetic (floats are exact
-    binary rationals), removing the rounding grid entirely.
+    the conditionals are compared in exact rational arithmetic (floats are
+    exact binary rationals), removing the rounding grid entirely; both modes
+    run the same rounds.
     """
     probs = u.probs
+    n_k, n_c, n_d = probs.shape
+    n = n_c + n_d
+    # Both players' signals on one axis, player 1's first: pair[s, k, o] is
+    # the mass of signal s with opponent signal o in state k.
+    pair = np.zeros((n, n_k, n))
+    pair[:n_c, :, n_c:] = probs.transpose(1, 0, 2)
+    pair[n_c:, :, :n_c] = probs.transpose(2, 0, 1)
+    # Null signals (mass at most ZERO_TOL) count as absent, as
+    # reduce_redundancy drops them: their cells are zero on both sides.  A
+    # player's null signals share one class through the refinement (their
+    # rows are all zero), so the numbering spends one id on it, and read -1
+    # at the end.
+    live = np.concatenate([probs.sum(axis=(0, 2)), probs.sum(axis=(0, 1))]) > ZERO_TOL
+    pair[~live] = 0
+    pair[:, :, ~live] = 0
+    pair = pair.reshape(n, n_k * n)
     if exact:
-        tensor = [
-            [[Fraction(float(x)).limit_denominator(10**15) for x in row] for row in plane]
-            for plane in probs
-        ]
-
-        def rounder(value):
-            return value
-
+        pair, mass = _integer_rows(pair), None
     else:
-        tensor = probs.tolist()
-
-        def rounder(value):
-            return round(value, _ROUND_DIGITS)
-
-    mass1 = probs.sum(axis=(0, 2))
-    mass2 = probs.sum(axis=(0, 1))
-    labels1 = [0 if m > ZERO_TOL else NULL_CLASS for m in mass1]
-    labels2 = [0 if m > ZERO_TOL else NULL_CLASS for m in mass2]
-    labels1 = _merge_null(_canonical_ids(labels1), labels1)
-    labels2 = _merge_null(_canonical_ids(labels2), labels2)
+        # cumsum adds strictly in (state, opponent signal) order, so a mass
+        # does not depend on how numpy splits a sum.
+        mass = np.cumsum(pair, axis=1)[:, -1:]
+        mass[mass == 0] = 1.0
+    pair = pair.reshape(n * n_k, n)
+    onehot = np.eye(n, dtype=pair.dtype)
+    labels = _number(live.tolist(), n_c)
     level = 0
-    for _ in range(u.signals1_count + u.signals2_count + 1):
-        new1, new2 = _refine(tensor, labels1, labels2, rounder)
-        if new1 == labels1 and new2 == labels2:
+    for _ in range(n + 1):
+        # Opponent classes as columns: player 1's classes first, then
+        # player 2's.  cells[s, k, g] is the mass of signal s in state k on
+        # opponent class g.
+        m1 = max(labels[:n_c]) + 1
+        columns = labels[:n_c] + [m1 + label for label in labels[n_c:]]
+        width = m1 + max(labels[n_c:]) + 1
+        cells = (pair @ onehot[columns, :width]).reshape(n, -1)
+        new = _number(list(zip(labels, _belief_keys(cells, mass))), n_c)
+        if new == labels:
             break
-        labels1, labels2 = new1, new2
+        labels = new
         level += 1
-    return SignalPartition(tuple(labels1), tuple(labels2), level)
-
-
-def _merge_null(canonical: list[int], raw: list[int]) -> list[int]:
-    return [NULL_CLASS if r == NULL_CLASS else c for c, r in zip(canonical, raw)]
+    labels = np.where(live, labels, NULL_CLASS).tolist()
+    return SignalPartition(tuple(labels[:n_c]), tuple(labels[n_c:]), level)
 
 
 def reduce_redundancy(u: InformationStructure, exact: bool = False) -> InformationStructure:
@@ -168,27 +191,31 @@ def reduce_redundancy(u: InformationStructure, exact: bool = False) -> Informati
 
 
 def _merge_by_classes(u, classes1, classes2) -> InformationStructure:
-    live1 = sorted({c for c in classes1 if c != NULL_CLASS})
-    live2 = sorted({c for c in classes2 if c != NULL_CLASS})
-    pos1 = {cls: i for i, cls in enumerate(live1)}
-    pos2 = {cls: i for i, cls in enumerate(live2)}
-    probs = np.zeros((u.state_count, max(len(live1), 1), max(len(live2), 1)))
-    for c, cls in enumerate(classes1):
-        if cls == NULL_CLASS:
-            continue
-        for d, cls2 in enumerate(classes2):
-            if cls2 == NULL_CLASS:
-                continue
-            probs[:, pos1[cls], pos2[cls2]] += u.probs[:, c, d]
-    return InformationStructure(probs, u.state_labels)
+    classes1, classes2 = np.asarray(classes1), np.asarray(classes2)
+    live1 = np.flatnonzero(classes1 != NULL_CLASS)
+    live2 = np.flatnonzero(classes2 != NULL_CLASS)
+    names1, pos1 = np.unique(classes1[live1], return_inverse=True)
+    names2, pos2 = np.unique(classes2[live2], return_inverse=True)
+    # State last, so that each merged cell adds its signal pairs in (c, d)
+    # order, one at a time.
+    merged = np.zeros((max(len(names1), 1), max(len(names2), 1), u.state_count))
+    block = u.probs.transpose(1, 2, 0)[np.ix_(live1, live2)]
+    np.add.at(merged, (pos1[:, None], pos2[None, :]), block)
+    return InformationStructure(np.ascontiguousarray(merged.transpose(2, 0, 1)), u.state_labels)
+
+
+def _redundant(part: SignalPartition) -> bool:
+    """Some signal has zero mass or shares its class with another."""
+    return (
+        NULL_CLASS in part.player1_classes
+        or NULL_CLASS in part.player2_classes
+        or part.class_count(PLAYER1) < len(part.player1_classes)
+        or part.class_count(PLAYER2) < len(part.player2_classes)
+    )
 
 
 def is_redundant(u: InformationStructure) -> bool:
-    part = hierarchy_partition(u)
-    n1 = sum(1 for c in part.player1_classes if c != NULL_CLASS)
-    n2 = sum(1 for d in part.player2_classes if d != NULL_CLASS)
-    has_null = NULL_CLASS in part.player1_classes or NULL_CLASS in part.player2_classes
-    return has_null or part.class_count(1) < n1 or part.class_count(2) < n2
+    return _redundant(hierarchy_partition(u))
 
 
 def ck_decompose(u: InformationStructure) -> Decomposition:
@@ -199,9 +226,15 @@ def ck_decompose(u: InformationStructure) -> Decomposition:
     pair positive mass; each component satisfies u(A|s) in {0,1} for every
     signal s.  Redundant input is auto-reduced first (with a warning).
     """
-    if is_redundant(u):
+    part = hierarchy_partition(u)
+    if _redundant(part):
         warnings.warn("structure is redundant; reducing before decomposition")
-        u = reduce_redundancy(u)
+        u = _merge_by_classes(u, part.player1_classes, part.player2_classes)
+    return _decompose(u)
+
+
+def _decompose(u: InformationStructure) -> Decomposition:
+    """``ck_decompose`` of a structure known to be non-redundant."""
     n_c, n_d = u.signals1_count, u.signals2_count
     link = u.probs.sum(axis=0) > ZERO_TOL
     parent = list(range(n_c + n_d))
@@ -220,25 +253,26 @@ def ck_decompose(u: InformationStructure) -> Decomposition:
     for c, d in zip(*np.nonzero(link)):
         union(int(c), n_c + int(d))
 
-    roots: dict[int, int] = {}
+    # Each root is the smallest node of its component, so the components
+    # come out ordered by root.
+    members: dict[int, tuple[list[int], list[int]]] = {}
     for node in range(n_c + n_d):
-        root = find(node)
-        roots.setdefault(root, len(roots))
+        side = members.setdefault(find(node), ([], []))
+        if node < n_c:
+            side[0].append(node)
+        else:
+            side[1].append(node - n_c)
     components = []
     blocks = []
-    for root in sorted(roots, key=lambda r: r):
-        cs = tuple(c for c in range(n_c) if find(c) == root)
-        ds = tuple(d - n_c for d in range(n_c, n_c + n_d) if find(d) == root)
-        if not cs and not ds:
+    for cs, ds in members.values():
+        if not cs or not ds:
             continue
-        block = u.probs[np.ix_(range(u.state_count), cs, ds)] if cs and ds else None
-        if block is None:
-            continue
+        block = u.probs[np.ix_(range(u.state_count), cs, ds)]
         weight = float(block.sum())
         if weight <= ZERO_TOL:
             continue
         components.append((weight, InformationStructure(block / weight, u.state_labels)))
-        blocks.append((cs, ds))
+        blocks.append((tuple(cs), tuple(ds)))
     total = sum(w for w, _ in components)
     if abs(total - 1.0) > NORM_TOL:
         raise ShapeMismatch(f"component weights sum to {total!r}")
@@ -267,23 +301,22 @@ def _component_fingerprints(
             s.probs * share
         )
     part = hierarchy_partition(validate_structure(union))
+    # Class ids shifted by one so that the null class -1 indexes too.
+    classes1 = np.array(part.player1_classes) + 1
+    classes2 = np.array(part.player2_classes) + 1
     fingerprints = []
     for i, s in enumerate(structures):
-        cells: dict = {}
-        for k in range(n_k):
-            for c in range(s.signals1_count):
-                for d in range(s.signals2_count):
-                    mass = s.probs[k, c, d]
-                    if mass <= ZERO_TOL:
-                        continue
-                    key = (
-                        k,
-                        part.player1_classes[offsets1[i] + c],
-                        part.player2_classes[offsets2[i] + d],
-                    )
-                    cells[key] = cells.get(key, 0.0) + mass
+        ids1 = classes1[offsets1[i] : offsets1[i + 1]]
+        ids2 = classes2[offsets2[i] : offsets2[i + 1]]
+        k, c, d = np.nonzero(s.probs > ZERO_TOL)
+        cells = np.zeros((n_k, ids1.max() + 1, ids2.max() + 1))
+        np.add.at(cells, (k, ids1[c], ids2[d]), s.probs[k, c, d])
+        held = cells > 0
         fingerprints.append(
-            tuple(sorted((key, round(val, _ROUND_DIGITS)) for key, val in cells.items()))
+            tuple(
+                ((state, id1 - 1, id2 - 1), round(val, _ROUND_DIGITS))
+                for (state, id1, id2), val in zip(np.argwhere(held).tolist(), cells[held].tolist())
+            )
         )
     return fingerprints
 
@@ -303,8 +336,8 @@ def dnzs(u: InformationStructure, v: InformationStructure) -> float:
         )
     ru = reduce_redundancy(u)
     rv = reduce_redundancy(v)
-    dec_u = ck_decompose(ru)
-    dec_v = ck_decompose(rv)
+    dec_u = _decompose(ru)
+    dec_v = _decompose(rv)
     all_components = [s for _, s in dec_u.components] + [s for _, s in dec_v.components]
     prints = _component_fingerprints(all_components)
     n_u = len(dec_u.components)

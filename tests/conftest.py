@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from infodist import Garbling, ZeroSumGame, lp, validate_structure
+
+# The settings of every property test: 40 examples, no per-example deadline.
+settings.register_profile("infodist", max_examples=40, deadline=None)
+settings.load_profile("infodist")
 
 
 def random_structure(rng, n_k, n_c, n_d, zeros=0.0):

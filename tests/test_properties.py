@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import hierarchy_oracle as oracle
 import infodist as inf
 from infodist.config import DIST_TOL, VALUE_TOL, WITNESS_TOL
+from infodist.hierarchy import is_redundant
 from infodist.structures import common_embedding
 
 # Cells are 0 or at least 0.05, so a generated structure is no worse
@@ -33,7 +35,6 @@ def _fresh(raw_u, raw_v):
     return inf.validate_structure(raw_u), inf.validate_structure(raw_v)
 
 
-@settings(max_examples=40, deadline=None)
 @given(raw_pairs())
 def test_shared_gap_solve_matches_fresh_solves(pair):
     # Calls on the same objects share one gap solve; each answer must be
@@ -63,7 +64,6 @@ def test_shared_gap_solve_matches_fresh_solves(pair):
     assert abs(achieved - cert.gap) <= WITNESS_TOL
 
 
-@settings(max_examples=40, deadline=None)
 @given(raw_pairs())
 def test_witness_bracket_holds_the_achieved_gap(pair):
     # Weak duality: the identity strategies bound the witness's gap from
@@ -98,7 +98,6 @@ def games_on_structures(draw):
     return inf.validate_structure(probs / probs.sum()), inf.ZeroSumGame(payoffs)
 
 
-@settings(max_examples=40, deadline=None)
 @given(games_on_structures(), st.booleans())
 def test_value_matches_the_normal_form_oracle(pair, partial):
     # The behavioral LP against the pure-rule normal form; ``partial`` caps
@@ -109,3 +108,58 @@ def test_value_matches_the_normal_form_oracle(pair, partial):
     rules2 = g.actions2_count**u.signals2_count
     budget = min(rules1, rules2) if partial else None
     assert abs(inf.value(u, g).value - inf.value_normal_form(u, g, budget=budget)) <= VALUE_TOL
+
+
+@st.composite
+def redundant_structures(draw, tiny=True):
+    """A structure on 2-3 states with 1-6 signals per player, where each
+    signal after a player's first may be a proportional copy of an earlier
+    one of the same player, have zero mass, or (with ``tiny``) have a
+    positive mass below ZERO_TOL."""
+    n_k = draw(st.integers(2, 3))
+    shape = (n_k, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    probs = draw(hnp.arrays(float, shape, elements=_CELL))
+    kinds = ("free", "copy", "zero", "tiny") if tiny else ("free", "copy", "zero")
+    for signals in (probs, probs.transpose(0, 2, 1)):  # a view: writes reach probs
+        for s in range(1, signals.shape[1]):
+            kind = draw(st.sampled_from(kinds))
+            if kind == "copy":
+                source = draw(st.integers(0, s - 1))
+                signals[:, s] = draw(st.floats(0.1, 4.0)) * signals[:, source]
+            elif kind == "zero":
+                signals[:, s] = 0.0
+            elif kind == "tiny":
+                signals[:, s] *= 1e-14
+    if probs.sum() == 0.0:
+        probs[0, 0, 0] = 1.0
+    return inf.validate_structure(probs / probs.sum())
+
+
+@given(redundant_structures(tiny=False))
+def test_partition_matches_the_oracle(u):
+    # The array refinement against the dict-signature loops it replaced:
+    # the same classes, numbered the same, at the same level.  (The loops
+    # also count cells on signals of positive mass below ZERO_TOL, which
+    # the refinement takes as absent, so such signals are left out here.)
+    assert inf.hierarchy_partition(u) == oracle.hierarchy_partition(u)
+
+
+@settings(max_examples=8)
+@given(redundant_structures(tiny=False))
+def test_exact_partition_matches_the_oracle(u):
+    assert inf.hierarchy_partition(u, exact=True) == oracle.hierarchy_partition(u, exact=True)
+
+
+@given(redundant_structures())
+def test_reduce_redundancy_is_value_equivalent_and_idempotent(u):
+    # ROADMAP item 5: d(u, reduce(u)) <= DIST_TOL, and the reduced
+    # structure is non-redundant, so reducing it again leaves it as it is,
+    # up to the renormalization every new structure gets (its total of n
+    # cells is off 1 by at most n rounding errors).
+    reduced = inf.reduce_redundancy(u)
+    assert inf.value_distance(u, reduced) <= DIST_TOL
+    assert not is_redundant(reduced)
+    again = inf.reduce_redundancy(reduced)
+    assert again.shape == reduced.shape
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(again.probs, reduced.probs, rtol=reduced.probs.size * eps, atol=0)

@@ -1,10 +1,21 @@
+import sys
+from decimal import ROUND_HALF_EVEN, Decimal
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hierarchy_oracle as oracle
 import infodist as inf
-from infodist.hierarchy import NULL_CLASS, is_redundant
+from infodist import hierarchy
+from infodist.errors import ShapeMismatch
+from infodist.hierarchy import _ROUND_DIGITS, NULL_CLASS, is_redundant
 
 from conftest import random_structure
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import catalog_members  # noqa: E402
 
 
 def _split_signal(u, signal):
@@ -44,6 +55,105 @@ def test_zero_mass_signal_goes_to_null_class():
     padded = inf.embed_signals(u2, 3, 1)
     part = inf.hierarchy_partition(padded)
     assert part.player1_classes[2] == NULL_CLASS
+
+
+def test_class_count_by_player():
+    u2 = inf.canonical_examples()["u2"]
+    part = inf.hierarchy_partition(inf.embed_signals(_split_signal(u2, 0), 4, 2))
+    assert part.player1_classes.count(NULL_CLASS) == 1
+    assert part.class_count(inf.PLAYER1) == 2  # three live signals, one a copy
+    assert part.class_count(inf.PLAYER2) == 1  # one live signal, one null
+    for bad in (1, 2, "player3"):
+        with pytest.raises(ShapeMismatch):
+            part.class_count(bad)
+
+
+def _count_partitions(monkeypatch):
+    calls = []
+    partition = hierarchy.hierarchy_partition
+
+    def counting(u, exact=False):
+        calls.append(u.shape)
+        return partition(u, exact=exact)
+
+    monkeypatch.setattr(hierarchy, "hierarchy_partition", counting)
+    return calls
+
+
+def test_dnzs_partitions_three_times(monkeypatch):
+    # Reduce u, reduce v, and one joint partition for the fingerprints; the
+    # reduced structures are decomposed without checking them again.
+    cat = inf.canonical_examples()
+    u = _split_signal(inf.mix([(0.3, cat["u2"]), (0.7, cat["u2prime"])]), 1)
+    calls = _count_partitions(monkeypatch)
+    inf.dnzs(u, cat["u1"])
+    assert len(calls) == 3
+
+
+def test_ck_decompose_partitions_redundant_input_once(monkeypatch):
+    doubled = _split_signal(inf.canonical_examples()["u2"], 0)
+    calls = _count_partitions(monkeypatch)
+    with pytest.warns(UserWarning, match="redundant"):
+        decomposition = inf.ck_decompose(doubled)
+    assert len(calls) == 1
+    assert decomposition.components[0][1].shape == (2, 2, 1)
+
+
+def test_catalog_sweep_structures_match_the_oracle():
+    # Every structure of the benchmark's catalog sweep: the same partition
+    # as the dict-signature loops, and the reduced tensor bit for bit.
+    seen = set()
+    for _, generate, _, _ in catalog_members():
+        for u in generate():
+            if u.probs.tobytes() in seen:
+                continue
+            seen.add(u.probs.tobytes())
+            part = oracle.hierarchy_partition(u)
+            assert inf.hierarchy_partition(u) == part
+            merged = oracle.merge_by_classes(u, part.player1_classes, part.player2_classes)
+            assert np.array_equal(inf.reduce_redundancy(u).probs, merged.probs)
+
+
+def test_null_signals_do_not_split_their_opponents():
+    # Player 2's second signal has mass below ZERO_TOL.  Its cells must not
+    # tell player 1's two signals apart, or reducing (which drops it) would
+    # leave two copies of one signal.
+    probs = np.full((2, 2, 2), 0.25)
+    probs[:, :, 1] = [[0.0, 2.5e-15], [2.5e-15, 2.5e-15]]
+    u = inf.validate_structure(probs)
+    part = inf.hierarchy_partition(u)
+    assert part.player1_classes == (0, 0)
+    assert part.player2_classes == (0, NULL_CLASS)
+    assert inf.hierarchy_partition(u, exact=True) == part
+    reduced = inf.reduce_redundancy(u)
+    assert reduced.shape == (2, 1, 1)
+    assert not is_redundant(reduced)
+
+
+def test_a_tiny_cell_is_not_an_empty_cell():
+    # Player 1's signals differ only in a cell of relative mass 2e-14 on a
+    # live opponent signal: below the rounding grid, but present.
+    probs = np.zeros((2, 2, 2))
+    probs[0, :, 0] = 0.3
+    probs[1, :, 1] = 0.2
+    probs[0, 0, 1] = 1e-14
+    u = inf.validate_structure(probs)
+    part = inf.hierarchy_partition(u)
+    assert part.player1_classes == (0, 1)
+    assert part == oracle.hierarchy_partition(u)
+
+
+def test_belief_grid_rounds_like_round():
+    # Near a tie, x * 1e12 in floats can fall on the other side of it from
+    # the exact product; the grid follows round(x, 12), which rounds the
+    # exact value.
+    rng = np.random.default_rng(0)
+    ties = (rng.integers(0, 10**12, 500) + 0.5) / 1e12
+    x = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, 1), rng.random(500)])
+    exact = [
+        int(Decimal(v).scaleb(_ROUND_DIGITS).to_integral_value(ROUND_HALF_EVEN)) for v in x.tolist()
+    ]
+    assert hierarchy._grid(x).tolist() == exact
 
 
 def test_exact_mode_agrees_on_rational_structures():
