@@ -156,9 +156,10 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
             (u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)
         ),
         coefficients=np.concatenate((u_vals, v_vals, -np.ones(n_q1), np.ones(df.size))),
-        senses=(lp.LEQ,) * n_rows,
-        rhs=np.zeros(n_rows),
-        bounds=((-1.0, 1.0),) * n_cells + ((None, None),) * (n1 + n2),
+        row_lower=np.full(n_rows, -np.inf),
+        row_upper=np.zeros(n_rows),
+        col_lower=np.concatenate((np.full(n_cells, -1.0), np.full(n1 + n2, -np.inf))),
+        col_upper=np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
         maximize=True,
     )
     return problem, (n_k, l1, l2)
@@ -320,9 +321,10 @@ def _ascend_overlap(p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray
             row_idx=np.concatenate((2 * idx, 2 * idx + 1, 2 * idx + 1, np.full(k, 2 * k))),
             col_idx=np.concatenate((idx, idx, k + idx, k + idx)),
             coefficients=np.concatenate((np.ones(2 * k), -weights_var, np.ones(k))),
-            senses=(lp.LEQ,) * (2 * k) + (lp.EQ,),
-            rhs=np.append(np.stack((weights_const, np.zeros(k)), axis=1).ravel(), 1.0),
-            bounds=((None, None),) * k + ((0.0, None),) * k,
+            row_lower=np.append(np.full(2 * k, -np.inf), 1.0),
+            row_upper=np.append(np.stack((weights_const, np.zeros(k)), axis=1).ravel(), 1.0),
+            col_lower=np.concatenate((np.full(k, -np.inf), np.zeros(k))),
+            col_upper=np.full(2 * k, np.inf),
             maximize=True,
         )
         sol = lp.solve(problem)

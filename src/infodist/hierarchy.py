@@ -184,9 +184,12 @@ def reduce_redundancy(u: InformationStructure, exact: bool = False) -> Informati
 
     Each hierarchy class becomes one signal carrying the summed mass;
     zero-mass signals are dropped.  The result is non-redundant and
-    value-equivalent to the input.
+    value-equivalent to the input; a non-redundant input is returned as
+    it is.
     """
     part = hierarchy_partition(u, exact=exact)
+    if not _redundant(part):
+        return u
     return _merge_by_classes(u, part.player1_classes, part.player2_classes)
 
 

@@ -2,14 +2,19 @@
 
 Thin adapter over the HiGHS solver that scipy vendors, called through its
 private binding ``scipy.optimize._highspy._core`` (the package's only
-private scipy import; scipy >= 1.17).  Each solve passes one column-wise
-model, ``row_lower <= A.x <= row_upper`` with column bounds, so ``<=``,
-``==`` and ``>=`` rows are row bounds.  The contract the rest of the
-package relies on:
+private scipy import; scipy >= 1.17).  A problem is plain arrays: the
+constraint matrix as (row, column, value) triplets, and
+``row_lower <= A.x <= row_upper``, ``col_lower <= x <= col_upper`` with
+infinite entries for absent bounds.  ``solve`` sorts the triplets into
+HiGHS's column-wise arrays with numpy (no ``scipy.sparse``) and hands the
+model to HiGHS: each thread reuses one instance, given the options once,
+for every model of up to ``_REUSE_MAX_ENTRIES`` matrix entries.
+The contract the rest of the package relies on:
 
 - ``solve`` is deterministic for identical input (HiGHS, single thread),
 - optimal solutions carry row duals oriented so that ``dual[i]`` is the
-  derivative of the *reported* objective with respect to ``rhs[i]``,
+  derivative of the *reported* objective with respect to row i's active
+  bound,
 - primal feasibility residual <= 1e-8, duality gap <= 1e-8 * (1 + |obj|),
   else ``NumericalFailure``, which propagates to the caller,
 - HiGHS runs at feasibility tolerances an order of magnitude below these
@@ -22,18 +27,14 @@ the gap LP's row duals become garblings.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize._highspy import _core as _highs
 
 from .config import LP_TOL
 from .errors import NumericalFailure, ShapeMismatch
-
-LEQ = "<="
-EQ = "=="
-GEQ = ">="
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -74,39 +75,60 @@ _STATUS = {
 
 @dataclass(frozen=True)
 class LpProblem:
-    """min/max c.x subject to triplet-sparse rows with mixed senses.
+    """min/max c.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
 
-    ``(row_idx, col_idx, coefficients)`` hold the constraint matrix in
-    triplet form; ``senses[i]`` in {"<=", "==", ">="}; ``bounds`` per
-    variable, None meaning infinite.
+    ``(row_idx, col_idx, coefficients)`` hold A in triplet form; entries at
+    the same (row, column) add up.  An infinite bound is an absent bound:
+    a ``<=`` row has ``row_lower = -inf``, an ``==`` row equal bounds.
+    Every row needs a finite bound.
     """
 
     objective: np.ndarray
     row_idx: np.ndarray
     col_idx: np.ndarray
     coefficients: np.ndarray
-    senses: tuple[str, ...]
-    rhs: np.ndarray
-    bounds: tuple[tuple[float | None, float | None], ...]
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
     maximize: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.objective, dtype=float)
-        rhs = np.asarray(self.rhs, dtype=float)
         vals = np.asarray(self.coefficients, dtype=float)
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(rhs)) and np.all(np.isfinite(vals))):
+        rows = np.asarray(self.row_idx, dtype=int)
+        cols = np.asarray(self.col_idx, dtype=int)
+        row_lower, row_upper, col_lower, col_upper = (
+            np.asarray(b, dtype=float)
+            for b in (self.row_lower, self.row_upper, self.col_lower, self.col_upper)
+        )
+        if not (np.isfinite(c).all() and np.isfinite(vals).all()):
             raise ShapeMismatch("LP coefficients must be finite")
-        if len(self.senses) != rhs.size:
-            raise ShapeMismatch("senses and rhs lengths differ")
-        if not np.isin(np.asarray(self.senses, dtype=str), (LEQ, EQ, GEQ)).all():
-            raise ShapeMismatch("row sense must be <=, == or >=")
-        if len(self.bounds) != c.size:
-            raise ShapeMismatch("bounds and objective lengths differ")
-        object.__setattr__(self, "objective", c)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "coefficients", vals)
-        object.__setattr__(self, "row_idx", np.asarray(self.row_idx, dtype=int))
-        object.__setattr__(self, "col_idx", np.asarray(self.col_idx, dtype=int))
+        if row_lower.shape != row_upper.shape:
+            raise ShapeMismatch("row bound lengths differ")
+        if col_lower.shape != c.shape or col_upper.shape != c.shape:
+            raise ShapeMismatch("column bounds and objective lengths differ")
+        if np.isnan(np.concatenate((row_lower, row_upper, col_lower, col_upper))).any():
+            raise ShapeMismatch("LP bounds must not be NaN")
+        if not (np.isfinite(row_lower) | np.isfinite(row_upper)).all():
+            raise ShapeMismatch("every row needs a finite bound")
+        if not rows.shape == cols.shape == vals.shape:
+            raise ShapeMismatch("triplet arrays differ in length")
+        if vals.size and not (
+            rows.min() >= 0 and rows.max() < row_lower.size and cols.min() >= 0 and cols.max() < c.size
+        ):
+            raise ShapeMismatch("triplet index outside the matrix")
+        for name, value in (
+            ("objective", c),
+            ("coefficients", vals),
+            ("row_idx", rows),
+            ("col_idx", cols),
+            ("row_lower", row_lower),
+            ("row_upper", row_upper),
+            ("col_lower", col_lower),
+            ("col_upper", col_upper),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def n_vars(self) -> int:
@@ -114,13 +136,7 @@ class LpProblem:
 
     @property
     def n_rows(self) -> int:
-        return self.rhs.size
-
-    def matrix(self) -> sp.csc_matrix:
-        return sp.csc_matrix(
-            (self.coefficients, (self.row_idx, self.col_idx)),
-            shape=(self.n_rows, self.n_vars),
-        )
+        return self.row_lower.size
 
 
 @dataclass(frozen=True)
@@ -129,12 +145,6 @@ class LpSolution:
     primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
     objective: float = float("nan")
-
-
-def _sense_masks(senses: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean masks of the ``<=`` rows and the ``>=`` rows."""
-    arr = np.asarray(senses, dtype=str)
-    return arr == LEQ, arr == GEQ
 
 
 @dataclass(frozen=True)
@@ -148,21 +158,53 @@ class HighsResult:
     nit: int
 
 
+_THREAD = threading.local()
+
+# A reused instance keeps the buffers of the largest model it has solved.
+# Reused for every model, it raised catalog-sweep's peak RSS by ~12 MB (its
+# answer checks solve value LPs of up to 2e5 entries).  A model with more
+# entries than this gets an instance of its own, which costs at most a few
+# percent of such a solve.
+_REUSE_MAX_ENTRIES = 5000
+
+
+def _new_highs() -> _highs._Highs:
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    return highs
+
+
+def _thread_highs() -> _highs._Highs:
+    """This thread's reused HiGHS instance.
+
+    ``passModel`` clears the previous model, basis, solution and info, so a
+    reused instance solves every model as a new one would; HiGHS instances
+    are not shared between threads.
+    """
+    try:
+        return _THREAD.highs
+    except AttributeError:
+        _THREAD.highs = _new_highs()
+        return _THREAD.highs
+
+
 def linprog(
     cost: np.ndarray,
-    a: sp.csc_matrix,
+    a: tuple[np.ndarray, np.ndarray, np.ndarray],
     row_bounds: tuple[np.ndarray, np.ndarray],
     col_bounds: tuple[np.ndarray, np.ndarray],
 ) -> HighsResult:
-    """min cost.x  s.t.  row_lower <= a.x <= row_upper,  col_lower <= x <= col_upper.
+    """min cost.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
 
-    The one function that talks to HiGHS; ``status`` is OPTIMAL, INFEASIBLE,
-    UNBOUNDED or else HiGHS's own name for its model status.  ``solve``
-    calls it through this module's global, so a wrapper installed as
-    ``lp.linprog`` (the benchmark's tracer) times every HiGHS call and reads
-    its ``nit``.
+    ``a`` is A column-wise, ``(start, index, value)`` as HiGHS stores it.
+    The one function that talks to HiGHS; ``status`` is OPTIMAL,
+    INFEASIBLE, UNBOUNDED or else HiGHS's own name for its model status.
+    ``solve`` calls it through this module's global, so a wrapper installed
+    as ``lp.linprog`` (the benchmark's tracer) times every HiGHS call and
+    reads its ``nit``.
     """
-    n_rows, n_cols = a.shape
+    start, index, value = a
+    n_rows, n_cols = row_bounds[0].size, cost.size
     model = _highs.HighsLp()
     model.num_col_ = n_cols
     model.num_row_ = n_rows
@@ -173,12 +215,11 @@ def linprog(
     matrix.format_ = _highs.MatrixFormat.kColwise
     matrix.num_col_ = n_cols
     matrix.num_row_ = n_rows
-    matrix.start_ = a.indptr
-    matrix.index_ = a.indices
-    matrix.value_ = a.data
+    matrix.start_ = start
+    matrix.index_ = index
+    matrix.value_ = value
 
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
+    highs = _thread_highs() if value.size <= _REUSE_MAX_ENTRIES else _new_highs()
     if highs.passModel(model) == _highs.HighsStatus.kError:
         model_status = _highs.HighsModelStatus.kModelError
     else:
@@ -193,29 +234,51 @@ def linprog(
     return HighsResult(status, np.array(solution.col_value), np.array(solution.row_dual), nit)
 
 
+def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A's entries in column-wise order: ``(start, rows, cols, values)``.
+
+    The canonical CSC that ``scipy.sparse`` builds from the triplets:
+    sorted by (column, row), entries at one (row, column) summed, explicit
+    zeros kept.  HiGHS rejects a model with a repeated (row, column).
+    """
+    order = np.lexsort((problem.row_idx, problem.col_idx))
+    rows = problem.row_idx[order]
+    cols = problem.col_idx[order]
+    vals = problem.coefficients[order]
+    repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    if repeat.any():
+        first = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+    start = np.zeros(problem.n_vars + 1, dtype=int)
+    np.cumsum(np.bincount(cols, minlength=problem.n_vars), out=start[1:])
+    return start, rows, cols, vals
+
+
 def _residuals(
     problem: LpProblem,
-    a: sp.csc_matrix,
-    row_bounds: tuple[np.ndarray, np.ndarray],
-    col_bounds: tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    vals: np.ndarray,
     x: np.ndarray,
     duals_min: np.ndarray,
 ) -> tuple[float, float, float]:
-    """(primal, dual-sign, relative-gap) residuals, minimization orientation,
-    of the model ``solve`` handed to ``linprog``."""
-    row_lower, row_upper = row_bounds
-    lower, upper = col_bounds
-    ax = a @ x
+    """(primal, dual-sign, relative-gap) residuals, minimization orientation.
+
+    A.x and A^T.lam are sums over A's entries, taken in column-wise order.
+    """
+    row_lower, row_upper = problem.row_lower, problem.row_upper
+    lower, upper = problem.col_lower, problem.col_upper
+    ax = np.bincount(rows, weights=vals * x[cols], minlength=problem.n_rows)
     primal = float(np.maximum(row_lower - ax, ax - row_upper).max(initial=0.0))
     if x.size:
-        primal = max(primal, float(np.max(lower - x)), float(np.max(x - upper)))
+        primal = max(primal, float((lower - x).max()), float((x - upper).max()))
 
     c_min = -problem.objective if problem.maximize else problem.objective
     lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
-    leq = np.isneginf(row_lower)
-    geq = np.isposinf(row_upper)
+    leq = row_lower == -np.inf
+    geq = row_upper == np.inf
     dual_sign = float(np.where(leq, -lam, np.where(geq, lam, 0.0)).max(initial=0.0))
-    reduced = c_min + a.T @ lam
+    reduced = c_min + np.bincount(cols, weights=vals * lam[rows], minlength=problem.n_vars)
     finite_lo = np.isfinite(lower)
     finite_up = np.isfinite(upper)
     rho_lo = np.where(finite_lo, np.maximum(reduced, 0.0), 0.0)
@@ -224,9 +287,13 @@ def _residuals(
     leftover = reduced - rho_lo + rho_up
     dual_sign = max(dual_sign, float(np.abs(leftover).max(initial=0.0)))
 
-    dual_obj = -(problem.rhs @ lam)
-    dual_obj += float(np.sum(np.where(finite_lo, lower, 0.0) * rho_lo))
-    dual_obj -= float(np.sum(np.where(finite_up, upper, 0.0) * rho_up))
+    # The bound lam prices: a one-sided row's finite one, whatever lam's
+    # sign (a wrong sign shows in dual_sign); a two-sided row's upper bound
+    # when lam > 0, else its lower.
+    rhs = np.where(leq | (lam > 0) & ~geq, row_upper, row_lower)
+    dual_obj = -(rhs @ lam)
+    dual_obj += float((np.where(finite_lo, lower, 0.0) * rho_lo).sum())
+    dual_obj -= float((np.where(finite_up, upper, 0.0) * rho_up).sum())
     primal_obj = float(c_min @ x)
     gap = abs(primal_obj - dual_obj) / (1.0 + abs(primal_obj))
     return primal, dual_sign, gap
@@ -234,14 +301,14 @@ def _residuals(
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve with HiGHS; returns status, primal, row duals, objective."""
-    a = problem.matrix()
-    leq, geq = _sense_masks(problem.senses)
-    row_bounds = (np.where(leq, -np.inf, problem.rhs), np.where(geq, np.inf, problem.rhs))
-    bounds = np.array(problem.bounds, dtype=float).reshape(-1, 2)  # None -> NaN
-    col_bounds = tuple(np.where(np.isnan(bounds), (-np.inf, np.inf), bounds).T.copy())
+    start, rows, cols, vals = _columnwise(problem)
     cost = -problem.objective if problem.maximize else problem.objective
-
-    res = linprog(cost, a, row_bounds, col_bounds)
+    res = linprog(
+        cost,
+        (start, rows, vals),
+        (problem.row_lower, problem.row_upper),
+        (problem.col_lower, problem.col_upper),
+    )
     if res.status in (INFEASIBLE, UNBOUNDED):
         return LpSolution(status=res.status)
     if res.status != OPTIMAL:
@@ -249,7 +316,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # HiGHS solved the minimization, so its row duals are duals_min.
     duals_min = res.row_dual
-    primal_res, dual_res, gap = _residuals(problem, a, row_bounds, col_bounds, res.x, duals_min)
+    primal_res, dual_res, gap = _residuals(problem, rows, cols, vals, res.x, duals_min)
     if primal_res > LP_TOL or dual_res > _DUAL_GATE or gap > LP_TOL:
         raise NumericalFailure(
             f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"
@@ -258,13 +325,6 @@ def solve(problem: LpProblem) -> LpSolution:
     objective = float(problem.objective @ res.x)
     duals = -duals_min if problem.maximize else duals_min
     return LpSolution(status=OPTIMAL, primal=res.x, dual=duals, objective=objective)
-
-
-def complementary_slackness(problem: LpProblem, solution: LpSolution) -> float:
-    """max over inequality rows of |dual_i * slack_i|."""
-    slack = problem.rhs - problem.matrix() @ solution.primal
-    leq, geq = _sense_masks(problem.senses)
-    return float(np.abs(slack * solution.dual)[leq | geq].max(initial=0.0))
 
 
 def best_response(payoff: np.ndarray, n_blocks: int) -> tuple[float, np.ndarray, np.ndarray]:
@@ -288,9 +348,10 @@ def best_response(payoff: np.ndarray, n_blocks: int) -> tuple[float, np.ndarray,
         ),
         col_idx=np.concatenate((np.tile(x_cols, n_rows), n_x + rows // n_j, x_cols)),
         coefficients=np.concatenate((-payoff.ravel(), np.ones(n_rows), np.ones(n_x))),
-        senses=(LEQ,) * n_rows + (EQ,) * n_blocks,
-        rhs=np.concatenate((np.zeros(n_rows), np.ones(n_blocks))),
-        bounds=((0.0, None),) * n_x + ((None, None),) * n_d,
+        row_lower=np.concatenate((np.full(n_rows, -np.inf), np.ones(n_blocks))),
+        row_upper=np.concatenate((np.zeros(n_rows), np.ones(n_blocks))),
+        col_lower=np.concatenate((np.zeros(n_x), np.full(n_d, -np.inf))),
+        col_upper=np.full(n_x + n_d, np.inf),
         maximize=True,
     )
     sol = solve(problem)

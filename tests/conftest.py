@@ -1,8 +1,14 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from infodist import Garbling, ZeroSumGame, lp, validate_structure
+
+# The benchmark's workloads (``catalog_members``) are test inputs too.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 # The settings of every property test: 40 examples, no per-example deadline.
 settings.register_profile("infodist", max_examples=40, deadline=None)

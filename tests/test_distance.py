@@ -195,12 +195,15 @@ def test_gap_lp_row_layout():
                 for e in range(2):
                     expected[4 + d * 2 + f, (k * 2 + e) * 2 + f] = -v.probs[k, e, d]
             expected[4 + d * 2 + f, 10 + d] = 1.0
-    assert np.array_equal(problem.matrix().toarray(), expected)
+    matrix = np.zeros((8, 12))
+    np.add.at(matrix, (problem.row_idx, problem.col_idx), problem.coefficients)
+    assert np.array_equal(matrix, expected)
     assert problem.coefficients.size == np.count_nonzero(expected)
-    assert problem.senses == ("<=",) * 8
-    assert np.array_equal(problem.rhs, np.zeros(8))
+    assert np.array_equal(problem.row_lower, [-np.inf] * 8)
+    assert np.array_equal(problem.row_upper, np.zeros(8))
     assert np.array_equal(problem.objective, [0.0] * 8 + [-1.0] * 2 + [1.0] * 2)
-    assert problem.bounds == ((-1.0, 1.0),) * 8 + ((None, None),) * 4
+    assert np.array_equal(problem.col_lower, [-1.0] * 8 + [-np.inf] * 4)
+    assert np.array_equal(problem.col_upper, [1.0] * 8 + [np.inf] * 4)
     assert problem.maximize
 
 

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,8 +8,10 @@ from scipy.optimize import linprog  # the oracle for lp.solve only
 
 from infodist import distance, games, lp
 from infodist.config import LP_TOL
+from infodist.errors import ShapeMismatch
 
 from conftest import random_game, random_structure
+from workloads import catalog_members
 
 
 def _one_variable_problem(objective, rows, maximize):
@@ -16,9 +21,10 @@ def _one_variable_problem(objective, rows, maximize):
         row_idx=np.arange(len(rows)),
         col_idx=np.zeros(len(rows), dtype=int),
         coefficients=[coefficient for coefficient, _ in rows],
-        senses=(lp.LEQ,) * len(rows),
-        rhs=[rhs for _, rhs in rows],
-        bounds=((0.0, None),),
+        row_lower=np.full(len(rows), -np.inf),
+        row_upper=[rhs for _, rhs in rows],
+        col_lower=[0.0],
+        col_upper=[np.inf],
         maximize=maximize,
     )
 
@@ -34,6 +40,55 @@ def test_bounded_maximum():
     assert sol.primal[0] == pytest.approx(3.0, abs=1e-9)
     # shadow price of the binding constraint
     assert sol.dual[0] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("maximize, bound", [(True, 3.0), (False, 1.0)])
+def test_two_sided_row(maximize, bound):
+    # 1 <= x <= 3 as one row: the dual prices whichever bound is active.
+    sol = lp.solve(
+        lp.LpProblem(
+            objective=[1.0],
+            row_idx=[0],
+            col_idx=[0],
+            coefficients=[1.0],
+            row_lower=[1.0],
+            row_upper=[3.0],
+            col_lower=[-np.inf],
+            col_upper=[np.inf],
+            maximize=maximize,
+        )
+    )
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(bound, abs=1e-9)
+    assert sol.dual[0] == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"row_idx": [1]},  # row outside the matrix
+        {"col_idx": [-1]},  # column outside the matrix
+        {"coefficients": [1.0, 2.0]},  # triplet arrays of unequal length
+        {"row_lower": [-np.inf], "row_upper": [np.inf]},  # no finite row bound
+        {"col_upper": [np.nan]},
+        {"col_lower": [0.0, 0.0]},
+        {"coefficients": [np.inf]},
+    ],
+)
+def test_malformed_problem_is_rejected(change):
+    fields = dict(
+        objective=[1.0],
+        row_idx=[0],
+        col_idx=[0],
+        coefficients=[1.0],
+        row_lower=[-np.inf],
+        row_upper=[3.0],
+        col_lower=[0.0],
+        col_upper=[np.inf],
+    )
+    lp.LpProblem(**fields)
+    with pytest.raises(ShapeMismatch):
+        lp.LpProblem(**{**fields, **change})
 
 
 def test_infeasible_detected():
@@ -81,14 +136,20 @@ def test_complementary_slackness(rng):
             coefficients=np.concatenate(
                 (np.column_stack((np.ones(4), -matrix.T)).ravel(), np.ones(4))
             ),
-            senses=(lp.LEQ,) * 4 + (lp.EQ,),
-            rhs=[0.0, 0.0, 0.0, 0.0, 1.0],
-            bounds=((None, None),) + ((0.0, None),) * 4,
+            row_lower=[-np.inf] * 4 + [1.0],
+            row_upper=[0.0, 0.0, 0.0, 0.0, 1.0],
+            col_lower=[-np.inf] + [0.0] * 4,
+            col_upper=[np.inf] * 5,
             maximize=True,
         )
         sol = lp.solve(problem)
         assert sol.status == lp.OPTIMAL
-        assert lp.complementary_slackness(problem, sol) <= 1e-7
+        # max over the <= rows of |dual_i * slack_i|
+        ax = np.zeros(problem.n_rows)
+        np.add.at(ax, problem.row_idx, problem.coefficients * sol.primal[problem.col_idx])
+        slack = problem.row_upper - ax
+        leq = np.isneginf(problem.row_lower)
+        assert np.abs(slack * sol.dual)[leq].max(initial=0.0) <= 1e-7
 
 
 def test_value_duality_through_player_swap(rng):
@@ -115,18 +176,23 @@ def _linprog_oracle(problem):
     ``lp.solve`` gives HiGHS: ``<=`` and sign-flipped ``>=`` rows as A_ub,
     ``==`` rows as A_eq.  Returns (status, primal, duals, objective), the
     duals oriented as ``lp.solve`` reports them."""
-    a = problem.matrix().tocsr()
-    senses = np.asarray(problem.senses)
-    ub = np.flatnonzero(senses != lp.EQ)
-    eq = np.flatnonzero(senses == lp.EQ)
-    sign = np.where(senses[ub] == lp.GEQ, -1.0, 1.0)
+    a = sp.csr_matrix(
+        (problem.coefficients, (problem.row_idx, problem.col_idx)),
+        shape=(problem.n_rows, problem.n_vars),
+    )
+    lower, upper = problem.row_lower, problem.row_upper
+    assert np.all(np.isneginf(lower) | np.isposinf(upper) | (lower == upper))
+    ub = np.flatnonzero(lower != upper)
+    eq = np.flatnonzero(lower == upper)
+    geq = np.isposinf(upper[ub])
+    sign = np.where(geq, -1.0, 1.0)
     res = linprog(
         -problem.objective if problem.maximize else problem.objective,
         A_ub=sp.diags(sign) @ a[ub] if ub.size else None,
-        b_ub=sign * problem.rhs[ub] if ub.size else None,
+        b_ub=np.where(geq, -lower[ub], upper[ub]) if ub.size else None,
         A_eq=a[eq] if eq.size else None,
-        b_eq=problem.rhs[eq] if eq.size else None,
-        bounds=list(problem.bounds),
+        b_eq=lower[eq] if eq.size else None,
+        bounds=np.column_stack((problem.col_lower, problem.col_upper)),
         method="highs",
         options={"primal_feasibility_tolerance": LP_TOL / 10, "dual_feasibility_tolerance": LP_TOL / 10},
     )
@@ -166,11 +232,17 @@ def _oracle_problems(monkeypatch):
         ((2, 1, 3), (2, 3, 1), 0.0),
         ((3, 3, 3), (3, 2, 2), 0.4),
         ((4, 2, 3), (4, 3, 3), 0.2),
+        ((4, 7, 7), (4, 7, 7), 0.0),  # dense, as large-random's pairs
     ]:
         u = random_structure(rng, *shape_u, zeros=zeros)
         v = random_structure(rng, *shape_v, zeros=zeros)
         problems.append(distance._gap_problem(u, v)[0])
         problems.append(distance._gap_problem(v, u)[0])
+    # A degenerate catalog-sweep pair, about 160 rows each way.
+    members = {label: generate for label, generate, _, _ in catalog_members()}
+    u, v = members["blackwell (9,7)-(7,7)"]()
+    problems.append(distance._gap_problem(u, v)[0])
+    problems.append(distance._gap_problem(v, u)[0])
     # games.value's best-response LP, zero cells included.
     for shape, actions in [((2, 3, 2), (2, 3)), ((3, 2, 4), (3, 2))]:
         u = random_structure(rng, *shape, zeros=0.3)
@@ -190,9 +262,10 @@ def _oracle_problems(monkeypatch):
             row_idx=[0, 0, 1, 1],
             col_idx=[0, 1, 0, 1],
             coefficients=[1.0, 1.0, 1.0, -1.0],
-            senses=(lp.GEQ, lp.EQ),
-            rhs=[1.0, 0.2],
-            bounds=((0.0, None), (None, 5.0)),
+            row_lower=[1.0, 0.2],
+            row_upper=[np.inf, 0.2],
+            col_lower=[0.0, -np.inf],
+            col_upper=[np.inf, 5.0],
         )
     )
     return problems
@@ -222,3 +295,90 @@ def test_solve_matches_linprog(monkeypatch):
 )
 def test_infeasible_and_unbounded_match_linprog(problem, status):
     assert lp.solve(problem).status == _linprog_oracle(problem)[0] == status
+
+
+def _same(a, b):
+    """Two solutions agree bit for bit."""
+    return (
+        a.status == b.status
+        and a.primal.tobytes() == b.primal.tobytes()
+        and a.dual.tobytes() == b.dual.tobytes()
+        and np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
+    )
+
+
+def _with_triplets(problem, rows, cols, vals):
+    return lp.LpProblem(
+        objective=problem.objective,
+        row_idx=rows,
+        col_idx=cols,
+        coefficients=vals,
+        row_lower=problem.row_lower,
+        row_upper=problem.row_upper,
+        col_lower=problem.col_lower,
+        col_upper=problem.col_upper,
+        maximize=problem.maximize,
+    )
+
+
+def test_duplicate_triplets_add_up(rng):
+    # HiGHS rejects a repeated (row, column); solve sums the repeats, in
+    # the order given, as scipy.sparse did.
+    problem, _ = distance._gap_problem(
+        random_structure(rng, 3, 3, 2, zeros=0.2), random_structure(rng, 3, 2, 3, zeros=0.2)
+    )
+    split = rng.random(problem.coefficients.size) < 0.3
+    first = problem.coefficients * np.where(split, 0.3, 1.0)
+    second = (problem.coefficients - first)[split]
+    merged = first.copy()
+    merged[split] += second
+    rows, cols = problem.row_idx, problem.col_idx
+    # The split halves in shuffled positions, so no repeat is adjacent.
+    order = rng.permutation(rows.size + int(split.sum()))
+    repeated = _with_triplets(
+        problem,
+        np.concatenate((rows, rows[split]))[order],
+        np.concatenate((cols, cols[split]))[order],
+        np.concatenate((first, second))[order],
+    )
+    expected = lp.solve(_with_triplets(problem, rows, cols, merged))
+    assert expected.status == lp.OPTIMAL
+    assert _same(lp.solve(repeated), expected)
+    # One variable, one coefficient in two pieces: max x s.t. 0.5x + 0.5x <= 3.
+    one = _one_variable_problem(1.0, [(0.5, 3.0)], maximize=True)
+    two = _with_triplets(one, [0, 0], [0, 0], [0.5, 0.5])
+    assert _same(lp.solve(two), lp.solve(_one_variable_problem(1.0, [(1.0, 3.0)], maximize=True)))
+
+
+def test_threads_solve_as_one_thread_does():
+    # Each thread reuses its own HiGHS instance.  Two threads solving
+    # different gap LPs in lockstep get every bit of the sequential solves.
+    rng = np.random.default_rng(20261019)
+    problems = [
+        distance._gap_problem(
+            random_structure(rng, n_k, *rng.integers(2, 5, 2), zeros=0.2),
+            random_structure(rng, n_k, *rng.integers(2, 5, 2), zeros=0.2),
+        )[0]
+        for n_k in rng.integers(2, 4, 40)
+    ]
+    expected = [lp.solve(problem) for problem in problems]
+    results = [None] * len(problems)
+    turn = threading.Barrier(2, timeout=60)
+
+    def work(offset):
+        for i in range(offset, len(problems), 2):
+            turn.wait()
+            results[i] = lp.solve(problems[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,), daemon=True) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(_same(got, want) for got, want in zip(results, expected))

@@ -153,13 +153,9 @@ def test_exact_partition_matches_the_oracle(u):
 @given(redundant_structures())
 def test_reduce_redundancy_is_value_equivalent_and_idempotent(u):
     # ROADMAP item 5: d(u, reduce(u)) <= DIST_TOL, and the reduced
-    # structure is non-redundant, so reducing it again leaves it as it is,
-    # up to the renormalization every new structure gets (its total of n
-    # cells is off 1 by at most n rounding errors).
+    # structure is non-redundant, so reducing it again leaves it bit for bit.
     reduced = inf.reduce_redundancy(u)
     assert inf.value_distance(u, reduced) <= DIST_TOL
     assert not is_redundant(reduced)
     again = inf.reduce_redundancy(reduced)
-    assert again.shape == reduced.shape
-    eps = np.finfo(float).eps
-    np.testing.assert_allclose(again.probs, reduced.probs, rtol=reduced.probs.size * eps, atol=0)
+    assert np.array_equal(again.probs, reduced.probs)
