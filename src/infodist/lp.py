@@ -241,14 +241,22 @@ def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     sorted by (column, row), entries at one (row, column) summed, explicit
     zeros kept.  HiGHS rejects a model with a repeated (row, column).
     """
-    order = np.lexsort((problem.row_idx, problem.col_idx))
-    rows = problem.row_idx[order]
-    cols = problem.col_idx[order]
+    # One int64 key per entry, in (column, row) order, sorted stably so that
+    # entries at one (row, column) are summed in input order.  The sorted
+    # key becomes the rows and, in place, the columns: the peak is three
+    # triplet-sized arrays, the output itself.
+    n_rows = problem.n_rows
+    key = problem.col_idx * n_rows + problem.row_idx
+    order = np.argsort(key, kind="stable")
+    key = key[order]
     vals = problem.coefficients[order]
-    repeat = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
+    del order
+    repeat = key[1:] == key[:-1]
     if repeat.any():
         first = np.flatnonzero(np.concatenate(([True], ~repeat)))
-        rows, cols, vals = rows[first], cols[first], np.add.reduceat(vals, first)
+        key, vals = key[first], np.add.reduceat(vals, first)
+    rows = key % n_rows
+    cols = np.floor_divide(key, n_rows, out=key)
     start = np.zeros(problem.n_vars + 1, dtype=int)
     np.cumsum(np.bincount(cols, minlength=problem.n_vars), out=start[1:])
     return start, rows, cols, vals

@@ -16,7 +16,7 @@ conditions actually holding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,12 +46,29 @@ E_CONDITIONS = (
 Y_FAMILIES = ("Y_a", "Y_c", "Y_ab", "Y_cd", "Y_a_c", "Y_ab_c", "Y_a_cd", "Y_ab_cd")
 
 
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Boolean rows as little-endian bit sets in uint64 words, zero-padded."""
+    padded = np.zeros((rows.shape[0], -(-rows.shape[1] // 64) * 64), dtype=bool)
+    padded[:, : rows.shape[1]] = rows
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
 @dataclass(frozen=True)
 class MixingMatrix:
     """Boolean successor matrix: S[a-1, b-1] says the chain may move a -> b;
-    every row has exactly N/2 successors."""
+    every row has exactly N/2 successors.
+
+    Alongside the read-only ``S`` it keeps, for the counting statistics, the
+    successor sets (rows of S) and the predecessor sets (columns of S)
+    packed into uint64 words by ``_pack``, and their sizes ``row_sums`` and
+    ``col_sums``; all four are read-only and computed once, from S alone.
+    """
 
     S: np.ndarray
+    successor_words: np.ndarray = field(init=False, repr=False, compare=False)
+    predecessor_words: np.ndarray = field(init=False, repr=False, compare=False)
+    row_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    col_sums: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = np.asarray(self.S, dtype=bool)
@@ -60,11 +77,20 @@ class MixingMatrix:
         n = s.shape[0]
         if n % 2 != 0 or n < 2:
             raise InvalidParameters(f"N must be even and >= 2, got {n}")
-        if not np.all(s.sum(axis=1) == n // 2):
+        succ, pred = _pack(s), _pack(s.T)
+        derived = {
+            "S": s.copy(),
+            "successor_words": succ,
+            "predecessor_words": pred,
+            # A set's size is the popcount of its words (padding bits are 0).
+            "row_sums": np.bitwise_count(succ).sum(axis=1, dtype=np.int64),
+            "col_sums": np.bitwise_count(pred).sum(axis=1, dtype=np.int64),
+        }
+        if not np.all(derived["row_sums"] == n // 2):
             raise InvalidParameters("every row must have exactly N/2 successors")
-        out = s.copy()
-        out.setflags(write=False)
-        object.__setattr__(self, "S", out)
+        for name, value in derived.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def N(self) -> int:
@@ -283,51 +309,97 @@ _RATIO_SETS = {
 }
 
 
-def _pack(rows: np.ndarray) -> np.ndarray:
-    """Boolean rows as little-endian bit sets in uint64 words, zero-padded."""
-    padded = np.zeros((rows.shape[0], -(-rows.shape[1] // 64) * 64), dtype=bool)
-    padded[:, : rows.shape[1]] = rows
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+def _meet_plan(terms: dict[str, tuple[str, ...]]):
+    """How to form every intersection of several sets among ``terms`` once.
+
+    Returns the distinct set names (word-buffer slots 0, 1, ...), the steps
+    ``(slot, base, extras)`` in order of size, and each multi-set term's
+    slot.  A step ANDs the largest intersection formed before it inside its
+    term (a single set at worst) with the term's remaining sets, so
+    ``_STAT_SETS`` takes 6 ANDs: ab, cd, a_c, then ab_c, a_cd, ab_cd.
+    """
+    sets = list(dict.fromkeys(name for members in terms.values() for name in members))
+    formed = {frozenset((name,)): slot for slot, name in enumerate(sets)}
+    steps = []
+    slot_of = {}
+    for key, members in sorted(terms.items(), key=lambda item: len(item[1])):
+        want = frozenset(members)
+        if len(want) == 1:
+            continue
+        if want not in formed:
+            base = max((meet for meet in formed if meet < want), key=len)
+            extras = [formed[frozenset((name,))] for name in members if name not in base]
+            formed[want] = len(formed)
+            steps.append((formed[want], formed[base], extras))
+        slot_of[key] = formed[want]
+    return sets, steps, slot_of
 
 
 class _StatKernel:
     """Batched evaluation of counting statistics over index tuples.
 
-    The successor sets (rows of S) and the predecessor sets (columns of S)
-    are packed once into uint64 words, N/64 rounded up per set, so every
-    statistic is a gather of one word row per set, an AND and a popcount,
-    all exact integers.  Tuples are gathered ``BLOCK`` at a time, so the
-    working memory stays at ``BLOCK`` word rows per set (1 MB at N=2000)
-    whatever the number of tuples.
+    Reads the packed successor and predecessor words (N/64 rounded up per
+    set) and the set sizes that the matrix keeps; it packs nothing.  A term
+    of one set is that set's size, a gather.  A term of several sets is a
+    popcount of ANDed word rows, an exact integer, and each distinct
+    intersection is formed once per tuple (``_meet_plan``).  Tuples go
+    ``block`` at a time, ``BLOCK_WORDS`` words per set, through one buffer
+    of a word row per set and per intersection: 10 x 128 KB for ``stats``
+    at any N (512 tuples at N=2000), which stays in a core's L2 whatever
+    the number of tuples.  Indices must lie in 0..N-1: the word gathers
+    clip rather than check them.
     """
 
-    BLOCK = 4096
+    BLOCK_WORDS = 16_384
 
     def __init__(self, matrix: MixingMatrix):
-        self.succ = _pack(matrix.S)
-        self.pred = _pack(matrix.S.T)
+        self.succ = matrix.successor_words
+        self.pred = matrix.predecessor_words
+        self.row_sums = matrix.row_sums
+        self.col_sums = matrix.col_sums
+        self.block = max(1, self.BLOCK_WORDS // self.succ.shape[1])
+
+    def _set_table(self, name: str) -> tuple[np.ndarray, np.ndarray, str]:
+        """A set name's packed words, set sizes, and the index role it reads."""
+        if name.endswith(">"):
+            return self.succ, self.row_sums, name[0]
+        return self.pred, self.col_sums, name[1]
 
     def _counts(
         self, terms: dict[str, tuple[str, ...]], idx: dict[str, np.ndarray]
     ) -> dict[str, np.ndarray]:
         """Per tuple, the size of each term's intersection of sets, as float."""
         size = next(iter(idx.values())).size
-        names = {name for sets in terms.values() for name in sets}
-        out = {key: np.empty(size) for key in terms}
-        for start in range(0, size, self.BLOCK):
-            sl = slice(start, start + self.BLOCK)
-            words = {
-                name: self.succ[idx[name[0]][sl]]
-                if name.endswith(">")
-                else self.pred[idx[name[1]][sl]]
-                for name in names
-            }
-            for key, sets in terms.items():
-                meet = words[sets[0]]
-                for name in sets[1:]:
-                    meet = meet & words[name]
-                out[key][sl] = np.bitwise_count(meet).sum(axis=1)
-        return out
+        sets, steps, slot_of = _meet_plan(terms)
+        out = {}
+        for key, members in terms.items():
+            if key not in slot_of:
+                _, sums, role = self._set_table(members[0])
+                out[key] = sums[idx[role]].astype(float)
+        first = len(sets)
+        counts = np.empty((len(steps), size))
+        n_words = self.succ.shape[1]
+        block = min(self.block, size)
+        words = np.empty((first + len(steps), block, n_words), np.uint64)
+        bits = np.empty((len(steps), block, n_words), np.uint8)
+        # Sums of word popcounts, exact in float32 up to 2**24 bits per set.
+        ones = np.ones(n_words, np.float32 if 64 * n_words <= 2**24 else np.float64)
+        for start in range(0, size if steps else 0, block):
+            stop = min(start + block, size)
+            if stop - start < block:
+                words, bits = words[:, : stop - start], bits[:, : stop - start]
+            for slot, name in enumerate(sets):
+                table, _, role = self._set_table(name)
+                np.take(table, idx[role][start:stop], axis=0, out=words[slot], mode="clip")
+            for slot, base, extras in steps:
+                np.bitwise_and(words[base], words[extras[0]], out=words[slot])
+                for extra in extras[1:]:
+                    np.bitwise_and(words[slot], words[extra], out=words[slot])
+            np.bitwise_count(words[first:], out=bits)
+            counts[:, start:stop] = bits.astype(ones.dtype) @ ones
+        for key, slot in slot_of.items():
+            out[key] = counts[slot - first]
+        return {key: out[key] for key in terms}
 
     def stats(self, a, b, c, d) -> dict[str, np.ndarray]:
         """The eight scaled statistics, each with mean ~ N under uniform S."""
@@ -381,6 +453,21 @@ def _tuple_arrays(matrix: MixingMatrix, sample_budget: int, seed: int):
     return a, b, c, d, False
 
 
+def _event_e(matrix: MixingMatrix, alpha: float, sample_budget: int, seed: int):
+    """The tuples' eight statistics, which tuples pass each E condition and
+    which pass all seven (are in event E), and whether the tuples are all
+    distinct-index tuples (N^4 fits the budget) or a uniform sample."""
+    if sample_budget < 1:
+        raise InvalidParameters("sample budget must be >= 1")
+    a, b, c, d, exhaustive = _tuple_arrays(matrix, sample_budget, seed)
+    stats = _StatKernel(matrix).stats(a, b, c, d)
+    passed = {
+        name: _ratio_deviation(stats[num], stats[den]) <= 2.0 * alpha
+        for name, num, den in E_CONDITIONS
+    }
+    return stats, passed, np.logical_and.reduce(list(passed.values())), exhaustive
+
+
 @dataclass(frozen=True)
 class ConcentrationReport:
     """Concentration diagnostics over sampled (a, b, c, d) index tuples."""
@@ -408,35 +495,25 @@ def concentration_report(
     per statistic family, the worst relative deviation of the statistic from
     its target N.
     """
-    if sample_budget < 1:
-        raise InvalidParameters("sample budget must be >= 1")
-    a, b, c, d, exhaustive = _tuple_arrays(matrix, sample_budget, seed)
-    stats = _StatKernel(matrix).stats(a, b, c, d)
-    family_max_dev = {
-        name: float(np.abs(stats[name] / matrix.N - 1.0).max()) for name in Y_FAMILIES
-    }
-    all_pass = np.ones(a.size, dtype=bool)
-    condition_pass = {}
-    for name, num, den in E_CONDITIONS:
-        passed = _ratio_deviation(stats[num], stats[den]) <= 2.0 * alpha
-        condition_pass[name] = float(passed.mean())
-        all_pass &= passed
+    stats, passed, e_pass, exhaustive = _event_e(matrix, alpha, sample_budget, seed)
     return ConcentrationReport(
         n=matrix.N,
         alpha=alpha,
-        n_tuples=int(a.size),
+        n_tuples=int(stats["Y_a"].size),
         exhaustive=exhaustive,
-        family_max_dev=family_max_dev,
-        condition_pass_fraction=condition_pass,
-        all_pass_fraction=float(all_pass.mean()),
+        family_max_dev={
+            name: float(np.abs(stats[name] / matrix.N - 1.0).max()) for name in Y_FAMILIES
+        },
+        condition_pass_fraction={name: float(p.mean()) for name, p in passed.items()},
+        all_pass_fraction=float(e_pass.mean()),
         seed=None if exhaustive else seed,
     )
 
 
 @dataclass(frozen=True)
 class MixingImplicationReport:
-    """Per-tuple implication: a tuple passing all ratio conditions must have
-    every derived truth-telling ratio inside [1/2 - alpha, 1/2 + alpha]."""
+    """Tuples checked, tuples passing every E condition, and the E-passing
+    tuples with a half-ratio outside [1/2 - alpha, 1/2 + alpha]."""
 
     n_tuples: int
     n_e_pass: int
@@ -449,23 +526,28 @@ def mixing_implication_check(
     sample_budget: int = 100_000,
     seed: int = 0,
 ) -> MixingImplicationReport:
-    """One-directional check of "concentration implies truthful mixing"."""
-    a, b, c, d, _ = _tuple_arrays(matrix, sample_budget, seed)
-    stats = _StatKernel(matrix).stats(a, b, c, d)
-    e_pass = np.ones(a.size, dtype=bool)
-    violations = np.zeros(a.size, dtype=bool)
-    half_ratios = []
+    """Check "concentration implies truthful mixing" on the E statistics.
+
+    Each truth-telling ratio of ``check_mixing`` is half of one E-condition
+    ratio r = num/den under a renaming of roles, so this halves the seven E
+    ratios of every tuple and counts the E-passing tuples with some
+    |r/2 - 1/2| > alpha.  That is |r - 1| > 2 alpha, the negation of the E
+    test on the same ratio, and halving is exact in floating point, so
+    ``n_violations`` is 0 by construction: the check shows that the two
+    formulas agree, not that a matrix mixes.  What varies with the matrix
+    is ``n_e_pass``, the number of tuples in event E (``all_pass_fraction``
+    of ``concentration_report`` on the same arguments, as a count).
+    """
+    stats, _, e_pass, _ = _event_e(matrix, alpha, sample_budget, seed)
+    violations = np.zeros(e_pass.size, dtype=bool)
     for _, num, den in E_CONDITIONS:
-        e_pass &= _ratio_deviation(stats[num], stats[den]) <= 2.0 * alpha
-        ratio = np.full(a.size, np.nan)
+        ratio = np.full(e_pass.size, np.nan)
         ok = stats[den] > 0
         ratio[ok] = 0.5 * stats[num][ok] / stats[den][ok]
-        half_ratios.append(ratio)
-    for ratio in half_ratios:
         with np.errstate(invalid="ignore"):
             violations |= np.abs(ratio - 0.5) > alpha
     return MixingImplicationReport(
-        n_tuples=int(a.size),
+        n_tuples=int(e_pass.size),
         n_e_pass=int(e_pass.sum()),
         n_violations=int((violations & e_pass).sum()),
     )

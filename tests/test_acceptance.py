@@ -8,6 +8,13 @@ deviation sqrt(8/N) ~ 0.063 at N=2000 against a band of half-width 0.08
 (1.26 sigma), so the per-tuple all-conditions pass rate is ~0.69, far below
 the 0.99 target; that target needs N >~ 1.3e4.  The red assertion is kept
 deliberately; see the decisions ledger for the full analysis.
+
+Criterion 8b-ii (every E-passing tuple passes the truth-telling ratios)
+cannot fail: each truth-telling ratio is half of an E-condition ratio r, and
+|r/2 - 1/2| > alpha is the negation of the E test |r - 1| <= 2 alpha on the
+same ratio, so ``n_violations`` is 0 for every matrix.  It shows that the
+two formulas agree, not that the matrix mixes; its ``n_e_pass`` is the
+count behind 8b-i's pass rate.
 """
 
 import json

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import infodist as inf
 from infodist import markov
@@ -369,3 +371,92 @@ def test_stat_kernel_matches_integer_products(n):
         np.testing.assert_array_equal(kernel.conditional_ratio(kind, idx), ratio, err_msg=kind)
     with pytest.raises(inf.InvalidParameters):
         kernel.conditional_ratio("no-such-kind", idx)
+
+
+def _integer_stats(matrix, a, b, c, d):
+    """The eight statistics as integer products of S's rows and columns."""
+    x = matrix.S.astype(np.int64)
+
+    def common(*rows):
+        return np.einsum(",".join(["ti"] * len(rows)) + "->t", *rows)
+
+    pa, pb, sc, sd = x[:, a].T, x[:, b].T, x[c], x[d]
+    return {
+        "Y_a": 2 * x.sum(axis=0)[a],
+        "Y_c": 2 * x.sum(axis=1)[c],
+        "Y_ab": 4 * common(pa, pb),
+        "Y_cd": 4 * common(sc, sd),
+        "Y_a_c": 4 * common(pa, sc),
+        "Y_ab_c": 8 * common(pa, pb, sc),
+        "Y_a_cd": 8 * common(pa, sc, sd),
+        "Y_ab_cd": 16 * common(pa, pb, sc, sd),
+    }
+
+
+def _assert_stats_match(matrix, a, b, c, d):
+    stats = markov._StatKernel(matrix).stats(a, b, c, d)
+    expected = _integer_stats(matrix, a, b, c, d)
+    assert list(stats) == list(markov.Y_FAMILIES)
+    for name in markov.Y_FAMILIES:
+        np.testing.assert_array_equal(stats[name], expected[name].astype(float), err_msg=name)
+
+
+@pytest.mark.parametrize("n", [70, 128, 300])
+def test_packed_words_are_the_matrix_own(n):
+    matrix = inf.sample_S(n, n)
+    s = matrix.S
+    pairs = (
+        (matrix.successor_words, markov._pack(s)),
+        (matrix.predecessor_words, markov._pack(s.T)),
+        (matrix.row_sums, s.sum(axis=1)),
+        (matrix.col_sums, s.sum(axis=0)),
+    )
+    for stored, expected in pairs:
+        np.testing.assert_array_equal(stored, expected)
+        assert not stored.flags.writeable
+    assert not s.flags.writeable
+    kernel = markov._StatKernel(matrix)
+    assert kernel.succ is matrix.successor_words and kernel.pred is matrix.predecessor_words
+
+
+@pytest.mark.parametrize("n", [70, 300])
+def test_stat_kernel_block_edges(n):
+    # Tuple counts on both sides of the kernel's block boundaries: one
+    # tuple, one whole block, one more, and a last block one short.
+    matrix = inf.sample_S(n, 1)
+    block = markov._StatKernel(matrix).block
+    rng = np.random.default_rng(n)
+    for size in (1, block, block + 1, 3 * block - 1):
+        _assert_stats_match(matrix, *rng.integers(0, n, (4, size)))
+
+
+@given(
+    half_n=st.integers(2, 100),
+    size=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stat_kernel_matches_integer_products_property(half_n, size, seed):
+    n = 2 * half_n
+    rng = np.random.default_rng(seed)
+    _assert_stats_match(inf.sample_S(n, seed), *rng.integers(0, n, (4, size)))
+
+
+def test_stat_sets_form_each_intersection_once():
+    # The six multi-set statistics take one AND each, each from an
+    # intersection formed before it or from a gathered set.
+    sets, steps, slot_of = markov._meet_plan(
+        {name: members for name, (_, members) in markov._STAT_SETS.items()}
+    )
+    assert sorted(sets) == sorted([">a", ">b", "c>", "d>"])
+    assert len(steps) == 6 and all(len(extras) == 1 for _, _, extras in steps)
+    assert sorted(slot_of) == sorted(set(markov.Y_FAMILIES) - {"Y_a", "Y_c"})
+
+
+@pytest.mark.parametrize("n, budget", [(4, 100_000), (300, 5000)])
+def test_implication_counts_the_concentration_event(n, budget):
+    matrix = inf.sample_S(n, 0)
+    report = inf.concentration_report(matrix, sample_budget=budget, seed=3)
+    implication = inf.mixing_implication_check(matrix, sample_budget=budget, seed=3)
+    assert implication.n_tuples == report.n_tuples
+    assert implication.n_e_pass == round(report.all_pass_fraction * report.n_tuples)
+    assert implication.n_violations == 0

@@ -382,3 +382,27 @@ def test_threads_solve_as_one_thread_does():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(_same(got, want) for got, want in zip(results, expected))
+
+
+def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
+    # Column-wise arrays bit for bit as a stable (column, row) lexsort gives
+    # them, each run of repeats summed by np.add.reduceat in input order.
+    n_rows, n_vars, size = 7, 9, 400  # ~6 entries per (row, column)
+    rows = rng.integers(0, n_rows, size)
+    cols = rng.integers(0, n_vars, size)
+    vals = rng.normal(size=size)
+    problem = lp.LpProblem(
+        np.zeros(n_vars), rows, cols, vals,
+        np.full(n_rows, -np.inf), np.ones(n_rows), np.zeros(n_vars), np.ones(n_vars),
+    )
+    order = np.lexsort((rows, cols))
+    keys = np.stack((cols[order], rows[order]), axis=1)
+    unique, first = np.unique(keys, axis=0, return_index=True)
+    sums = np.add.reduceat(vals[order], first)
+    start = np.concatenate(([0], np.cumsum(np.bincount(unique[:, 0], minlength=n_vars))))
+    got = lp._columnwise(problem)
+    for name, have, want in zip(
+        ("start", "rows", "cols", "values"), got, (start, unique[:, 1], unique[:, 0], sums)
+    ):
+        assert have.dtype == want.dtype, name
+        assert have.tobytes() == want.tobytes(), name
