@@ -33,11 +33,12 @@ better, match = inf.is_better(u2, u1)
 print("\nplayer 1 prefers u2 to u1 in every game:", better)
 
 # A payoff function witnessing the gap: the primal solution of the same
-# game-space LP whose row duals are the garblings above.
+# game-space LP whose row duals are the garblings above.  Player 1 has an
+# action for each of u2's player-1 signals, player 2 one for each of u1's
+# player-2 signals.
 game = inf.witness_game(u1, u2)
-u1e, u2e = inf.embed_signals(u1, 3, 2), inf.embed_signals(u2, 3, 2)
 print("\nwitness game achieves val(u2,g*) - val(u1,g*) =",
-      inf.value(u2e, game).value - inf.value(u1e, game).value)
+      inf.value(u2, game).value - inf.value(u1, game).value)
 print("witness payoffs, state 0:\n", np.round(game.payoffs[0], 3))
 
 # Diameter of the space at a fixed state marginal.

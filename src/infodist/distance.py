@@ -1,18 +1,23 @@
 """Value-based distance between information structures.
 
 The distance is the largest gap in zero-sum game values over all payoff
-functions bounded by 1.  With both structures embedded into common
-per-player signal ranges of size L = max of the two counts, the one-sided
-gap is one linear program in game space,
+functions bounded by 1.  The one-sided gap is one linear program in game
+space,
 
     sup_g (val(v,g) - val(u,g))
         = max_g sum_d min_f <v(.,.,d), g(.,.,f)> - sum_c max_e <u(.,c,.), g(.,e,.)>
         = min_{q1,q2} || q1.u - v.q2 ||,
 
-over g in [-1,1]^{K*L1*L2}, whose LP dual is the garbling problem.  One
-solve gives all three: the optimum is the gap, the primal g is a witness
-game, and the row duals are the attaining garblings q1 and q2.  The full
-distance is the max of the two one-sided gaps.
+over g in [-1,1]^{K*l1*l2}, whose LP dual is the garbling problem.  The
+garblings have their natural shapes: q1 maps u's player-1 signals to v's
+(l1 = v's player-1 signal count) and q2 maps v's player-2 signals to u's
+(l2 = u's player-2 signal count), so the witness g has player-1 actions
+for v's player-1 signals and player-2 actions for u's player-2 signals.
+Signals of mass at most ZERO_TOL are left out of the LP, and each row is
+divided by its signal's mass (see ``_gap_problem``).  One solve gives all
+three: the optimum is the gap, the primal g is a witness game, and the row
+duals are the attaining garblings q1 and q2.  The full distance is the max
+of the two one-sided gaps.
 
 Weak duality brackets every game's gap between two exact numbers that need
 no LP: the identity strategies guarantee val(v,g) - val(u,g) from below, and
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,8 +52,6 @@ from .structures import (
     InformationStructure,
     PLAYER1,
     PLAYER2,
-    common_embedding,
-    embed_signals,
     eps_conditional_independence,
     garble,
     l1_distance,
@@ -61,8 +65,9 @@ class GapCertificate:
     """Attaining garblings for one one-sided gap.
 
     ``direction`` records which gap this certifies; for
-    ``one_sided_gap(u, v)`` it is ``"sup_g val(v,g)-val(u,g)"`` and the
-    garblings satisfy ``|| q1.u - v.q2 || = gap`` after common embedding.
+    ``one_sided_gap(u, v)`` it is ``"sup_g val(v,g)-val(u,g)"``.  q1 maps
+    u's player-1 signals to v's and q2 maps v's player-2 signals to u's, so
+    q1.u and v.q2 have the same shape and ``|| q1.u - v.q2 || = gap``.
     """
 
     gap: float
@@ -72,13 +77,7 @@ class GapCertificate:
 
     def recheck(self, u: InformationStructure, v: InformationStructure) -> float:
         """Recompute || q1.u - v.q2 || from the stored garblings."""
-        left = garble(u, PLAYER1, self.q1)
-        right = garble(v, PLAYER2, self.q2)
-        n1 = max(left.signals1_count, right.signals1_count)
-        n2 = max(left.signals2_count, right.signals2_count)
-        return l1_distance(
-            embed_signals(left, n1, n2), embed_signals(right, n1, n2)
-        )
+        return l1_distance(garble(u, PLAYER1, self.q1), garble(v, PLAYER2, self.q2))
 
 
 @dataclass(frozen=True)
@@ -108,49 +107,83 @@ class DiameterBounds:
     heuristic: bool
 
 
+class _GapLayout(NamedTuple):
+    """Where the gap LP's variables and rows sit.
+
+    ``shape`` is the witness g's (K, l1, l2); ``live1`` and ``mass1`` are
+    u's player-1 signals of mass above ZERO_TOL and their masses m_c, one
+    block of (c,e) rows each; ``live2`` and ``mass2`` are v's player-2
+    signals and masses n_d, one block of (d,f) rows each.
+    """
+
+    shape: tuple[int, int, int]
+    live1: np.ndarray
+    mass1: np.ndarray
+    live2: np.ndarray
+    mass2: np.ndarray
+
+
+def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    live = np.flatnonzero(masses > ZERO_TOL)
+    return live, masses[live]
+
+
 def _gap_problem(u: InformationStructure, v: InformationStructure):
-    """Game-space LP for sup_g (val(v,g) - val(u,g)) on the common embedding:
+    """Game-space LP for sup_g (val(v,g) - val(u,g)), scaled by signal mass:
 
-        max  sum_d beta_d - sum_c alpha_c
-        s.t. <u(.,c,.), g(.,e,.)> - alpha_c <= 0   for every (c, e),
-             beta_d - <v(.,.,d), g(.,.,f)> <= 0    for every (d, f),
-             g in [-1, 1]^{K*L1*L2}, alpha and beta free.
+        max  sum_d n_d b_d - sum_c m_c a_c
+        s.t. <u(.,c,.), g(.,e,.)> / m_c - a_c <= 0   for every (c, e),
+             b_d - <v(.,.,d), g(.,.,f)> / n_d <= 0   for every (d, f),
+             g in [-1, 1]^{K*l1*l2}, a and b free,
 
-    Variable order: g(k,e,f) at (k*L1 + e)*L2 + f, then alpha_c, then
-    beta_d.  Row order: the (c,e) rows at c*L1 + e, then the (d,f) rows at
-    n1*L1 + d*L2 + f.  The primal g is the witness game and the row duals
-    are q1(c,e) and q2(d,f).
+    with e over v's l1 player-1 signals, f over u's l2 player-2 signals, c
+    over u's player-1 signals of mass m_c > ZERO_TOL and d over v's
+    player-2 signals of mass n_d > ZERO_TOL.  Player-1 actions for which v
+    has no signal, and player-2 actions for which u has none, cannot raise
+    the gap, so g needs none.  Dividing each row by its signal's mass makes
+    the rows hold beliefs, not raw masses that reach 1e-9 on the Blackwell
+    members; a_c and b_d are the unscaled per-signal terms over m_c and n_d.
+
+    Variable order: g(k,e,f) at (k*l1 + e)*l2 + f, then a_c, then b_d, in
+    the order of ``live1`` and ``live2``.  Row order: the (c,e) rows at
+    i*l1 + e for the i-th live c, then the (d,f) rows at n1*l1 + j*l2 + f
+    for the j-th live d, n1 = len(live1).  The primal g is the witness game;
+    the row duals sum to m_c (resp. n_d) per block, so q1(c,e) is the
+    (c,e) row dual over m_c and q2(d,f) the (d,f) row dual over n_d.
     """
     if u.state_count != v.state_count:
         raise ShapeMismatch(
             f"state counts differ: {u.state_count} vs {v.state_count}"
         )
     n_k = u.state_count
-    n1 = u.signals1_count
-    n2 = v.signals2_count
-    l1 = max(n1, v.signals1_count)
-    l2 = max(u.signals2_count, n2)
+    l1 = v.signals1_count
+    l2 = u.signals2_count
+    live1, mass1 = _live_signals(u.probs.sum(axis=(0, 2)))
+    live2, mass2 = _live_signals(v.probs.sum(axis=(0, 1)))
+    n1, n2 = live1.size, live2.size
     n_cells = n_k * l1 * l2
     n_q1 = n1 * l1
 
-    # One triplet per positive entry of u (resp. v) and per e (resp. f).
-    k, c, f = np.nonzero(u.probs > 0.0)
+    # One triplet per positive belief of u (resp. v) and per e (resp. f).
+    beliefs = u.probs[:, live1, :] / mass1[:, None]
+    k, c, f = np.nonzero(beliefs > 0.0)
     e = np.arange(l1)
     u_rows = (c[:, None] * l1 + e).ravel()
     u_cols = ((k[:, None] * l1 + e) * l2 + f[:, None]).ravel()
-    u_vals = np.repeat(u.probs[k, c, f], l1)
-    k, e, d = np.nonzero(v.probs > 0.0)
+    u_vals = np.repeat(beliefs[k, c, f], l1)
+    beliefs = v.probs[:, :, live2] / mass2
+    k, e, d = np.nonzero(beliefs > 0.0)
     f = np.arange(l2)
     v_rows = (n_q1 + d[:, None] * l2 + f).ravel()
     v_cols = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
-    v_vals = np.repeat(-v.probs[k, e, d], l2)
+    v_vals = np.repeat(-beliefs[k, e, d], l2)
 
-    # -alpha_c in every (c,e) row, +beta_d in every (d,f) row.
+    # -a_c in every (c,e) row, +b_d in every (d,f) row.
     ce = np.arange(n_q1)
     df = np.arange(n2 * l2)
     n_rows = n_q1 + df.size
     problem = lp.LpProblem(
-        objective=np.concatenate((np.zeros(n_cells), -np.ones(n1), np.ones(n2))),
+        objective=np.concatenate((np.zeros(n_cells), -mass1, mass2)),
         row_idx=np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
         col_idx=np.concatenate(
             (u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)
@@ -162,7 +195,7 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
         col_upper=np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
         maximize=True,
     )
-    return problem, (n_k, l1, l2)
+    return problem, _GapLayout((n_k, l1, l2), live1, mass1, live2, mass2)
 
 
 class _Same:
@@ -185,14 +218,14 @@ class _Same:
 
 @functools.lru_cache(maxsize=4)
 def _solve_gap_of(u_key: _Same, v_key: _Same):
-    problem, dims = _gap_problem(u_key.obj, v_key.obj)
+    problem, layout = _gap_problem(u_key.obj, v_key.obj)
     sol = lp.solve(problem)
     if sol.status != lp.OPTIMAL:
         raise NumericalFailure(f"gap LP ended with status {sol.status}")
     # Every caller gets this same solution, so none may write into it.
     sol.primal.setflags(write=False)
     sol.dual.setflags(write=False)
-    return sol, dims
+    return sol, layout
 
 
 def _solve_gap(u, v):
@@ -204,23 +237,32 @@ def _solve_gap(u, v):
     return _solve_gap_of(_Same(u), _Same(v))
 
 
+def _garbling(duals: np.ndarray, live: np.ndarray, mass: np.ndarray, n_source: int) -> Garbling:
+    """Garbling rows from one block of row duals: each live signal's duals
+    over its mass, normalized; a dropped signal's row is uniform (any
+    distribution would do, as the signal carries at most ZERO_TOL)."""
+    q = np.clip(duals.reshape(live.size, -1) / mass[:, None], 0.0, None)
+    rows = np.full((n_source, q.shape[1]), 1.0 / q.shape[1])
+    rows[live] = q / q.sum(axis=1, keepdims=True)
+    return Garbling(rows)
+
+
 def one_sided_gap(
     u: InformationStructure, v: InformationStructure
 ) -> GapCertificate:
     """min_{q1,q2} || q1.u - v.q2 || = sup_g (val(v,g) - val(u,g)).
 
-    The garblings are the row duals of the game-space gap LP; each row sums
-    to 1 by stationarity in alpha and beta, up to the LP's dual gate.
+    The garblings are the row duals of the game-space gap LP over the
+    signal masses; each row sums to 1 by stationarity in a and b, up to the
+    LP's dual gate.  q1 maps u's player-1 signals to v's, q2 maps v's
+    player-2 signals to u's.
     """
-    sol, (_, l1, l2) = _solve_gap(u, v)
-    n_q1 = u.signals1_count * l1
-    q1 = np.clip(sol.dual[:n_q1].reshape(u.signals1_count, l1), 0.0, None)
-    q2 = np.clip(sol.dual[n_q1:].reshape(v.signals2_count, l2), 0.0, None)
-    gap = max(sol.objective, 0.0)
+    sol, layout = _solve_gap(u, v)
+    n_q1 = layout.live1.size * layout.shape[1]
     return GapCertificate(
-        gap=gap,
-        q1=Garbling(q1 / q1.sum(axis=1, keepdims=True)),
-        q2=Garbling(q2 / q2.sum(axis=1, keepdims=True)),
+        gap=max(sol.objective, 0.0),
+        q1=_garbling(sol.dual[:n_q1], layout.live1, layout.mass1, u.signals1_count),
+        q2=_garbling(sol.dual[n_q1:], layout.live2, layout.mass2, v.signals2_count),
         direction="sup_g val(v,g)-val(u,g)",
     )
 
@@ -236,8 +278,9 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     The witness is the primal g of the gap LP, so one gap solve gives both
     the target and the witness, and on the same (u, v) objects it is the
     solve that ``value_distance``, ``one_sided_gap`` and ``is_better`` use
-    (see the module docstring).  The witness is certified without an LP by
-    an exact bracket on the common embedding:
+    (see the module docstring).  Its shape is (K, v's player-1 signal
+    count, u's player-2 signal count).  The witness is certified without an
+    LP by an exact bracket:
 
         lower = guarantee(v, g, identity, PLAYER1) - guarantee(u, g, identity, PLAYER2)
              <= val(v,g) - val(u,g)
@@ -248,13 +291,13 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     target farther than WITNESS_TOL from either end means the witness
     misses the target or the target misses the supremum, and this raises.
     """
-    sol, (n_k, l1, l2) = _solve_gap(u, v)
+    sol, layout = _solve_gap(u, v)
     target = max(sol.objective, 0.0)
-    g = sol.primal[: n_k * l1 * l2].reshape(n_k, l1, l2)
+    n_k, l1, l2 = layout.shape
+    g = sol.primal[: n_k * l1 * l2].reshape(layout.shape)
     game = ZeroSumGame(np.clip(g, -1.0, 1.0))
-    u_emb, v_emb = common_embedding(u, v)
-    lower = guarantee(v_emb, game, Garbling.identity(l1), PLAYER1) - guarantee(
-        u_emb, game, Garbling.identity(l2), PLAYER2
+    lower = guarantee(v, game, Garbling.identity(l1), PLAYER1) - guarantee(
+        u, game, Garbling.identity(l2), PLAYER2
     )
     upper = one_sided_gap(u, v).recheck(u, v)
     miss = max(upper - target, target - lower)

@@ -8,6 +8,7 @@ value LP uses the per-signal best-response decomposition (polynomial size):
                             for every (d, j), sigma rows in the simplex,
 
 whose duals on the (d, j) rows are player 2's optimal behavioral strategy.
+``value`` solves it scaled by the players' signal masses.
 """
 
 from __future__ import annotations
@@ -154,21 +155,41 @@ def _coefficients(u: InformationStructure, g: ZeroSumGame) -> np.ndarray:
     return np.einsum("kcd,kij->cidj", u.probs, g.payoffs)
 
 
+def _signal_scale(masses: np.ndarray) -> np.ndarray:
+    """Each signal's mass, or 1 for a signal of mass at most ZERO_TOL."""
+    return np.where(masses > ZERO_TOL, masses, 1.0)
+
+
 def value(u: InformationStructure, g: ZeroSumGame) -> ValueResult:
-    """Value of the zero-sum Bayesian game and optimal behavioral strategies."""
+    """Value of the zero-sum Bayesian game and optimal behavioral strategies.
+
+    The LP is scaled by signal mass: the variables are x(c,i) = m_c
+    sigma(c,i), each (d,j) row is divided by n_d, and z_d = n_d w_d, so
+
+        max sum_d n_d w_d   s.t.   w_d <= sum_{k,c,i} u(k,c,d) g(k,i,j) x(c,i) / (m_c n_d),
+                                   sum_i x(c,i) = m_c.
+
+    The binomial cells of the Blackwell members reach 1e-9, and unscaled
+    rows of such masses fail the dual gate.  m_c and n_d are the players'
+    signal masses, or 1 for a signal of mass at most ZERO_TOL.
+    """
     _check_compatible(u, g)
     n_c, n_d = u.signals1_count, u.signals2_count
     n_i, n_j = g.actions1_count, g.actions2_count
     coeff = _coefficients(u, g)
+    m = _signal_scale(u.probs.sum(axis=(0, 2)))
+    n = _signal_scale(u.probs.sum(axis=(0, 1)))
 
-    # Variables: sigma(c, i) flattened, then z(d); rows (d, j).
-    payoff = coeff.transpose(2, 3, 0, 1).reshape(n_d, n_j, n_c * n_i)
-    objective, sigma, duals = lp.best_response(payoff, n_c)
+    # Variables: x(c, i) flattened, then w(d); rows (d, j).
+    payoff = coeff.transpose(2, 3, 0, 1) / (n[:, None, None, None] * m[:, None])
+    objective, x, duals = lp.best_response(
+        payoff.reshape(n_d, n_j, n_c * n_i), n_c, block_mass=m, weights=n
+    )
 
-    sigma = np.clip(sigma.reshape(n_c, n_i), 0.0, None)
+    sigma = np.clip(x.reshape(n_c, n_i) / m[:, None], 0.0, None)
     sigma /= sigma.sum(axis=1, keepdims=True)
-    # The duals on the (d, j) rows are tau(j|d).
-    tau = np.clip(duals, 0.0, None)
+    # The duals on the (d, j) rows over n_d are tau(j|d).
+    tau = np.clip(duals / n[:, None], 0.0, None)
     sums = tau.sum(axis=1)
     degenerate = sums <= NORM_TOL
     if degenerate.any():

@@ -234,17 +234,17 @@ def linprog(
     return HighsResult(status, np.array(solution.col_value), np.array(solution.row_dual), nit)
 
 
-def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A's entries in column-wise order: ``(start, rows, cols, values)``.
+def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A's entries in column-wise order: ``(start, rows, values)``.
 
     The canonical CSC that ``scipy.sparse`` builds from the triplets:
     sorted by (column, row), entries at one (row, column) summed, explicit
     zeros kept.  HiGHS rejects a model with a repeated (row, column).
+    Column j's entries are ``start[j]:start[j + 1]``.
     """
     # One int64 key per entry, in (column, row) order, sorted stably so that
     # entries at one (row, column) are summed in input order.  The sorted
-    # key becomes the rows and, in place, the columns: the peak is three
-    # triplet-sized arrays, the output itself.
+    # key becomes the rows in place: the peak is three triplet-sized arrays.
     n_rows = problem.n_rows
     key = problem.col_idx * n_rows + problem.row_idx
     order = np.argsort(key, kind="stable")
@@ -255,38 +255,77 @@ def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     if repeat.any():
         first = np.flatnonzero(np.concatenate(([True], ~repeat)))
         key, vals = key[first], np.add.reduceat(vals, first)
-    rows = key % n_rows
-    cols = np.floor_divide(key, n_rows, out=key)
-    start = np.zeros(problem.n_vars + 1, dtype=int)
-    np.cumsum(np.bincount(cols, minlength=problem.n_vars), out=start[1:])
-    return start, rows, cols, vals
+    start = np.searchsorted(key, np.arange(problem.n_vars + 1) * n_rows)
+    rows = np.remainder(key, n_rows, out=key)
+    return start, rows, vals
+
+
+# Entries per block of whole columns in ``_products``.
+_BLOCK = 1 << 14
+
+
+def _products(
+    start: np.ndarray, rows: np.ndarray, vals: np.ndarray, x: np.ndarray, lam: np.ndarray, n_rows: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """A.x and A^T.lam from A's column-wise arrays, a block of whole columns
+    at a time.
+
+    Both are ``np.bincount``'s sums over A's entries in column-wise order,
+    bit for bit: the first block's terms x[col] * value are one bincount
+    into A.x and ``np.add.at`` adds each later block's in the same order,
+    and each block's columns are one bincount of its terms lam[row] * value.
+    A block holds about ``_BLOCK`` entries, so the products allocate no
+    entry-sized array.
+    """
+    n_vars = start.size - 1
+    ax = np.zeros(n_rows)
+    at_lam = np.empty(n_vars)
+    j0 = 0
+    while j0 < n_vars:
+        j1 = n_vars
+        if start[-1] - start[j0] > _BLOCK:
+            j1 = max(int(np.searchsorted(start, start[j0] + _BLOCK, side="right")) - 1, j0 + 1)
+        cols = np.arange(j1 - j0).repeat(start[j0 + 1 : j1 + 1] - start[j0:j1])
+        row = rows[start[j0] : start[j1]]
+        val = vals[start[j0] : start[j1]]
+        terms = x[j0:j1][cols] * val
+        if j0 == 0:
+            ax = np.bincount(row, weights=terms, minlength=n_rows)
+        else:
+            np.add.at(ax, row, terms)
+        at_lam[j0:j1] = np.bincount(cols, weights=lam[row] * val, minlength=j1 - j0)
+        j0 = j1
+    return ax, at_lam
 
 
 def _residuals(
     problem: LpProblem,
+    start: np.ndarray,
     rows: np.ndarray,
-    cols: np.ndarray,
     vals: np.ndarray,
     x: np.ndarray,
     duals_min: np.ndarray,
 ) -> tuple[float, float, float]:
     """(primal, dual-sign, relative-gap) residuals, minimization orientation.
 
-    A.x and A^T.lam are sums over A's entries, taken in column-wise order.
+    A.x and A^T.lam are sums over A's entries, taken in column-wise order
+    block by block (``_products``), so the residuals add no entry-sized
+    array to the rows and values: less than the sort in ``_columnwise``
+    holds.
     """
     row_lower, row_upper = problem.row_lower, problem.row_upper
     lower, upper = problem.col_lower, problem.col_upper
-    ax = np.bincount(rows, weights=vals * x[cols], minlength=problem.n_rows)
+    c_min = -problem.objective if problem.maximize else problem.objective
+    lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
+    ax, at_lam = _products(start, rows, vals, x, lam, problem.n_rows)
     primal = float(np.maximum(row_lower - ax, ax - row_upper).max(initial=0.0))
     if x.size:
         primal = max(primal, float((lower - x).max()), float((x - upper).max()))
 
-    c_min = -problem.objective if problem.maximize else problem.objective
-    lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
     leq = row_lower == -np.inf
     geq = row_upper == np.inf
     dual_sign = float(np.where(leq, -lam, np.where(geq, lam, 0.0)).max(initial=0.0))
-    reduced = c_min + np.bincount(cols, weights=vals * lam[rows], minlength=problem.n_vars)
+    reduced = c_min + at_lam
     finite_lo = np.isfinite(lower)
     finite_up = np.isfinite(upper)
     rho_lo = np.where(finite_lo, np.maximum(reduced, 0.0), 0.0)
@@ -309,7 +348,7 @@ def _residuals(
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve with HiGHS; returns status, primal, row duals, objective."""
-    start, rows, cols, vals = _columnwise(problem)
+    start, rows, vals = _columnwise(problem)
     cost = -problem.objective if problem.maximize else problem.objective
     res = linprog(
         cost,
@@ -324,7 +363,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # HiGHS solved the minimization, so its row duals are duals_min.
     duals_min = res.row_dual
-    primal_res, dual_res, gap = _residuals(problem, rows, cols, vals, res.x, duals_min)
+    primal_res, dual_res, gap = _residuals(problem, start, rows, vals, res.x, duals_min)
     if primal_res > LP_TOL or dual_res > _DUAL_GATE or gap > LP_TOL:
         raise NumericalFailure(
             f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"
@@ -335,29 +374,36 @@ def solve(problem: LpProblem) -> LpSolution:
     return LpSolution(status=OPTIMAL, primal=res.x, dual=duals, objective=objective)
 
 
-def best_response(payoff: np.ndarray, n_blocks: int) -> tuple[float, np.ndarray, np.ndarray]:
+def best_response(
+    payoff: np.ndarray,
+    n_blocks: int,
+    block_mass: np.ndarray | None = None,
+    weights: np.ndarray | None = None,
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Solve the per-signal best-response LP
 
-        max sum_d z_d   s.t.   z_d <= payoff[d, j, :] . x   for every (d, j),
+        max sum_d w_d z_d   s.t.   z_d <= payoff[d, j, :] . x   for every (d, j),
 
-    with x cut into ``n_blocks`` equal consecutive blocks, each on the
-    simplex.  Variables are x, then the free z.  Returns the objective, x
+    with x cut into ``n_blocks`` equal consecutive blocks, block b summing
+    to ``block_mass[b]`` (1 if not given), x >= 0, and weights w (1 if not
+    given).  Variables are x, then the free z.  Returns the objective, x
     and the (D, J) duals of the (d, j) rows; for each d these are >= 0 and
-    sum to 1 by stationarity in z_d.
+    sum to w_d by stationarity in z_d.
     """
     n_d, n_j, n_x = payoff.shape
     n_rows = n_d * n_j
     rows = np.arange(n_rows)
     x_cols = np.arange(n_x)
+    mass = np.ones(n_blocks) if block_mass is None else block_mass
     problem = LpProblem(
-        objective=np.concatenate((np.zeros(n_x), np.ones(n_d))),
+        objective=np.concatenate((np.zeros(n_x), np.ones(n_d) if weights is None else weights)),
         row_idx=np.concatenate(
             (np.repeat(rows, n_x), rows, n_rows + x_cols // (n_x // n_blocks))
         ),
         col_idx=np.concatenate((np.tile(x_cols, n_rows), n_x + rows // n_j, x_cols)),
         coefficients=np.concatenate((-payoff.ravel(), np.ones(n_rows), np.ones(n_x))),
-        row_lower=np.concatenate((np.full(n_rows, -np.inf), np.ones(n_blocks))),
-        row_upper=np.concatenate((np.zeros(n_rows), np.ones(n_blocks))),
+        row_lower=np.concatenate((np.full(n_rows, -np.inf), mass)),
+        row_upper=np.concatenate((np.zeros(n_rows), mass)),
         col_lower=np.concatenate((np.zeros(n_x), np.full(n_d, -np.inf))),
         col_upper=np.full(n_x + n_d, np.inf),
         maximize=True,

@@ -57,6 +57,8 @@ def test_witness_round_trip(capsys, files):
     )
     assert code == 0
     game = inf.ZeroSumGame.from_json(out_path.read_text())
+    # (states, u2's player-1 signals, u1's player-2 signals)
+    assert game.payoffs.shape == (2, 2, 2)
     assert np.abs(game.payoffs).max() <= 1.0
     assert float(out.strip()) == pytest.approx(0.5, abs=1e-5)
 
@@ -67,7 +69,9 @@ def test_witness_command_solves_one_lp(capsys, files, solve_rows):
     out_path = files["tmp"] / "witness.json"
     code, _, _ = _run(capsys, "witness", files["u1"], files["u2"], "-o", str(out_path))
     assert code == 0
-    assert solve_rows == [11]
+    # u1 has 3 player-1 signals, u2 has 2 player-1 and 1 player-2 signal:
+    # 3 x 2 (c,e) rows and 1 x 2 (d,f) rows.
+    assert solve_rows == [8]
 
 
 def test_d1_dnzs_reduce_decompose(capsys, files, tmp_path):

@@ -93,8 +93,10 @@ def test_calls_on_the_same_pair_share_one_gap_solve(rng, solve_rows):
     inf.witness_game(u, v)
     ok, _ = inf.is_better(u, v)
     cert = inf.one_sided_gap(u, v)
+    # (c,e) rows for u's player-1 signals x v's, then (d,f) rows for v's
+    # player-2 signals x u's.
     gap_uv = 3 * 3 + 2 * 3
-    gap_vu = 3 * 3 + 3 * 3
+    gap_vu = 3 * 3 + 3 * 2
     assert solve_rows == [gap_uv, gap_vu]
     assert ok == (cert.gap <= DIST_TOL)
     assert d >= cert.gap
@@ -170,76 +172,89 @@ def test_witness_bracket_rejects_a_bad_gap_solution(rng, monkeypatch, corrupt):
 
 def test_gap_lp_row_layout():
     # Witness and garbling extraction slice the gap LP by position, so the
-    # layout is pinned.  Variables: g(k,e,f) in [-1,1], then the free
-    # alpha_c, then the free beta_d.  Rows: <u(.,c,.), g(.,e,.)> - alpha_c
-    # <= 0 for each (c,e), then beta_d - <v(.,.,d), g(.,.,f)> <= 0 for each
-    # (d,f); maximize sum beta - sum alpha.
+    # layout is pinned.  Variables: g(k,e,f) in [-1,1] over v's player-1
+    # and u's player-2 signals, then the free a_c, then the free b_d.  Rows:
+    # <u(.,c,.), g(.,e,.)> / m_c - a_c <= 0 for each (c,e), then
+    # b_d - <v(.,.,d), g(.,.,f)> / n_d <= 0 for each (d,f), over the signals
+    # of positive mass; maximize sum n_d b_d - sum m_c a_c.
     u = inf.validate_structure(
-        np.array([[[0.1, 0.2], [0.0, 0.1]], [[0.15, 0.05], [0.25, 0.15]]])
+        np.array([[[0.1, 0.2], [0.0, 0.0], [0.05, 0.05]], [[0.25, 0.05], [0.0, 0.0], [0.25, 0.05]]])
     )
     v = inf.validate_structure(
-        np.array([[[0.3, 0.0], [0.1, 0.05]], [[0.05, 0.2], [0.1, 0.2]]])
+        np.array([[[0.3, 0.0, 0.0], [0.1, 0.05, 0.0]], [[0.05, 0.2, 0.0], [0.1, 0.2, 0.0]]])
     )
-    problem, dims = _gap_problem(u, v)
-    assert dims == (2, 2, 2)
+    m = u.probs.sum(axis=(0, 2))
+    n = v.probs.sum(axis=(0, 1))
+    problem, layout = _gap_problem(u, v)
+    assert layout.shape == (2, 2, 2)
+    assert np.array_equal(layout.live1, [0, 2]) and np.array_equal(layout.mass1, m[[0, 2]])
+    assert np.array_equal(layout.live2, [0, 1]) and np.array_equal(layout.mass2, n[[0, 1]])
     expected = np.zeros((8, 12))
-    for c in range(2):
+    for i, c in enumerate((0, 2)):
         for e in range(2):
             for k in range(2):
                 for f in range(2):
-                    expected[c * 2 + e, (k * 2 + e) * 2 + f] = u.probs[k, c, f]
-            expected[c * 2 + e, 8 + c] = -1.0
-    for d in range(2):
+                    expected[i * 2 + e, (k * 2 + e) * 2 + f] = u.probs[k, c, f] / m[c]
+            expected[i * 2 + e, 8 + i] = -1.0
+    for j, d in enumerate((0, 1)):
         for f in range(2):
             for k in range(2):
                 for e in range(2):
-                    expected[4 + d * 2 + f, (k * 2 + e) * 2 + f] = -v.probs[k, e, d]
-            expected[4 + d * 2 + f, 10 + d] = 1.0
+                    expected[4 + j * 2 + f, (k * 2 + e) * 2 + f] = -v.probs[k, e, d] / n[d]
+            expected[4 + j * 2 + f, 10 + j] = 1.0
     matrix = np.zeros((8, 12))
     np.add.at(matrix, (problem.row_idx, problem.col_idx), problem.coefficients)
     assert np.array_equal(matrix, expected)
     assert problem.coefficients.size == np.count_nonzero(expected)
     assert np.array_equal(problem.row_lower, [-np.inf] * 8)
     assert np.array_equal(problem.row_upper, np.zeros(8))
-    assert np.array_equal(problem.objective, [0.0] * 8 + [-1.0] * 2 + [1.0] * 2)
+    assert np.array_equal(problem.objective, [0.0] * 8 + [-m[0], -m[2], n[0], n[1]])
     assert np.array_equal(problem.col_lower, [-1.0] * 8 + [-np.inf] * 4)
     assert np.array_equal(problem.col_upper, [1.0] * 8 + [np.inf] * 4)
     assert problem.maximize
+
+    # The garblings have their natural shapes; a dropped signal's row is
+    # uniform, and the certificate still rechecks.
+    cert = inf.one_sided_gap(u, v)
+    assert cert.q1.rows.shape == (3, 2) and cert.q2.rows.shape == (3, 2)
+    assert np.array_equal(cert.q1.rows[1], [0.5, 0.5])
+    assert np.array_equal(cert.q2.rows[2], [0.5, 0.5])
+    assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
 
 
 def test_certificate_meets_witness_lower_bound(rng):
     # Strong duality of the returned pair, with no LP involved: the
     # garblings bound the gap from above, and the witness bounds it from
-    # below through the identity strategies on the embedded structures.
+    # below through the identity strategies.
     for _ in range(20):
         n_k = int(rng.integers(2, 4))
         u = random_structure(rng, n_k, *rng.integers(1, 5, 2), zeros=0.3)
         v = random_structure(rng, n_k, *rng.integers(1, 5, 2), zeros=0.3)
         cert = inf.one_sided_gap(u, v)
         g = inf.witness_game(u, v)
-        u_emb, v_emb = common_embedding(u, v)
         _, l1, l2 = g.payoffs.shape
-        lower = guarantee(v_emb, g, inf.Garbling(np.eye(l1)), PLAYER1) - guarantee(
-            u_emb, g, inf.Garbling(np.eye(l2)), PLAYER2
+        lower = guarantee(v, g, inf.Garbling(np.eye(l1)), PLAYER1) - guarantee(
+            u, g, inf.Garbling(np.eye(l2)), PLAYER2
         )
         assert cert.recheck(u, v) == pytest.approx(lower, abs=1e-7)
 
 
-@pytest.mark.parametrize("n", [9, 10, 11])
+@pytest.mark.parametrize("n", range(9, 17))
 def test_blackwell_members_pass_the_gates(n):
     # HiGHS's default feasibility tolerances (1e-7) let it report points
     # the residual gates reject on these pairs; it must run below the gates.
+    # From n = 12 the binomial cells reach 1e-9, and the gap LP and the
+    # value LP pass the gates only when scaled by signal mass.
     a = inf.blackwell_structure(inf.BlackwellSpec(n + 2, n, 0.75, 0.75))
     b = inf.blackwell_structure(inf.BlackwellSpec(n, n, 0.75, 0.75))
     d = inf.value_distance(a, b)
     gaps = []
     for u, v in ((a, b), (b, a)):
         cert = inf.one_sided_gap(u, v)
-        assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=1e-6)
+        assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
         g = inf.witness_game(u, v)
-        u_emb, v_emb = common_embedding(u, v)
-        achieved = inf.value(v_emb, g).value - inf.value(u_emb, g).value
-        assert achieved == pytest.approx(cert.gap, abs=1e-5)
+        achieved = inf.value(v, g).value - inf.value(u, g).value
+        assert achieved == pytest.approx(cert.gap, abs=WITNESS_TOL)
         gaps.append(cert.gap)
     assert d == pytest.approx(max(gaps), abs=1e-9)
 

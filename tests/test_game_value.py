@@ -126,19 +126,16 @@ def test_transport_through_identity_and_deltas():
 
 
 def test_transported_strategy_near_optimality(rng):
-    from infodist.structures import common_embedding
-
     for _ in range(5):
         u = random_structure(rng, 2, 3, 2)
         v = random_structure(rng, 2, 2, 3)
         g = random_game(rng, 2, 3, 3)
         cert = inf.one_sided_gap(u, v)
         d = inf.value_distance(u, v)
-        u_emb, v_emb = common_embedding(u, v)
-        sigma_v = inf.value(v_emb, g).strategy1
+        sigma_v = inf.value(v, g).strategy1
         transported = inf.transport_strategy(sigma_v, cert.q1)
         achieved = inf.guarantee(u, g, transported, PLAYER1)
-        assert achieved >= inf.value(u_emb, g).value - 2.0 * d - 1e-6
+        assert achieved >= inf.value(u, g).value - 2.0 * d - 1e-6
 
 
 def test_minmax_levels():

@@ -401,8 +401,29 @@ def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
     sums = np.add.reduceat(vals[order], first)
     start = np.concatenate(([0], np.cumsum(np.bincount(unique[:, 0], minlength=n_vars))))
     got = lp._columnwise(problem)
-    for name, have, want in zip(
-        ("start", "rows", "cols", "values"), got, (start, unique[:, 1], unique[:, 0], sums)
-    ):
+    assert len(got) == 3
+    for name, have, want in zip(("start", "rows", "values"), got, (start, unique[:, 1], sums)):
         assert have.dtype == want.dtype, name
         assert have.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("block", [1, 5, 1 << 14])
+def test_block_products_match_bincount(rng, monkeypatch, block):
+    # The residuals' A.x and A^T.lam, a block of whole columns at a time,
+    # bit for bit as one bincount over every entry gives them.  Column 3 is
+    # empty, and a column longer than a block is a block of its own.
+    monkeypatch.setattr(lp, "_BLOCK", block)
+    n_rows, n_vars, size = 7, 9, 400
+    rows = rng.integers(0, n_rows, size)
+    cols = rng.integers(0, n_vars, size)
+    cols[cols == 3] = 4
+    problem = lp.LpProblem(
+        np.zeros(n_vars), rows, cols, rng.normal(size=size),
+        np.full(n_rows, -np.inf), np.ones(n_rows), np.zeros(n_vars), np.ones(n_vars),
+    )
+    start, rows, vals = lp._columnwise(problem)
+    cols = np.repeat(np.arange(n_vars), np.diff(start))
+    x, lam = rng.normal(size=n_vars), rng.normal(size=n_rows)
+    ax, at_lam = lp._products(start, rows, vals, x, lam, n_rows)
+    assert ax.tobytes() == np.bincount(rows, weights=vals * x[cols], minlength=n_rows).tobytes()
+    assert at_lam.tobytes() == np.bincount(cols, weights=vals * lam[rows], minlength=n_vars).tobytes()

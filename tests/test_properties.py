@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import gap_oracle
 import hierarchy_oracle as oracle
 import infodist as inf
 from infodist.config import DIST_TOL, VALUE_TOL, WITNESS_TOL
@@ -17,12 +18,13 @@ _CELL = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
 
 
 @st.composite
-def raw_pairs(draw):
-    """Two raw tensors on 2-4 states with 1-5 signals per player."""
+def raw_pairs(draw, count=2):
+    """``count`` raw tensors (two by default) on 2-4 states with 1-5
+    signals per player."""
     n_k = draw(st.integers(2, 4))
     signals = st.integers(1, 5)
     pair = []
-    for _ in range(2):
+    for _ in range(count):
         shape = (n_k, draw(signals), draw(signals))
         probs = draw(hnp.arrays(float, shape, elements=_CELL))
         if probs.sum() == 0.0:
@@ -73,16 +75,61 @@ def test_witness_bracket_holds_the_achieved_gap(pair):
     u, v = _fresh(*pair)
     cert = inf.one_sided_gap(u, v)
     game = inf.witness_game(u, v)
-    u_emb, v_emb = common_embedding(u, v)
     _, l1, l2 = game.payoffs.shape
-    lower = inf.guarantee(v_emb, game, inf.Garbling.identity(l1), inf.PLAYER1) - inf.guarantee(
-        u_emb, game, inf.Garbling.identity(l2), inf.PLAYER2
+    lower = inf.guarantee(v, game, inf.Garbling.identity(l1), inf.PLAYER1) - inf.guarantee(
+        u, game, inf.Garbling.identity(l2), inf.PLAYER2
     )
     upper = cert.recheck(u, v)
-    achieved = inf.value(v_emb, game).value - inf.value(u_emb, game).value
+    achieved = inf.value(v, game).value - inf.value(u, game).value
     assert lower - VALUE_TOL <= achieved <= upper + VALUE_TOL
     assert max(upper - cert.gap, cert.gap - lower) <= WITNESS_TOL
+    u_emb, v_emb = common_embedding(u, v)
     assert inf.value_distance(u, v) <= inf.l1_distance(u_emb, v_emb) + DIST_TOL
+
+
+@given(raw_pairs())
+def test_gap_matches_the_common_embedding_lp(pair):
+    # The gap LP on the garblings' natural shapes, scaled by signal mass,
+    # has the optimum of the plain LP on the common embedding.  q1 maps u's
+    # player-1 signals to v's, q2 v's player-2 signals to u's, and the
+    # witness's actions are v's player-1 and u's player-2 signals.
+    u, v = _fresh(*pair)
+    for a, b in ((u, v), (v, u)):
+        cert = inf.one_sided_gap(a, b)
+        assert abs(cert.gap - gap_oracle.plain_gap(a, b)) <= 1e-12
+        assert cert.q1.rows.shape == (a.signals1_count, b.signals1_count)
+        assert cert.q2.rows.shape == (b.signals2_count, a.signals2_count)
+        game = inf.witness_game(a, b)
+        assert game.payoffs.shape == (a.state_count, b.signals1_count, a.signals2_count)
+
+
+@given(raw_pairs(count=3))
+def test_metric_axioms_and_d1_below_d(triple):
+    u, v, w = (inf.validate_structure(raw) for raw in triple)
+    d_uv = inf.value_distance(u, v)
+    assert inf.value_distance(u, u) <= DIST_TOL
+    assert d_uv == inf.value_distance(v, u)
+    assert inf.value_distance(u, w) <= d_uv + inf.value_distance(v, w) + DIST_TOL
+    assert inf.single_agent_distance(u, v) <= d_uv + DIST_TOL
+
+
+@st.composite
+def experiment_counts(draw):
+    """n > l >= 0 repeated experiments."""
+    n = draw(st.integers(1, 6))
+    return n, draw(st.integers(0, n - 1))
+
+
+@given(experiment_counts(), st.floats(0.55, 0.95))
+def test_blackwell_d1_matches_the_closed_form(counts, p):
+    # Player 2 has a single signal in the (n,0) and (l,0) structures, so
+    # d = d1 there.
+    n, l = counts
+    un = inf.blackwell_structure(inf.BlackwellSpec(n, 0, p, p))
+    ul = inf.blackwell_structure(inf.BlackwellSpec(l, 0, p, p))
+    expected = inf.blackwell_d1_closed_form(n, l, p)
+    assert abs(inf.single_agent_distance(un, ul) - expected) <= DIST_TOL
+    assert abs(inf.value_distance(un, ul) - expected) <= DIST_TOL
 
 
 @st.composite
