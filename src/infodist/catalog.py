@@ -102,22 +102,27 @@ def blackwell_structure(spec: BlackwellSpec) -> InformationStructure:
     return validate_structure(probs)
 
 
-def _diff_tail_gt(n: int, p: float, d: int) -> float:
-    """P(2 S_n - n > d) for S_n ~ Binomial(n, p)."""
-    return sum(
-        math.comb(n, s) * p**s * (1 - p) ** (n - s)
-        for s in range(n + 1)
-        if 2 * s - n > d
-    )
+def _surplus_tails(n: int, p: float, d: int) -> tuple[float, float]:
+    """(P(D_n > d), P(D_n < -d)) for D_n = 2 S_n - n, S_n ~ Binomial(n, p)."""
+    terms = [(2 * s - n, math.comb(n, s) * p**s * (1 - p) ** (n - s)) for s in range(n + 1)]
+    return sum(t for x, t in terms if x > d), sum(t for x, t in terms if x < -d)
 
 
-def _diff_tail_lt(n: int, p: float, d: int) -> float:
-    """P(2 S_n - n < d)."""
-    return sum(
-        math.comb(n, s) * p**s * (1 - p) ** (n - s)
-        for s in range(n + 1)
-        if 2 * s - n < d
-    )
+def _blackwell_gammas(n: int, l: int, p: float) -> list[float]:
+    """gamma_d for d = 0..l, as ``blackwell_d1_closed_form`` defines them."""
+    if not (isinstance(n, int) and isinstance(l, int)) or not n > l >= 0:
+        raise InvalidParameters(f"need integers n > l >= 0, got n={n}, l={l}")
+    if not 0.5 < p < 1.0:
+        raise InvalidParameters(f"accuracy {p} outside (1/2, 1)")
+    gammas = []
+    for d in range(l + 1):
+        q_d = p**d / (p**d + (1 - p) ** d)
+        gt_n, lt_n = _surplus_tails(n, p, d)
+        gt_l, lt_l = _surplus_tails(l, p, d)
+        gamma = 2 * (1 - q_d) * (gt_n - gt_l)
+        gamma -= 2 * q_d * (lt_n - lt_l)
+        gammas.append(gamma)
+    return gammas
 
 
 def blackwell_d1_closed_form(n: int, l: int, p: float) -> float:
@@ -131,30 +136,13 @@ def blackwell_d1_closed_form(n: int, l: int, p: float) -> float:
     and D_n the surplus of successes over failures in n experiments.  Agrees
     with the LP-computed d1 on the corresponding structures.
     """
-    if not (isinstance(n, int) and isinstance(l, int)) or not n > l >= 0:
-        raise InvalidParameters(f"need integers n > l >= 0, got n={n}, l={l}")
-    if not 0.5 < p < 1.0:
-        raise InvalidParameters(f"accuracy {p} outside (1/2, 1)")
-    best = -np.inf
-    for d in range(l + 1):
-        q_d = p**d / (p**d + (1 - p) ** d)
-        gamma = 2 * (1 - q_d) * (_diff_tail_gt(n, p, d) - _diff_tail_gt(l, p, d))
-        gamma -= 2 * q_d * (_diff_tail_lt(n, p, -d) - _diff_tail_lt(l, p, -d))
-        best = max(best, gamma)
-    return float(best)
+    return float(max(_blackwell_gammas(n, l, p)))
 
 
 def blackwell_conjecture_report(n: int, l: int, p: float) -> dict:
     """Numeric report on where the maximum over d is attained (the n even /
     l odd case is conjectured to peak at d* = 1; never asserted)."""
-    if not n > l >= 0:
-        raise InvalidParameters(f"need n > l >= 0, got n={n}, l={l}")
-    gammas = []
-    for d in range(l + 1):
-        q_d = p**d / (p**d + (1 - p) ** d)
-        gamma = 2 * (1 - q_d) * (_diff_tail_gt(n, p, d) - _diff_tail_gt(l, p, d))
-        gamma -= 2 * q_d * (_diff_tail_lt(n, p, -d) - _diff_tail_lt(l, p, -d))
-        gammas.append(gamma)
+    gammas = _blackwell_gammas(n, l, p)
     argmax = int(np.argmax(gammas))
     return {
         "n": n,

@@ -29,18 +29,16 @@ _FORMATS = ("text", "json", "csv")
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The options every command takes, validated by the parser."""
+
     fmt: str = "text"
     seed: int = 0
     budget: int = 1_000_000
     tolerance: float = 1e-6
 
-    def __post_init__(self):
-        if self.fmt not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        if not 0.0 < self.tolerance < 1e-2:
-            raise ValueError("tolerance must lie in (0, 1e-2)")
+
+class _UsageError(Exception):
+    """Arguments that parse but do not fit together: exit code 2."""
 
 
 def _fmt_num(x) -> str:
@@ -119,8 +117,8 @@ def _config(args) -> RunConfig:
     return RunConfig(
         fmt=getattr(args, "format", "text"),
         seed=getattr(args, "seed", 0) or 0,
-        budget=getattr(args, "budget", None) or default_budget(),
-        tolerance=getattr(args, "tolerance", None) or 1e-6,
+        budget=default_budget() if args.budget is None else args.budget,
+        tolerance=1e-6 if args.tolerance is None else args.tolerance,
     )
 
 
@@ -284,33 +282,45 @@ _CATALOG_NAMES = (
     "split_secret",
 )
 
+# CLI name -> ``counterexample_pairs()`` fixture.
+_FIXTURES = {
+    "opponent_correlation": "opponent_correlation",
+    "f4-xor": "xor_state",
+    "signal_quality": "signal_quality",
+    "split_secret": "split_secret",
+}
+
+
+def _catalog_members(args) -> dict[str, st.InformationStructure]:
+    """The named structure as {member: structure}; a single structure is
+    member "u"."""
+    name = args.name
+    if name in ("u1", "u2", "u2prime"):
+        return {"u": cat.canonical_examples()[name]}
+    if name == "no-info":
+        return {"u": cat.no_information(args.states)}
+    if name == "common-knowledge":
+        return {"u": cat.common_knowledge(args.states)}
+    if name == "ladder":
+        return {"u": cat.ladder_structure(args.n)}
+    if name == "email":
+        return {"u": cat.email_game(args.eps, args.prior, args.truncation)}
+    if name == "blackwell":
+        spec = cat.BlackwellSpec(args.n, args.m, args.p[0] if args.p else 0.75, args.r)
+        return {"u": cat.blackwell_structure(spec)}
+    if name == "approx-knowledge":
+        pair = cat.approx_knowledge_pair(args.eps)
+        return {"u": pair.u, "v": pair.v}
+    return cat.counterexample_pairs()[_FIXTURES[name]]
+
 
 def _cmd_catalog(args) -> int:
     config = _config(args)
-    name = args.name
-    which = args.which
-    if name == "u1":
-        structure = cat.canonical_examples()["u1"]
-    elif name == "u2":
-        structure = cat.canonical_examples()["u2"]
-    elif name == "u2prime":
-        structure = cat.canonical_examples()["u2prime"]
-    elif name == "no-info":
-        structure = cat.no_information(args.states)
-    elif name == "common-knowledge":
-        structure = cat.common_knowledge(args.states)
-    elif name == "ladder":
-        structure = cat.ladder_structure(args.n)
-    elif name == "email":
-        structure = cat.email_game(args.eps, args.prior, args.truncation)
-    elif name == "blackwell":
-        structure = cat.blackwell_structure(cat.BlackwellSpec(args.n, args.m, args.p[0] if args.p else 0.75, args.r))
-    elif name == "approx-knowledge":
-        pair = cat.approx_knowledge_pair(args.eps)
-        structure = pair.u if which in (None, "u") else pair.v
-    else:
-        fixture = cat.counterexample_pairs()[name.replace("-", "_")]
-        structure = fixture[which or "u"]
+    members = _catalog_members(args)
+    which = args.which or "u"
+    if which not in members:
+        raise _UsageError(f"{args.name} has no member {which!r}; it has {', '.join(members)}")
+    structure = members[which]
     _write(args.output, structure.to_json())
     _emit(config, {"states": structure.state_count, "signals1": structure.signals1_count, "signals2": structure.signals2_count})
     return 0
@@ -412,10 +422,30 @@ def _cmd_markov(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"budget must be a positive integer, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0.0 < value < 1e-2:
+        raise argparse.ArgumentTypeError(f"tolerance must lie in (0, 1e-2), got {text!r}")
+    return value
+
+
 def _add_format(sp):
     sp.add_argument("--format", choices=_FORMATS, default="text")
-    sp.add_argument("--budget", type=int, default=None, help=f"enumeration budget (default {BUDGET_ENV_VAR} or 10^6)")
-    sp.add_argument("--tolerance", type=float, default=None)
+    sp.add_argument("--budget", type=_budget, default=None, help=f"enumeration budget (default {BUDGET_ENV_VAR} or 10^6)")
+    sp.add_argument("--tolerance", type=_tolerance, default=None, help="comparison tolerance in (0, 1e-2) (default 1e-6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -513,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--prior", type=float, default=0.5)
     sp.add_argument("--truncation", type=int, default=12)
     sp.add_argument("--states", type=float, nargs="+", default=[0.5, 0.5])
-    sp.add_argument("--which", default=None, help="u, v, u_prime or v_prime for paired fixtures")
+    sp.add_argument("--which", default=None, help="u (default), v, u_prime or v_prime for paired fixtures")
     sp.add_argument("-o", "--output", default=None)
     _add_format(sp)
     sp.set_defaults(func=_cmd_catalog)
@@ -557,6 +587,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     except InfoDistError as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -354,24 +354,15 @@ def _ascend_overlap(p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray
     certifies a lower estimate of the maximum.
     """
     k = p.size
-    idx = np.arange(k)
 
     def best_response(weights_const: np.ndarray, weights_var: np.ndarray) -> np.ndarray:
-        # max sum_k min(const_k, w_k x_k) over the simplex in x.  Variables
-        # (y, x); rows y_i <= const_i and y_i - w_i x_i <= 0, interleaved.
-        problem = lp.LpProblem(
-            objective=np.concatenate((np.ones(k), np.zeros(k))),
-            row_idx=np.concatenate((2 * idx, 2 * idx + 1, 2 * idx + 1, np.full(k, 2 * k))),
-            col_idx=np.concatenate((idx, idx, k + idx, k + idx)),
-            coefficients=np.concatenate((np.ones(2 * k), -weights_var, np.ones(k))),
-            row_lower=np.append(np.full(2 * k, -np.inf), 1.0),
-            row_upper=np.append(np.stack((weights_const, np.zeros(k)), axis=1).ravel(), 1.0),
-            col_lower=np.concatenate((np.full(k, -np.inf), np.zeros(k))),
-            col_upper=np.full(2 * k, np.inf),
-            maximize=True,
+        # max sum_k min(const_k, w_k x_k) over the simplex in x, as the
+        # best-response LP z_k <= const_k sum(x), z_k <= w_k x_k.
+        payoff = np.stack(
+            (np.repeat(weights_const[:, np.newaxis], k, axis=1), np.diag(weights_var)), axis=1
         )
-        sol = lp.solve(problem)
-        x = np.clip(sol.primal[k:], 0.0, None)
+        _, x, _ = lp.best_response(payoff, 1)
+        x = np.clip(x, 0.0, None)
         return x / x.sum()
 
     best = _min_overlap_value(p, q, p2, q2)

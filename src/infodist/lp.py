@@ -8,7 +8,8 @@ constraint matrix as (row, column, value) triplets, and
 infinite entries for absent bounds.  ``solve`` sorts the triplets into
 HiGHS's column-wise arrays with numpy (no ``scipy.sparse``) and hands the
 model to HiGHS: each thread reuses one instance, given the options once,
-for every model of up to ``_REUSE_MAX_ENTRIES`` matrix entries.
+for every model.  The residual gates take A.x and A^T.lam as one
+``np.bincount`` each over A's entries.
 The contract the rest of the package relies on:
 
 - ``solve`` is deterministic for identical input (HiGHS, single thread),
@@ -160,19 +161,6 @@ class HighsResult:
 
 _THREAD = threading.local()
 
-# A reused instance keeps the buffers of the largest model it has solved.
-# Reused for every model, it raised catalog-sweep's peak RSS by ~12 MB (its
-# answer checks solve value LPs of up to 2e5 entries).  A model with more
-# entries than this gets an instance of its own, which costs at most a few
-# percent of such a solve.
-_REUSE_MAX_ENTRIES = 5000
-
-
-def _new_highs() -> _highs._Highs:
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    return highs
-
 
 def _thread_highs() -> _highs._Highs:
     """This thread's reused HiGHS instance.
@@ -184,8 +172,9 @@ def _thread_highs() -> _highs._Highs:
     try:
         return _THREAD.highs
     except AttributeError:
-        _THREAD.highs = _new_highs()
-        return _THREAD.highs
+        highs = _THREAD.highs = _highs._Highs()
+        highs.passOptions(_HIGHS_OPTIONS)
+        return highs
 
 
 def linprog(
@@ -219,7 +208,7 @@ def linprog(
     matrix.index_ = index
     matrix.value_ = value
 
-    highs = _thread_highs() if value.size <= _REUSE_MAX_ENTRIES else _new_highs()
+    highs = _thread_highs()
     if highs.passModel(model) == _highs.HighsStatus.kError:
         model_status = _highs.HighsModelStatus.kModelError
     else:
@@ -260,44 +249,6 @@ def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return start, rows, vals
 
 
-# Entries per block of whole columns in ``_products``.
-_BLOCK = 1 << 14
-
-
-def _products(
-    start: np.ndarray, rows: np.ndarray, vals: np.ndarray, x: np.ndarray, lam: np.ndarray, n_rows: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """A.x and A^T.lam from A's column-wise arrays, a block of whole columns
-    at a time.
-
-    Both are ``np.bincount``'s sums over A's entries in column-wise order,
-    bit for bit: the first block's terms x[col] * value are one bincount
-    into A.x and ``np.add.at`` adds each later block's in the same order,
-    and each block's columns are one bincount of its terms lam[row] * value.
-    A block holds about ``_BLOCK`` entries, so the products allocate no
-    entry-sized array.
-    """
-    n_vars = start.size - 1
-    ax = np.zeros(n_rows)
-    at_lam = np.empty(n_vars)
-    j0 = 0
-    while j0 < n_vars:
-        j1 = n_vars
-        if start[-1] - start[j0] > _BLOCK:
-            j1 = max(int(np.searchsorted(start, start[j0] + _BLOCK, side="right")) - 1, j0 + 1)
-        cols = np.arange(j1 - j0).repeat(start[j0 + 1 : j1 + 1] - start[j0:j1])
-        row = rows[start[j0] : start[j1]]
-        val = vals[start[j0] : start[j1]]
-        terms = x[j0:j1][cols] * val
-        if j0 == 0:
-            ax = np.bincount(row, weights=terms, minlength=n_rows)
-        else:
-            np.add.at(ax, row, terms)
-        at_lam[j0:j1] = np.bincount(cols, weights=lam[row] * val, minlength=j1 - j0)
-        j0 = j1
-    return ax, at_lam
-
-
 def _residuals(
     problem: LpProblem,
     start: np.ndarray,
@@ -308,16 +259,16 @@ def _residuals(
 ) -> tuple[float, float, float]:
     """(primal, dual-sign, relative-gap) residuals, minimization orientation.
 
-    A.x and A^T.lam are sums over A's entries, taken in column-wise order
-    block by block (``_products``), so the residuals add no entry-sized
-    array to the rows and values: less than the sort in ``_columnwise``
-    holds.
+    A.x and A^T.lam are one ``np.bincount`` each over the column-wise
+    arrays HiGHS was given, so the gates check the matrix HiGHS solved.
     """
     row_lower, row_upper = problem.row_lower, problem.row_upper
     lower, upper = problem.col_lower, problem.col_upper
     c_min = -problem.objective if problem.maximize else problem.objective
     lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
-    ax, at_lam = _products(start, rows, vals, x, lam, problem.n_rows)
+    cols = np.arange(problem.n_vars).repeat(np.diff(start))
+    ax = np.bincount(rows, weights=x[cols] * vals, minlength=problem.n_rows)
+    at_lam = np.bincount(cols, weights=lam[rows] * vals, minlength=problem.n_vars)
     primal = float(np.maximum(row_lower - ax, ax - row_upper).max(initial=0.0))
     if x.size:
         primal = max(primal, float((lower - x).max()), float((x - upper).max()))

@@ -82,8 +82,9 @@ class PayoffPolygon:
         return point_to_polygon_distance(np.asarray(point, float), self) <= tol
 
 
-def _segment_distance_max_norm(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """min over t in [0,1] of || p - (a + t (b-a)) ||_max.
+def _segment_nearest(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
+    """min over t in [0,1] of || p - (a + t (b-a)) ||_max, and the point
+    a + t (b-a) of the first candidate t attaining it.
 
     The objective is piecewise-linear convex in t; candidates are the ends,
     the per-coordinate zeros, and the crossings |dx(t)| = |dy(t)|.
@@ -99,26 +100,34 @@ def _segment_distance_max_norm(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> f
         denom = s1 * d[0] - s2 * d[1]
         if abs(denom) > ZERO_TOL:
             candidates.append((s1 * r[0] - s2 * r[1]) / denom)
-    best = np.inf
+    best, best_t = np.inf, 0.0
     for t in candidates:
         t = min(max(t, 0.0), 1.0)
         diff = r - t * d
-        best = min(best, max(abs(diff[0]), abs(diff[1])))
-    return float(best)
+        dist = max(abs(diff[0]), abs(diff[1]))
+        if dist < best:
+            best, best_t = dist, t
+    return float(best), a + best_t * d
+
+
+def _nearest(point: np.ndarray, polygon: PayoffPolygon) -> tuple[float, np.ndarray]:
+    """Max-norm distance from a point to a convex polygon (0 inside), and a
+    nearest point of the polygon."""
+    verts = polygon.vertices
+    if len(verts) == 1:
+        return float(np.abs(point - verts[0]).max()), verts[0].copy()
+    if _inside(point, verts):
+        return 0.0, point.copy()
+    m = len(verts)
+    return min(
+        (_segment_nearest(point, verts[i], verts[(i + 1) % m]) for i in range(m)),
+        key=lambda found: found[0],
+    )
 
 
 def point_to_polygon_distance(point: np.ndarray, polygon: PayoffPolygon) -> float:
     """Max-norm distance from a point to a convex polygon (0 inside)."""
-    verts = polygon.vertices
-    if len(verts) == 1:
-        return float(np.abs(point - verts[0]).max())
-    if _inside(point, verts):
-        return 0.0
-    m = len(verts)
-    return min(
-        _segment_distance_max_norm(point, verts[i], verts[(i + 1) % m])
-        for i in range(m)
-    )
+    return _nearest(point, polygon)[0]
 
 
 def _inside(point: np.ndarray, verts: np.ndarray) -> bool:
@@ -312,8 +321,7 @@ def verify_ir_bound(
         region = clip_polygon_to_halfplane(region, i, m_v[i]) if region else None
     if region is None:
         return IrBoundReport(d, np.inf, None, m_u, m_v, False)
-    dist = point_to_polygon_distance(x, region)
-    nearest = _nearest_point(x, region)
+    dist, nearest = _nearest(x, region)
     return IrBoundReport(
         distance=d,
         point_distance=dist,
@@ -322,35 +330,6 @@ def verify_ir_bound(
         minmax_v=m_v,
         passed=dist <= 3.0 * d + DIST_TOL,
     )
-
-
-def _nearest_point(point: np.ndarray, polygon: PayoffPolygon) -> np.ndarray:
-    verts = polygon.vertices
-    if _inside(point, verts):
-        return point.copy()
-    if len(verts) == 1:
-        return verts[0].copy()
-    best, best_point = np.inf, verts[0]
-    m = len(verts)
-    edges = range(m) if m > 2 else range(m - 1)
-    for i in edges:
-        a, b = verts[i], verts[(i + 1) % m]
-        d = b - a
-        candidates = [0.0, 1.0]
-        for k in range(2):
-            if abs(d[k]) > ZERO_TOL:
-                candidates.append((point[k] - a[k]) / d[k])
-        for s1, s2 in ((1, 1), (1, -1)):
-            denom = s1 * d[0] - s2 * d[1]
-            if abs(denom) > ZERO_TOL:
-                candidates.append((s1 * (point[0] - a[0]) - s2 * (point[1] - a[1])) / denom)
-        for t in candidates:
-            t = min(max(t, 0.0), 1.0)
-            y = a + t * d
-            dist = max(abs(point[0] - y[0]), abs(point[1] - y[1]))
-            if dist < best:
-                best, best_point = dist, y
-    return best_point
 
 
 def best_common_payoff(polygon: PayoffPolygon) -> float:

@@ -82,6 +82,10 @@ def test_blackwell_closed_form_validation():
         inf.blackwell_d1_closed_form(1, 1, 0.75)
     with pytest.raises(inf.InvalidParameters):
         inf.blackwell_d1_closed_form(2, 1, 0.4)
+    # The report computes the same gammas, so it rejects the same inputs.
+    for args in ((1, 1, 0.75), (2, 1, 0.4), (2, 1, 0.5), (2.0, 1, 0.75)):
+        with pytest.raises(inf.InvalidParameters):
+            inf.blackwell_conjecture_report(*args)
 
 
 def test_blackwell_conjecture_report_is_report_only():

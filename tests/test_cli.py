@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import infodist as inf
-from infodist.cli import main
+from infodist.cli import _CATALOG_NAMES, main
 
 
 def _run(capsys, *argv):
@@ -46,6 +46,9 @@ def test_value_command_json(capsys, files):
 
 def test_compare_command(capsys, files):
     code, out, _ = _run(capsys, "compare", files["u2"], files["u1"])
+    assert code == 0
+    assert "u>=v" in out
+    code, out, _ = _run(capsys, "compare", files["u2"], files["u1"], "--tolerance", "1e-3", "--budget", "7")
     assert code == 0
     assert "u>=v" in out
 
@@ -153,6 +156,40 @@ def test_catalog_round_trip(capsys, tmp_path):
     assert code == 0
     email = inf.InformationStructure.from_json(out.read_text())
     assert email.shape == (2, 6, 5)
+
+
+@pytest.mark.parametrize("name", _CATALOG_NAMES)
+def test_catalog_command_builds_every_name(capsys, tmp_path, name):
+    out = tmp_path / "structure.json"
+    code, _, err = _run(capsys, "catalog", name, "-o", str(out))
+    assert code == 0, err
+    inf.InformationStructure.from_json(out.read_text())
+
+
+def test_catalog_fixture_members(capsys, tmp_path):
+    out = tmp_path / "structure.json"
+    code, _, _ = _run(capsys, "catalog", "f4-xor", "--which", "v_prime", "-o", str(out))
+    assert code == 0
+    want = inf.counterexample_pairs()["xor_state"]["v_prime"]
+    assert np.array_equal(inf.InformationStructure.from_json(out.read_text()).probs, want.probs)
+    # A member the fixture lacks, or any member but u of a single
+    # structure, is a usage error, and nothing is written.
+    for name, which in (("opponent_correlation", "v_prime"), ("approx-knowledge", "u_prime"), ("u1", "v")):
+        code, _, err = _run(capsys, "catalog", name, "--which", which, "-o", str(tmp_path / which))
+        assert code == 2
+        assert f"no member {which!r}" in err
+        assert not (tmp_path / which).exists()
+
+
+@pytest.mark.parametrize(
+    "option, value",
+    [("--budget", "-3"), ("--budget", "0"), ("--budget", "2.5"), ("--tolerance", "0.5"), ("--tolerance", "0")],
+)
+def test_out_of_range_options_are_usage_errors(capsys, files, option, value):
+    code, out, err = _run(capsys, "compare", files["u2"], files["u1"], option, value)
+    assert code == 2
+    assert out == ""
+    assert f"argument {option}" in err
 
 
 def test_blackwell_table_values_and_determinism(capsys):

@@ -384,6 +384,33 @@ def test_threads_solve_as_one_thread_does():
     assert all(_same(got, want) for got, want in zip(results, expected))
 
 
+def _solve_in_new_thread(problems):
+    """``lp.solve`` on each problem in turn, in one new thread (so on one
+    new HiGHS instance)."""
+    results = []
+    thread = threading.Thread(target=lambda: results.extend(map(lp.solve, problems)), daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    assert len(results) == len(problems)
+    return results
+
+
+def test_reused_instance_solves_any_size_as_a_fresh_one_does():
+    # One instance solves a small gap LP, a gap LP of more than 5000 matrix
+    # entries, then the small one again, and each result is every bit of
+    # that model's solve on an instance of its own.
+    rng = np.random.default_rng(20261020)
+    small = distance._gap_problem(random_structure(rng, 2, 3, 2), random_structure(rng, 2, 2, 3))[0]
+    large = distance._gap_problem(random_structure(rng, 4, 9, 9), random_structure(rng, 4, 9, 9))[0]
+    assert large.coefficients.size > 5000
+    sequence = [small, large, small]
+    fresh = [_solve_in_new_thread([problem])[0] for problem in sequence]
+    reused = _solve_in_new_thread(sequence)
+    assert all(got.status == lp.OPTIMAL for got in fresh)
+    assert all(_same(got, want) for got, want in zip(reused, fresh))
+
+
 def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
     # Column-wise arrays bit for bit as a stable (column, row) lexsort gives
     # them, each run of repeats summed by np.add.reduceat in input order.
@@ -405,25 +432,3 @@ def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
     for name, have, want in zip(("start", "rows", "values"), got, (start, unique[:, 1], sums)):
         assert have.dtype == want.dtype, name
         assert have.tobytes() == want.tobytes(), name
-
-
-@pytest.mark.parametrize("block", [1, 5, 1 << 14])
-def test_block_products_match_bincount(rng, monkeypatch, block):
-    # The residuals' A.x and A^T.lam, a block of whole columns at a time,
-    # bit for bit as one bincount over every entry gives them.  Column 3 is
-    # empty, and a column longer than a block is a block of its own.
-    monkeypatch.setattr(lp, "_BLOCK", block)
-    n_rows, n_vars, size = 7, 9, 400
-    rows = rng.integers(0, n_rows, size)
-    cols = rng.integers(0, n_vars, size)
-    cols[cols == 3] = 4
-    problem = lp.LpProblem(
-        np.zeros(n_vars), rows, cols, rng.normal(size=size),
-        np.full(n_rows, -np.inf), np.ones(n_rows), np.zeros(n_vars), np.ones(n_vars),
-    )
-    start, rows, vals = lp._columnwise(problem)
-    cols = np.repeat(np.arange(n_vars), np.diff(start))
-    x, lam = rng.normal(size=n_vars), rng.normal(size=n_rows)
-    ax, at_lam = lp._products(start, rows, vals, x, lam, n_rows)
-    assert ax.tobytes() == np.bincount(rows, weights=vals * x[cols], minlength=n_rows).tobytes()
-    assert at_lam.tobytes() == np.bincount(cols, weights=vals * lam[rows], minlength=n_vars).tobytes()
