@@ -22,7 +22,7 @@ from . import markov as mk
 from . import payoffs as po
 from . import structures as st
 from .config import BUDGET_ENV_VAR, default_budget
-from .errors import InfoDistError
+from .errors import InfoDistError, InvalidParameters
 
 _FORMATS = ("text", "json", "csv")
 
@@ -114,10 +114,16 @@ def _resolve_seed(args) -> int:
 
 
 def _config(args) -> RunConfig:
+    budget = args.budget
+    if budget is None:
+        try:
+            budget = default_budget()
+        except InvalidParameters as exc:
+            raise _UsageError(str(exc)) from exc
     return RunConfig(
         fmt=getattr(args, "format", "text"),
         seed=getattr(args, "seed", 0) or 0,
-        budget=default_budget() if args.budget is None else args.budget,
+        budget=budget,
         tolerance=1e-6 if args.tolerance is None else args.tolerance,
     )
 

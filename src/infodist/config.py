@@ -15,6 +15,8 @@ masquerades as mathematical signal:
 
 import os
 
+from .errors import InvalidParameters
+
 ZERO_TOL = 1e-12
 NORM_TOL = 1e-9
 LP_TOL = 1e-8
@@ -28,16 +30,19 @@ BUDGET_ENV_VAR = "INFODIST_BUDGET"
 
 
 def default_budget() -> int:
-    """Enumeration budget: ``INFODIST_BUDGET`` env var, else 10**6."""
+    """Enumeration budget: ``INFODIST_BUDGET`` env var, else 10**6.
+
+    Raises ``InvalidParameters`` when the variable is not a positive integer.
+    """
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return _DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError as exc:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise InvalidParameters(f"{BUDGET_ENV_VAR} must be an integer, got {raw!r}") from exc
     if value <= 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
+        raise InvalidParameters(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
 
 

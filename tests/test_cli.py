@@ -264,6 +264,18 @@ def test_budget_env_override(monkeypatch):
         default_budget()
 
 
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_budget_env_is_a_usage_error(capsys, monkeypatch, files, value):
+    monkeypatch.setenv("INFODIST_BUDGET", value)
+    for argv in (["catalog", "u1"], ["compare", files["u2"], files["u1"]]):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "INFODIST_BUDGET" in err
+    # An explicit --budget does not read the variable.
+    assert _run(capsys, "catalog", "u1", "--budget", "5")[0] == 0
+
+
 def test_seeded_markov_output_is_reproducible(capsys):
     code, out1, _ = _run(
         capsys, "markov", "check-e", "-N", "100", "--seed", "3", "--tuples", "5000",

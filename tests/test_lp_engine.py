@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog  # the oracle for lp.solve only
 
-from infodist import distance, games, lp
+from infodist import BlackwellSpec, blackwell_structure, distance, games, lp
 from infodist.config import LP_TOL
 from infodist.errors import ShapeMismatch
 
@@ -171,11 +171,12 @@ def test_value_duality_through_player_swap(rng):
         assert direct == pytest.approx(-mirrored, abs=1e-7)
 
 
-def _linprog_oracle(problem):
-    """``problem`` through ``scipy.optimize.linprog`` at the tolerances
-    ``lp.solve`` gives HiGHS: ``<=`` and sign-flipped ``>=`` rows as A_ub,
-    ``==`` rows as A_eq.  Returns (status, primal, duals, objective), the
-    duals oriented as ``lp.solve`` reports them."""
+def _linprog_oracle(problem, presolve=False):
+    """``problem`` through ``scipy.optimize.linprog`` at the options
+    ``lp.solve`` gives HiGHS (unless ``presolve`` is set): ``<=`` and
+    sign-flipped ``>=`` rows as A_ub, ``==`` rows as A_eq.  Returns
+    (status, primal, duals, objective), the duals oriented as ``lp.solve``
+    reports them."""
     a = sp.csr_matrix(
         (problem.coefficients, (problem.row_idx, problem.col_idx)),
         shape=(problem.n_rows, problem.n_vars),
@@ -194,7 +195,11 @@ def _linprog_oracle(problem):
         b_eq=lower[eq] if eq.size else None,
         bounds=np.column_stack((problem.col_lower, problem.col_upper)),
         method="highs",
-        options={"primal_feasibility_tolerance": LP_TOL / 10, "dual_feasibility_tolerance": LP_TOL / 10},
+        options={
+            "presolve": presolve,
+            "primal_feasibility_tolerance": LP_TOL / 10,
+            "dual_feasibility_tolerance": LP_TOL / 10,
+        },
     )
     status = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[res.status]
     if status != lp.OPTIMAL:
@@ -283,6 +288,22 @@ def test_solve_matches_linprog(monkeypatch):
         assert np.array_equal(sol.primal, primal)
         assert np.array_equal(sol.dual, duals)
         assert sol.objective == objective
+
+
+def test_solve_agrees_with_presolved_linprog(monkeypatch):
+    # lp.solve runs HiGHS without presolve; linprog's default presolve
+    # reaches the same status and, within the gap gate, the same objective,
+    # on the oracle problems and on the degenerate Blackwell gap LPs.
+    problems = _oracle_problems(monkeypatch)
+    for n in range(9, 17):
+        a = blackwell_structure(BlackwellSpec(n + 2, n, 0.75, 0.75))
+        b = blackwell_structure(BlackwellSpec(n, n, 0.75, 0.75))
+        problems += [distance._gap_problem(a, b)[0], distance._gap_problem(b, a)[0]]
+    for problem in problems:
+        sol = lp.solve(problem)
+        status, _, _, objective = _linprog_oracle(problem, presolve=True)
+        assert sol.status == status == lp.OPTIMAL
+        assert abs(sol.objective - objective) <= LP_TOL * (1.0 + abs(objective))
 
 
 @pytest.mark.parametrize(

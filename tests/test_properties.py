@@ -114,6 +114,33 @@ def test_metric_axioms_and_d1_below_d(triple):
 
 
 @st.composite
+def garblings(draw, source):
+    """A random ``Garbling`` from ``source`` signals to 1-5 signals."""
+    rows = draw(hnp.arrays(float, (source, draw(st.integers(1, 5))), elements=_CELL))
+    rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+    return inf.Garbling(rows / rows.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def garbled_structures(draw):
+    """A structure u and a garbling of each player's signals."""
+    u = inf.validate_structure(draw(raw_pairs(count=1))[0])
+    return u, draw(garblings(u.signals1_count)), draw(garblings(u.signals2_count))
+
+
+@given(garbled_structures())
+def test_garbling_a_player_moves_down_the_order(case):
+    # Garbling player 1's signals leaves a structure player 1 values no
+    # more; garbling player 2's leaves one player 1 values no less.
+    u, q1, q2 = case
+    v = inf.garble(u, inf.PLAYER1, q1)
+    assert inf.one_sided_gap(u, v).gap <= DIST_TOL
+    assert inf.is_better(u, v)[0]
+    w = inf.garble(u, inf.PLAYER2, q2)
+    assert inf.one_sided_gap(w, u).gap <= DIST_TOL
+
+
+@st.composite
 def experiment_counts(draw):
     """n > l >= 0 repeated experiments."""
     n = draw(st.integers(1, 6))
