@@ -27,11 +27,16 @@ WITNESS_TOL of the LP gap.
 
 Calls on the same pair of structure objects share one gap solve:
 ``one_sided_gap``, ``value_distance``, ``witness_game`` and ``is_better``
-read the last few (u, v) solves from a small LRU memo.  The memo is keyed
-on object identity, not content.  A structure's tensor is read-only, so the
-same pair of objects always has the same gap, and comparing identities
-costs nothing where hashing the tensors would read both on every call.  A
-structure rebuilt from the same tensor is solved afresh.
+read the last few (u, v) solves from a small LRU memo.  An entry holds the
+LP solution, its layout and the ``GapCertificate``, which the first
+``one_sided_gap`` call builds and every later one returns.
+``value_distance`` reads the objective alone and builds no garbling.  The
+memo is keyed on object identity, not content.  A structure's tensor is
+read-only, so the same pair of objects always has the same gap, and
+comparing identities costs nothing where hashing the tensors would read
+both on every call.  A structure rebuilt from the same tensor is solved
+afresh.  Apart from the memo, the gap LP's index arrays and bounds are
+built once per shape (see ``_gap_pattern``).
 """
 
 from __future__ import annotations
@@ -128,6 +133,47 @@ def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return live, masses[live]
 
 
+@functools.lru_cache(maxsize=256)
+def _gap_pattern(n_k: int, n1: int, l1: int, n2: int, l2: int):
+    """The gap LP's triplet indices and bounds for every cell, by shape.
+
+    Returns ``(rows, cols, tail, row_lower, row_upper, col_lower,
+    col_upper)``: one (row, column) per cell of u's beliefs (K, n1, l2) in
+    C order, each repeated over e, then one per cell of v's beliefs
+    (K, l1, n2), each repeated over f, then the ``tail`` entries -a_c and
+    +b_d, whose coefficients ``tail`` holds.  ``_gap_problem`` keeps the
+    cells of positive belief, so the pattern depends on the shape alone.
+    Every array is shared by all calls on the shape, so none is writable.
+    """
+    n_cells = n_k * l1 * l2
+    n_q1 = n1 * l1
+    k, c, f = np.indices((n_k, n1, l2)).reshape(3, -1)
+    e = np.arange(l1)
+    u_rows = (c[:, None] * l1 + e).ravel()
+    u_cols = ((k[:, None] * l1 + e) * l2 + f[:, None]).ravel()
+    k, e, d = np.indices((n_k, l1, n2)).reshape(3, -1)
+    f = np.arange(l2)
+    v_rows = (n_q1 + d[:, None] * l2 + f).ravel()
+    v_cols = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
+
+    # -a_c in every (c,e) row, +b_d in every (d,f) row.
+    ce = np.arange(n_q1)
+    df = np.arange(n2 * l2)
+    n_rows = n_q1 + df.size
+    arrays = (
+        np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
+        np.concatenate((u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)),
+        np.concatenate((-np.ones(n_q1), np.ones(df.size))),
+        np.full(n_rows, -np.inf),
+        np.zeros(n_rows),
+        np.concatenate((np.full(n_cells, -1.0), np.full(n1 + n2, -np.inf))),
+        np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def _gap_problem(u: InformationStructure, v: InformationStructure):
     """Game-space LP for sup_g (val(v,g) - val(u,g)), scaled by signal mass:
 
@@ -150,6 +196,10 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     for the j-th live d, n1 = len(live1).  The primal g is the witness game;
     the row duals sum to m_c (resp. n_d) per block, so q1(c,e) is the
     (c,e) row dual over m_c and q2(d,f) the (d,f) row dual over n_d.
+
+    The index arrays and bounds come from ``_gap_pattern`` for the shape;
+    each call keeps one triplet per positive belief of u (resp. v) and per
+    e (resp. f), in ``np.nonzero`` order.
     """
     if u.state_count != v.state_count:
         raise ShapeMismatch(
@@ -160,39 +210,24 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     l2 = u.signals2_count
     live1, mass1 = _live_signals(u.probs.sum(axis=(0, 2)))
     live2, mass2 = _live_signals(v.probs.sum(axis=(0, 1)))
-    n1, n2 = live1.size, live2.size
-    n_cells = n_k * l1 * l2
-    n_q1 = n1 * l1
-
-    # One triplet per positive belief of u (resp. v) and per e (resp. f).
-    beliefs = u.probs[:, live1, :] / mass1[:, None]
-    k, c, f = np.nonzero(beliefs > 0.0)
-    e = np.arange(l1)
-    u_rows = (c[:, None] * l1 + e).ravel()
-    u_cols = ((k[:, None] * l1 + e) * l2 + f[:, None]).ravel()
-    u_vals = np.repeat(beliefs[k, c, f], l1)
-    beliefs = v.probs[:, :, live2] / mass2
-    k, e, d = np.nonzero(beliefs > 0.0)
-    f = np.arange(l2)
-    v_rows = (n_q1 + d[:, None] * l2 + f).ravel()
-    v_cols = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
-    v_vals = np.repeat(-beliefs[k, e, d], l2)
-
-    # -a_c in every (c,e) row, +b_d in every (d,f) row.
-    ce = np.arange(n_q1)
-    df = np.arange(n2 * l2)
-    n_rows = n_q1 + df.size
+    rows, cols, tail, row_lower, row_upper, col_lower, col_upper = _gap_pattern(
+        n_k, live1.size, l1, live2.size, l2
+    )
+    u_beliefs = (u.probs[:, live1, :] / mass1[:, None]).ravel()
+    v_beliefs = (v.probs[:, :, live2] / mass2).ravel()
+    keep = np.concatenate(
+        (np.repeat(u_beliefs > 0.0, l1), np.repeat(v_beliefs > 0.0, l2), np.ones(tail.size, bool))
+    )
+    values = np.concatenate((np.repeat(u_beliefs, l1), np.repeat(-v_beliefs, l2), tail))
     problem = lp.LpProblem(
-        objective=np.concatenate((np.zeros(n_cells), -mass1, mass2)),
-        row_idx=np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
-        col_idx=np.concatenate(
-            (u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)
-        ),
-        coefficients=np.concatenate((u_vals, v_vals, -np.ones(n_q1), np.ones(df.size))),
-        row_lower=np.full(n_rows, -np.inf),
-        row_upper=np.zeros(n_rows),
-        col_lower=np.concatenate((np.full(n_cells, -1.0), np.full(n1 + n2, -np.inf))),
-        col_upper=np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
+        objective=np.concatenate((np.zeros(n_k * l1 * l2), -mass1, mass2)),
+        row_idx=rows[keep],
+        col_idx=cols[keep],
+        coefficients=values[keep],
+        row_lower=row_lower,
+        row_upper=row_upper,
+        col_lower=col_lower,
+        col_upper=col_upper,
         maximize=True,
     )
     return problem, _GapLayout((n_k, l1, l2), live1, mass1, live2, mass2)
@@ -216,8 +251,23 @@ class _Same:
         return self.obj is other.obj
 
 
+@dataclass
+class _GapSolve:
+    """One memoised gap solve: the LP solution, its layout, and the
+    certificate, which ``one_sided_gap`` builds on its first call and every
+    later call returns."""
+
+    solution: lp.LpSolution
+    layout: _GapLayout
+    certificate: GapCertificate | None = None
+
+    @property
+    def gap(self) -> float:
+        return max(self.solution.objective, 0.0)
+
+
 @functools.lru_cache(maxsize=4)
-def _solve_gap_of(u_key: _Same, v_key: _Same):
+def _solve_gap_of(u_key: _Same, v_key: _Same) -> _GapSolve:
     problem, layout = _gap_problem(u_key.obj, v_key.obj)
     sol = lp.solve(problem)
     if sol.status != lp.OPTIMAL:
@@ -225,11 +275,11 @@ def _solve_gap_of(u_key: _Same, v_key: _Same):
     # Every caller gets this same solution, so none may write into it.
     sol.primal.setflags(write=False)
     sol.dual.setflags(write=False)
-    return sol, layout
+    return _GapSolve(sol, layout)
 
 
-def _solve_gap(u, v):
-    """The (u, v) gap LP's solution, shared by calls on the same objects.
+def _solve_gap(u, v) -> _GapSolve:
+    """The (u, v) gap LP's solve, shared by calls on the same objects.
 
     A raised NumericalFailure is not cached: the next call solves again.
     Neither is a solve whose witness fails its bracket in ``witness_game``.
@@ -255,21 +305,27 @@ def one_sided_gap(
     The garblings are the row duals of the game-space gap LP over the
     signal masses; each row sums to 1 by stationarity in a and b, up to the
     LP's dual gate.  q1 maps u's player-1 signals to v's, q2 maps v's
-    player-2 signals to u's.
+    player-2 signals to u's.  Calls on the same (u, v) objects return the
+    same certificate object, built once per solve.
     """
-    sol, layout = _solve_gap(u, v)
-    n_q1 = layout.live1.size * layout.shape[1]
-    return GapCertificate(
-        gap=max(sol.objective, 0.0),
-        q1=_garbling(sol.dual[:n_q1], layout.live1, layout.mass1, u.signals1_count),
-        q2=_garbling(sol.dual[n_q1:], layout.live2, layout.mass2, v.signals2_count),
-        direction="sup_g val(v,g)-val(u,g)",
-    )
+    solve = _solve_gap(u, v)
+    if solve.certificate is None:
+        sol, layout = solve.solution, solve.layout
+        n_q1 = layout.live1.size * layout.shape[1]
+        solve.certificate = GapCertificate(
+            gap=solve.gap,
+            q1=_garbling(sol.dual[:n_q1], layout.live1, layout.mass1, u.signals1_count),
+            q2=_garbling(sol.dual[n_q1:], layout.live2, layout.mass2, v.signals2_count),
+            direction="sup_g val(v,g)-val(u,g)",
+        )
+    return solve.certificate
 
 
 def value_distance(u: InformationStructure, v: InformationStructure) -> float:
-    """max of the two one-sided gaps; pseudo-metric value in [0, 2]."""
-    return max(one_sided_gap(u, v).gap, one_sided_gap(v, u).gap)
+    """max of the two one-sided gaps; pseudo-metric value in [0, 2].
+
+    Reads the two gap solves' objectives and builds no garbling."""
+    return max(_solve_gap(u, v).gap, _solve_gap(v, u).gap)
 
 
 def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGame:
@@ -291,10 +347,10 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     target farther than WITNESS_TOL from either end means the witness
     misses the target or the target misses the supremum, and this raises.
     """
-    sol, layout = _solve_gap(u, v)
-    target = max(sol.objective, 0.0)
-    n_k, l1, l2 = layout.shape
-    g = sol.primal[: n_k * l1 * l2].reshape(layout.shape)
+    solve = _solve_gap(u, v)
+    target = solve.gap
+    n_k, l1, l2 = solve.layout.shape
+    g = solve.solution.primal[: n_k * l1 * l2].reshape(solve.layout.shape)
     game = ZeroSumGame(np.clip(g, -1.0, 1.0))
     lower = guarantee(v, game, Garbling.identity(l1), PLAYER1) - guarantee(
         u, game, Garbling.identity(l2), PLAYER2

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .config import NORM_TOL, VALUE_TOL, ZERO_TOL, resolve_budget
-from .errors import BudgetExceeded, NotNormalized, NumericalFailure, ShapeMismatch
+from .config import NORM_TOL, ZERO_TOL, resolve_budget
+from .errors import BudgetExceeded, NotNormalized, ShapeMismatch
 from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2
 
 
@@ -299,12 +299,3 @@ def value_normal_form(
         a += coeff[c, rules1[:, c], :, :].transpose(1, 2, 0)
     return lp.best_response(a, 1)[0]
 
-
-def assert_optimal(u: InformationStructure, g: ZeroSumGame, result: ValueResult) -> None:
-    """Sanity gate: both returned strategies guarantee the value within 1e-7."""
-    low = guarantee(u, g, result.strategy1, PLAYER1)
-    high = guarantee(u, g, result.strategy2, PLAYER2)
-    if low < result.value - VALUE_TOL or high > result.value + VALUE_TOL:
-        raise NumericalFailure(
-            f"strategies miss the value: {low:.9f} <= {result.value:.9f} <= {high:.9f}"
-        )

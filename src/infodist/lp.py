@@ -6,10 +6,11 @@ private scipy import; scipy >= 1.17).  A problem is plain arrays: the
 constraint matrix as (row, column, value) triplets, and
 ``row_lower <= A.x <= row_upper``, ``col_lower <= x <= col_upper`` with
 infinite entries for absent bounds.  ``solve`` sorts the triplets into
-HiGHS's column-wise arrays with numpy (no ``scipy.sparse``) and hands the
-model to HiGHS: each thread reuses one instance, given the options once,
-for every model.  HiGHS runs dual simplex without presolve, a fixed pass
-per solve that these small LPs do not need.  The residual gates take A.x
+HiGHS's column-wise arrays with numpy (no ``scipy.sparse``) and hands
+those arrays to the binding's flat ``passModel``, with no ``HighsLp``
+object in between: each thread reuses one instance, given the options
+once, for every model.  HiGHS runs dual simplex without presolve, a fixed
+pass per solve that these small LPs do not need.  The residual gates take A.x
 and A^T.lam as one ``np.bincount`` each over A's entries.
 The contract the rest of the package relies on:
 
@@ -197,23 +198,25 @@ def linprog(
     reads its ``nit``.
     """
     start, index, value = a
-    n_rows, n_cols = row_bounds[0].size, cost.size
-    model = _highs.HighsLp()
-    model.num_col_ = n_cols
-    model.num_row_ = n_rows
-    model.col_cost_ = cost
-    model.col_lower_, model.col_upper_ = col_bounds
-    model.row_lower_, model.row_upper_ = row_bounds
-    matrix = model.a_matrix_
-    matrix.format_ = _highs.MatrixFormat.kColwise
-    matrix.num_col_ = n_cols
-    matrix.num_row_ = n_rows
-    matrix.start_ = start
-    matrix.index_ = index
-    matrix.value_ = value
-
+    n_cols = cost.size
     highs = _thread_highs()
-    if highs.passModel(model) == _highs.HighsStatus.kError:
+    passed = highs.passModel(
+        n_cols,
+        row_bounds[0].size,
+        value.size,
+        _highs.MatrixFormat.kColwise,
+        _highs.ObjSense.kMinimize,
+        0.0,
+        cost,
+        *col_bounds,
+        *row_bounds,
+        start[:-1].astype(np.int32),
+        index.astype(np.int32),
+        value,
+        # All columns continuous; HiGHS rejects an empty integrality array.
+        np.zeros(n_cols, dtype=np.int32),
+    )
+    if passed == _highs.HighsStatus.kError:
         model_status = _highs.HighsModelStatus.kModelError
     else:
         highs.run()

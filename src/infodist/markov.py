@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import resolve_budget
 from .errors import BudgetExceeded, InvalidParameters, InvalidSymbol
-from .games import ZeroSumGame, guarantee as game_guarantee
+from .games import ZeroSumGame
 from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2, validate_structure
 
 NICE = "nice"
@@ -797,16 +797,3 @@ def truthful_guarantee(
         upper += best
     return TruthfulGuarantee(lower=lower, upper=upper)
 
-
-def truthful_guarantee_dense(
-    world: MarkovWorld, l: int, p: int, budget: int | None = None
-) -> TruthfulGuarantee:
-    """Same quantities through the generic guarantee() on dense tensors;
-    cross-checks the atom-based path at small N."""
-    u = chain_structure(world, l, budget)
-    g = revelation_game(world, p, budget)
-    lower = None
-    if p <= l:
-        lower = game_guarantee(u, g, truthful_strategy(world, l, p, PLAYER1), PLAYER1)
-    upper = game_guarantee(u, g, truthful_strategy(world, l, p, PLAYER2), PLAYER2)
-    return TruthfulGuarantee(lower=lower, upper=upper)

@@ -1,5 +1,12 @@
-"""Reference for ``infodist.distance``'s gap LP: the plain LP on the common
-embedding, as the library built it before the LP was trimmed and scaled.
+"""References for ``infodist.distance``'s gap LP.
+
+``triplet_gap_problem`` builds the library's trimmed, scaled gap LP from the
+structures' nonzero beliefs, one call at a time, as the library did before
+it cached the index arrays per shape; ``_gap_problem`` must match it bit
+for bit.
+
+``plain_gap`` solves the plain LP on the common embedding, as the library
+built it before the LP was trimmed and scaled.
 
 The actions range over L1 = max of the player-1 signal counts and L2 = max
 of the player-2 signal counts, every signal keeps its rows, and the rows
@@ -18,6 +25,59 @@ must be this one.
 import numpy as np
 
 from infodist import InformationStructure, lp
+from infodist.config import ZERO_TOL
+
+
+def _live_signals(masses):
+    live = np.flatnonzero(masses > ZERO_TOL)
+    return live, masses[live]
+
+
+def triplet_gap_problem(u: InformationStructure, v: InformationStructure):
+    """``distance._gap_problem(u, v)`` built from ``np.nonzero`` of the
+    beliefs.  Returns the problem and the layout tuple (shape, live1,
+    mass1, live2, mass2)."""
+    n_k = u.state_count
+    l1 = v.signals1_count
+    l2 = u.signals2_count
+    live1, mass1 = _live_signals(u.probs.sum(axis=(0, 2)))
+    live2, mass2 = _live_signals(v.probs.sum(axis=(0, 1)))
+    n1, n2 = live1.size, live2.size
+    n_cells = n_k * l1 * l2
+    n_q1 = n1 * l1
+
+    # One triplet per positive belief of u (resp. v) and per e (resp. f).
+    beliefs = u.probs[:, live1, :] / mass1[:, None]
+    k, c, f = np.nonzero(beliefs > 0.0)
+    e = np.arange(l1)
+    u_rows = (c[:, None] * l1 + e).ravel()
+    u_cols = ((k[:, None] * l1 + e) * l2 + f[:, None]).ravel()
+    u_vals = np.repeat(beliefs[k, c, f], l1)
+    beliefs = v.probs[:, :, live2] / mass2
+    k, e, d = np.nonzero(beliefs > 0.0)
+    f = np.arange(l2)
+    v_rows = (n_q1 + d[:, None] * l2 + f).ravel()
+    v_cols = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
+    v_vals = np.repeat(-beliefs[k, e, d], l2)
+
+    # -a_c in every (c,e) row, +b_d in every (d,f) row.
+    ce = np.arange(n_q1)
+    df = np.arange(n2 * l2)
+    n_rows = n_q1 + df.size
+    problem = lp.LpProblem(
+        objective=np.concatenate((np.zeros(n_cells), -mass1, mass2)),
+        row_idx=np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
+        col_idx=np.concatenate(
+            (u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)
+        ),
+        coefficients=np.concatenate((u_vals, v_vals, -np.ones(n_q1), np.ones(df.size))),
+        row_lower=np.full(n_rows, -np.inf),
+        row_upper=np.zeros(n_rows),
+        col_lower=np.concatenate((np.full(n_cells, -1.0), np.full(n1 + n2, -np.inf))),
+        col_upper=np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
+        maximize=True,
+    )
+    return problem, ((n_k, l1, l2), live1, mass1, live2, mass2)
 
 
 def plain_gap(u: InformationStructure, v: InformationStructure) -> float:

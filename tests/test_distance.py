@@ -6,11 +6,13 @@ import pytest
 import infodist as inf
 from infodist import PLAYER1, PLAYER2, lp
 from infodist.config import DIST_TOL, WITNESS_TOL
-from infodist.distance import _gap_problem, _solve_gap
+from infodist.config import ZERO_TOL
+from infodist.distance import _gap_pattern, _gap_problem, _solve_gap
 from infodist.errors import NumericalFailure
 from infodist.games import guarantee
 from infodist.structures import common_embedding
 
+import gap_oracle
 from conftest import random_ci_structure, random_garbling, random_structure
 
 
@@ -91,7 +93,7 @@ def test_calls_on_the_same_pair_share_one_gap_solve(rng, solve_rows):
     v = random_structure(rng, 2, 3, 2)
     d = inf.value_distance(u, v)
     inf.witness_game(u, v)
-    ok, _ = inf.is_better(u, v)
+    ok, better_cert = inf.is_better(u, v)
     cert = inf.one_sided_gap(u, v)
     # (c,e) rows for u's player-1 signals x v's, then (d,f) rows for v's
     # player-2 signals x u's.
@@ -101,9 +103,38 @@ def test_calls_on_the_same_pair_share_one_gap_solve(rng, solve_rows):
     assert ok == (cert.gap <= DIST_TOL)
     assert d >= cert.gap
     # Every caller shares the cached solution, so it is read-only.
-    sol, _ = _solve_gap(u, v)
+    sol = _solve_gap(u, v).solution
     assert not sol.primal.flags.writeable and not sol.dual.flags.writeable
+    # The certificate is built once per solve and shared the same way.
+    assert inf.one_sided_gap(u, v) is cert
+    assert better_cert is (cert if ok else None)
     assert len(solve_rows) == 2
+
+
+def test_distances_build_no_garbling(rng, monkeypatch, solve_rows):
+    # value_distance and single_agent_distance read the memoised gaps only;
+    # the garblings are built when a certificate is asked for, once.
+    built = []
+    post_init = inf.Garbling.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(inf.Garbling, "__post_init__", counting_post_init)
+    u = random_structure(rng, 2, 3, 3, zeros=0.2)
+    v = random_structure(rng, 2, 3, 2, zeros=0.2)
+    d = inf.value_distance(u, v)
+    d1 = inf.single_agent_distance(u, v)
+    assert built == []
+    assert len(solve_rows) == 4
+    cert = inf.one_sided_gap(u, v)
+    back = inf.one_sided_gap(v, u)
+    assert len(built) == 4
+    assert inf.one_sided_gap(u, v) is cert and inf.one_sided_gap(v, u) is back
+    assert len(built) == 4 and len(solve_rows) == 4
+    assert d == max(cert.gap, back.gap)
+    assert d1 <= d + DIST_TOL
 
 
 def test_gap_memo_is_keyed_on_identity(rng, solve_rows):
@@ -220,6 +251,82 @@ def test_gap_lp_row_layout():
     assert np.array_equal(cert.q1.rows[1], [0.5, 0.5])
     assert np.array_equal(cert.q2.rows[2], [0.5, 0.5])
     assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
+
+
+def _same_array(have, want):
+    return have.dtype == want.dtype and have.shape == want.shape and have.tobytes() == want.tobytes()
+
+
+def _with_light_signal(rng, probs, axis):
+    """``probs`` with one signal on ``axis`` (1 or 2) of mass <= ZERO_TOL."""
+    probs = probs.copy()
+    index = [slice(None)] * 3
+    index[axis] = int(rng.integers(probs.shape[axis]))
+    probs[tuple(index)] = 0.0
+    cell = [0, 0, 0]
+    cell[axis] = index[axis]
+    probs[tuple(cell)] = ZERO_TOL / 4
+    return probs
+
+
+def test_gap_problem_matches_the_triplet_reference():
+    # The per-shape pattern keeps the triplets of positive beliefs in
+    # np.nonzero order, so every array is the reference's bit for bit.
+    rng = np.random.default_rng(20261021)
+    pairs = []
+    for _ in range(60):
+        n_k = int(rng.integers(1, 4))
+        zeros = float(rng.choice([0.0, 0.3, 0.6]))
+        raw = [rng.random((n_k, *rng.integers(1, 5, 2))) for _ in range(2)]
+        for probs in raw:
+            probs[rng.random(probs.shape) < zeros] = 0.0
+            probs.flat[0] += 0.1  # no all-zero tensor
+            for axis in (1, 2):
+                if probs.shape[axis] > 1 and rng.random() < 0.3:
+                    probs[:] = _with_light_signal(rng, probs, axis)
+        pairs.append(tuple(inf.validate_structure(p / p.sum()) for p in raw))
+    # One shape, two zero patterns: the second call reuses the first's
+    # pattern, and must keep its own cells.
+    dense = rng.random((3, 3, 2)) + 0.1
+    other = rng.random((3, 2, 3)) + 0.1
+    for cell in ((0, 1, 0), (2, 0, 1)):
+        probs = dense.copy()
+        probs[cell] = 0.0
+        pairs.append(
+            (inf.validate_structure(probs / probs.sum()), inf.validate_structure(other / other.sum()))
+        )
+    hits = _gap_pattern.cache_info().hits
+
+    for u, v in pairs:
+        for a, b in ((u, v), (v, u)):
+            problem, layout = _gap_problem(a, b)
+            want, want_layout = gap_oracle.triplet_gap_problem(a, b)
+            for name in (
+                "objective", "row_idx", "col_idx", "coefficients",
+                "row_lower", "row_upper", "col_lower", "col_upper",
+            ):
+                assert _same_array(getattr(problem, name), getattr(want, name)), name
+            assert problem.maximize == want.maximize
+            assert layout.shape == want_layout[0]
+            assert all(_same_array(x, y) for x, y in zip(layout[1:], want_layout[1:]))
+    assert _gap_pattern.cache_info().hits > hits
+    # Light signals and one-signal players occur among the pairs.
+    structures = [p for pair in pairs for p in pair]
+    assert any(
+        min(p.probs.sum(axis=(0, 2)).min(), p.probs.sum(axis=(0, 1)).min()) <= ZERO_TOL
+        for p in structures
+    )
+    assert any(min(p.probs.shape[1:]) == 1 for p in structures)
+
+    # The cached pattern is shared by every call on its shape, so it is
+    # read-only.
+    u, v = pairs[-1]
+    problem, _ = _gap_problem(u, v)
+    pattern = _gap_pattern(3, 3, 2, 3, 2)
+    assert problem.row_lower is pattern[3]
+    assert not any(array.flags.writeable for array in pattern)
+    with pytest.raises(ValueError):
+        pattern[0][0] = 0
 
 
 def test_certificate_meets_witness_lower_bound(rng):

@@ -3,7 +3,8 @@ import pytest
 
 import infodist as inf
 from infodist import PLAYER1, PLAYER2
-from infodist.games import assert_optimal
+from infodist.config import VALUE_TOL
+from infodist.games import guarantee
 from infodist.lp import solve_matrix_game
 
 from conftest import random_game, random_garbling, random_structure
@@ -35,6 +36,15 @@ def test_no_information_reduces_to_average_matrix_game(rng):
         averaged = np.einsum("k,kij->ij", pk, g.payoffs)
         expected, _, _ = solve_matrix_game(averaged)
         assert inf.value(u, g).value == pytest.approx(expected, abs=1e-7)
+
+
+def assert_optimal(u, g, result):
+    """Both returned strategies guarantee the value within VALUE_TOL."""
+    low = guarantee(u, g, result.strategy1, PLAYER1)
+    high = guarantee(u, g, result.strategy2, PLAYER2)
+    assert low >= result.value - VALUE_TOL and high <= result.value + VALUE_TOL, (
+        f"strategies miss the value: {low:.9f} <= {result.value:.9f} <= {high:.9f}"
+    )
 
 
 def test_strategies_are_optimal(rng):

@@ -4,7 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import infodist as inf
-from infodist import markov
+from infodist import PLAYER1, PLAYER2, markov
+from infodist.games import guarantee
 from infodist.markov import NICE, NOT_NICE_P1, NOT_NICE_P2
 
 
@@ -241,10 +242,22 @@ def test_mixing_ratios_match_brute_force_conditionals(world4):
             assert brute == pytest.approx(ratio, abs=1e-12)
 
 
+def truthful_guarantee_dense(world, l, p):
+    """``truthful_guarantee``'s quantities through the generic
+    ``guarantee()`` on the dense chain structure and revelation game."""
+    u = inf.chain_structure(world, l)
+    g = inf.revelation_game(world, p)
+    lower = None
+    if p <= l:
+        lower = guarantee(u, g, markov.truthful_strategy(world, l, p, PLAYER1), PLAYER1)
+    upper = guarantee(u, g, markov.truthful_strategy(world, l, p, PLAYER2), PLAYER2)
+    return markov.TruthfulGuarantee(lower=lower, upper=upper)
+
+
 def test_truthful_guarantee_matches_dense(world4):
     for l, p in [(1, 1), (2, 1), (2, 2), (1, 2), (2, 3)]:
         fast = inf.truthful_guarantee(world4, l, p)
-        dense = markov.truthful_guarantee_dense(world4, l, p)
+        dense = truthful_guarantee_dense(world4, l, p)
         if fast.lower is not None:
             assert fast.lower == pytest.approx(dense.lower, abs=1e-12)
         assert fast.upper == pytest.approx(dense.upper, abs=1e-12)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.optimize import linprog  # the oracle for lp.solve only
+from scipy.optimize._highspy import _core as _highs
 
 from infodist import BlackwellSpec, blackwell_structure, distance, games, lp
 from infodist.config import LP_TOL
@@ -430,6 +431,67 @@ def test_reused_instance_solves_any_size_as_a_fresh_one_does():
     reused = _solve_in_new_thread(sequence)
     assert all(got.status == lp.OPTIMAL for got in fresh)
     assert all(_same(got, want) for got, want in zip(reused, fresh))
+
+
+def _linprog_through_highs_lp(cost, a, row_bounds, col_bounds):
+    """``lp.linprog`` with the model handed to a fresh HiGHS instance as a
+    ``HighsLp`` object, filled field by field."""
+    start, index, value = a
+    n_rows, n_cols = row_bounds[0].size, cost.size
+    model = _highs.HighsLp()
+    model.num_col_ = n_cols
+    model.num_row_ = n_rows
+    model.col_cost_ = cost
+    model.col_lower_, model.col_upper_ = col_bounds
+    model.row_lower_, model.row_upper_ = row_bounds
+    matrix = model.a_matrix_
+    matrix.format_ = _highs.MatrixFormat.kColwise
+    matrix.num_col_ = n_cols
+    matrix.num_row_ = n_rows
+    matrix.start_ = start
+    matrix.index_ = index
+    matrix.value_ = value
+    highs = _highs._Highs()
+    highs.passOptions(lp._HIGHS_OPTIONS)
+    assert highs.passModel(model) != _highs.HighsStatus.kError
+    highs.run()
+    model_status = highs.getModelStatus()
+    info = highs.getInfo()
+    nit = max(info.simplex_iteration_count, 0) + max(info.ipm_iteration_count, 0)
+    status = lp._STATUS.get(model_status) or highs.modelStatusToString(model_status)
+    if status != lp.OPTIMAL:
+        return lp.HighsResult(status, np.zeros(0), np.zeros(0), nit)
+    solution = highs.getSolution()
+    return lp.HighsResult(status, np.array(solution.col_value), np.array(solution.row_dual), nit)
+
+
+def test_flat_model_solves_as_a_highs_lp_object_does(monkeypatch):
+    # linprog passes the column-wise arrays straight to passModel; HiGHS
+    # gets the same model as from a HighsLp object and solves it the same.
+    rng = np.random.default_rng(20261022)
+    large = distance._gap_problem(random_structure(rng, 4, 9, 9), random_structure(rng, 4, 9, 9))[0]
+    assert large.coefficients.size > 5000
+    problems = _oracle_problems(monkeypatch) + [
+        large,
+        _one_variable_problem(0.0, [(1.0, -1.0)], maximize=False),
+        _one_variable_problem(1.0, [], maximize=True),
+    ]
+    statuses = set()
+    for problem in problems:
+        args = (
+            -problem.objective if problem.maximize else problem.objective,
+            lp._columnwise(problem),
+            (problem.row_lower, problem.row_upper),
+            (problem.col_lower, problem.col_upper),
+        )
+        got = lp.linprog(*args)
+        want = _linprog_through_highs_lp(*args)
+        assert got.status == want.status
+        assert got.x.tobytes() == want.x.tobytes()
+        assert got.row_dual.tobytes() == want.row_dual.tobytes()
+        assert got.nit == want.nit
+        statuses.add(got.status)
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
 
 def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
