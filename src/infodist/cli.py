@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,15 +25,8 @@ from .errors import InfoDistError, InvalidParameters
 
 _FORMATS = ("text", "json", "csv")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The options every command takes, validated by the parser."""
-
-    fmt: str = "text"
-    seed: int = 0
-    budget: int = 1_000_000
-    tolerance: float = 1e-6
+_Table = tuple[list[str], list[list]]
+_Output = tuple[dict, _Table | None]  # what each command returns for main() to emit
 
 
 class _UsageError(Exception):
@@ -45,30 +37,23 @@ def _fmt_num(x) -> str:
     return "%.12g" % float(x)
 
 
-def _emit(config: RunConfig, payload: dict, table: tuple[list[str], list[list]] | None = None):
-    if config.fmt == "json":
+def _emit(fmt: str, payload: dict, table: _Table | None):
+    if fmt == "json":
         print(json.dumps(payload, sort_keys=True))
         return
-    if config.fmt == "csv":
-        headers, rows = table if table is not None else (
-            list(payload.keys()),
-            [list(payload.values())],
-        )
-        print(",".join(headers))
-        for row in rows:
-            print(",".join(_fmt_num(v) if isinstance(v, (int, float)) else str(v) for v in row))
-        return
-    if table is not None:
-        headers, rows = table
-        print("  ".join(headers))
-        for row in rows:
-            print("  ".join(_fmt_num(v) if isinstance(v, (int, float)) else str(v) for v in row))
-    else:
+    if fmt == "text" and table is None:
         if len(payload) == 1:
             print(_format_value(next(iter(payload.values()))))
         else:
             for key, value in payload.items():
                 print(f"{key}: {_format_value(value)}")
+        return
+    # A table; csv without one prints the payload as a one-row table.
+    headers, rows = table if table is not None else (list(payload), [list(payload.values())])
+    sep = "," if fmt == "csv" else "  "
+    print(sep.join(headers))
+    for row in rows:
+        print(sep.join(_fmt_num(v) if isinstance(v, (int, float)) else str(v) for v in row))
 
 
 def _format_value(v) -> str:
@@ -107,34 +92,29 @@ def _load_state_vector(path: str) -> dist.StateDistribution:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is None:
+    if args.seed is None:
         print("no --seed given; defaulting to seed 0", file=sys.stderr)
         return 0
     return args.seed
 
 
-def _config(args) -> RunConfig:
-    budget = args.budget
-    if budget is None:
-        try:
-            budget = default_budget()
-        except InvalidParameters as exc:
-            raise _UsageError(str(exc)) from exc
-    return RunConfig(
-        fmt=getattr(args, "format", "text"),
-        seed=getattr(args, "seed", 0) or 0,
-        budget=budget,
-        tolerance=1e-6 if args.tolerance is None else args.tolerance,
-    )
+def _resolve_budget(args) -> int:
+    """--budget, else INFODIST_BUDGET, else 10^6; a bad variable is a usage error."""
+    if args.budget is not None:
+        return args.budget
+    try:
+        return default_budget()
+    except InvalidParameters as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations.
+# Subcommand implementations.  Each returns its payload and, for commands
+# with tabular output, the table; main() emits them.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_value(args) -> int:
-    config = _config(args)
+def _cmd_value(args) -> _Output:
     u = _load_structure(args.structure)
     g = _load_game(args.game)
     result = gm.value(u, g)
@@ -142,25 +122,21 @@ def _cmd_value(args) -> int:
     if args.strategies:
         payload["strategy1"] = result.strategy1.rows.tolist()
         payload["strategy2"] = result.strategy2.rows.tolist()
-    _emit(config, payload)
-    return 0
+    return payload, None
 
 
-def _cmd_distance(args) -> int:
-    config = _config(args)
+def _cmd_distance(args) -> _Output:
     u = _load_structure(args.u)
     v = _load_structure(args.v)
-    _emit(config, {"distance": dist.value_distance(u, v)})
-    return 0
+    return {"distance": dist.value_distance(u, v)}, None
 
 
-def _cmd_compare(args) -> int:
-    config = _config(args)
+def _cmd_compare(args) -> _Output:
     u = _load_structure(args.u)
     v = _load_structure(args.v)
     gap_vu = dist.one_sided_gap(u, v).gap  # sup_g val(v,g) - val(u,g)
     gap_uv = dist.one_sided_gap(v, u).gap
-    tol = config.tolerance
+    tol = args.tolerance
     if gap_vu <= tol and gap_uv <= tol:
         relation = "equivalent"
     elif gap_vu <= tol:
@@ -169,61 +145,46 @@ def _cmd_compare(args) -> int:
         relation = "v>=u"
     else:
         relation = "incomparable"
-    _emit(config, {"relation": relation, "gain_moving_to_v": gap_vu, "gain_moving_to_u": gap_uv})
-    return 0
+    return {"relation": relation, "gain_moving_to_v": gap_vu, "gain_moving_to_u": gap_uv}, None
 
 
-def _cmd_witness(args) -> int:
-    config = _config(args)
+def _cmd_witness(args) -> _Output:
     u = _load_structure(args.u)
     v = _load_structure(args.v)
     game = dist.witness_game(u, v)
     _write(args.output, game.to_json())
     # witness_game has bracketed the game's gap within WITNESS_TOL of this one.
-    _emit(config, {"gap": dist.one_sided_gap(u, v).gap})
-    return 0
+    return {"gap": dist.one_sided_gap(u, v).gap}, None
 
 
-def _cmd_d1(args) -> int:
-    config = _config(args)
+def _cmd_d1(args) -> _Output:
     u = _load_structure(args.u)
     v = _load_structure(args.v)
-    _emit(config, {"d1": dist.single_agent_distance(u, v)})
-    return 0
+    return {"d1": dist.single_agent_distance(u, v)}, None
 
 
-def _cmd_diameter(args) -> int:
-    config = _config(args)
+def _cmd_diameter(args) -> _Output:
     p = _load_state_vector(args.p)
     q = _load_state_vector(args.q)
     bounds = dist.diameter_bounds(p, q)
-    _emit(
-        config,
-        {"lower": bounds.lower, "upper": bounds.upper, "heuristic": bounds.heuristic},
-    )
-    return 0
+    return {"lower": bounds.lower, "upper": bounds.upper, "heuristic": bounds.heuristic}, None
 
 
-def _cmd_dw(args) -> int:
-    config = _config(args)
+def _cmd_dw(args) -> _Output:
     u = _load_structure(args.u)
     v = _load_structure(args.v)
     games = [_load_game(path) for path in args.games]
-    _emit(config, {"dw": dist.dw(u, v, games)})
-    return 0
+    return {"dw": dist.dw(u, v, games)}, None
 
 
-def _cmd_reduce(args) -> int:
-    config = _config(args)
+def _cmd_reduce(args) -> _Output:
     u = _load_structure(args.structure)
     reduced = hi.reduce_redundancy(u)
     _write(args.output, reduced.to_json())
-    _emit(config, {"signals1": reduced.signals1_count, "signals2": reduced.signals2_count})
-    return 0
+    return {"signals1": reduced.signals1_count, "signals2": reduced.signals2_count}, None
 
 
-def _cmd_decompose(args) -> int:
-    config = _config(args)
+def _cmd_decompose(args) -> _Output:
     u = _load_structure(args.structure)
     decomposition = hi.ck_decompose(u)
     items = [
@@ -231,45 +192,38 @@ def _cmd_decompose(args) -> int:
         for w, s in decomposition.components
     ]
     _write(args.output, json.dumps(items))
-    _emit(config, {"components": len(items)})
-    return 0
+    return {"components": len(items)}, None
 
 
-def _cmd_dnzs(args) -> int:
-    config = _config(args)
+def _cmd_dnzs(args) -> _Output:
     u = _load_structure(args.u)
     v = _load_structure(args.v)
-    _emit(config, {"dnzs": hi.dnzs(u, v)})
-    return 0
+    return {"dnzs": hi.dnzs(u, v)}, None
 
 
-def _cmd_feasible(args) -> int:
-    config = _config(args)
+def _cmd_feasible(args) -> _Output:
+    budget = _resolve_budget(args)
     u = _load_structure(args.structure)
     g = _load_bimatrix(args.game)
-    polygon = po.feasible_set(u, g, config.budget)
+    polygon = po.feasible_set(u, g, budget)
     _write(args.output, json.dumps({"vertices": polygon.vertices.tolist()}))
-    _emit(config, {"vertices": len(polygon.vertices)})
-    return 0
+    return {"vertices": len(polygon.vertices)}, None
 
 
-def _cmd_verify_bound(args) -> int:
-    config = _config(args)
+def _cmd_verify_bound(args) -> _Output:
+    budget = _resolve_budget(args)
     u = _load_structure(args.u)
     v = _load_structure(args.v)
     g = _load_bimatrix(args.game)
-    report = po.verify_feasible_bound(u, v, g, args.case, config.budget)
-    _emit(
-        config,
-        {
-            "case": report.case,
-            "distance": report.distance,
-            "hausdorff": report.hausdorff,
-            "multiplier": report.multiplier,
-            "passed": report.passed,
-        },
-    )
-    return 0
+    report = po.verify_feasible_bound(u, v, g, args.case, budget)
+    payload = {
+        "case": report.case,
+        "distance": report.distance,
+        "hausdorff": report.hausdorff,
+        "multiplier": report.multiplier,
+        "passed": report.passed,
+    }
+    return payload, None
 
 
 _CATALOG_NAMES = (
@@ -320,20 +274,17 @@ def _catalog_members(args) -> dict[str, st.InformationStructure]:
     return cat.counterexample_pairs()[_FIXTURES[name]]
 
 
-def _cmd_catalog(args) -> int:
-    config = _config(args)
+def _cmd_catalog(args) -> _Output:
     members = _catalog_members(args)
     which = args.which or "u"
     if which not in members:
         raise _UsageError(f"{args.name} has no member {which!r}; it has {', '.join(members)}")
     structure = members[which]
     _write(args.output, structure.to_json())
-    _emit(config, {"states": structure.state_count, "signals1": structure.signals1_count, "signals2": structure.signals2_count})
-    return 0
+    return {"states": structure.state_count, "signals1": structure.signals1_count, "signals2": structure.signals2_count}, None
 
 
-def _cmd_blackwell_table(args) -> int:
-    config = _config(args)
+def _cmd_blackwell_table(args) -> _Output:
     ps = args.p or [0.6, 0.75, 0.9]
     headers = ["p", "n", "l", "d1_closed_form"] + (["d1_lp"] if args.lp else [])
     rows = []
@@ -346,81 +297,78 @@ def _cmd_blackwell_table(args) -> int:
                     ul = cat.blackwell_structure(cat.BlackwellSpec(l, 0, p, p))
                     row.append(dist.single_agent_distance(un, ul))
                 rows.append(row)
-    table_config = RunConfig(
-        fmt="csv" if config.fmt == "text" else config.fmt,
-        seed=config.seed,
-        budget=config.budget,
-        tolerance=config.tolerance,
-    )
-    _emit(table_config, {"rows": len(rows)}, table=(headers, rows))
-    return 0
+    return {"rows": len(rows)}, (headers, rows)
 
 
-def _cmd_repro_canonical_examples(args) -> int:
-    config = _config(args)
+def _cmd_repro_canonical_examples(args) -> _Output:
     structures = cat.canonical_examples()
     rows = [
         ["d(u1,u2)", dist.value_distance(structures["u1"], structures["u2"]), 0.5],
         ["d(u1,u2prime)", dist.value_distance(structures["u1"], structures["u2prime"]), 1.0],
     ]
-    _emit(config, {r[0]: r[1] for r in rows}, table=(["quantity", "value", "expected"], rows))
-    return 0
+    return {r[0]: r[1] for r in rows}, (["quantity", "value", "expected"], rows)
 
 
-def _cmd_markov(args) -> int:
-    config = _config(args)
+def _markov_matrix(args) -> tuple[mk.MixingMatrix, int]:
     seed = _resolve_seed(args)
-    matrix = mk.sample_S(args.N, seed)
-    if args.markov_command == "sample":
-        rows = [sorted(int(b) for b in matrix.successors(a)) for a in range(1, matrix.N + 1)]
-        _write(args.output, json.dumps({"N": matrix.N, "seed": seed, "rows": rows}))
-        _emit(config, {"N": matrix.N, "seed": seed})
-        return 0
-    if args.markov_command == "check-e":
-        report = mk.concentration_report(matrix, args.alpha, args.tuples, seed)
-        payload = {
-            "N": report.n,
-            "alpha": report.alpha,
-            "tuples": report.n_tuples,
-            "exhaustive": report.exhaustive,
-            "all_pass_fraction": report.all_pass_fraction,
-        }
-        payload.update({f"pass[{k}]": v for k, v in report.condition_pass_fraction.items()})
-        table = (
-            ["condition", "pass_fraction"],
-            [[k, v] for k, v in report.condition_pass_fraction.items()]
-            + [["all", report.all_pass_fraction]],
-        )
-        _emit(config, payload, table=table)
-        return 0
+    return mk.sample_S(args.N, seed), seed
+
+
+def _cmd_markov_sample(args) -> _Output:
+    matrix, seed = _markov_matrix(args)
+    rows = [sorted(int(b) for b in matrix.successors(a)) for a in range(1, matrix.N + 1)]
+    _write(args.output, json.dumps({"N": matrix.N, "seed": seed, "rows": rows}))
+    return {"N": matrix.N, "seed": seed}, None
+
+
+def _cmd_markov_check_e(args) -> _Output:
+    matrix, seed = _markov_matrix(args)
+    report = mk.concentration_report(matrix, args.alpha, args.tuples, seed)
+    payload = {
+        "N": report.n,
+        "alpha": report.alpha,
+        "tuples": report.n_tuples,
+        "exhaustive": report.exhaustive,
+        "all_pass_fraction": report.all_pass_fraction,
+    }
+    payload.update({f"pass[{k}]": v for k, v in report.condition_pass_fraction.items()})
+    table = (
+        ["condition", "pass_fraction"],
+        [[k, v] for k, v in report.condition_pass_fraction.items()]
+        + [["all", report.all_pass_fraction]],
+    )
+    return payload, table
+
+
+def _cmd_markov_check_ui(args) -> _Output:
+    matrix, seed = _markov_matrix(args)
     world = mk.MarkovWorld(matrix, alpha=args.alpha)
-    if args.markov_command == "check-ui":
-        report = mk.check_mixing(world, args.level, args.tuples, seed)
-        rows = [
-            [c.name, c.n_checked, c.n_pass, c.worst_deviation] for c in report.conditions
-        ]
-        payload = {
-            "N": report.n,
-            "l": report.l,
-            "vacuous": report.vacuous,
-            "all_pass": report.all_pass,
-            "worst_deviation": report.worst_deviation,
-        }
-        _emit(config, payload, table=(["condition", "checked", "passed", "worst_dev"], rows))
-        return 0
-    if args.markov_command == "games":
-        u = mk.chain_structure(world, args.level, config.budget)
-        g = mk.revelation_game(world, args.p, config.budget)
-        guarantees = mk.truthful_guarantee(world, args.level, args.p, config.budget)
-        payload = {
-            "value": gm.value(u, g).value,
-            "truthful_lower": guarantees.lower,
-            "truthful_upper": guarantees.upper,
-            "epsilon": world.epsilon,
-        }
-        _emit(config, payload)
-        return 0
-    raise InfoDistError(f"unknown markov command {args.markov_command!r}")
+    report = mk.check_mixing(world, args.level, args.tuples, seed)
+    rows = [[c.name, c.n_checked, c.n_pass, c.worst_deviation] for c in report.conditions]
+    payload = {
+        "N": report.n,
+        "l": report.l,
+        "vacuous": report.vacuous,
+        "all_pass": report.all_pass,
+        "worst_deviation": report.worst_deviation,
+    }
+    return payload, (["condition", "checked", "passed", "worst_dev"], rows)
+
+
+def _cmd_markov_games(args) -> _Output:
+    budget = _resolve_budget(args)
+    matrix, _ = _markov_matrix(args)
+    world = mk.MarkovWorld(matrix, alpha=args.alpha)
+    u = mk.chain_structure(world, args.level, budget)
+    g = mk.revelation_game(world, args.p, budget)
+    guarantees = mk.truthful_guarantee(world, args.level, args.p, budget)
+    payload = {
+        "value": gm.value(u, g).value,
+        "truthful_lower": guarantees.lower,
+        "truthful_upper": guarantees.upper,
+        "epsilon": world.epsilon,
+    }
+    return payload, None
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +398,10 @@ def _tolerance(text: str) -> float:
 
 def _add_format(sp):
     sp.add_argument("--format", choices=_FORMATS, default="text")
+
+
+def _add_budget(sp):
     sp.add_argument("--budget", type=_budget, default=None, help=f"enumeration budget (default {BUDGET_ENV_VAR} or 10^6)")
-    sp.add_argument("--tolerance", type=_tolerance, default=None, help="comparison tolerance in (0, 1e-2) (default 1e-6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("u")
     sp.add_argument("v")
     _add_format(sp)
+    sp.add_argument("--tolerance", type=_tolerance, default=1e-6, help="comparison tolerance in (0, 1e-2) (default 1e-6)")
     sp.set_defaults(func=_cmd_compare)
 
     sp = sub.add_parser("witness", help="extract a gap-achieving payoff function")
@@ -529,6 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("game")
     sp.add_argument("-o", "--output", default=None)
     _add_format(sp)
+    _add_budget(sp)
     sp.set_defaults(func=_cmd_feasible)
 
     sp = sub.add_parser("verify-bound", help="feasible-set distance bounds")
@@ -537,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("game")
     sp.add_argument("--case", choices=("cond_indep", "public", "one_sided"), required=True)
     _add_format(sp)
+    _add_budget(sp)
     sp.set_defaults(func=_cmd_verify_bound)
 
     sp = sub.add_parser("catalog", help="generate a named example structure")
@@ -567,13 +520,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("markov", help="large-space construction")
     msub = sp.add_subparsers(dest="markov_command", required=True)
-    for name in ("sample", "check-e", "check-ui", "games"):
+    markov_commands = {
+        "sample": _cmd_markov_sample,
+        "check-e": _cmd_markov_check_e,
+        "check-ui": _cmd_markov_check_ui,
+        "games": _cmd_markov_games,
+    }
+    for name, func in markov_commands.items():
         ms = msub.add_parser(name)
         ms.add_argument("-N", "--N", dest="N", type=int, required=True)
         ms.add_argument("--seed", type=int, default=None)
-        ms.add_argument("--alpha", type=float, default=mk.DEFAULT_ALPHA)
         if name == "sample":
             ms.add_argument("-o", "--output", default=None)
+        else:
+            ms.add_argument("--alpha", type=float, default=mk.DEFAULT_ALPHA)
         if name in ("check-e", "check-ui"):
             ms.add_argument("--tuples", type=int, default=100_000)
         if name in ("check-ui", "games"):
@@ -581,7 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "games":
             ms.add_argument("-p", type=int, required=True)
         _add_format(ms)
-        ms.set_defaults(func=_cmd_markov)
+        if name == "games":
+            _add_budget(ms)
+        ms.set_defaults(func=func)
     return parser
 
 
@@ -591,8 +553,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    # blackwell-table's text output is its CSV table.
+    fmt = "csv" if args.func is _cmd_blackwell_table and args.format == "text" else args.format
     try:
-        return args.func(args)
+        payload, table = args.func(args)
+        _emit(fmt, payload, table)
     except _UsageError as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2
@@ -605,6 +570,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(json.dumps({"error": "IOError", "message": str(exc)}), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

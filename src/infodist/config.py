@@ -51,5 +51,5 @@ def resolve_budget(budget: int | None) -> int:
     if budget is None:
         return default_budget()
     if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
+        raise InvalidParameters(f"budget must be positive, got {budget}")
     return budget

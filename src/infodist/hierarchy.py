@@ -14,9 +14,10 @@ of (old class, belief row), numbered per player.  Belief vectors are rounded
 to 12 decimal digits before hashing, exactly as ``round(x, 12)`` rounds, so
 that class membership is a genuine equivalence relation rather than an
 eps-relation.  The exact mode runs the same rounds on an object array of
-Python integers, each signal's row of the tensor read as Fractions (floats
-are exact binary rationals) and scaled to a common denominator; belief rows
-are then equal iff the integer rows are proportional, with no rounding.
+Python integers: each entry of a signal's row of the tensor is snapped to the
+nearest fraction with denominator at most 10**15 (so 0.1 reads as 1/10), and
+the row is scaled to a common denominator.  Belief rows are then equal iff
+the integer rows are proportional; the snapping is the only rounding.
 Signals of mass at most ZERO_TOL are null: they form the class -1 and count
 as absent in the other player's beliefs.
 """
@@ -98,8 +99,8 @@ def _grid(beliefs: np.ndarray) -> np.ndarray:
 
 
 def _integer_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row's entries as Fractions (floats are exact binary rationals),
-    scaled by the row's common denominator to Python integers."""
+    """Each row's entries snapped to the nearest fraction with denominator at
+    most 10**15, scaled by the row's common denominator to Python integers."""
     out = []
     for row in rows.tolist():
         exact = [Fraction(x).limit_denominator(10**15) for x in row]
@@ -130,9 +131,9 @@ def hierarchy_partition(u: InformationStructure, exact: bool = False) -> SignalP
     """Partition each player's signals by finite-level belief hierarchy.
 
     Refinement stabilizes in at most |C| + |D| rounds.  With ``exact=True``
-    the conditionals are compared in exact rational arithmetic (floats are
-    exact binary rationals), removing the rounding grid entirely; both modes
-    run the same rounds.
+    each tensor entry is snapped to the nearest fraction with denominator at
+    most 10**15 and the conditionals are compared in exact rational
+    arithmetic, without the 12-digit grid; both modes run the same rounds.
     """
     probs = u.probs
     n_k, n_c, n_d = probs.shape

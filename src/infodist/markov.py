@@ -381,9 +381,8 @@ class _StatKernel:
         n_words = self.succ.shape[1]
         block = min(self.block, size)
         words = np.empty((first + len(steps), block, n_words), np.uint64)
-        bits = np.empty((len(steps), block, n_words), np.uint8)
-        # Sums of word popcounts, exact in float32 up to 2**24 bits per set.
-        ones = np.ones(n_words, np.float32 if 64 * n_words <= 2**24 else np.float64)
+        # Word popcounts, in a dtype that holds a whole set's count.
+        bits = np.empty((len(steps), block, n_words), np.min_scalar_type(64 * n_words))
         for start in range(0, size if steps else 0, block):
             stop = min(start + block, size)
             if stop - start < block:
@@ -396,7 +395,7 @@ class _StatKernel:
                 for extra in extras[1:]:
                     np.bitwise_and(words[slot], words[extra], out=words[slot])
             np.bitwise_count(words[first:], out=bits)
-            counts[:, start:stop] = bits.astype(ones.dtype) @ ones
+            counts[:, start:stop] = np.einsum("sbw->sb", bits)
         for key, slot in slot_of.items():
             out[key] = counts[slot - first]
         return {key: out[key] for key in terms}
@@ -544,8 +543,7 @@ def mixing_implication_check(
         ratio = np.full(e_pass.size, np.nan)
         ok = stats[den] > 0
         ratio[ok] = 0.5 * stats[num][ok] / stats[den][ok]
-        with np.errstate(invalid="ignore"):
-            violations |= np.abs(ratio - 0.5) > alpha
+        violations |= np.abs(ratio - 0.5) > alpha
     return MixingImplicationReport(
         n_tuples=int(e_pass.size),
         n_e_pass=int(e_pass.sum()),

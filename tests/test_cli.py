@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 import infodist as inf
+from infodist.catalog import parity_coordination_game
 from infodist.cli import _CATALOG_NAMES, main
+
+_MARKOV_GAMES = ("markov", "games", "-N", "4", "--seed", "0", "-l", "1", "-p", "1")
 
 
 def _run(capsys, *argv):
@@ -26,6 +29,8 @@ def files(tmp_path):
     )
     paths["game"] = str(tmp_path / "game.json")
     (tmp_path / "game.json").write_text(game.to_json())
+    paths["bimatrix"] = str(tmp_path / "bimatrix.json")
+    (tmp_path / "bimatrix.json").write_text(parity_coordination_game().to_json())
     paths["tmp"] = tmp_path
     return paths
 
@@ -48,7 +53,7 @@ def test_compare_command(capsys, files):
     code, out, _ = _run(capsys, "compare", files["u2"], files["u1"])
     assert code == 0
     assert "u>=v" in out
-    code, out, _ = _run(capsys, "compare", files["u2"], files["u1"], "--tolerance", "1e-3", "--budget", "7")
+    code, out, _ = _run(capsys, "compare", files["u2"], files["u1"], "--tolerance", "1e-3")
     assert code == 0
     assert "u>=v" in out
 
@@ -119,7 +124,6 @@ def test_dw_command(capsys, files):
 def test_feasible_and_verify_bound(capsys, tmp_path):
     u = inf.counterexample_pairs()["split_secret"]["u"]
     v = inf.counterexample_pairs()["split_secret"]["v"]
-    from infodist.catalog import parity_coordination_game
 
     u_path, v_path, g_path = tmp_path / "u.json", tmp_path / "v.json", tmp_path / "g.json"
     u_path.write_text(u.to_json())
@@ -181,12 +185,30 @@ def test_catalog_fixture_members(capsys, tmp_path):
         assert not (tmp_path / which).exists()
 
 
+def test_options_belong_to_the_commands_that_read_them(capsys, files):
+    # Only feasible, verify-bound and markov games take --budget, only
+    # compare takes --tolerance, and markov sample draws no statistics.
+    for argv in (
+        ("distance", files["u1"], files["u2"], "--tolerance", "1e-3"),
+        ("catalog", "u1", "--budget", "5"),
+        ("markov", "sample", "-N", "4", "--seed", "0", "--alpha", "0.1"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
 @pytest.mark.parametrize(
     "option, value",
     [("--budget", "-3"), ("--budget", "0"), ("--budget", "2.5"), ("--tolerance", "0.5"), ("--tolerance", "0")],
 )
 def test_out_of_range_options_are_usage_errors(capsys, files, option, value):
-    code, out, err = _run(capsys, "compare", files["u2"], files["u1"], option, value)
+    command = {
+        "--budget": _MARKOV_GAMES,
+        "--tolerance": ("compare", files["u2"], files["u1"]),
+    }[option]
+    code, out, err = _run(capsys, *command, option, value)
     assert code == 2
     assert out == ""
     assert f"argument {option}" in err
@@ -267,13 +289,21 @@ def test_budget_env_override(monkeypatch):
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_budget_env_is_a_usage_error(capsys, monkeypatch, files, value):
     monkeypatch.setenv("INFODIST_BUDGET", value)
-    for argv in (["catalog", "u1"], ["compare", files["u2"], files["u1"]]):
+    for argv in (
+        ("feasible", files["u1"], files["bimatrix"]),
+        ("verify-bound", files["u1"], files["u2"], files["bimatrix"], "--case", "public"),
+        _MARKOV_GAMES,
+    ):
         code, out, err = _run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert "INFODIST_BUDGET" in err
-    # An explicit --budget does not read the variable.
-    assert _run(capsys, "catalog", "u1", "--budget", "5")[0] == 0
+    # An explicit --budget does not read the variable, and commands without
+    # --budget never do.
+    assert _run(capsys, "feasible", files["u1"], files["bimatrix"], "--budget", "64")[0] == 0
+    assert _run(capsys, *_MARKOV_GAMES, "--budget", "64")[0] == 0
+    assert _run(capsys, "distance", files["u1"], files["u2"])[0] == 0
+    assert _run(capsys, "catalog", "u1")[0] == 0
 
 
 def test_seeded_markov_output_is_reproducible(capsys):

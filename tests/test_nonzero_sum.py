@@ -103,6 +103,14 @@ def test_budget_guard(rng):
         inf.feasible_set(u, g, budget=10)
 
 
+def test_non_positive_budget_is_invalid_parameters(rng):
+    u = random_structure(rng, 2, 2, 2)
+    with pytest.raises(inf.InvalidParameters, match="budget must be positive"):
+        inf.value_normal_form(u, inf.ZeroSumGame(rng.uniform(-1, 1, (2, 2, 2))), budget=0)
+    with pytest.raises(inf.InvalidParameters, match="budget must be positive"):
+        inf.feasible_set(u, _random_bimatrix(rng, 2, 2, 2), budget=-3)
+
+
 def test_verify_bound_equal_structures(rng):
     u = random_ci_structure(rng, 2, 2, 2)
     g = _random_bimatrix(rng, 2, 2, 2)
