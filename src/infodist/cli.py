@@ -8,6 +8,7 @@ seed 0 with a printed notice so runs stay reproducible by default.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -50,10 +51,23 @@ def _emit(fmt: str, payload: dict, table: _Table | None):
         return
     # A table; csv without one prints the payload as a one-row table.
     headers, rows = table if table is not None else (list(payload), [list(payload.values())])
-    sep = "," if fmt == "csv" else "  "
-    print(sep.join(headers))
-    for row in rows:
-        print(sep.join(_fmt_num(v) if isinstance(v, (int, float)) else str(v) for v in row))
+    cells = [[_cell(v) for v in row] for row in rows]
+    if fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows(cells)
+        return
+    for row in [headers] + cells:
+        print("  ".join(row))
+
+
+def _cell(v) -> str:
+    """A table cell: numbers to 12 significant digits, lists as JSON."""
+    if isinstance(v, (int, float)):
+        return _fmt_num(v)
+    if isinstance(v, list):
+        return json.dumps(v)
+    return str(v)
 
 
 def _format_value(v) -> str:
@@ -251,25 +265,60 @@ _FIXTURES = {
 }
 
 
+# catalog's builder options, as argparse reads them.
+_BUILDER_ARGS = {
+    "n": {"type": int},
+    "m": {"type": int},
+    "p": {"type": float, "action": "append"},
+    "r": {"type": float},
+    "eps": {"type": float},
+    "prior": {"type": float},
+    "truncation": {"type": int},
+    "states": {"type": float, "nargs": "+"},
+}
+
+# The builder options each catalog name reads, with their defaults; a name
+# not listed reads none.
+_BUILDER_OPTIONS = {
+    "no-info": {"states": [0.5, 0.5]},
+    "common-knowledge": {"states": [0.5, 0.5]},
+    "ladder": {"n": 1},
+    "email": {"eps": 0.05, "prior": 0.5, "truncation": 12},
+    "blackwell": {"n": 1, "m": 0, "p": [0.75], "r": 0.75},
+    "approx-knowledge": {"eps": 0.05},
+}
+
+
+def _builder_options(args) -> argparse.Namespace:
+    """The named builder's options, defaults filled in; an option it does
+    not read is a usage error."""
+    reads = _BUILDER_OPTIONS.get(args.name, {})
+    given = {opt: getattr(args, opt) for opt in _BUILDER_ARGS if getattr(args, opt) is not None}
+    stray = [f"--{opt}" for opt in given if opt not in reads]
+    if stray:
+        raise _UsageError(f"{args.name} does not read {', '.join(stray)}")
+    return argparse.Namespace(**{**reads, **given})
+
+
 def _catalog_members(args) -> dict[str, st.InformationStructure]:
     """The named structure as {member: structure}; a single structure is
     member "u"."""
     name = args.name
+    opts = _builder_options(args)
     if name in ("u1", "u2", "u2prime"):
         return {"u": cat.canonical_examples()[name]}
     if name == "no-info":
-        return {"u": cat.no_information(args.states)}
+        return {"u": cat.no_information(opts.states)}
     if name == "common-knowledge":
-        return {"u": cat.common_knowledge(args.states)}
+        return {"u": cat.common_knowledge(opts.states)}
     if name == "ladder":
-        return {"u": cat.ladder_structure(args.n)}
+        return {"u": cat.ladder_structure(opts.n)}
     if name == "email":
-        return {"u": cat.email_game(args.eps, args.prior, args.truncation)}
+        return {"u": cat.email_game(opts.eps, opts.prior, opts.truncation)}
     if name == "blackwell":
-        spec = cat.BlackwellSpec(args.n, args.m, args.p[0] if args.p else 0.75, args.r)
-        return {"u": cat.blackwell_structure(spec)}
+        return {"u": cat.blackwell_structure(cat.BlackwellSpec(opts.n, opts.m, opts.p[0], opts.r))}
     if name == "approx-knowledge":
-        pair = cat.approx_knowledge_pair(args.eps)
+        pair = cat.approx_knowledge_pair(opts.eps)
         return {"u": pair.u, "v": pair.v}
     return cat.counterexample_pairs()[_FIXTURES[name]]
 
@@ -494,14 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("catalog", help="generate a named example structure")
     sp.add_argument("name", choices=_CATALOG_NAMES)
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=0)
-    sp.add_argument("--p", type=float, action="append", default=None)
-    sp.add_argument("--r", type=float, default=0.75)
-    sp.add_argument("--eps", type=float, default=0.05)
-    sp.add_argument("--prior", type=float, default=0.5)
-    sp.add_argument("--truncation", type=int, default=12)
-    sp.add_argument("--states", type=float, nargs="+", default=[0.5, 0.5])
+    for opt, kwargs in _BUILDER_ARGS.items():  # each name reads its own (_BUILDER_OPTIONS)
+        sp.add_argument(f"--{opt}", **kwargs)
     sp.add_argument("--which", default=None, help="u (default), v, u_prime or v_prime for paired fixtures")
     sp.add_argument("-o", "--output", default=None)
     _add_format(sp)

@@ -57,6 +57,7 @@ from .structures import (
     InformationStructure,
     PLAYER1,
     PLAYER2,
+    _Same,
     eps_conditional_independence,
     garble,
     l1_distance,
@@ -231,24 +232,6 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
         maximize=True,
     )
     return problem, _GapLayout((n_k, l1, l2), live1, mass1, live2, mass2)
-
-
-class _Same:
-    """Cache key for one object: hashes by ``id()``, compares by ``is``.
-
-    The key holds the object, so its id cannot be reused while the key lives.
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return self.obj is other.obj
 
 
 @dataclass

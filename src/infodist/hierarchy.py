@@ -24,6 +24,7 @@ as absent in the other player's beliefs.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ import numpy as np
 
 from .config import DIST_TOL, NORM_TOL, ZERO_TOL
 from .errors import ShapeMismatch
-from .structures import PLAYER1, PLAYER2, InformationStructure, validate_structure
+from .structures import PLAYER1, PLAYER2, InformationStructure, _Same, validate_structure
 
 _ROUND_DIGITS = 12
 NULL_CLASS = -1
@@ -134,8 +135,24 @@ def hierarchy_partition(u: InformationStructure, exact: bool = False) -> SignalP
     each tensor entry is snapped to the nearest fraction with denominator at
     most 10**15 and the conditionals are compared in exact rational
     arithmetic, without the 12-digit grid; both modes run the same rounds.
+
+    The last few partitions are memoised per structure object, one entry
+    per mode, so ``reduce_redundancy``, ``is_redundant``, ``ck_decompose``
+    and ``is_simple`` on the same object refine it once.  The memo is keyed
+    on identity, not content, as the gap LP's is: a structure rebuilt from
+    the same tensor is refined afresh.  A call that raises is not cached.
     """
-    probs = u.probs
+    return _partition_of(_Same(u), exact)
+
+
+@functools.lru_cache(maxsize=4)
+def _partition_of(u_key: _Same, exact: bool) -> SignalPartition:
+    return _refine(u_key.obj.probs, exact)
+
+
+def _refine(probs: np.ndarray, exact: bool) -> SignalPartition:
+    """The refinement behind ``hierarchy_partition``, on a bare (K, C, D)
+    tensor of any total mass."""
     n_k, n_c, n_d = probs.shape
     n = n_c + n_d
     # Both players' signals on one axis, player 1's first: pair[s, k, o] is
@@ -288,41 +305,12 @@ def is_simple(u: InformationStructure) -> bool:
     return len(ck_decompose(u).components) == 1
 
 
-def _component_fingerprints(
-    structures: list[InformationStructure],
-) -> list[tuple]:
-    """Canonical fingerprint per structure: the induced distribution over
-    (state, player-1 hierarchy class, player-2 hierarchy class), with class
-    ids shared across all inputs via a joint refinement on their disjoint
-    union."""
-    n_k = structures[0].state_count
-    offsets1 = np.cumsum([0] + [s.signals1_count for s in structures])
-    offsets2 = np.cumsum([0] + [s.signals2_count for s in structures])
-    union = np.zeros((n_k, offsets1[-1], offsets2[-1]))
-    share = 1.0 / len(structures)
-    for i, s in enumerate(structures):
-        union[:, offsets1[i] : offsets1[i + 1], offsets2[i] : offsets2[i + 1]] = (
-            s.probs * share
-        )
-    part = hierarchy_partition(validate_structure(union))
-    # Class ids shifted by one so that the null class -1 indexes too.
-    classes1 = np.array(part.player1_classes) + 1
-    classes2 = np.array(part.player2_classes) + 1
-    fingerprints = []
-    for i, s in enumerate(structures):
-        ids1 = classes1[offsets1[i] : offsets1[i + 1]]
-        ids2 = classes2[offsets2[i] : offsets2[i + 1]]
-        k, c, d = np.nonzero(s.probs > ZERO_TOL)
-        cells = np.zeros((n_k, ids1.max() + 1, ids2.max() + 1))
-        np.add.at(cells, (k, ids1[c], ids2[d]), s.probs[k, c, d])
-        held = cells > 0
-        fingerprints.append(
-            tuple(
-                ((state, id1 - 1, id2 - 1), round(val, _ROUND_DIGITS))
-                for (state, id1, id2), val in zip(np.argwhere(held).tolist(), cells[held].tolist())
-            )
-        )
-    return fingerprints
+def _first_occurrence(joint) -> tuple[list[int], list[int]]:
+    """One side's classes of a joint refinement renumbered from 0 by first
+    occurrence, null kept null, and the joint class of each new id."""
+    names: dict[int, int] = {}
+    own = [NULL_CLASS if j == NULL_CLASS else names.setdefault(j, len(names)) for j in joint]
+    return own, list(names)
 
 
 def dnzs(u: InformationStructure, v: InformationStructure) -> float:
@@ -333,24 +321,54 @@ def dnzs(u: InformationStructure, v: InformationStructure) -> float:
     are matched (unmatched components pair with weight 0), and the distance
     is sum_alpha |p_alpha - q_alpha|.  For simple non-redundant structures
     this is 0 when they share hierarchies and 2 otherwise.
+
+    One refinement of the block-diagonal union of u and v gives both: a
+    signal's hierarchy depends on its own block alone, so each side's
+    classes, renumbered, are its own partition, and a class shared across
+    the sides is a hierarchy both induce.  The union is not rescaled, so a
+    signal is null in it exactly when it is null in its own structure.
     """
     if u.state_count != v.state_count:
         raise ShapeMismatch(
             f"state counts differ: {u.state_count} vs {v.state_count}"
         )
-    ru = reduce_redundancy(u)
-    rv = reduce_redundancy(v)
-    dec_u = _decompose(ru)
-    dec_v = _decompose(rv)
-    all_components = [s for _, s in dec_u.components] + [s for _, s in dec_v.components]
-    prints = _component_fingerprints(all_components)
-    n_u = len(dec_u.components)
-    weights_u: dict = {}
-    for (w, _), fp in zip(dec_u.components, prints[:n_u]):
-        weights_u[fp] = weights_u.get(fp, 0.0) + w
-    weights_v: dict = {}
-    for (w, _), fp in zip(dec_v.components, prints[n_u:]):
-        weights_v[fp] = weights_v.get(fp, 0.0) + w
+    n_k, n_c, n_d = u.shape
+    union = np.zeros((n_k, n_c + v.signals1_count, n_d + v.signals2_count))
+    union[:, :n_c, :n_d] = u.probs
+    union[:, n_c:, n_d:] = v.probs
+    joint = _refine(union, exact=False)
+    # A component's fingerprint is the distribution it induces over (state,
+    # player-1 class, player-2 class).  Its class ids number the joint
+    # classes by first occurrence over the components' signals, u's first.
+    ids1: dict[int, int] = {}
+    ids2: dict[int, int] = {}
+    weights = []
+    for structure, classes1, classes2 in (
+        (u, joint.player1_classes[:n_c], joint.player2_classes[:n_d]),
+        (v, joint.player1_classes[n_c:], joint.player2_classes[n_d:]),
+    ):
+        own1, names1 = _first_occurrence(classes1)
+        own2, names2 = _first_occurrence(classes2)
+        if len(names1) < len(own1) or len(names2) < len(own2):
+            # The reduced structure's signal j is own class j.
+            structure = _merge_by_classes(structure, own1, own2)
+        dec = _decompose(structure)
+        by_print: dict = {}
+        for (w, comp), (cs, ds) in zip(dec.components, dec.signal_blocks):
+            cls1 = np.array([ids1.setdefault(names1[c], len(ids1)) for c in cs])
+            cls2 = np.array([ids2.setdefault(names2[d], len(ids2)) for d in ds])
+            # The component's signals have distinct classes, so each cell
+            # is its own fingerprint entry.
+            k, c, d = np.nonzero(comp.probs > ZERO_TOL)
+            fp = tuple(
+                ((state, id1, id2), round(val, _ROUND_DIGITS))
+                for state, id1, id2, val in sorted(
+                    zip(k.tolist(), cls1[c].tolist(), cls2[d].tolist(), comp.probs[k, c, d].tolist())
+                )
+            )
+            by_print[fp] = by_print.get(fp, 0.0) + w
+        weights.append(by_print)
+    weights_u, weights_v = weights
     keys = set(weights_u) | set(weights_v)
     return float(
         sum(abs(weights_u.get(key, 0.0) - weights_v.get(key, 0.0)) for key in keys)

@@ -111,6 +111,28 @@ class InformationStructure:
         return validate_structure(probs, payload.get("states"))
 
 
+class _Same:
+    """Cache key for one object: hashes by ``id()``, compares by ``is``.
+
+    The memos of gap solves and hierarchy partitions key on it: a validated
+    structure never changes, so the same object always has the same answer,
+    and comparing identities costs nothing where hashing the tensor would
+    read it on every call.  The key holds the object, so its id cannot be
+    reused while the key lives.
+    """
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
 @dataclass(frozen=True)
 class Garbling:
     """Row-stochastic map from a source signal set to a target signal set."""

@@ -1,6 +1,6 @@
 """Pure-Python reference for ``infodist.hierarchy``: partition refinement by
-dict signatures, and the merge of signals by class as a loop of slice
-additions.
+dict signatures, the merge of signals by class as a loop of slice
+additions, and ``dnzs`` by three refinements.
 
 ``hierarchy_partition`` computes the same refinement with array operations;
 the tests require it to return exactly what these loops return, classes and
@@ -8,15 +8,22 @@ level, and ``reduce_redundancy`` to return the tensor ``merge_by_classes``
 builds from those classes, bit for bit.  The one place they differ on purpose: these loops
 count a signal's cells on opponent signals of positive mass at most
 ZERO_TOL (null signals), which the library takes as absent.
+
+``dnzs`` here reduces u and v one at a time and refines a third structure,
+the union of all their components scaled to mass 1, for class ids shared
+across components.  The library refines u and v together once; the tests
+require the two to return the same value, bit for bit.
 """
 
 from fractions import Fraction
 
 import numpy as np
 
-from infodist import InformationStructure
+import infodist
+from infodist import InformationStructure, validate_structure
 from infodist.config import ZERO_TOL
-from infodist.hierarchy import NULL_CLASS, SignalPartition
+from infodist.errors import ShapeMismatch
+from infodist.hierarchy import NULL_CLASS, SignalPartition, _decompose
 
 _ROUND_DIGITS = 12
 
@@ -120,3 +127,60 @@ def merge_by_classes(u, classes1, classes2):
                 continue
             probs[:, pos1[cls], pos2[cls2]] += u.probs[:, c, d]
     return InformationStructure(probs, u.state_labels)
+
+
+def _component_fingerprints(structures):
+    """Canonical fingerprint per structure: the induced distribution over
+    (state, player-1 hierarchy class, player-2 hierarchy class), with class
+    ids shared across all inputs via a joint refinement on their disjoint
+    union."""
+    n_k = structures[0].state_count
+    offsets1 = np.cumsum([0] + [s.signals1_count for s in structures])
+    offsets2 = np.cumsum([0] + [s.signals2_count for s in structures])
+    union = np.zeros((n_k, offsets1[-1], offsets2[-1]))
+    share = 1.0 / len(structures)
+    for i, s in enumerate(structures):
+        union[:, offsets1[i] : offsets1[i + 1], offsets2[i] : offsets2[i + 1]] = (
+            s.probs * share
+        )
+    part = infodist.hierarchy_partition(validate_structure(union))
+    # Class ids shifted by one so that the null class -1 indexes too.
+    classes1 = np.array(part.player1_classes) + 1
+    classes2 = np.array(part.player2_classes) + 1
+    fingerprints = []
+    for i, s in enumerate(structures):
+        ids1 = classes1[offsets1[i] : offsets1[i + 1]]
+        ids2 = classes2[offsets2[i] : offsets2[i + 1]]
+        k, c, d = np.nonzero(s.probs > ZERO_TOL)
+        cells = np.zeros((n_k, ids1.max() + 1, ids2.max() + 1))
+        np.add.at(cells, (k, ids1[c], ids2[d]), s.probs[k, c, d])
+        held = cells > 0
+        fingerprints.append(
+            tuple(
+                ((state, id1 - 1, id2 - 1), round(val, _ROUND_DIGITS))
+                for (state, id1, id2), val in zip(np.argwhere(held).tolist(), cells[held].tolist())
+            )
+        )
+    return fingerprints
+
+
+def dnzs(u, v):
+    if u.state_count != v.state_count:
+        raise ShapeMismatch(
+            f"state counts differ: {u.state_count} vs {v.state_count}"
+        )
+    dec_u = _decompose(infodist.reduce_redundancy(u))
+    dec_v = _decompose(infodist.reduce_redundancy(v))
+    all_components = [s for _, s in dec_u.components] + [s for _, s in dec_v.components]
+    prints = _component_fingerprints(all_components)
+    n_u = len(dec_u.components)
+    weights_u = {}
+    for (w, _), fp in zip(dec_u.components, prints[:n_u]):
+        weights_u[fp] = weights_u.get(fp, 0.0) + w
+    weights_v = {}
+    for (w, _), fp in zip(dec_v.components, prints[n_u:]):
+        weights_v[fp] = weights_v.get(fp, 0.0) + w
+    keys = set(weights_u) | set(weights_v)
+    return float(
+        sum(abs(weights_u.get(key, 0.0) - weights_v.get(key, 0.0)) for key in keys)
+    )

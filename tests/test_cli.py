@@ -1,4 +1,7 @@
+import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +50,18 @@ def test_value_command_json(capsys, files):
     )
     assert code == 0
     assert json.loads(out)["value"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_value_strategies_csv_is_valid_csv(capsys, files):
+    argv = ("value", files["u2"], files["game"], "--strategies")
+    code, out, _ = _run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = list(csv.reader(out.splitlines()))
+    assert header == ["value", "strategy1", "strategy2"]
+    assert [len(row) for row in rows] == [len(header)]
+    _, out, _ = _run(capsys, *argv, "--format", "json")
+    payload = json.loads(out)
+    assert [json.loads(cell) for cell in rows[0][1:]] == [payload["strategy1"], payload["strategy2"]]
 
 
 def test_compare_command(capsys, files):
@@ -168,6 +183,41 @@ def test_catalog_command_builds_every_name(capsys, tmp_path, name):
     code, _, err = _run(capsys, "catalog", name, "-o", str(out))
     assert code == 0, err
     inf.InformationStructure.from_json(out.read_text())
+
+
+def test_catalog_rejects_options_its_builder_does_not_read(capsys, tmp_path):
+    out = tmp_path / "structure.json"
+    for argv in (
+        ("u1", "--eps", "0.3", "--n", "7"),
+        ("email", "--n", "3"),
+        ("ladder", "--states", "0.2", "0.8"),
+        ("blackwell", "--eps", "0.1"),
+        ("approx-knowledge", "--prior", "0.3"),
+        ("no-info", "--truncation", "4"),
+        ("f4-xor", "--which", "v_prime", "--p", "0.7"),
+    ):
+        code, stdout, err = _run(capsys, "catalog", *argv, "-o", str(out))
+        assert code == 2, argv
+        assert stdout == ""
+        assert f"{argv[0]} does not read --" in err
+        assert not out.exists()
+    # The options a builder reads are still taken.
+    code, _, err = _run(capsys, "catalog", "blackwell", "--n", "2", "--m", "1", "--p", "0.7", "--r", "0.6")
+    assert code == 0, err
+
+
+def test_readme_catalog_examples_run(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    examples = [
+        shlex.split(line, comments=True)[1:]
+        for line in readme.splitlines()
+        if line.startswith("infodist catalog ")
+    ]
+    assert len(examples) >= 3
+    for argv in examples:
+        code, _, err = _run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 def test_catalog_fixture_members(capsys, tmp_path):

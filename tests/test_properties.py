@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 import gap_oracle
 import hierarchy_oracle as oracle
 import infodist as inf
-from infodist.config import DIST_TOL, VALUE_TOL, WITNESS_TOL
+from infodist.config import DIST_TOL, VALUE_TOL, WITNESS_TOL, ZERO_TOL
 from infodist.hierarchy import is_redundant
 from infodist.structures import common_embedding
 
@@ -185,12 +185,12 @@ def test_value_matches_the_normal_form_oracle(pair, partial):
 
 
 @st.composite
-def redundant_structures(draw, tiny=True):
-    """A structure on 2-3 states with 1-6 signals per player, where each
-    signal after a player's first may be a proportional copy of an earlier
-    one of the same player, have zero mass, or (with ``tiny``) have a
-    positive mass below ZERO_TOL."""
-    n_k = draw(st.integers(2, 3))
+def redundant_structures(draw, tiny=True, n_k=None):
+    """A structure on ``n_k`` states (2-3 when None) with 1-6 signals per
+    player, where each signal after a player's first may be a proportional
+    copy of an earlier one of the same player, have zero mass, or (with
+    ``tiny``) have a positive mass below ZERO_TOL."""
+    n_k = n_k or draw(st.integers(2, 3))
     shape = (n_k, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     probs = draw(hnp.arrays(float, shape, elements=_CELL))
     kinds = ("free", "copy", "zero", "tiny") if tiny else ("free", "copy", "zero")
@@ -233,3 +233,37 @@ def test_reduce_redundancy_is_value_equivalent_and_idempotent(u):
     assert not is_redundant(reduced)
     again = inf.reduce_redundancy(reduced)
     assert np.array_equal(again.probs, reduced.probs)
+
+
+@st.composite
+def block_mixture_pairs(draw):
+    """Two block mixtures of one library of 1-3 redundant structures, with
+    their own weights, so that components match across the two.  Either
+    may also hold a one-signal block of mass just above ZERO_TOL.  (A signal
+    that light inside a larger component is left out: the reference takes
+    it for null, see test_dnzs_keeps_a_tiny_signal_live_as_reduce_does.)"""
+    n_k = draw(st.integers(2, 3))
+    library = [draw(redundant_structures(n_k=n_k)) for _ in range(draw(st.integers(1, 3)))]
+    weight = st.one_of(st.just(0.0), st.floats(0.1, 1.0))
+    pair = []
+    for _ in range(2):
+        parts = [(draw(weight), s) for s in library]
+        parts = [(w, s) for w, s in parts if w > 0] or [(1.0, library[0])]
+        tiny = draw(st.one_of(st.just(0.0), st.floats(1.01, 2.0))) * ZERO_TOL
+        total = sum(w for w, _ in parts) / (1.0 - tiny)
+        parts = [(w / total, s) for w, s in parts]
+        if tiny:
+            atom = draw(hnp.arrays(float, (n_k, 1, 1), elements=st.floats(0.05, 1.0)))
+            parts.append((tiny, inf.validate_structure(atom / atom.sum())))
+        pair.append(inf.mix(parts))
+    return pair
+
+
+@given(block_mixture_pairs())
+def test_dnzs_on_block_mixtures_matches_the_reference(pair):
+    # One refinement of u and v together against reducing each and refining
+    # the union of their components: the same value, bit for bit.  The tiny
+    # block stays a live signal, as it is in its own structure.
+    u, v = pair
+    assert inf.dnzs(u, v) == oracle.dnzs(u, v)
+    assert inf.dnzs(v, u) == oracle.dnzs(v, u)

@@ -63,35 +63,133 @@ def test_class_count_by_player():
             part.class_count(bad)
 
 
-def _count_partitions(monkeypatch):
+def _count_refinements(monkeypatch):
+    """Shapes of the tensors refined from now on, with the memo emptied."""
     calls = []
-    partition = hierarchy.hierarchy_partition
+    refine = hierarchy._refine
 
-    def counting(u, exact=False):
-        calls.append(u.shape)
-        return partition(u, exact=exact)
+    def counting(probs, exact):
+        calls.append(probs.shape)
+        return refine(probs, exact)
 
-    monkeypatch.setattr(hierarchy, "hierarchy_partition", counting)
+    monkeypatch.setattr(hierarchy, "_refine", counting)
+    hierarchy._partition_of.cache_clear()
     return calls
 
 
-def test_dnzs_partitions_three_times(monkeypatch):
-    # Reduce u, reduce v, and one joint partition for the fingerprints; the
-    # reduced structures are decomposed without checking them again.
+def _redundant_mixture():
     cat = inf.canonical_examples()
-    u = _split_signal(inf.mix([(0.3, cat["u2"]), (0.7, cat["u2prime"])]), 1)
-    calls = _count_partitions(monkeypatch)
-    inf.dnzs(u, cat["u1"])
+    return _split_signal(inf.mix([(0.3, cat["u2"]), (0.7, cat["u2prime"])]), 1)
+
+
+def test_dnzs_refines_once(monkeypatch):
+    # One refinement of the union of u and v serves both reductions and the
+    # fingerprints.
+    u, v = _redundant_mixture(), inf.canonical_examples()["u1"]
+    calls = _count_refinements(monkeypatch)
+    inf.dnzs(u, v)
+    assert calls == [(2, u.signals1_count + 3, u.signals2_count + 2)]
+
+
+def test_reduce_decompose_and_dnzs_refine_twice(monkeypatch):
+    # reduce_redundancy refines u, ck_decompose reads the memo, and dnzs
+    # refines the union once.
+    u, v = _redundant_mixture(), inf.canonical_examples()["u1"]
+    calls = _count_refinements(monkeypatch)
+    inf.reduce_redundancy(u)
+    with pytest.warns(UserWarning, match="redundant"):
+        inf.ck_decompose(u)
+    inf.dnzs(u, v)
+    assert len(calls) == 2
+
+
+def test_partition_memo_is_per_object_and_mode(monkeypatch):
+    u = _redundant_mixture()
+    calls = _count_refinements(monkeypatch)
+    first = inf.hierarchy_partition(u)
+    assert inf.hierarchy_partition(u) is first
+    assert is_redundant(u)
+    with pytest.warns(UserWarning, match="redundant"):
+        assert not inf.is_simple(u)
+    assert len(calls) == 1
+    # Identity, not content: a re-validated copy refines again.
+    copy = inf.validate_structure(u.probs)
+    assert inf.hierarchy_partition(copy) == first
+    assert len(calls) == 2
+    # Each mode has its own entry.
+    exact = inf.hierarchy_partition(u, exact=True)
+    assert exact == first
     assert len(calls) == 3
+    assert inf.hierarchy_partition(u, exact=True) is exact
+    assert inf.hierarchy_partition(u) is first
+    assert len(calls) == 3
+
+
+def test_a_failed_partition_is_not_memoised(monkeypatch):
+    u = _redundant_mixture()
+    calls = _count_refinements(monkeypatch)
+    counting = hierarchy._refine
+    failures = []
+
+    def failing_once(probs, exact):
+        if not failures:
+            failures.append(probs.shape)
+            raise RuntimeError("refinement failed")
+        return counting(probs, exact)
+
+    monkeypatch.setattr(hierarchy, "_refine", failing_once)
+    with pytest.raises(RuntimeError):
+        inf.hierarchy_partition(u)
+    assert inf.hierarchy_partition(u) == oracle.hierarchy_partition(u)
+    assert len(failures) == len(calls) == 1
 
 
 def test_ck_decompose_partitions_redundant_input_once(monkeypatch):
     doubled = _split_signal(inf.canonical_examples()["u2"], 0)
-    calls = _count_partitions(monkeypatch)
+    calls = _count_refinements(monkeypatch)
     with pytest.warns(UserWarning, match="redundant"):
         decomposition = inf.ck_decompose(doubled)
     assert len(calls) == 1
     assert decomposition.components[0][1].shape == (2, 2, 1)
+
+
+def _canonical_mixtures():
+    cat = inf.canonical_examples()
+    library = [cat["u1"], cat["u2"], cat["u2prime"]]
+    weights = [(1, 0, 0), (0.2, 0.3, 0.5), (0.6, 0.2, 0.2), (0.1, 0.8, 0.1), (0.5, 0.5, 0), (0, 0.3, 0.7)]
+    mixtures = []
+    for w in weights:
+        parts = [(a, s) for a, s in zip(w, library) if a > 0]
+        mixtures.append(inf.mix(parts) if len(parts) > 1 else parts[0][1])
+    mixtures.append(_redundant_mixture())
+    return mixtures
+
+
+def test_dnzs_matches_the_three_refinement_reference():
+    # Bit for bit, on every catalog-sweep pair and every pair of canonical
+    # mixtures.
+    pairs = [generate() for _, generate, _, _ in catalog_members()]
+    mixtures = _canonical_mixtures()
+    pairs += [(a, b) for a in mixtures for b in mixtures]
+    for u, v in pairs:
+        assert inf.dnzs(u, v) == oracle.dnzs(u, v)
+
+
+def test_dnzs_keeps_a_tiny_signal_live_as_reduce_does():
+    # u's u1 component holds a player-1 signal of mass 1.5e-12: live in u,
+    # so that component and u1 itself are different hierarchies, and half
+    # of each side's mass is unmatched.  The reference scales its union of
+    # four components to mass 1, which takes the signal for null and
+    # matches the two.
+    cat = inf.canonical_examples()
+    probs = np.zeros((2, 4, 2))
+    probs[:, :3, :] = cat["u1"].probs * (1 - 3e-12)
+    probs[:, 3, :] = 0.75e-12
+    u = inf.mix([(0.5, inf.validate_structure(probs)), (0.5, cat["u2"])])
+    v = inf.mix([(0.5, cat["u1"]), (0.5, cat["u2"])])
+    assert inf.reduce_redundancy(u).signals1_count == 6
+    assert inf.dnzs(u, v) == pytest.approx(1.0, abs=1e-9)
+    assert oracle.dnzs(u, v) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_catalog_sweep_structures_match_the_oracle():
