@@ -12,8 +12,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from . import catalog as cat
 from . import distance as dist
 from . import games as gm
@@ -78,7 +76,10 @@ def _format_value(v) -> str:
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidParameters(f"{path} is not UTF-8 text: {exc}") from None
 
 
 def _write(path: str | None, text: str):
@@ -102,7 +103,8 @@ def _load_bimatrix(path: str) -> gm.BimatrixGame:
 
 
 def _load_state_vector(path: str) -> dist.StateDistribution:
-    return dist.StateDistribution(np.asarray(json.loads(_read(path)), dtype=float))
+    what = "state distribution"
+    return dist.StateDistribution(st._json_floats(st._parse_json(_read(path), what), what))
 
 
 def _resolve_seed(args) -> int:

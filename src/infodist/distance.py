@@ -49,7 +49,7 @@ import numpy as np
 
 from . import lp
 from .config import DIST_TOL, NORM_TOL, WITNESS_TOL, ZERO_TOL
-from .errors import HypothesisViolated, NumericalFailure, ShapeMismatch
+from .errors import HypothesisViolated, NotNormalized, NumericalFailure, ShapeMismatch
 from .games import ZeroSumGame, guarantee, value
 from .structures import (
     ConditionalQuery,
@@ -96,6 +96,9 @@ class StateDistribution:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeMismatch(f"state distribution must be a vector, got {arr.shape}")
+        # NaN would pass both checks below, since every comparison with it is false.
+        if not np.isfinite(arr).all():
+            raise NotNormalized("state distribution contains non-finite entries")
         if arr.min(initial=0.0) < -ZERO_TOL:
             raise ShapeMismatch("state distribution has a negative entry")
         if abs(arr.sum() - 1.0) > NORM_TOL:

@@ -22,7 +22,7 @@ import numpy as np
 from . import lp
 from .config import NORM_TOL, ZERO_TOL, resolve_budget
 from .errors import BudgetExceeded, NotNormalized, ShapeMismatch
-from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2
+from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2, _json_floats, _json_object
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ class ZeroSumGame:
 
     @staticmethod
     def from_json(text: str) -> "ZeroSumGame":
-        payload = json.loads(text)
-        arr = np.asarray(payload["payoffs"], dtype=float)
+        payload = _json_object(text, "game", "states", "actions1", "actions2", "payoffs")
+        arr = _json_floats(payload["payoffs"], "payoffs")
         expected = (payload["states"], payload["actions1"], payload["actions2"])
         if arr.shape != expected:
             raise ShapeMismatch(f"payoffs shape {arr.shape} != declared {expected}")
@@ -129,10 +129,10 @@ class BimatrixGame:
 
     @staticmethod
     def from_json(text: str) -> "BimatrixGame":
-        payload = json.loads(text)
+        payload = _json_object(text, "bimatrix game", "payoffs1", "payoffs2")
         return BimatrixGame(
-            np.asarray(payload["payoffs1"], dtype=float),
-            np.asarray(payload["payoffs2"], dtype=float),
+            _json_floats(payload["payoffs1"], "payoffs1"),
+            _json_floats(payload["payoffs2"], "payoffs2"),
         )
 
 

@@ -1,8 +1,11 @@
 """Deterministic linear programming with primal and dual extraction.
 
 Thin adapter over the HiGHS solver that scipy vendors, called through its
-private binding ``scipy.optimize._highspy._core`` (the package's only
-private scipy import; scipy >= 1.17).  A problem is plain arrays: the
+private binding ``scipy.optimize._highspy._core`` (the package's only use
+of scipy; scipy >= 1.17).  ``_load_highs`` loads that one extension from
+its file, without importing ``scipy.optimize``, whose own imports were
+most of a cold ``import infodist`` (1.01 s -> 0.36 s, 2-core machine).
+A problem is plain arrays: the
 constraint matrix as (row, column, value) triplets, and
 ``row_lower <= A.x <= row_upper``, ``col_lower <= x <= col_upper`` with
 infinite entries for absent bounds.  ``solve`` sorts the triplets into
@@ -30,14 +33,48 @@ the gap LP's row duals become garblings.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize._highspy import _core as _highs
 
 from .config import LP_TOL
 from .errors import NumericalFailure, ShapeMismatch
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _load_highs():
+    """scipy's HiGHS binding, loaded from its file without running
+    ``scipy/optimize/__init__.py``.
+
+    That package pulls in ``scipy.linalg``, ``scipy.sparse`` and more, most
+    of a cold ``import infodist``; the binding links none of it.  A binding
+    already in ``sys.modules`` is reused, and a loaded one goes there under
+    its full name, so a later ``import scipy.optimize`` reuses it too (its
+    imports find it there; ``scipy.optimize._highspy`` gets no ``_core``
+    attribute).
+    """
+    if _CORE in sys.modules:
+        return sys.modules[_CORE]
+    # find_spec of a top-level name locates scipy without importing it.
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy else ()
+    where = [os.path.join(root, "optimize", "_highspy") for root in roots]
+    spec = importlib.machinery.PathFinder.find_spec(_CORE, where)
+    if spec is None:
+        raise ImportError(f"no HiGHS binding {_CORE} in {where}: infodist needs scipy >= 1.17")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_CORE] = module
+    return module
+
+
+_highs = _load_highs()
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -221,8 +258,12 @@ def linprog(
     else:
         highs.run()
         model_status = highs.getModelStatus()
-    info = highs.getInfo()
-    nit = max(info.simplex_iteration_count, 0) + max(info.ipm_iteration_count, 0)
+    # Two reads, not a copy of the whole HighsInfo.  Without a run the info
+    # is unavailable and the values read are not set: no iterations.
+    nit = 0
+    for name in ("simplex_iteration_count", "ipm_iteration_count"):
+        read, count = highs.getInfoValue(name)
+        nit += max(count, 0) if read == _highs.HighsStatus.kOk else 0
     status = _STATUS.get(model_status) or highs.modelStatusToString(model_status)
     if status != OPTIMAL:
         return HighsResult(status, np.zeros(0), np.zeros(0), nit)
@@ -230,17 +271,17 @@ def linprog(
     return HighsResult(status, np.array(solution.col_value), np.array(solution.row_dual), nit)
 
 
-def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A's entries in column-wise order: ``(start, rows, values)``.
+def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A's entries in column-wise order: ``(start, rows, cols, values)``.
 
     The canonical CSC that ``scipy.sparse`` builds from the triplets:
     sorted by (column, row), entries at one (row, column) summed, explicit
     zeros kept.  HiGHS rejects a model with a repeated (row, column).
-    Column j's entries are ``start[j]:start[j + 1]``.
+    Column j's entries are ``start[j]:start[j + 1]``; ``cols`` repeats j
+    for each of them, for the residual gates.
     """
     # One int64 key per entry, in (column, row) order, sorted stably so that
-    # entries at one (row, column) are summed in input order.  The sorted
-    # key becomes the rows in place: the peak is three triplet-sized arrays.
+    # entries at one (row, column) are summed in input order.
     n_rows = problem.n_rows
     key = problem.col_idx * n_rows + problem.row_idx
     order = np.argsort(key, kind="stable")
@@ -251,15 +292,15 @@ def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if repeat.any():
         first = np.flatnonzero(np.concatenate(([True], ~repeat)))
         key, vals = key[first], np.add.reduceat(vals, first)
-    start = np.searchsorted(key, np.arange(problem.n_vars + 1) * n_rows)
-    rows = np.remainder(key, n_rows, out=key)
-    return start, rows, vals
+    cols, rows = np.divmod(key, n_rows)
+    start = np.searchsorted(cols, np.arange(problem.n_vars + 1))
+    return start, rows, cols, vals
 
 
 def _residuals(
     problem: LpProblem,
-    start: np.ndarray,
     rows: np.ndarray,
+    cols: np.ndarray,
     vals: np.ndarray,
     x: np.ndarray,
     duals_min: np.ndarray,
@@ -273,7 +314,6 @@ def _residuals(
     lower, upper = problem.col_lower, problem.col_upper
     c_min = -problem.objective if problem.maximize else problem.objective
     lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
-    cols = np.arange(problem.n_vars).repeat(np.diff(start))
     ax = np.bincount(rows, weights=x[cols] * vals, minlength=problem.n_rows)
     at_lam = np.bincount(cols, weights=lam[rows] * vals, minlength=problem.n_vars)
     primal = float(np.maximum(row_lower - ax, ax - row_upper).max(initial=0.0))
@@ -306,7 +346,7 @@ def _residuals(
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve with HiGHS; returns status, primal, row duals, objective."""
-    start, rows, vals = _columnwise(problem)
+    start, rows, cols, vals = _columnwise(problem)
     cost = -problem.objective if problem.maximize else problem.objective
     res = linprog(
         cost,
@@ -321,7 +361,7 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # HiGHS solved the minimization, so its row duals are duals_min.
     duals_min = res.row_dual
-    primal_res, dual_res, gap = _residuals(problem, start, rows, vals, res.x, duals_min)
+    primal_res, dual_res, gap = _residuals(problem, rows, cols, vals, res.x, duals_min)
     if primal_res > LP_TOL or dual_res > _DUAL_GATE or gap > LP_TOL:
         raise NumericalFailure(
             f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"

@@ -20,6 +20,7 @@ import numpy as np
 
 from .config import NORM_TOL, ZERO_TOL
 from .errors import (
+    InvalidParameters,
     NegativeMass,
     NotNormalized,
     ShapeMismatch,
@@ -43,6 +44,33 @@ def _check_nonnegative(arr: np.ndarray, what: str) -> np.ndarray:
     if arr.min(initial=0.0) < -ZERO_TOL:
         raise NegativeMass(f"{what} has an entry {arr.min():g} < -{ZERO_TOL:g}")
     return np.clip(arr, 0.0, None)
+
+
+def _parse_json(text: str, what: str):
+    """``text`` as JSON; malformed text raises InvalidParameters."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameters(f"{what} is not valid JSON: {exc}") from None
+
+
+def _json_object(text: str, what: str, *keys: str) -> dict:
+    """``text`` as a JSON object that holds every one of ``keys``."""
+    payload = _parse_json(text, what)
+    if not isinstance(payload, dict):
+        raise InvalidParameters(f"{what} must be a JSON object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise InvalidParameters(f"{what} lacks {', '.join(map(repr, missing))}")
+    return payload
+
+
+def _json_floats(value, what: str) -> np.ndarray:
+    """A JSON value as a float array; ragged or non-numeric lists raise ShapeMismatch."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ShapeMismatch(f"{what} is not a rectangular array of numbers: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -100,15 +128,18 @@ class InformationStructure:
 
     @staticmethod
     def from_json(text: str) -> "InformationStructure":
-        payload = json.loads(text)
-        probs = np.asarray(payload["probs"], dtype=float)
+        payload = _json_object(text, "structure", "probs")
+        probs = _json_floats(payload["probs"], "probs")
+        labels = payload.get("states")
+        if labels is not None and not isinstance(labels, list):
+            raise InvalidParameters("states field must be a list of state labels")
         if probs.ndim != 3:
             raise ShapeMismatch("probs field must be a 3-level nested list")
         if probs.shape[1] != payload.get("signals1", probs.shape[1]) or probs.shape[
             2
         ] != payload.get("signals2", probs.shape[2]):
             raise ShapeMismatch("signal counts do not match tensor dimensions")
-        return validate_structure(probs, payload.get("states"))
+        return validate_structure(probs, labels)
 
 
 class _Same:
@@ -179,8 +210,8 @@ class Garbling:
 
     @staticmethod
     def from_json(text: str) -> "Garbling":
-        payload = json.loads(text)
-        rows = np.asarray(payload["rows"], dtype=float)
+        payload = _json_object(text, "garbling", "source", "target", "rows")
+        rows = _json_floats(payload["rows"], "rows")
         if rows.shape != (payload["source"], payload["target"]):
             raise ShapeMismatch("rows do not match declared source/target counts")
         return Garbling(rows)

@@ -321,6 +321,47 @@ def test_domain_error_exit_code(capsys, files, tmp_path):
     assert json.loads(err.splitlines()[-1])["error"] == "NotNormalized"
 
 
+def _domain_error(capsys, *argv):
+    """The error class a command reports: exit 1, one JSON line on stderr."""
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    return json.loads(err)["error"]
+
+
+def test_diameter_rejects_a_nan_state_distribution(capsys, tmp_path):
+    (tmp_path / "n.json").write_text("[0.5, NaN]")
+    (tmp_path / "p.json").write_text("[0.5, 0.5]")
+    args = (str(tmp_path / "n.json"), str(tmp_path / "p.json"))
+    assert _domain_error(capsys, "diameter", *args) == "NotNormalized"
+
+
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        (("distance", "{bad}", "u1"), "not json", "InvalidParameters"),
+        (("distance", "{bad}", "u1"), '{"states": 2, "signals1": 1}', "InvalidParameters"),
+        (("distance", "u1", "{bad}"), '{"probs": [[[0.5]], [[0.25, 0.25]]]}', "ShapeMismatch"),
+        (("value", "u2", "{bad}"), '{"states": 2, "actions1": 2}', "InvalidParameters"),
+        (("value", "u2", "{bad}"), "[", "InvalidParameters"),
+        (("feasible", "u2", "{bad}"), '{"payoffs1": [[[1]]]}', "InvalidParameters"),
+        (("feasible", "u2", "{bad}"), '{"payoffs1": [[[1]]], "payoffs2": [[1], [[1]]]}', "ShapeMismatch"),
+        (("diameter", "{bad}", "{bad}"), "0.5, 0.5", "InvalidParameters"),
+        (("diameter", "{bad}", "{bad}"), "[[0.5], 0.5]", "ShapeMismatch"),
+    ],
+)
+def test_malformed_input_files_are_domain_errors(capsys, files, command, text, error):
+    bad = files["tmp"] / "bad.json"
+    bad.write_text(text)
+    argv = [str(bad) if arg == "{bad}" else files.get(arg, arg) for arg in command]
+    assert _domain_error(capsys, *argv) == error
+
+
+def test_a_file_that_is_not_utf8_is_a_domain_error(capsys, files):
+    bad = files["tmp"] / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    assert _domain_error(capsys, "distance", str(bad), files["u1"]) == "InvalidParameters"
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["distance"]) == 2
     assert main(["no-such-command"]) == 2

@@ -437,6 +437,12 @@ def test_diameter_bounds_examples():
     assert (out.lower, out.upper) == pytest.approx((2.0, 2.0))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_state_distribution_rejects_non_finite_entries(entry):
+    with pytest.raises(inf.NotNormalized):
+        inf.StateDistribution(np.array([0.5, entry]))
+
+
 def test_diameter_binary_asymmetric():
     p = inf.StateDistribution(np.array([0.7, 0.3]))
     q = inf.StateDistribution(np.array([0.4, 0.6]))

@@ -478,9 +478,10 @@ def test_flat_model_solves_as_a_highs_lp_object_does(monkeypatch):
     ]
     statuses = set()
     for problem in problems:
+        start, rows, _, vals = lp._columnwise(problem)
         args = (
             -problem.objective if problem.maximize else problem.objective,
-            lp._columnwise(problem),
+            (start, rows, vals),
             (problem.row_lower, problem.row_upper),
             (problem.col_lower, problem.col_upper),
         )
@@ -494,9 +495,20 @@ def test_flat_model_solves_as_a_highs_lp_object_does(monkeypatch):
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
 
+def test_a_rejected_model_reports_no_iterations():
+    # HiGHS rejects a repeated (row, column) in passModel and runs nothing;
+    # its iteration counts are then unavailable, not the last solve's.
+    assert lp.solve(_simple_problem()).status == lp.OPTIMAL
+    one = np.ones(1)
+    repeated = (np.array([0, 2]), np.array([0, 0]), np.array([1.0, 1.0]))
+    res = lp.linprog(one, repeated, (-np.inf * one, one), (0 * one, one))
+    assert (res.status, res.nit) == (lp.INFEASIBLE, 0)
+
+
 def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
     # Column-wise arrays bit for bit as a stable (column, row) lexsort gives
-    # them, each run of repeats summed by np.add.reduceat in input order.
+    # them, each run of repeats summed by np.add.reduceat in input order,
+    # with each entry's column beside its row.
     n_rows, n_vars, size = 7, 9, 400  # ~6 entries per (row, column)
     rows = rng.integers(0, n_rows, size)
     cols = rng.integers(0, n_vars, size)
@@ -511,7 +523,8 @@ def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
     sums = np.add.reduceat(vals[order], first)
     start = np.concatenate(([0], np.cumsum(np.bincount(unique[:, 0], minlength=n_vars))))
     got = lp._columnwise(problem)
-    assert len(got) == 3
-    for name, have, want in zip(("start", "rows", "values"), got, (start, unique[:, 1], sums)):
+    assert len(got) == 4
+    want = (start, unique[:, 1], unique[:, 0], sums)
+    for name, have, want in zip(("start", "rows", "cols", "values"), got, want):
         assert have.dtype == want.dtype, name
         assert have.tobytes() == want.tobytes(), name

@@ -211,6 +211,27 @@ def test_garbling_json_round_trip(rng):
     assert np.array_equal(q.rows, again.rows)
 
 
+@pytest.mark.parametrize(
+    "load, text, error",
+    [
+        (inf.InformationStructure.from_json, "not json", inf.InvalidParameters),
+        (inf.InformationStructure.from_json, '{"states": 2, "signals1": 1}', inf.InvalidParameters),
+        (inf.InformationStructure.from_json, "[[[1.0]]]", inf.InvalidParameters),
+        (inf.InformationStructure.from_json, '{"states": 1, "probs": [[[1.0]]]}', inf.InvalidParameters),
+        (inf.InformationStructure.from_json, '{"probs": [[[0.5]], [[0.25, 0.25]]]}', inf.ShapeMismatch),
+        (inf.InformationStructure.from_json, '{"probs": [[["a"]]]}', inf.ShapeMismatch),
+        (inf.Garbling.from_json, '{"source": 1, "rows": [[1.0]]}', inf.InvalidParameters),
+        (inf.ZeroSumGame.from_json, '{"states": 1, "actions1": 1, "actions2": 1}', inf.InvalidParameters),
+        (inf.ZeroSumGame.from_json, "{", inf.InvalidParameters),
+        (inf.BimatrixGame.from_json, '{"payoffs1": [[[1.0]]], "payoffs2": [[[1.0]], [1.0]]}', inf.ShapeMismatch),
+        (inf.BimatrixGame.from_json, '{"payoffs1": [[[1.0]]]}', inf.InvalidParameters),
+    ],
+)
+def test_from_json_rejects_malformed_input(load, text, error):
+    with pytest.raises(error):
+        load(text)
+
+
 def test_structures_immutable(rng):
     u = random_structure(rng, 2, 2, 2)
     with pytest.raises(ValueError):
