@@ -90,21 +90,34 @@ def _write(path: str | None, text: str):
             fh.write(text + ("\n" if not text.endswith("\n") else ""))
 
 
+def _load(path: str, parse):
+    """``parse`` of the file's text; a domain error names the file."""
+    text = _read(path)
+    try:
+        return parse(text)
+    except InfoDistError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def _load_structure(path: str) -> st.InformationStructure:
-    return st.InformationStructure.from_json(_read(path))
+    return _load(path, st.InformationStructure.from_json)
 
 
 def _load_game(path: str) -> gm.ZeroSumGame:
-    return gm.ZeroSumGame.from_json(_read(path))
+    return _load(path, gm.ZeroSumGame.from_json)
 
 
 def _load_bimatrix(path: str) -> gm.BimatrixGame:
-    return gm.BimatrixGame.from_json(_read(path))
+    return _load(path, gm.BimatrixGame.from_json)
+
+
+def _state_vector(text: str) -> dist.StateDistribution:
+    what = "state distribution"
+    return dist.StateDistribution(st._json_floats(st._parse_json(text, what), what))
 
 
 def _load_state_vector(path: str) -> dist.StateDistribution:
-    what = "state distribution"
-    return dist.StateDistribution(st._json_floats(st._parse_json(_read(path), what), what))
+    return _load(path, _state_vector)
 
 
 def _resolve_seed(args) -> int:

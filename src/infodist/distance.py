@@ -30,7 +30,9 @@ Calls on the same pair of structure objects share one gap solve:
 read the last few (u, v) solves from a small LRU memo.  An entry holds the
 LP solution, its layout and the ``GapCertificate``, which the first
 ``one_sided_gap`` call builds and every later one returns.
-``value_distance`` reads the objective alone and builds no garbling.  The
+``value_distance`` reads the objective alone and builds no garbling; when
+the memo holds neither direction it solves both as one ``lp.solve_pair``,
+which may run them on two threads, and stores both.  The
 memo is keyed on object identity, not content.  A structure's tensor is
 read-only, so the same pair of objects always has the same gap, and
 comparing identities costs nothing where hashing the tensors would read
@@ -42,6 +44,7 @@ built once per shape (see ``_gap_pattern``).
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -252,10 +255,7 @@ class _GapSolve:
         return max(self.solution.objective, 0.0)
 
 
-@functools.lru_cache(maxsize=4)
-def _solve_gap_of(u_key: _Same, v_key: _Same) -> _GapSolve:
-    problem, layout = _gap_problem(u_key.obj, v_key.obj)
-    sol = lp.solve(problem)
+def _gap_solve(sol: lp.LpSolution, layout: _GapLayout) -> _GapSolve:
     if sol.status != lp.OPTIMAL:
         raise NumericalFailure(f"gap LP ended with status {sol.status}")
     # Every caller gets this same solution, so none may write into it.
@@ -264,13 +264,42 @@ def _solve_gap_of(u_key: _Same, v_key: _Same) -> _GapSolve:
     return _GapSolve(sol, layout)
 
 
+# The last _GAP_MEMO_SIZE gap solves by (u, v) identity, least recent first.
+_GAP_MEMO_SIZE = 4
+_gap_memo: dict[tuple[_Same, _Same], _GapSolve] = {}
+_gap_memo_lock = threading.Lock()
+
+
+def _recall(u, v) -> _GapSolve | None:
+    key = (_Same(u), _Same(v))
+    with _gap_memo_lock:
+        solve = _gap_memo.pop(key, None)
+        if solve is not None:
+            _gap_memo[key] = solve
+    return solve
+
+
+def _remember(u, v, solve: _GapSolve) -> None:
+    key = (_Same(u), _Same(v))
+    with _gap_memo_lock:
+        _gap_memo.pop(key, None)
+        _gap_memo[key] = solve
+        while len(_gap_memo) > _GAP_MEMO_SIZE:
+            del _gap_memo[next(iter(_gap_memo))]
+
+
 def _solve_gap(u, v) -> _GapSolve:
     """The (u, v) gap LP's solve, shared by calls on the same objects.
 
     A raised NumericalFailure is not cached: the next call solves again.
     Neither is a solve whose witness fails its bracket in ``witness_game``.
     """
-    return _solve_gap_of(_Same(u), _Same(v))
+    solve = _recall(u, v)
+    if solve is None:
+        problem, layout = _gap_problem(u, v)
+        solve = _gap_solve(lp.solve(problem), layout)
+        _remember(u, v, solve)
+    return solve
 
 
 def _garbling(duals: np.ndarray, live: np.ndarray, mass: np.ndarray, n_source: int) -> Garbling:
@@ -310,7 +339,22 @@ def one_sided_gap(
 def value_distance(u: InformationStructure, v: InformationStructure) -> float:
     """max of the two one-sided gaps; pseudo-metric value in [0, 2].
 
-    Reads the two gap solves' objectives and builds no garbling."""
+    Reads the two gap solves' objectives and builds no garbling.  When the
+    memo holds neither direction, the two independent gap LPs go to
+    ``lp.solve_pair``, which runs the (v, u) LP's HiGHS solve on a second
+    thread while this one solves (u, v) if the LPs are large enough (see
+    ``lp``); the results are the serial solves' bit for bit, and both
+    directions enter the memo.
+    """
+    if _recall(u, v) is None and _recall(v, u) is None:
+        problem_uv, layout_uv = _gap_problem(u, v)
+        problem_vu, layout_vu = _gap_problem(v, u)
+        sol_uv, sol_vu = lp.solve_pair(problem_uv, problem_vu)
+        uv = _gap_solve(sol_uv, layout_uv)
+        _remember(u, v, uv)
+        vu = _gap_solve(sol_vu, layout_vu)
+        _remember(v, u, vu)
+        return max(uv.gap, vu.gap)
     return max(_solve_gap(u, v).gap, _solve_gap(v, u).gap)
 
 
@@ -345,7 +389,8 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     miss = max(upper - target, target - lower)
     if miss > WITNESS_TOL:
         # The solve failed its certificate: no later call may read it back.
-        _solve_gap_of.cache_clear()
+        with _gap_memo_lock:
+            _gap_memo.clear()
         raise NumericalFailure(
             f"witness recheck failed: target {target!r} is {miss:.2e} from "
             f"an end of its bracket [{lower!r}, {upper!r}]"

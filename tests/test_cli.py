@@ -356,6 +356,30 @@ def test_malformed_input_files_are_domain_errors(capsys, files, command, text, e
     assert _domain_error(capsys, *argv) == error
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("distance", "u1", "{bad}"),
+        ("distance", "{bad}", "u1"),
+        ("value", "u2", "{bad}"),
+        ("feasible", "u2", "{bad}"),
+        ("diameter", "{p}", "{bad}"),
+    ],
+)
+def test_a_loader_error_names_the_file_that_failed(capsys, files, command):
+    bad = files["tmp"] / "bad.json"
+    bad.write_text('{"probs": [1, 2')
+    (files["tmp"] / "p.json").write_text("[0.5, 0.5]")
+    paths = {"{bad}": str(bad), "{p}": str(files["tmp"] / "p.json")}
+    argv = [paths.get(arg) or files.get(arg, arg) for arg in command]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (1, "")
+    report = json.loads(err)
+    assert report["error"] == "InvalidParameters"
+    assert report["message"].startswith(f"{bad}: ")
+    assert report["message"].count(str(files["tmp"])) == 1
+
+
 def test_a_file_that_is_not_utf8_is_a_domain_error(capsys, files):
     bad = files["tmp"] / "bad.json"
     bad.write_bytes(b"\xff\xfe")

@@ -73,3 +73,49 @@ def test_cli_distance_runs_without_scipy_optimize(tmp_path):
     assert done.stdout.strip() == "0.5"
     assert "infodist.lp" in imported
     assert "scipy.optimize" not in imported
+
+
+def test_import_starts_no_thread_and_small_distances_start_none():
+    # The HiGHS worker starts on the first pair of large gap LPs, and not
+    # before: not on import, not for small structures.
+    out = _python(
+        "-c",
+        "import os, threading\n"
+        "import numpy as np\n"
+        "import infodist as inf\n"
+        "counts = [threading.active_count()]\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "rng = np.random.default_rng(0)\n"
+        "def pair(n_k, n):\n"
+        "    return [inf.validate_structure(p / p.sum()) for p in rng.random((2, n_k, n, n))]\n"
+        "for n in (2, 3, 4):\n"
+        "    inf.value_distance(*pair(3, n))\n"
+        "counts.append(threading.active_count())\n"
+        "inf.value_distance(*pair(4, 6))\n"
+        "counts.append(threading.active_count())\n"
+        "print(*counts)",
+    ).stdout
+    assert out.split() == ["1", "1", "2"]
+
+
+def test_a_forked_child_starts_its_own_worker():
+    # The child of a fork has no worker thread; it must not queue a model
+    # for the parent's and wait forever.
+    out = _python(
+        "-c",
+        "import os, signal\n"
+        "import numpy as np\n"
+        "import infodist as inf\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "rng = np.random.default_rng(0)\n"
+        "def pair():\n"
+        "    return [inf.validate_structure(p / p.sum()) for p in rng.random((2, 4, 6, 6))]\n"
+        "inf.value_distance(*pair())\n"
+        "u, v = pair()\n"
+        "pid = os.fork()\n"
+        "if pid == 0:\n"
+        "    signal.alarm(60)\n"
+        "    os._exit(0 if inf.value_distance(u, v) > 0 else 1)\n"
+        "print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), inf.value_distance(u, v) > 0)",
+    ).stdout
+    assert out.split() == ["0", "True"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import infodist as inf
-from infodist import PLAYER1, PLAYER2, lp
+from infodist import PLAYER1, PLAYER2, distance, lp
 from infodist.config import DIST_TOL, WITNESS_TOL
 from infodist.config import ZERO_TOL
 from infodist.distance import _gap_pattern, _gap_problem, _solve_gap
@@ -164,6 +164,80 @@ def test_gap_memo_does_not_keep_failures(rng, monkeypatch):
     cert = inf.one_sided_gap(u, v)
     assert calls == [15, 15]
     assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
+
+
+def _dense_pairs(seed, signals=range(5, 10)):
+    rng = np.random.default_rng(seed)
+    return [(random_structure(rng, 4, n, n), random_structure(rng, 4, n, n)) for n in signals]
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_paired_distance_is_the_max_of_the_serial_gaps(solve_rows, two_cpus):
+    # K=4, L=5..9: value_distance solves both directions as one pair; the
+    # gaps then come from the pair's memo entries without another solve,
+    # and solved again one at a time they are the same bits.
+    for u, v in _dense_pairs(20261025):
+        d = inf.value_distance(u, v)
+        paired = (inf.one_sided_gap(u, v).gap, inf.one_sided_gap(v, u).gap)
+        assert len(solve_rows) == 2
+        distance._gap_memo.clear()
+        serial = (inf.one_sided_gap(u, v).gap, inf.one_sided_gap(v, u).gap)
+        assert len(solve_rows) == 4
+        assert _bits(d) == _bits(max(serial))
+        assert list(map(_bits, paired)) == list(map(_bits, serial))
+        solve_rows.clear()
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failed_direction_of_a_pair_is_not_kept(monkeypatch, two_cpus, failing):
+    # A NumericalFailure in either direction of a paired solve keeps
+    # nothing for that direction, leaves no model with the worker, and the
+    # next call solves again and gets the serial answer.
+    u, v = _dense_pairs(20261026, [6])[0]
+    want = max(inf.one_sided_gap(u, v).gap, inf.one_sided_gap(v, u).gap)
+    distance._gap_memo.clear()
+    calls, handoffs = [], []
+    solve, handoff = lp.solve, lp._Handoff
+
+    class KeptHandoff(handoff):
+        def __init__(self, problem):
+            handoffs.append(self)
+            super().__init__(problem)
+
+    def fail_once(problem):
+        calls.append(problem)
+        if len(calls) == failing + 1:
+            raise NumericalFailure("injected")
+        return solve(problem)
+
+    monkeypatch.setattr(lp, "_Handoff", KeptHandoff)
+    monkeypatch.setattr(lp, "solve", fail_once)
+    with pytest.raises(NumericalFailure, match="injected"):
+        inf.value_distance(u, v)
+    failed = (u, v) if failing == 0 else (v, u)
+    assert distance._recall(*failed) is None
+    # The caller waited for the worker's run before raising.
+    assert len(handoffs) == 1 and handoffs[0]._result is not None
+    assert lp._THREAD.handoff is None and lp._jobs.empty()
+    assert _bits(inf.value_distance(u, v)) == _bits(want)
+    # The failed call solved up to its failure; the next one both models.
+    assert len(calls) == failing + 3 and len(handoffs) == 2
+
+
+def test_small_distances_never_start_the_worker(rng, monkeypatch, solve_rows):
+    # Pairs the size of the acceptance suites' stay on one thread.
+    handed = []
+    monkeypatch.setattr(lp, "_submit", lambda args: handed.append(args))
+    for _ in range(20):
+        shape_u, shape_v = rng.integers(1, 5, (2, 2))
+        n_k = int(rng.integers(2, 4))
+        u, v = random_structure(rng, n_k, *shape_u), random_structure(rng, n_k, *shape_v)
+        inf.value_distance(u, v)
+    assert handed == []
+    assert len(solve_rows) == 40
 
 
 def _halve_witness(sol, n_cells):

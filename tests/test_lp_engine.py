@@ -528,3 +528,109 @@ def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
     for name, have, want in zip(("start", "rows", "cols", "values"), got, want):
         assert have.dtype == want.dtype, name
         assert have.tobytes() == want.tobytes(), name
+
+
+def _large_gap_pairs(seed, signals=range(5, 10)):
+    """Both directions' gap LPs of dense K=4, L x L pairs."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for n in signals:
+        u, v = random_structure(rng, 4, n, n), random_structure(rng, 4, n, n)
+        pairs.append((distance._gap_problem(u, v)[0], distance._gap_problem(v, u)[0]))
+    return pairs
+
+
+@pytest.fixture
+def handoffs(monkeypatch, two_cpus):
+    """Sizes of the models ``solve_pair`` hands to the worker, in order."""
+    sizes = []
+    handoff = lp._Handoff
+
+    class CountingHandoff(handoff):
+        def __init__(self, problem):
+            sizes.append(problem.coefficients.size)
+            super().__init__(problem)
+
+    monkeypatch.setattr(lp, "_Handoff", CountingHandoff)
+    return sizes
+
+
+def test_paired_solves_are_the_serial_solves(handoffs):
+    # K=4, L=5..9: every second model has 1,050 to 5,994 entries, so each
+    # pair solves on two threads, and gets every bit of the serial solves.
+    pairs = _large_gap_pairs(20261021)
+    serial = [(lp.solve(first), lp.solve(second)) for first, second in pairs]
+    paired = [lp.solve_pair(first, second) for first, second in pairs]
+    assert handoffs == [second.coefficients.size for _, second in pairs]
+    assert min(handoffs) >= lp._PAIR_MIN_ENTRIES
+    for want, got in zip(serial, paired):
+        assert want[0].status == want[1].status == lp.OPTIMAL
+        assert _same(got[0], want[0]) and _same(got[1], want[1])
+    assert lp._THREAD.handoff is None
+
+
+def test_small_or_single_cpu_pairs_solve_in_series(monkeypatch, handoffs):
+    # Below _PAIR_MIN_ENTRIES, or on one CPU, solve_pair is two solves on
+    # this thread and never touches the worker.
+    rng = np.random.default_rng(20261022)
+    u, v = random_structure(rng, 3, 4, 4), random_structure(rng, 3, 4, 4)
+    small = (distance._gap_problem(u, v)[0], distance._gap_problem(v, u)[0])
+    assert small[1].coefficients.size < lp._PAIR_MIN_ENTRIES
+    large = _large_gap_pairs(20261023, [6])[0]
+    for first, second in (small, large):
+        want = (lp.solve(first), lp.solve(second))
+        if second is large[1]:
+            monkeypatch.setattr(lp.os, "sched_getaffinity", lambda pid: {0})
+        got = lp.solve_pair(first, second)
+        assert _same(got[0], want[0]) and _same(got[1], want[1])
+    assert handoffs == []
+
+
+def test_a_failed_worker_run_propagates_and_the_worker_goes_on(monkeypatch, handoffs):
+    # An exception in the worker's HiGHS run reaches the caller from
+    # linprog, and the worker solves the next pair.
+    first, second = _large_gap_pairs(20261024, [6])[0]
+    want = (lp.solve(first), lp.solve(second))
+    run = lp._run
+
+    def fail_on_worker(*args):
+        if threading.current_thread().name == "infodist-highs":
+            raise RuntimeError("injected")
+        return run(*args)
+
+    monkeypatch.setattr(lp, "_run", fail_on_worker)
+    with pytest.raises(RuntimeError, match="injected"):
+        lp.solve_pair(first, second)
+    assert lp._THREAD.handoff is None
+    monkeypatch.setattr(lp, "_run", run)
+    got = lp.solve_pair(first, second)
+    assert _same(got[0], want[0]) and _same(got[1], want[1])
+    assert len(handoffs) == 2
+
+
+def test_callers_on_three_threads_share_the_worker(handoffs):
+    # Three threads, more than the cores, each pair a large pair through
+    # the one worker at a short switch interval: every result is still the
+    # serial solve of its own model.
+    pairs = _large_gap_pairs(20261027, [5, 5, 6, 5, 6, 5])
+    expected = [(lp.solve(first), lp.solve(second)) for first, second in pairs]
+    results = [None] * len(pairs)
+
+    def work(offset):
+        for i in range(offset, len(pairs), 3):
+            results[i] = lp.solve_pair(*pairs[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(offset,), daemon=True) for offset in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(handoffs) == len(pairs)
+    for got, want in zip(results, expected):
+        assert _same(got[0], want[0]) and _same(got[1], want[1])
