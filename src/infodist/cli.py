@@ -163,6 +163,8 @@ def _cmd_distance(args) -> _Output:
 def _cmd_compare(args) -> _Output:
     u = _load_structure(args.u)
     v = _load_structure(args.v)
+    # Solves both directions as one pair; the gaps then come from the memo.
+    dist.value_distance(u, v)
     gap_vu = dist.one_sided_gap(u, v).gap  # sup_g val(v,g) - val(u,g)
     gap_uv = dist.one_sided_gap(v, u).gap
     tol = args.tolerance
@@ -450,6 +452,16 @@ def _budget(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     try:
         value = float(text)
@@ -587,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in markov_commands.items():
         ms = msub.add_parser(name)
         ms.add_argument("-N", "--N", dest="N", type=int, required=True)
-        ms.add_argument("--seed", type=int, default=None)
+        ms.add_argument("--seed", type=_seed, default=None)
         if name == "sample":
             ms.add_argument("-o", "--output", default=None)
         else:

@@ -27,15 +27,9 @@ from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2, _json_
 
 @dataclass(frozen=True)
 class ZeroSumGame:
-    """Payoff tensor g(k, i, j), player 1 maximizing.
-
-    ``payoff_bound`` loosens the [-1, 1] validation for internally built
-    games whose documented bound differs from 1; entries are still required
-    to respect it.
-    """
+    """Payoff tensor g(k, i, j), player 1 maximizing, entries in [-1, 1]."""
 
     payoffs: np.ndarray
-    payoff_bound: float = 1.0
 
     def __post_init__(self):
         arr = np.asarray(self.payoffs, dtype=float)
@@ -43,10 +37,8 @@ class ZeroSumGame:
             raise ShapeMismatch(f"payoffs must be a (K, I, J) tensor, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise NotNormalized("payoffs contain non-finite entries")
-        if np.abs(arr).max() > self.payoff_bound + ZERO_TOL:
-            raise NotNormalized(
-                f"|payoffs| reach {np.abs(arr).max():g} > bound {self.payoff_bound:g}"
-            )
+        if np.abs(arr).max() > 1.0 + ZERO_TOL:
+            raise NotNormalized(f"|payoffs| reach {np.abs(arr).max():g} > bound 1")
         out = np.ascontiguousarray(arr)
         out.setflags(write=False)
         object.__setattr__(self, "payoffs", out)
@@ -64,7 +56,7 @@ class ZeroSumGame:
         return self.payoffs.shape[2]
 
     def negate(self) -> "ZeroSumGame":
-        return ZeroSumGame(-self.payoffs, self.payoff_bound)
+        return ZeroSumGame(-self.payoffs)
 
     def to_json(self) -> str:
         return json.dumps(

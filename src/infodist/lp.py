@@ -18,24 +18,26 @@ and A^T.lam as one ``np.bincount`` each over A's entries.
 
 ``solve_pair`` solves two independent problems, such as the two
 directions of a distance, on two threads at once.  The binding releases
-the interpreter lock in ``run``, so one daemon worker thread, started on
-first use, runs the second model's ``passModel``/``run``/``getSolution``
-on its own HiGHS instance while the calling thread solves the first.
+the interpreter lock in ``run``, so a daemon helper thread, started for
+the pair and joined before it returns, runs the second model's
+``passModel``/``run``/``getSolution`` on a spare HiGHS instance of the
+calling thread while that thread solves the first.
 Everything else (assembly, ``_columnwise``, the gates) stays on the
 calling thread, and both models still pass through ``solve`` and
 ``linprog`` there, so a wrapper installed as either sees every model.
 Only a second model of at least ``_PAIR_MIN_ENTRIES`` (1,000) matrix
-entries goes to the worker, and only when the process may run on two
+entries goes to a helper, and only when the process may run on two
 CPUs.  On a 2-core machine, four K=4, L=7..9 gap LPs (2,842-5,994
 entries) took 0.19-0.29 s one after the other and 0.15 s paired, while
 handing over pairs of at most ~450 entries made 3-4 ms distance calls
-12-45% slower.  Dual simplex itself stays on one thread: HiGHS's parallel
+12-45% slower.  Starting and joining the helper costs about 0.2 ms.
+Dual simplex itself stays on one thread: HiGHS's parallel
 dual ran 1.4x slower on these LPs.
 
 The contract the rest of the package relies on:
 
 - ``solve`` is deterministic for identical input (HiGHS, single thread
-  per model; a model solved on the worker gets every bit it gets here),
+  per model; a model solved on a helper gets every bit it gets here),
 - optimal solutions carry row duals oriented so that ``dual[i]`` is the
   derivative of the *reported* objective with respect to row i's active
   bound,
@@ -220,94 +222,70 @@ class HighsResult:
 
 
 class _Local(threading.local):
-    """Per-thread state: the thread's HiGHS instance, and the model that
-    ``solve_pair`` has handed to the worker, if any."""
+    """Per-thread state: the thread's HiGHS instance, the spare one that
+    its pairs' helper threads run on, and the model that ``solve_pair`` has
+    handed to a helper, if any."""
 
     highs: _highs._Highs | None = None
+    spare: _highs._Highs | None = None
     handoff: _Handoff | None = None
 
 
 _THREAD = _Local()
 
 
+def _new_highs() -> _highs._Highs:
+    highs = _highs._Highs()
+    highs.passOptions(_HIGHS_OPTIONS)
+    return highs
+
+
 def _thread_highs() -> _highs._Highs:
     """This thread's reused HiGHS instance.
 
     ``passModel`` clears the previous model, basis, solution and info, so a
-    reused instance solves every model as a new one would; HiGHS instances
-    are not shared between threads.
+    reused instance solves every model as a new one would; no instance
+    runs two models at once.
     """
-    highs = _THREAD.highs
-    if highs is None:
-        highs = _THREAD.highs = _highs._Highs()
-        highs.passOptions(_HIGHS_OPTIONS)
-    return highs
+    if _THREAD.highs is None:
+        _THREAD.highs = _new_highs()
+    return _THREAD.highs
 
 
 # A pair of models goes to two threads only when the second has at least
-# this many matrix entries: below it, waking the worker costs more than
+# this many matrix entries: below it, starting the helper costs more than
 # the overlap saves (see the module docstring).
 _PAIR_MIN_ENTRIES = 1000
 
-_WORKER_LOCK = threading.Lock()
-_jobs: SimpleQueue | None = None  # the worker's queue, once it is started
-
-
-def _work(jobs: SimpleQueue) -> None:
-    """The worker thread: runs each queued model on its own HiGHS instance
-    and puts the ``HighsResult``, or the exception, on the job's reply."""
-    highs = _thread_highs()
-    while True:
-        args, reply = jobs.get()
-        try:
-            result = _run(highs, *args)
-        except Exception as exc:  # re-raised by the waiting caller
-            result = exc
-        reply.put(result)
-
-
-def _submit(args: tuple) -> SimpleQueue:
-    """Queue one ``_run`` on the worker, starting it on first use; returns
-    the queue its result will arrive on."""
-    global _jobs
-    # Loaded with the worker, so that a bare import pays nothing for it.
-    from _queue import SimpleQueue
-
-    with _WORKER_LOCK:
-        if _jobs is None:
-            jobs = SimpleQueue()
-            threading.Thread(target=_work, args=(jobs,), name="infodist-highs", daemon=True).start()
-            _jobs = jobs
-    reply = SimpleQueue()
-    _jobs.put((args, reply))
-    return reply
-
-
-def _forget_worker() -> None:
-    # A forked child has no worker thread; it starts its own when needed.
-    global _jobs
-    _jobs = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
 
 class _Handoff:
-    """A model whose HiGHS run is on the worker: the problem, its
-    column-wise arrays, the ``linprog`` arguments, and the pending result."""
+    """A model whose HiGHS run is on a helper thread: the problem, its
+    column-wise arrays, the ``linprog`` arguments, and the helper's result.
+
+    The helper lives for this one run, on the calling thread's spare HiGHS
+    instance, so no pair builds a new instance."""
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
         self.prepared = _prepare(problem)
         self.args = self.prepared[3]
-        self._reply = _submit(self.args)
         self._result = None
+        if _THREAD.spare is None:
+            _THREAD.spare = _new_highs()
+        self._helper = threading.Thread(
+            target=self._help, args=(_THREAD.spare,), name="infodist-highs", daemon=True
+        )
+        self._helper.start()
+
+    def _help(self, highs: _highs._Highs) -> None:
+        try:
+            self._result = _run(highs, *self.args)
+        except Exception as exc:  # re-raised by the waiting caller
+            self._result = exc
 
     def wait(self) -> HighsResult | Exception:
-        """The worker's run or its exception, waiting for it on the first call."""
-        if self._result is None:
-            self._result = self._reply.get()
+        """The helper's run or its exception, once the helper has ended."""
+        self._helper.join()
         return self._result
 
     def result(self) -> HighsResult:
@@ -383,8 +361,8 @@ def linprog(
     INFEASIBLE, UNBOUNDED or else HiGHS's own name for its model status.
     ``solve`` calls it through this module's global, so a wrapper installed
     as ``lp.linprog`` (the benchmark's tracer) times every HiGHS call and
-    reads its ``nit``.  For the model that ``solve_pair`` handed to the
-    worker (the same ``a``), it waits for the worker's run and returns it.
+    reads its ``nit``.  For the model that ``solve_pair`` handed to a
+    helper (the same ``a``), it waits for the helper's run and returns it.
     """
     handoff = _THREAD.handoff
     if handoff is not None and a is handoff.args[1]:
@@ -510,12 +488,12 @@ def solve_pair(first: LpProblem, second: LpProblem) -> tuple[LpSolution, LpSolut
     """``(solve(first), solve(second))`` for two independent problems.
 
     When ``second`` has at least ``_PAIR_MIN_ENTRIES`` matrix entries and
-    the process may run on two CPUs, its HiGHS run goes to the worker
+    the process may run on two CPUs, its HiGHS run goes to a helper
     thread while this thread solves ``first``; otherwise the two solve one
     after the other.  Either way both pass through this module's ``solve``
     and ``linprog`` on this thread, in that order, and the results are
     bit-identical.  The first exception raised propagates, after the
-    worker has finished with ``second``.
+    helper has ended.
     """
     if second.coefficients.size < _PAIR_MIN_ENTRIES or _cpu_count() < 2:
         return solve(first), solve(second)

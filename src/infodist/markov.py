@@ -274,7 +274,7 @@ def revelation_game(
             payoffs[:, i, j] = g0 + niceness_bonus(world, c_syms, d_syms)
     bound = 5.0 / 6.0 + 5.0 * world.epsilon
     assert np.abs(payoffs).max() <= bound <= 8.0 / 9.0
-    return ZeroSumGame(payoffs, payoff_bound=8.0 / 9.0)
+    return ZeroSumGame(payoffs)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +456,8 @@ def _event_e(matrix: MixingMatrix, alpha: float, sample_budget: int, seed: int):
     """The tuples' eight statistics, which tuples pass each E condition and
     which pass all seven (are in event E), and whether the tuples are all
     distinct-index tuples (N^4 fits the budget) or a uniform sample."""
+    if not 0.0 < alpha < 0.5:
+        raise InvalidParameters(f"alpha {alpha} outside (0, 1/2)")
     if sample_budget < 1:
         raise InvalidParameters("sample budget must be >= 1")
     a, b, c, d, exhaustive = _tuple_arrays(matrix, sample_budget, seed)

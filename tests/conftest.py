@@ -49,7 +49,7 @@ def random_garbling(rng, source, target):
 @pytest.fixture
 def two_cpus(monkeypatch):
     """``lp.solve_pair`` sees two CPUs, whatever the host has, so large
-    pairs take the worker path."""
+    pairs take the helper path."""
     monkeypatch.setattr(lp.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 

@@ -56,15 +56,9 @@ def test_traced_op_records_every_layer_and_restores():
         assert all(getattr(module, name) is value for name, value in attrs.items())
 
 
-def _large_gap_problems(rng):
-    u = random_structure(rng, 4, 5, 5)
-    v = random_structure(rng, 4, 5, 5)
-    return distance._gap_problem(u, v)[0], distance._gap_problem(v, u)[0]
-
-
 def test_traced_pair_on_two_threads_keeps_one_span_stack(monkeypatch, two_cpus):
     # A K=4, L=6 pair has 1,800 entries per gap LP, so value_distance hands
-    # the (v, u) run to the worker.  Both models still pass through the
+    # the (v, u) run to a helper thread.  Both models still pass through the
     # wrapped lp.solve and lp.linprog on this thread, in order.
     rng = np.random.default_rng(8)
     u = random_structure(rng, 4, 6, 6)
@@ -73,10 +67,8 @@ def test_traced_pair_on_two_threads_keeps_one_span_stack(monkeypatch, two_cpus):
     assert [problem.coefficients.size for problem in problems] == [1800, 1800]
     nit = [lp.linprog(*lp._prepare(problem)[3]).nit for problem in problems]
     handed = []
-    submit = lp._submit
-    monkeypatch.setattr(lp, "_submit", lambda args: handed.append(args) or submit(args))
-    # Start the worker first, so the traced op does not change lp's globals.
-    lp.solve_pair(*_large_gap_problems(rng))
+    handoff = lp._Handoff
+    monkeypatch.setattr(lp, "_Handoff", lambda problem: handed.append(problem) or handoff(problem))
     before = [dict(vars(module)) for module in _MODULES]
     tracer = spans.Tracer()
     try:
@@ -89,7 +81,7 @@ def test_traced_pair_on_two_threads_keeps_one_span_stack(monkeypatch, two_cpus):
     finally:
         tracer.restore()
 
-    assert len(handed) == 2
+    assert len(handed) == 1
     assert all(np.isfinite(span.end) and span.error is None for span in tracer.spans)
     linprog_spans = [span for span in tracer.spans if span.name == "linprog"]
     assert [tracer.spans[span.parent].name for span in linprog_spans] == ["lp.solve"] * 2

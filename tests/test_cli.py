@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 import infodist as inf
+from infodist import lp
 from infodist.catalog import parity_coordination_game
 from infodist.cli import _CATALOG_NAMES, main
+
+from conftest import random_structure
 
 _MARKOV_GAMES = ("markov", "games", "-N", "4", "--seed", "0", "-l", "1", "-p", "1")
 
@@ -71,6 +74,26 @@ def test_compare_command(capsys, files):
     code, out, _ = _run(capsys, "compare", files["u2"], files["u1"], "--tolerance", "1e-3")
     assert code == 0
     assert "u>=v" in out
+
+
+def test_compare_solves_both_directions_as_one_pair(capsys, monkeypatch, two_cpus, tmp_path):
+    # A K=4, L=6 pair has 1,800 entries per gap LP: compare hands one of
+    # them to a helper thread and reports what two serial solves give.
+    rng = np.random.default_rng(20261028)
+    paths = []
+    for name in ("u", "v"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(random_structure(rng, 4, 6, 6).to_json())
+        paths.append(str(path))
+    handed = []
+    handoff = lp._Handoff
+    monkeypatch.setattr(lp, "_Handoff", lambda problem: handed.append(problem) or handoff(problem))
+    code, paired, _ = _run(capsys, "compare", *paths, "--format", "json")
+    assert code == 0 and len(handed) == 1
+    monkeypatch.setattr(lp.os, "sched_getaffinity", lambda pid: {0})
+    code, serial, _ = _run(capsys, "compare", *paths, "--format", "json")
+    assert code == 0 and len(handed) == 1
+    assert json.loads(paired) == json.loads(serial)
 
 
 def test_witness_round_trip(capsys, files):
@@ -251,12 +274,16 @@ def test_options_belong_to_the_commands_that_read_them(capsys, files):
 
 @pytest.mark.parametrize(
     "option, value",
-    [("--budget", "-3"), ("--budget", "0"), ("--budget", "2.5"), ("--tolerance", "0.5"), ("--tolerance", "0")],
+    [
+        ("--budget", "-3"), ("--budget", "0"), ("--budget", "2.5"), ("--tolerance", "0.5"), ("--tolerance", "0"),
+        ("--seed", "-1"),
+    ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, files, option, value):
     command = {
         "--budget": _MARKOV_GAMES,
         "--tolerance": ("compare", files["u2"], files["u1"]),
+        "--seed": ("markov", "sample", "-N", "4"),
     }[option]
     code, out, err = _run(capsys, *command, option, value)
     assert code == 2
@@ -378,6 +405,11 @@ def test_a_loader_error_names_the_file_that_failed(capsys, files, command):
     assert report["error"] == "InvalidParameters"
     assert report["message"].startswith(f"{bad}: ")
     assert report["message"].count(str(files["tmp"])) == 1
+
+
+def test_check_e_rejects_alpha_outside_the_band(capsys):
+    argv = ("markov", "check-e", "-N", "4", "--seed", "0", "--alpha", "2")
+    assert _domain_error(capsys, *argv) == "InvalidParameters"
 
 
 def test_a_file_that_is_not_utf8_is_a_domain_error(capsys, files):

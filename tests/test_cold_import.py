@@ -76,8 +76,8 @@ def test_cli_distance_runs_without_scipy_optimize(tmp_path):
 
 
 def test_import_starts_no_thread_and_small_distances_start_none():
-    # The HiGHS worker starts on the first pair of large gap LPs, and not
-    # before: not on import, not for small structures.
+    # No thread starts on import or for small structures, and the helper
+    # of a pair of large gap LPs has ended when the distance returns.
     out = _python(
         "-c",
         "import os, threading\n"
@@ -95,7 +95,7 @@ def test_import_starts_no_thread_and_small_distances_start_none():
         "counts.append(threading.active_count())\n"
         "print(*counts)",
     ).stdout
-    assert out.split() == ["1", "1", "2"]
+    assert out.split() == ["1", "1", "1"]
 
 
 def test_a_forked_child_starts_its_own_worker():

@@ -194,7 +194,7 @@ def test_paired_distance_is_the_max_of_the_serial_gaps(solve_rows, two_cpus):
 @pytest.mark.parametrize("failing", [0, 1])
 def test_a_failed_direction_of_a_pair_is_not_kept(monkeypatch, two_cpus, failing):
     # A NumericalFailure in either direction of a paired solve keeps
-    # nothing for that direction, leaves no model with the worker, and the
+    # nothing for that direction, leaves no helper running, and the
     # next call solves again and gets the serial answer.
     u, v = _dense_pairs(20261026, [6])[0]
     want = max(inf.one_sided_gap(u, v).gap, inf.one_sided_gap(v, u).gap)
@@ -219,9 +219,9 @@ def test_a_failed_direction_of_a_pair_is_not_kept(monkeypatch, two_cpus, failing
         inf.value_distance(u, v)
     failed = (u, v) if failing == 0 else (v, u)
     assert distance._recall(*failed) is None
-    # The caller waited for the worker's run before raising.
+    # The caller waited for the helper's run before raising.
     assert len(handoffs) == 1 and handoffs[0]._result is not None
-    assert lp._THREAD.handoff is None and lp._jobs.empty()
+    assert lp._THREAD.handoff is None and not handoffs[0]._helper.is_alive()
     assert _bits(inf.value_distance(u, v)) == _bits(want)
     # The failed call solved up to its failure; the next one both models.
     assert len(calls) == failing + 3 and len(handoffs) == 2
@@ -230,7 +230,7 @@ def test_a_failed_direction_of_a_pair_is_not_kept(monkeypatch, two_cpus, failing
 def test_small_distances_never_start_the_worker(rng, monkeypatch, solve_rows):
     # Pairs the size of the acceptance suites' stay on one thread.
     handed = []
-    monkeypatch.setattr(lp, "_submit", lambda args: handed.append(args))
+    monkeypatch.setattr(lp, "_Handoff", lambda problem: handed.append(problem))
     for _ in range(20):
         shape_u, shape_v = rng.integers(1, 5, (2, 2))
         n_k = int(rng.integers(2, 4))

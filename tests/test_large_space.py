@@ -46,6 +46,17 @@ def test_world_parameter_validation():
         inf.MarkovWorld(matrix, alpha=0.7)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 2.0, -0.1, float("nan")])
+def test_concentration_checks_reject_alpha_outside_the_band(alpha):
+    # As MarkovWorld does: the E band |r - 1| <= 2 alpha is meant for
+    # 0 < alpha < 1/2 only.
+    matrix = inf.sample_S(4, 0)
+    with pytest.raises(inf.InvalidParameters, match="alpha"):
+        inf.concentration_report(matrix, alpha)
+    with pytest.raises(inf.InvalidParameters, match="alpha"):
+        inf.mixing_implication_check(matrix, alpha)
+
+
 def test_is_nice_classification(world4):
     matrix = world4.matrix
     for a in range(1, 5):

@@ -542,7 +542,7 @@ def _large_gap_pairs(seed, signals=range(5, 10)):
 
 @pytest.fixture
 def handoffs(monkeypatch, two_cpus):
-    """Sizes of the models ``solve_pair`` hands to the worker, in order."""
+    """Sizes of the models ``solve_pair`` hands to a helper, in order."""
     sizes = []
     handoff = lp._Handoff
 
@@ -571,7 +571,7 @@ def test_paired_solves_are_the_serial_solves(handoffs):
 
 def test_small_or_single_cpu_pairs_solve_in_series(monkeypatch, handoffs):
     # Below _PAIR_MIN_ENTRIES, or on one CPU, solve_pair is two solves on
-    # this thread and never touches the worker.
+    # this thread and starts no helper.
     rng = np.random.default_rng(20261022)
     u, v = random_structure(rng, 3, 4, 4), random_structure(rng, 3, 4, 4)
     small = (distance._gap_problem(u, v)[0], distance._gap_problem(v, u)[0])
@@ -587,18 +587,18 @@ def test_small_or_single_cpu_pairs_solve_in_series(monkeypatch, handoffs):
 
 
 def test_a_failed_worker_run_propagates_and_the_worker_goes_on(monkeypatch, handoffs):
-    # An exception in the worker's HiGHS run reaches the caller from
-    # linprog, and the worker solves the next pair.
+    # An exception in the helper's HiGHS run reaches the caller from
+    # linprog, and the next pair's helper solves it.
     first, second = _large_gap_pairs(20261024, [6])[0]
     want = (lp.solve(first), lp.solve(second))
     run = lp._run
 
-    def fail_on_worker(*args):
+    def fail_on_helper(*args):
         if threading.current_thread().name == "infodist-highs":
             raise RuntimeError("injected")
         return run(*args)
 
-    monkeypatch.setattr(lp, "_run", fail_on_worker)
+    monkeypatch.setattr(lp, "_run", fail_on_helper)
     with pytest.raises(RuntimeError, match="injected"):
         lp.solve_pair(first, second)
     assert lp._THREAD.handoff is None
@@ -609,8 +609,8 @@ def test_a_failed_worker_run_propagates_and_the_worker_goes_on(monkeypatch, hand
 
 
 def test_callers_on_three_threads_share_the_worker(handoffs):
-    # Three threads, more than the cores, each pair a large pair through
-    # the one worker at a short switch interval: every result is still the
+    # Three threads, more than the cores, each pair a large pair with its
+    # own helper at a short switch interval: every result is still the
     # serial solve of its own model.
     pairs = _large_gap_pairs(20261027, [5, 5, 6, 5, 6, 5])
     expected = [(lp.solve(first), lp.solve(second)) for first, second in pairs]
