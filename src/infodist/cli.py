@@ -442,24 +442,19 @@ def _cmd_markov_games(args) -> _Output:
 # ---------------------------------------------------------------------------
 
 
-def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"budget must be a positive integer, got {text!r}")
-    return value
+def _int_at_least(low: int, what: str):
+    """An argparse type: an integer >= low, else a usage error."""
 
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{what} must be an integer >= {low}, got {text!r}")
+        return value
 
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {text!r}")
-    return value
+    return parse
 
 
 def _tolerance(text: str) -> float:
@@ -477,7 +472,7 @@ def _add_format(sp):
 
 
 def _add_budget(sp):
-    sp.add_argument("--budget", type=_budget, default=None, help=f"enumeration budget (default {BUDGET_ENV_VAR} or 10^6)")
+    sp.add_argument("--budget", type=_int_at_least(1, "budget"), default=None, help=f"enumeration budget (default {BUDGET_ENV_VAR} or 10^6)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -599,13 +594,13 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in markov_commands.items():
         ms = msub.add_parser(name)
         ms.add_argument("-N", "--N", dest="N", type=int, required=True)
-        ms.add_argument("--seed", type=_seed, default=None)
+        ms.add_argument("--seed", type=_int_at_least(0, "seed"), default=None)
         if name == "sample":
             ms.add_argument("-o", "--output", default=None)
         else:
             ms.add_argument("--alpha", type=float, default=mk.DEFAULT_ALPHA)
         if name in ("check-e", "check-ui"):
-            ms.add_argument("--tuples", type=int, default=100_000)
+            ms.add_argument("--tuples", type=_int_at_least(1, "tuples"), default=100_000)
         if name in ("check-ui", "games"):
             ms.add_argument("-l", "--level", type=int, required=True)
         if name == "games":

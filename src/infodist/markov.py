@@ -8,6 +8,13 @@ c_1/(N+1).  The round-p revelation game pays a base quadratic score for
 reporting the first symbol plus a small bonus/penalty for keeping the
 interleaved report sequence inside the chain's support ("nice").
 
+The ladder comes from one atom array (``_atoms``: the support sequences,
+each of chain mass (1/N) (2/N)^(2l-1) at length 2l) and one bonus table
+(``_bonus_table``: every report pair's bonus, from the first dead
+transition of its interleaving).  Chain structures place the atoms' mass,
+revelation games add the base score to the table, and truthful guarantees
+sum the atoms' table rows per signal, within a budget on atoms x N^p.
+
 Full-scale parameters (N in the tens of millions) are unreachable here; the
 module is a faithful small-N implementation plus seeded statistical evidence
 at N in the thousands, with separation-level assertions gated on the mixing
@@ -161,38 +168,43 @@ def chain_probability(world: MarkovWorld, sequence) -> float:
     return (1.0 / n) * (2.0 / n) ** (len(list(sequence)) - 1)
 
 
+def _atoms(matrix: MixingMatrix, length: int) -> np.ndarray:
+    """The support sequences of a length, one row of 0-based symbols each,
+    in lexicographic order: N (N/2)^(length-1) rows."""
+    n = matrix.N
+    succ = np.nonzero(matrix.S)[1].reshape(n, n // 2)  # each row's successors, ascending
+    atoms = np.arange(n)[:, None]
+    for _ in range(length - 1):
+        atoms = np.column_stack((atoms.repeat(n // 2, axis=0), succ[atoms[:, -1]].ravel()))
+    return atoms
+
+
+def _index(symbols: np.ndarray, n: int) -> np.ndarray:
+    """Big-endian index of each row of 0-based symbols (0 for empty rows)."""
+    return symbols @ n ** np.arange(symbols.shape[1] - 1, -1, -1)
+
+
+def _bonus_table(world: MarkovWorld, p: int) -> np.ndarray:
+    """bonus[i, j] for player 1's report i (p symbols) and player 2's report
+    j (p-1 symbols), both big-endian: eps when the interleaved report
+    c1 d1 c2 ... cp is nice, +5 eps when its first dead transition enters a
+    d (player 2's fault), -5 eps when it enters a c (player 1's)."""
+    n, s, eps = world.N, world.matrix.S, world.epsilon
+    c = np.arange(n**p)[:, None, None] // n ** np.arange(p - 1, -1, -1) % n
+    d = np.arange(n ** (p - 1))[None, :, None] // n ** np.arange(p - 2, -1, -1) % n
+    bonus = np.full((n**p, n ** (p - 1)), eps)
+    # Latest transition first, so that the first dead one writes last.
+    for m in reversed(range(p - 1)):
+        bonus[~s[d[..., m], c[..., m + 1]]] = -5.0 * eps
+        bonus[~s[c[..., m], d[..., m]]] = 5.0 * eps
+    return bonus
+
+
 def nice_sequences(world: MarkovWorld, length: int) -> list[tuple[int, ...]]:
     """All support sequences of the given length, lexicographic order."""
     if length < 1:
         raise InvalidParameters("length must be >= 1")
-    succ = [tuple(int(b) for b in world.matrix.successors(a)) for a in range(1, world.N + 1)]
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]):
-        if len(prefix) == length:
-            out.append(prefix)
-            return
-        for nxt in succ[prefix[-1] - 1]:
-            extend(prefix + (nxt,))
-
-    for start in range(1, world.N + 1):
-        extend((start,))
-    return out
-
-
-def _encode(symbols, n: int) -> int:
-    idx = 0
-    for s in symbols:
-        idx = idx * n + (s - 1)
-    return idx
-
-
-def _decode(idx: int, length: int, n: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(length):
-        out.append(idx % n + 1)
-        idx //= n
-    return tuple(reversed(out))
+    return list(zip(*(_atoms(world.matrix, length) + 1).T.tolist()))
 
 
 def chain_structure(
@@ -211,42 +223,22 @@ def chain_structure(
     budget = resolve_budget(budget)
     if cells > budget:
         raise BudgetExceeded(f"{cells} tensor cells exceed budget {budget}")
-    probs = np.zeros((2, n**l, n**l))
+    atoms = _atoms(world.matrix, 2 * l)
+    c_idx, d_idx = _index(atoms[:, 0::2], n), _index(atoms[:, 1::2], n)
     atom_mass = (1.0 / n) * (2.0 / n) ** (2 * l - 1)
-    for seq in nice_sequences(world, 2 * l):
-        c_idx = _encode(seq[0::2], n)
-        d_idx = _encode(seq[1::2], n)
-        p1 = seq[0] / (n + 1)
-        probs[1, c_idx, d_idx] += atom_mass * p1
-        probs[0, c_idx, d_idx] += atom_mass * (1.0 - p1)
+    p1 = (atoms[:, 0] + 1) / (n + 1)
+    probs = np.zeros((2, n**l, n**l))
+    probs[1, c_idx, d_idx] = atom_mass * p1
+    probs[0, c_idx, d_idx] = atom_mass * (1.0 - p1)
     return validate_structure(probs, ("0", "1"))
 
 
-def base_score(world: MarkovWorld, k: int, report: int) -> float:
+def base_score(world: MarkovWorld, k, report):
     """Quadratic scoring of the first-symbol report; the additive constant
-    makes the truthful decision problem worth exactly 0."""
+    makes the truthful decision problem worth exactly 0.  Broadcasts over
+    arrays of states and reports."""
     n = world.N
     return -((k - report / (n + 1)) ** 2) + (n + 2) / (6.0 * (n + 1))
-
-
-def _interleave(c_syms, d_syms) -> tuple[int, ...]:
-    out = []
-    for i, c in enumerate(c_syms):
-        out.append(c)
-        if i < len(d_syms):
-            out.append(d_syms[i])
-    return tuple(out)
-
-
-def niceness_bonus(world: MarkovWorld, c_syms, d_syms) -> float:
-    """eps when the interleaved report is nice, +5 eps when it first dies on
-    an even position (player 2's fault), -5 eps on an odd one."""
-    label = is_nice(_interleave(c_syms, d_syms), world.matrix)
-    if label == NICE:
-        return world.epsilon
-    if label == NOT_NICE_P2:
-        return 5.0 * world.epsilon
-    return -5.0 * world.epsilon
 
 
 def revelation_game(
@@ -265,13 +257,9 @@ def revelation_game(
     budget = resolve_budget(budget)
     if 2 * n_i * n_j > budget:
         raise BudgetExceeded(f"{2 * n_i * n_j} payoff cells exceed budget {budget}")
-    payoffs = np.zeros((2, n_i, n_j))
-    for i in range(n_i):
-        c_syms = _decode(i, p, n)
-        g0 = np.array([base_score(world, 0, c_syms[0]), base_score(world, 1, c_syms[0])])
-        for j in range(n_j):
-            d_syms = _decode(j, p - 1, n)
-            payoffs[:, i, j] = g0 + niceness_bonus(world, c_syms, d_syms)
+    first = np.arange(n_i) // n_j + 1
+    base = base_score(world, np.arange(2)[:, None, None], first[:, None])
+    payoffs = base + _bonus_table(world, p)
     bound = 5.0 / 6.0 + 5.0 * world.epsilon
     assert np.abs(payoffs).max() <= bound <= 8.0 / 9.0
     return ZeroSumGame(payoffs)
@@ -379,7 +367,7 @@ class _StatKernel:
         first = len(sets)
         counts = np.empty((len(steps), size))
         n_words = self.succ.shape[1]
-        block = min(self.block, size)
+        block = max(1, min(self.block, size))  # zero tuples: empty counts, no pass
         words = np.empty((first + len(steps), block, n_words), np.uint64)
         # Word popcounts, in a dtype that holds a whole set's count.
         bits = np.empty((len(steps), block, n_words), np.min_scalar_type(64 * n_words))
@@ -623,6 +611,8 @@ def check_mixing(
     """
     if l < 1:
         raise InvalidParameters("l must be >= 1")
+    if sample_budget < 1:
+        raise InvalidParameters("sample budget must be >= 1")
     n = world.N
     kernel = _StatKernel(world.matrix)
     rng = np.random.default_rng(seed)
@@ -701,50 +691,30 @@ def truthful_strategy(world: MarkovWorld, l: int, p: int, side: str) -> Garbling
     return Garbling(rows)
 
 
-def _grouped_atoms(world: MarkovWorld, l: int, by: str):
-    """Support atoms of u^l grouped by one player's signal tuple; entries are
-    (other player's symbols, chain mass)."""
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], float]]] = {}
-    mass = (1.0 / world.N) * (2.0 / world.N) ** (2 * l - 1)
-    for seq in nice_sequences(world, 2 * l):
-        c_syms = seq[0::2]
-        d_syms = seq[1::2]
-        if by == "d":
-            groups.setdefault(d_syms, []).append((c_syms, mass))
-        else:
-            groups.setdefault(c_syms, []).append((d_syms, mass))
-    return groups
-
-
-def _expected_base_score(world: MarkovWorld, c1_true: int, report: int) -> float:
+def _expected_base_score(world: MarkovWorld, c1_true, report):
     q = c1_true / (world.N + 1)
     return q * base_score(world, 1, report) + (1 - q) * base_score(world, 0, report)
 
 
-def _group_bonus(world: MarkovWorld, sequences, weights, cutoff=None, minimize=True):
-    """Expected niceness bonus of one report against a weighted atom group,
-    pruned against ``cutoff`` using the bonus range [-5 eps, 5 eps]."""
-    five_eps = 5.0 * world.epsilon
-    total = 0.0
-    remaining = float(np.sum(weights))
-    for seq, w in zip(sequences, weights):
-        total += w * niceness_bonus(world, seq[0], seq[1])
-        remaining -= w
-        if cutoff is not None:
-            reachable = total + (-five_eps if minimize else five_eps) * remaining
-            if (minimize and reachable > cutoff) or (not minimize and reachable < cutoff):
-                return None  # cannot beat the incumbent
-    return total
+def _per_signal(signals: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """Sum of the atoms' rows over each distinct signal (a row of symbols)."""
+    _, group = np.unique(_index(signals, n), return_inverse=True)
+    table = np.zeros((group.max() + 1, rows.shape[1]))
+    np.add.at(table, group, rows)
+    return table
 
 
 def truthful_guarantee(
     world: MarkovWorld, l: int, p: int, budget: int | None = None
 ) -> TruthfulGuarantee:
-    """Exact best-response search against the truthful reporter.
+    """Exact best-response payoffs against the truthful reporter.
 
-    The opponent's reports are enumerated per signal (the per-signal
-    decomposition of the best response).  The base-score term separates from
-    the niceness bonus; candidate reports are pruned with the bonus range.
+    This is ``games.guarantee`` on u^l and G_p, decomposed per signal over
+    the N (N/2)^(2l-1) support atoms (all of chain mass (1/N) (2/N)^(2l-1)):
+    the truthful side's report is fixed by its signal, and each signal of
+    the other side takes its min (lower) or max (upper) over reports.  The
+    per-atom tables hold atoms x N^p entries, and that count, like the
+    report space N^(2p-1), must fit the budget.
     """
     if p < 1 or p > l + 1:
         raise InvalidParameters(f"need 1 <= p <= l+1, got p={p}, l={l}")
@@ -752,48 +722,24 @@ def truthful_guarantee(
     budget = resolve_budget(budget)
     if n ** (2 * p - 1) > budget:
         raise BudgetExceeded(f"report space {n ** (2 * p - 1)} exceeds budget {budget}")
+    cells = n * (n // 2) ** (2 * l - 1) * n**p
+    if cells > budget:
+        raise BudgetExceeded(f"{cells} atom-report cells exceed budget {budget}")
+    atoms = _atoms(world.matrix, 2 * l)
+    c, d = atoms[:, 0::2], atoms[:, 1::2]
+    mass = (1.0 / n) * (2.0 / n) ** (2 * l - 1)
+    bonus = _bonus_table(world, p)
 
     lower = None
     if p <= l:
-        # Truthful player 1; player 2 with signal d picks the report d'
-        # minimizing the expected bonus (the base score does not involve d').
-        lower = 0.0
-        d_reports = [_decode(j, p - 1, n) for j in range(n ** (p - 1))]
-        for d_syms, atoms in _grouped_atoms(world, l, by="d").items():
-            weights = [w for _, w in atoms]
-            lower += sum(w * _expected_base_score(world, c[0], c[0]) for c, w in atoms)
-            best = None
-            for d_rep in d_reports:
-                bonus = _group_bonus(
-                    world,
-                    [(c[:p], d_rep) for c, _ in atoms],
-                    weights,
-                    cutoff=best,
-                    minimize=True,
-                )
-                if bonus is not None and (best is None or bonus < best):
-                    best = bonus
-            lower += best
+        # Truthful player 1; player 2 with signal d picks the report
+        # minimizing the expected bonus (the base score does not involve it).
+        honest = _expected_base_score(world, c[:, 0] + 1, c[:, 0] + 1).sum()
+        worst = _per_signal(d, bonus[_index(c[:, :p], n)], n).min(axis=1).sum()
+        lower = float(mass * (honest + worst))
 
     # Truthful player 2; player 1 with signal c maximizes base + bonus.
-    upper = 0.0
-    c_reports = [_decode(i, p, n) for i in range(n**p)]
-    for c_syms, atoms in _grouped_atoms(world, l, by="c").items():
-        weights = [w for _, w in atoms]
-        group_mass = float(np.sum(weights))
-        best = None
-        for c_rep in c_reports:
-            base = group_mass * _expected_base_score(world, c_syms[0], c_rep[0])
-            cutoff = None if best is None else best - base
-            bonus = _group_bonus(
-                world,
-                [(c_rep, d[: p - 1]) for d, _ in atoms],
-                weights,
-                cutoff=cutoff,
-                minimize=False,
-            )
-            if bonus is not None and (best is None or base + bonus > best):
-                best = base + bonus
-        upper += best
+    first = np.arange(n**p) // n ** (p - 1) + 1
+    gain = _expected_base_score(world, c[:, :1] + 1, first) + bonus[:, _index(d[:, : p - 1], n)].T
+    upper = float(mass * _per_signal(c, gain, n).max(axis=1).sum())
     return TruthfulGuarantee(lower=lower, upper=upper)
-

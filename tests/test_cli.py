@@ -276,7 +276,7 @@ def test_options_belong_to_the_commands_that_read_them(capsys, files):
     "option, value",
     [
         ("--budget", "-3"), ("--budget", "0"), ("--budget", "2.5"), ("--tolerance", "0.5"), ("--tolerance", "0"),
-        ("--seed", "-1"),
+        ("--seed", "-1"), ("--tuples", "-1"), ("--tuples", "0"),
     ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, files, option, value):
@@ -284,6 +284,7 @@ def test_out_of_range_options_are_usage_errors(capsys, files, option, value):
         "--budget": _MARKOV_GAMES,
         "--tolerance": ("compare", files["u2"], files["u1"]),
         "--seed": ("markov", "sample", "-N", "4"),
+        "--tuples": ("markov", "check-ui", "-N", "100", "--seed", "0", "-l", "2"),
     }[option]
     code, out, err = _run(capsys, *command, option, value)
     assert code == 2

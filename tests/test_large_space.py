@@ -139,19 +139,39 @@ def test_misreport_loss_bound(world4):
             assert loss >= 10 * world4.epsilon - 1e-12
 
 
+def _decode(idx, length, n):
+    """The 1-based symbols of a big-endian report index."""
+    out = []
+    for _ in range(length):
+        out.append(idx % n + 1)
+        idx //= n
+    return tuple(reversed(out))
+
+
+def _interleave(c_syms, d_syms):
+    out = []
+    for i, c in enumerate(c_syms):
+        out.append(c)
+        if i < len(d_syms):
+            out.append(d_syms[i])
+    return tuple(out)
+
+
 def test_game_bonus_matches_niceness(world4):
-    g = inf.revelation_game(world4, 2)
+    # Reference: classify every cell's interleaved report with is_nice.
     n = world4.N
     eps = world4.epsilon
-    for i in range(n**2):
-        c_syms = markov._decode(i, 2, n)
-        for j in range(n):
-            d_syms = markov._decode(j, 1, n)
-            h = g.payoffs[0, i, j] - markov.base_score(world4, 0, c_syms[0])
-            label = inf.is_nice(markov._interleave(c_syms, d_syms), world4.matrix)
-            expected = {NICE: eps, NOT_NICE_P2: 5 * eps, NOT_NICE_P1: -5 * eps}[label]
-            assert h == pytest.approx(expected, abs=1e-12)
-    assert np.abs(g.payoffs).max() <= 8.0 / 9.0
+    for p in (1, 2, 3):
+        g = inf.revelation_game(world4, p)
+        for i in range(n**p):
+            c_syms = _decode(i, p, n)
+            for j in range(n ** (p - 1)):
+                d_syms = _decode(j, p - 1, n)
+                h = g.payoffs[0, i, j] - markov.base_score(world4, 0, c_syms[0])
+                label = inf.is_nice(_interleave(c_syms, d_syms), world4.matrix)
+                expected = {NICE: eps, NOT_NICE_P2: 5 * eps, NOT_NICE_P1: -5 * eps}[label]
+                assert h == pytest.approx(expected, abs=1e-12)
+        assert np.abs(g.payoffs).max() <= 8.0 / 9.0
 
 
 def test_concentration_report_small_n(world4):
@@ -179,6 +199,22 @@ def test_check_mixing_level2_families(world4):
     assert "p2-first-round-misreport" in names
     assert "misreport-prev-distinct" in names
     assert len(report.conditions) == 7
+
+
+def test_check_mixing_family_with_no_distinct_tuple():
+    # Two sampled (a, b, e) tuples, both with a == b: the distinctness
+    # filter leaves opponent-continuation no tuple to check.
+    world = inf.MarkovWorld(inf.sample_S(4, 0))
+    report = inf.check_mixing(world, 2, sample_budget=2, seed=1)
+    empty = {c.name: c for c in report.conditions}["opponent-continuation"]
+    assert (empty.n_checked, empty.n_pass, empty.worst_deviation) == (0, 0, 0.0)
+    assert not report.vacuous and len(report.conditions) == 7
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_check_mixing_rejects_an_empty_sample_budget(world4, budget):
+    with pytest.raises(inf.InvalidParameters, match="sample budget"):
+        inf.check_mixing(world4, 2, sample_budget=budget)
 
 
 def test_check_mixing_sampled_at_larger_n():
@@ -265,13 +301,16 @@ def truthful_guarantee_dense(world, l, p):
     return markov.TruthfulGuarantee(lower=lower, upper=upper)
 
 
-def test_truthful_guarantee_matches_dense(world4):
-    for l, p in [(1, 1), (2, 1), (2, 2), (1, 2), (2, 3)]:
-        fast = inf.truthful_guarantee(world4, l, p)
-        dense = truthful_guarantee_dense(world4, l, p)
-        if fast.lower is not None:
-            assert fast.lower == pytest.approx(dense.lower, abs=1e-12)
-        assert fast.upper == pytest.approx(dense.upper, abs=1e-12)
+def test_truthful_guarantee_matches_dense():
+    for n, seed in [(4, 0), (6, 0), (6, 1), (6, 2)]:
+        world = inf.MarkovWorld(inf.sample_S(n, seed))
+        for l, p in [(1, 1), (2, 1), (2, 2), (1, 2), (2, 3)]:
+            fast = inf.truthful_guarantee(world, l, p)
+            dense = truthful_guarantee_dense(world, l, p)
+            assert (fast.lower is None) == (p > l)
+            if fast.lower is not None:
+                assert fast.lower == pytest.approx(dense.lower, abs=1e-12)
+            assert fast.upper == pytest.approx(dense.upper, abs=1e-12)
 
 
 def test_truthful_guarantee_brackets_value(world4):
@@ -290,6 +329,13 @@ def test_truthful_guarantee_validation(world4):
         inf.truthful_guarantee(world4, 1, 3)
     with pytest.raises(inf.BudgetExceeded):
         inf.truthful_guarantee(world4, 2, 3, budget=10)
+
+
+def test_truthful_guarantee_budget_counts_atoms(world4):
+    # l=3, p=1: a report space of 4, but 4 * 2^5 atoms x 4 reports = 512.
+    with pytest.raises(inf.BudgetExceeded, match="atom"):
+        inf.truthful_guarantee(world4, 3, 1, budget=511)
+    inf.truthful_guarantee(world4, 3, 1, budget=512)
 
 
 def test_truthful_strategy_shapes(world4):
