@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameters
+from .errors import InvalidParameters, ShapeMismatch
 from .structures import InformationStructure, validate_structure
 
 BLUE, RED = "Blue", "Red"
@@ -26,8 +26,12 @@ def uniform_support(
     state_labels=None,
 ) -> InformationStructure:
     """Uniform distribution over the listed (state, c, d) atoms."""
+    if not atoms:
+        raise InvalidParameters("uniform support needs at least one atom")
     probs = np.zeros((n_states, n_signals1, n_signals2))
     for k, c, d in atoms:
+        if not (0 <= k < n_states and 0 <= c < n_signals1 and 0 <= d < n_signals2):
+            raise ShapeMismatch(f"atom {(k, c, d)} lies outside the shape {probs.shape}")
         probs[k, c, d] += 1.0
     return validate_structure(probs / len(atoms), state_labels)
 
@@ -212,10 +216,14 @@ def knowledge_level(u: InformationStructure, kappa1, kappa2) -> float:
         axis = 2 if player == 1 else 1
         joint = u.probs.sum(axis=axis)  # (k, signal)
         mass = joint.sum(axis=0)
+        kappa = np.asarray(kappa)
+        in_range = kappa.dtype.kind in "iu" and np.isin(kappa, range(u.state_count)).all()
+        if kappa.shape != mass.shape or not in_range:
+            raise ShapeMismatch(f"player {player} needs a state index per signal, got {kappa}")
         beliefs = np.ones(mass.size)
         live = mass > 0
         idx = np.arange(mass.size)
-        beliefs[live] = joint[np.asarray(kappa)[live], idx[live]] / mass[live]
+        beliefs[live] = joint[kappa[live], idx[live]] / mass[live]
         # eps must cover both 1 - belief on qualifying signals and the mass
         # of non-qualifying ones; scan candidate thresholds.
         candidates = sorted(set(np.concatenate(([0.0, 1.0], 1.0 - beliefs[live]))))

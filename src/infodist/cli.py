@@ -574,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("blackwell-table", help="closed-form d1 table as CSV")
     sp.add_argument("--p", type=float, action="append", default=None)
-    sp.add_argument("--nmax", type=int, default=4)
+    sp.add_argument("--nmax", type=_int_at_least(1, "nmax"), default=4)
     sp.add_argument("--lp", action="store_true", help="add the LP-computed column")
     _add_format(sp)
     sp.set_defaults(func=_cmd_blackwell_table)

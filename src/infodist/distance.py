@@ -60,7 +60,6 @@ from .structures import (
     InformationStructure,
     PLAYER1,
     PLAYER2,
-    _Same,
     eps_conditional_independence,
     garble,
     l1_distance,
@@ -89,7 +88,7 @@ class GapCertificate:
         return l1_distance(garble(u, PLAYER1, self.q1), garble(v, PLAYER2, self.q2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateDistribution:
     """Probability vector over states."""
 
@@ -265,25 +264,24 @@ def _gap_solve(sol: lp.LpSolution, layout: _GapLayout) -> _GapSolve:
 
 
 # The last _GAP_MEMO_SIZE gap solves by (u, v) identity, least recent first.
+# The memo holds its structures, so an id cannot be reused while an entry lives.
 _GAP_MEMO_SIZE = 4
-_gap_memo: dict[tuple[_Same, _Same], _GapSolve] = {}
+_gap_memo: dict[tuple[InformationStructure, InformationStructure], _GapSolve] = {}
 _gap_memo_lock = threading.Lock()
 
 
 def _recall(u, v) -> _GapSolve | None:
-    key = (_Same(u), _Same(v))
     with _gap_memo_lock:
-        solve = _gap_memo.pop(key, None)
+        solve = _gap_memo.pop((u, v), None)
         if solve is not None:
-            _gap_memo[key] = solve
+            _gap_memo[u, v] = solve
     return solve
 
 
 def _remember(u, v, solve: _GapSolve) -> None:
-    key = (_Same(u), _Same(v))
     with _gap_memo_lock:
-        _gap_memo.pop(key, None)
-        _gap_memo[key] = solve
+        _gap_memo.pop((u, v), None)
+        _gap_memo[u, v] = solve
         while len(_gap_memo) > _GAP_MEMO_SIZE:
             del _gap_memo[next(iter(_gap_memo))]
 

@@ -25,7 +25,7 @@ from .errors import BudgetExceeded, NotNormalized, ShapeMismatch
 from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2, _json_floats, _json_object
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroSumGame:
     """Payoff tensor g(k, i, j), player 1 maximizing, entries in [-1, 1]."""
 
@@ -78,7 +78,7 @@ class ZeroSumGame:
         return ZeroSumGame(arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BimatrixGame:
     """Pair of payoff tensors (g1, g2) on a common action grid."""
 

@@ -20,6 +20,13 @@ the row is scaled to a common denominator.  Belief rows are then equal iff
 the integer rows are proportional; the snapping is the only rounding.
 Signals of mass at most ZERO_TOL are null: they form the class -1 and count
 as absent in the other player's beliefs.
+
+Common-knowledge components are labelled with array operations too: each
+signal starts with its own node number, each round every linked pair lowers
+the larger of its labels to the smaller (``np.minimum.at`` over the edges),
+and pointer jumping follows labels to a fixed point.  Labels only fall and
+stay inside their component, so once every link joins equal labels, each
+component is labelled by its smallest signal.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import numpy as np
 
 from .config import DIST_TOL, NORM_TOL, ZERO_TOL
 from .errors import ShapeMismatch
-from .structures import PLAYER1, PLAYER2, InformationStructure, _Same, validate_structure
+from .structures import PLAYER1, PLAYER2, InformationStructure, validate_structure
 
 _ROUND_DIGITS = 12
 NULL_CLASS = -1
@@ -142,12 +149,13 @@ def hierarchy_partition(u: InformationStructure, exact: bool = False) -> SignalP
     on identity, not content, as the gap LP's is: a structure rebuilt from
     the same tensor is refined afresh.  A call that raises is not cached.
     """
-    return _partition_of(_Same(u), exact)
+    return _partition_of(u, exact)
 
 
+# The memo holds its structures, so an id cannot be reused while an entry lives.
 @functools.lru_cache(maxsize=4)
-def _partition_of(u_key: _Same, exact: bool) -> SignalPartition:
-    return _refine(u_key.obj.probs, exact)
+def _partition_of(u: InformationStructure, exact: bool) -> SignalPartition:
+    return _refine(u.probs, exact)
 
 
 def _refine(probs: np.ndarray, exact: bool) -> SignalPartition:
@@ -254,46 +262,44 @@ def ck_decompose(u: InformationStructure) -> Decomposition:
     return _decompose(u)
 
 
+def _component_labels(link: np.ndarray) -> np.ndarray:
+    """Smallest node of each node's component in the bipartite graph of
+    ``link``, where player-1 signal c is node c and player-2 signal d is
+    node n_c + d."""
+    n_c = link.shape[0]
+    ends1, ends2 = np.nonzero(link)
+    ends2 += n_c
+    label = np.arange(n_c + link.shape[1])
+    while True:
+        label1, label2 = label[ends1], label[ends2]
+        if (label1 == label2).all():
+            return label
+        np.minimum.at(label, label1, label2)
+        np.minimum.at(label, label2, label1)
+        while ((hop := label[label]) != label).any():
+            label = hop
+
+
 def _decompose(u: InformationStructure) -> Decomposition:
     """``ck_decompose`` of a structure known to be non-redundant."""
-    n_c, n_d = u.signals1_count, u.signals2_count
-    link = u.probs.sum(axis=0) > ZERO_TOL
-    parent = list(range(n_c + n_d))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for c, d in zip(*np.nonzero(link)):
-        union(int(c), n_c + int(d))
-
-    # Each root is the smallest node of its component, so the components
-    # come out ordered by root.
-    members: dict[int, tuple[list[int], list[int]]] = {}
-    for node in range(n_c + n_d):
-        side = members.setdefault(find(node), ([], []))
-        if node < n_c:
-            side[0].append(node)
-        else:
-            side[1].append(node - n_c)
+    n_c = u.signals1_count
+    label = _component_labels(u.probs.sum(axis=0) > ZERO_TOL)
+    label1, label2 = label[:n_c], label[n_c:]
     components = []
     blocks = []
-    for cs, ds in members.values():
-        if not cs or not ds:
+    # Components come out ordered by their smallest player-1 signal; one
+    # without player-1 signals has no mass.
+    for root in np.flatnonzero(label1 == np.arange(n_c)).tolist():
+        cs = np.flatnonzero(label1 == root)
+        ds = np.flatnonzero(label2 == root)
+        if not ds.size:
             continue
-        block = u.probs[np.ix_(range(u.state_count), cs, ds)]
+        block = u.probs.take(cs, axis=1).take(ds, axis=2)
         weight = float(block.sum())
         if weight <= ZERO_TOL:
             continue
         components.append((weight, InformationStructure(block / weight, u.state_labels)))
-        blocks.append((tuple(cs), tuple(ds)))
+        blocks.append((tuple(cs.tolist()), tuple(ds.tolist())))
     total = sum(w for w, _ in components)
     if abs(total - 1.0) > NORM_TOL:
         raise ShapeMismatch(f"component weights sum to {total!r}")
@@ -383,6 +389,8 @@ def mix(
     if not parts:
         raise ShapeMismatch("mixture needs at least one component")
     n_k = parts[0][1].state_count
+    if any(s.state_count != n_k for _, s in parts):
+        raise ShapeMismatch(f"components have state counts {[s.state_count for _, s in parts]}")
     n1 = sum(s.signals1_count for _, s in parts)
     n2 = sum(s.signals2_count for _, s in parts)
     probs = np.zeros((n_k, n1, n2))

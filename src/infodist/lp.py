@@ -136,7 +136,7 @@ _STATUS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
     """min/max c.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
 
@@ -202,7 +202,7 @@ class LpProblem:
         return self.row_lower.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     status: str
     primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -210,7 +210,7 @@ class LpSolution:
     objective: float = float("nan")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HighsResult:
     """One HiGHS run: status, primal ``x`` and ``row_dual`` (both empty
     unless OPTIMAL) and ``nit``, simplex plus IPM iterations."""

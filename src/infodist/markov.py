@@ -60,7 +60,7 @@ def _pack(rows: np.ndarray) -> np.ndarray:
     return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """Boolean successor matrix: S[a-1, b-1] says the chain may move a -> b;
     every row has exactly N/2 successors.
@@ -72,10 +72,10 @@ class MixingMatrix:
     """
 
     S: np.ndarray
-    successor_words: np.ndarray = field(init=False, repr=False, compare=False)
-    predecessor_words: np.ndarray = field(init=False, repr=False, compare=False)
-    row_sums: np.ndarray = field(init=False, repr=False, compare=False)
-    col_sums: np.ndarray = field(init=False, repr=False, compare=False)
+    successor_words: np.ndarray = field(init=False, repr=False)
+    predecessor_words: np.ndarray = field(init=False, repr=False)
+    row_sums: np.ndarray = field(init=False, repr=False)
+    col_sums: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         s = np.asarray(self.S, dtype=bool)

@@ -51,7 +51,7 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     return hull
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PayoffPolygon:
     """Convex polygon of feasible payoff pairs, vertices counter-clockwise."""
 

@@ -8,7 +8,9 @@ to a distribution over a target set; applied on the left it degrades player
 are cosmetic metadata.
 
 All values are immutable after validation and every operation is a pure
-function, so instances may be shared freely between concurrent tasks.
+function, so instances may be shared freely between concurrent tasks.  They
+compare and hash by identity (``u == v`` is ``u is v``), so they can key a
+cache; compare content with ``np.array_equal(u.probs, v.probs)``.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _json_floats(value, what: str) -> np.ndarray:
         raise ShapeMismatch(f"{what} is not a rectangular array of numbers: {exc}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InformationStructure:
     """Validated distribution over (state, player-1 signal, player-2 signal)."""
 
@@ -142,29 +144,7 @@ class InformationStructure:
         return validate_structure(probs, labels)
 
 
-class _Same:
-    """Cache key for one object: hashes by ``id()``, compares by ``is``.
-
-    The memos of gap solves and hierarchy partitions key on it: a validated
-    structure never changes, so the same object always has the same answer,
-    and comparing identities costs nothing where hashing the tensor would
-    read it on every call.  The key holds the object, so its id cannot be
-    reused while the key lives.
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return self.obj is other.obj
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Garbling:
     """Row-stochastic map from a source signal set to a target signal set."""
 
@@ -195,6 +175,8 @@ class Garbling:
 
     @staticmethod
     def constant(source: int, target: int, index: int = 0) -> "Garbling":
+        if not 0 <= index < target:
+            raise ShapeMismatch(f"target index {index} out of range for {target} targets")
         rows = np.zeros((source, target))
         rows[:, index] = 1.0
         return Garbling(rows)
@@ -341,6 +323,8 @@ def conditional(tensor: np.ndarray, given: dict[int, int]) -> np.ndarray:
     for axis, value in given.items():
         if axis < 0 or axis >= arr.ndim:
             raise ShapeMismatch(f"axis {axis} out of range for ndim={arr.ndim}")
+        if not 0 <= value < arr.shape[axis]:
+            raise ShapeMismatch(f"value {value} out of range for axis {axis} of size {arr.shape[axis]}")
         index[axis] = value
     sliced = arr[tuple(index)]
     mass = sliced.sum()

@@ -1,6 +1,7 @@
 """Pure-Python reference for ``infodist.hierarchy``: partition refinement by
 dict signatures, the merge of signals by class as a loop of slice
-additions, and ``dnzs`` by three refinements.
+additions, the common-knowledge decomposition by union-find, and ``dnzs``
+by three refinements.
 
 ``hierarchy_partition`` computes the same refinement with array operations;
 the tests require it to return exactly what these loops return, classes and
@@ -13,6 +14,11 @@ ZERO_TOL (null signals), which the library takes as absent.
 the union of all their components scaled to mass 1, for class ids shared
 across components.  The library refines u and v together once; the tests
 require the two to return the same value, bit for bit.
+
+``decompose`` links signals with a union-find where the library labels
+components by array min-propagation; the tests require the same
+components, in the same order, with the same blocks and weights, bit for
+bit.
 """
 
 from fractions import Fraction
@@ -21,9 +27,9 @@ import numpy as np
 
 import infodist
 from infodist import InformationStructure, validate_structure
-from infodist.config import ZERO_TOL
+from infodist.config import NORM_TOL, ZERO_TOL
 from infodist.errors import ShapeMismatch
-from infodist.hierarchy import NULL_CLASS, SignalPartition, _decompose
+from infodist.hierarchy import NULL_CLASS, Decomposition, SignalPartition
 
 _ROUND_DIGITS = 12
 
@@ -129,6 +135,64 @@ def merge_by_classes(u, classes1, classes2):
     return InformationStructure(probs, u.state_labels)
 
 
+def decompose(u):
+    """Common-knowledge components of a non-redundant structure: signals
+    joined by a union-find over every signal pair of mass above ZERO_TOL."""
+    n_c, n_d = u.signals1_count, u.signals2_count
+    link = u.probs.sum(axis=0) > ZERO_TOL
+    parent = list(range(n_c + n_d))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+
+    for c, d in zip(*np.nonzero(link)):
+        union(int(c), n_c + int(d))
+
+    # Each root is the smallest node of its component, so the components
+    # come out ordered by root.
+    members = {}
+    for node in range(n_c + n_d):
+        side = members.setdefault(find(node), ([], []))
+        if node < n_c:
+            side[0].append(node)
+        else:
+            side[1].append(node - n_c)
+    components = []
+    blocks = []
+    for cs, ds in members.values():
+        if not cs or not ds:
+            continue
+        block = u.probs[np.ix_(range(u.state_count), cs, ds)]
+        weight = float(block.sum())
+        if weight <= ZERO_TOL:
+            continue
+        components.append((weight, InformationStructure(block / weight, u.state_labels)))
+        blocks.append((tuple(cs), tuple(ds)))
+    total = sum(w for w, _ in components)
+    if abs(total - 1.0) > NORM_TOL:
+        raise ShapeMismatch(f"component weights sum to {total!r}")
+    return Decomposition(tuple(components), tuple(blocks))
+
+
+def ck_decompose(u):
+    return decompose(infodist.reduce_redundancy(u))
+
+
+def contents(dec):
+    """A decomposition as plain values, equal iff the two have the same
+    blocks and the same weights and component tensors, bit for bit."""
+    parts = [(w, c.probs.shape, c.probs.tobytes(), c.state_labels) for w, c in dec.components]
+    return dec.signal_blocks, parts
+
+
 def _component_fingerprints(structures):
     """Canonical fingerprint per structure: the induced distribution over
     (state, player-1 hierarchy class, player-2 hierarchy class), with class
@@ -169,8 +233,8 @@ def dnzs(u, v):
         raise ShapeMismatch(
             f"state counts differ: {u.state_count} vs {v.state_count}"
         )
-    dec_u = _decompose(infodist.reduce_redundancy(u))
-    dec_v = _decompose(infodist.reduce_redundancy(v))
+    dec_u = decompose(infodist.reduce_redundancy(u))
+    dec_v = decompose(infodist.reduce_redundancy(v))
     all_components = [s for _, s in dec_u.components] + [s for _, s in dec_v.components]
     prints = _component_fingerprints(all_components)
     n_u = len(dec_u.components)

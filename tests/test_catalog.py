@@ -162,6 +162,16 @@ def test_knowledge_level_direct():
     assert knowledge_level(ck, (0, 1), (0, 1)) == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize(
+    "kappa1, kappa2",
+    [((0, 5, 1), (0, 1)), ((0, -1, 1), (0, 1)), ((0, 1), (0, 1)), ((0, 1, 1), (0, 1, 0)), ((0, 1, 1), (0.0, 1.0))],
+)
+def test_knowledge_level_rejects_a_bad_labelling(kappa1, kappa2):
+    # u1 has 3 player-1 and 2 player-2 signals on 2 states.
+    with pytest.raises(inf.ShapeMismatch):
+        knowledge_level(inf.canonical_examples()["u1"], kappa1, kappa2)
+
+
 def test_counterexample_f3():
     f3 = inf.counterexample_pairs()["opponent_correlation"]
     assert inf.single_agent_distance(f3["u"], f3["v"]) <= 1e-9
@@ -193,3 +203,11 @@ def test_uniform_support_helper():
     u = inf.uniform_support(2, 2, 2, [(0, 0, 0), (1, 1, 1)])
     assert u.probs[0, 0, 0] == pytest.approx(0.5)
     assert u.probs[1, 1, 1] == pytest.approx(0.5)
+
+
+def test_uniform_support_rejects_bad_atoms():
+    with pytest.raises(inf.InvalidParameters):
+        inf.uniform_support(2, 1, 1, [])
+    for atom in ((0, 3, 0), (2, 0, 0), (0, 0, -1)):
+        with pytest.raises(inf.ShapeMismatch):
+            inf.uniform_support(2, 1, 1, [atom])

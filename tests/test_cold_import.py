@@ -27,9 +27,13 @@ def _python(*args, cwd=None):
 
 
 def test_import_loads_no_scipy_module_but_the_binding():
+    # Nor do the hierarchy's decomposition and dnzs on a catalog pair.
     out = _python(
         "-c",
         "import sys, infodist\n"
+        "u, v = infodist.email_game(0.1, 0.5, 5), infodist.common_knowledge([0.5, 0.5])\n"
+        "assert len(infodist.ck_decompose(u).components) == 1\n"
+        "assert infodist.dnzs(u, v) > 0\n"
         "print(*sorted(m for m in sys.modules if m.startswith('scipy')))",
     ).stdout
     assert CORE in out.split()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import infodist as inf
-from infodist import PLAYER1, PLAYER2
+from infodist import PLAYER1, PLAYER2, lp
 from infodist.structures import common_embedding
 
 from conftest import random_garbling, random_structure
@@ -189,6 +189,15 @@ def test_marginalize_and_conditional():
     assert np.allclose(inf.marginalize(u2.probs, (0,)), [0.5, 0.5])
     with pytest.raises(inf.ZeroMassCondition):
         inf.conditional(u2.probs, {1: 0, 2: 0, 0: 1})
+    for value in (5, -1):
+        with pytest.raises(inf.ShapeMismatch):
+            inf.conditional(u2.probs, {0: value})
+
+
+def test_constant_garbling_rejects_an_index_out_of_range():
+    for index in (5, 2, -1):
+        with pytest.raises(inf.ShapeMismatch):
+            inf.Garbling.constant(2, 2, index)
 
 
 def test_marginalize_axis_order():
@@ -236,3 +245,46 @@ def test_structures_immutable(rng):
     u = random_structure(rng, 2, 2, 2)
     with pytest.raises(ValueError):
         u.probs[0, 0, 0] = 1.0
+
+
+def _value_pairs():
+    """Two objects of each value type holding equal arrays, built apart."""
+    probs = np.full((2, 2, 2), 1 / 8)
+    payoffs = np.zeros((2, 2, 2))
+    one = np.ones(1)
+    makers = {
+        "InformationStructure": lambda: inf.validate_structure(probs),
+        "Garbling": lambda: inf.Garbling.identity(2),
+        "ZeroSumGame": lambda: inf.ZeroSumGame(payoffs),
+        "BimatrixGame": lambda: inf.BimatrixGame(payoffs, payoffs),
+        "StateDistribution": lambda: inf.StateDistribution([0.5, 0.5]),
+        "PayoffPolygon": lambda: inf.PayoffPolygon([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        "MixingMatrix": lambda: inf.MixingMatrix(np.eye(2, dtype=bool)),
+        "LpProblem": lambda: lp.LpProblem(one, [0], [0], one, one, one, one - 1, one),
+        "LpSolution": lambda: lp.LpSolution(lp.OPTIMAL, one, one, 1.0),
+        "HighsResult": lambda: lp.HighsResult(lp.OPTIMAL, one, one, 1),
+    }
+    return [pytest.param(make(), make(), id=name) for name, make in makers.items()]
+
+
+@pytest.mark.parametrize("x, copy", _value_pairs())
+def test_value_types_compare_and_hash_by_identity(x, copy):
+    # Equal content, distinct objects: == is `is`, and both can key a dict.
+    assert x == x
+    assert (x == copy) is False
+    assert x != copy
+    assert x not in [copy]
+    assert len({x, copy}) == 2
+    table = {x: "x", copy: "copy"}
+    assert table[x] == "x" and table[copy] == "copy"
+
+
+def test_containers_of_value_types_compare_field_by_field():
+    u, v = inf.canonical_examples()["u1"], inf.canonical_examples()["u2"]
+    pair = inf.ApproxKnowledgePair(u, v, 0.1)
+    assert pair == inf.ApproxKnowledgePair(u, v, 0.1)
+    assert pair != inf.ApproxKnowledgePair(inf.validate_structure(u.probs), v, 0.1)
+    q = inf.Garbling.identity(2)
+    cert = inf.GapCertificate(0.0, q, q, "d")
+    assert cert == inf.GapCertificate(0.0, q, q, "d")
+    assert cert != inf.GapCertificate(0.0, q, inf.Garbling.identity(2), "d")

@@ -1,5 +1,7 @@
 """Property tests over generated structures."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -233,6 +235,16 @@ def test_reduce_redundancy_is_value_equivalent_and_idempotent(u):
     assert not is_redundant(reduced)
     again = inf.reduce_redundancy(reduced)
     assert np.array_equal(again.probs, reduced.probs)
+
+
+@given(redundant_structures())
+def test_ck_decompose_matches_the_union_find(u):
+    # Array labelling against the union-find: the same components in the
+    # same order, with the same blocks and weights, bit for bit.
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "structure is redundant", UserWarning)
+        dec = inf.ck_decompose(u)
+    assert oracle.contents(dec) == oracle.contents(oracle.ck_decompose(u))
 
 
 @st.composite

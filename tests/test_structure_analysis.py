@@ -1,3 +1,4 @@
+import warnings
 from decimal import ROUND_HALF_EVEN, Decimal
 
 import numpy as np
@@ -194,8 +195,9 @@ def test_dnzs_keeps_a_tiny_signal_live_as_reduce_does():
 
 def test_catalog_sweep_structures_match_the_oracle():
     # Every structure of the benchmark's catalog sweep: the same partition
-    # as the dict-signature loops, and the reduced tensor bit for bit: the
-    # oracle's merge on redundant input, the input's own tensor otherwise.
+    # as the dict-signature loops, the reduced tensor bit for bit (the
+    # oracle's merge on redundant input, the input's own tensor otherwise),
+    # and the union-find's common-knowledge components of it.
     seen = set()
     for _, generate, _, _ in catalog_members():
         for u in generate():
@@ -209,6 +211,19 @@ def test_catalog_sweep_structures_match_the_oracle():
             else:
                 merged = u
             assert np.array_equal(inf.reduce_redundancy(u).probs, merged.probs)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "structure is redundant", UserWarning)
+                dec = inf.ck_decompose(u)
+            assert oracle.contents(dec) == oracle.contents(oracle.ck_decompose(u))
+
+
+def test_ladder_components_match_the_union_find():
+    # One component threaded through 803 signals.  Refining ladder(400)
+    # takes 401 rounds, so the labelling runs on it directly.
+    u = inf.ladder_structure(400)
+    dec = hierarchy._decompose(u)
+    assert len(dec.components) == 1
+    assert oracle.contents(dec) == oracle.contents(oracle.decompose(u))
 
 
 def test_null_signals_do_not_split_their_opponents():
@@ -372,3 +387,10 @@ def test_dnzs_reduces_redundant_inputs():
     cat = inf.canonical_examples()
     doubled = _split_signal(cat["u2"], 0)
     assert inf.dnzs(doubled, cat["u2"]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mix_rejects_components_on_different_state_counts():
+    u2 = inf.canonical_examples()["u2"]
+    three = inf.validate_structure(np.full((3, 1, 1), 1 / 3))
+    with pytest.raises(ShapeMismatch):
+        inf.mix([(0.5, u2), (0.5, three)])
