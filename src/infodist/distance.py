@@ -104,7 +104,7 @@ class StateDistribution:
         if arr.min(initial=0.0) < -ZERO_TOL:
             raise ShapeMismatch("state distribution has a negative entry")
         if abs(arr.sum() - 1.0) > NORM_TOL:
-            raise ShapeMismatch(f"state distribution sums to {arr.sum()!r}")
+            raise ShapeMismatch(f"state distribution sums to {float(arr.sum())!r}")
         arr = np.clip(arr, 0.0, None)
         arr = arr / arr.sum()
         arr.setflags(write=False)

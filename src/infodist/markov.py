@@ -152,7 +152,8 @@ def is_nice(sequence, matrix: MixingMatrix) -> str:
         raise InvalidSymbol("sequence must have length >= 1")
     for a in seq:
         if not (isinstance(a, (int, np.integer)) and 1 <= a <= n):
-            raise InvalidSymbol(f"symbol {a!r} outside 1..{n}")
+            shown = a.item() if isinstance(a, np.generic) else a
+            raise InvalidSymbol(f"symbol {shown!r} outside 1..{n}")
     for i in range(len(seq) - 1):
         if not matrix.S[seq[i] - 1, seq[i + 1] - 1]:
             first_dead = i + 2  # 1-based length of the first zero-probability prefix
@@ -201,9 +202,18 @@ def _bonus_table(world: MarkovWorld, p: int) -> np.ndarray:
 
 
 def nice_sequences(world: MarkovWorld, length: int) -> list[tuple[int, ...]]:
-    """All support sequences of the given length, lexicographic order."""
+    """All support sequences of the given length, lexicographic order.
+
+    There are N (N/2)^(length-1) of them; when their symbol count exceeds
+    the default budget this raises ``BudgetExceeded`` before listing any.
+    """
     if length < 1:
         raise InvalidParameters("length must be >= 1")
+    n = world.N
+    symbols = n * (n // 2) ** (length - 1) * length
+    budget = resolve_budget(None)
+    if symbols > budget:
+        raise BudgetExceeded(f"{symbols} sequence symbols exceed budget {budget}")
     return list(zip(*(_atoms(world.matrix, length) + 1).T.tolist()))
 
 
@@ -284,16 +294,18 @@ _STAT_SETS = {
     "Y_ab_cd": (16.0, (">a", ">b", "c>", "d>")),
 }
 
-# Per kind of ``_StatKernel.conditional_ratio``: the sets of the
-# conditioning constraints on i, and the set of the one more constraint.
-_RATIO_SETS = {
-    "aligned": (("a>",), ">e"),  # successor i of a; P(i precedes e)
-    "pair-sup": (("a>",), "b>"),  # successor i of a; P(i also succeeds b)
-    "pair-sub": ((">a",), ">b"),  # predecessor i of a; P(i also precedes b)
-    "generic-tail": (("a>", "b>"), ">e"),  # i succeeds a and b; P(i precedes e)
-    "continuation": (("a>", ">e"), "b>"),  # i succeeds a, precedes e; P(i succeeds b)
-    "triple": (("c>", ">a"), ">b"),  # i succeeds c, precedes a; P(i precedes b)
-    "quad": (("c>", "d>", ">a"), ">b"),  # i succeeds c and d, precedes a; P(i precedes b)
+# Each kind of ``_StatKernel.conditional_ratio`` is the count ratio of one
+# E condition, its numerator's sets over its denominator's in
+# ``_STAT_SETS``, under a renaming of roles.  Per kind: the E condition
+# and the renaming.
+_RATIO_KINDS = {
+    "aligned": ("Y_a_c/Y_c", {"c": "a", "a": "e"}),  # successor i of a; P(i precedes e)
+    "pair-sup": ("Y_cd/Y_c", {"c": "a", "d": "b"}),  # successor i of a; P(i also succeeds b)
+    "pair-sub": ("Y_ab/Y_a", {}),  # predecessor i of a; P(i also precedes b)
+    "generic-tail": ("Y_a_cd/Y_cd", {"a": "e", "c": "a", "d": "b"}),  # i succeeds a and b; P(i precedes e)
+    "continuation": ("Y_a_cd/Y_a_c", {"a": "e", "c": "a", "d": "b"}),  # i succeeds a, precedes e; P(i succeeds b)
+    "triple": ("Y_ab_c/Y_a_c", {}),  # i succeeds c, precedes a; P(i precedes b)
+    "quad": ("Y_ab_cd/Y_a_cd", {}),  # i succeeds c and d, precedes a; P(i precedes b)
 }
 
 
@@ -403,14 +415,16 @@ class _StatKernel:
         constraints), reduced through the Markov property to a ratio of
         counting sums; NaN marks empty conditioning sets.
         """
-        if kind not in _RATIO_SETS:
+        if kind not in _RATIO_KINDS:
             raise InvalidParameters(f"unknown ratio kind {kind!r}")
-        given, extra = _RATIO_SETS[kind]
-        counts = self._counts({"den": given, "num": given + (extra,)}, idx)
-        den = counts["den"]
-        out = np.full(den.size, np.nan)
-        ok = den > 0
-        out[ok] = counts["num"][ok] / den[ok]
+        condition, roles = _RATIO_KINDS[kind]
+        _, num, den = next(c for c in E_CONDITIONS if c[0] == condition)
+        rename = str.maketrans(roles)
+        terms = {name: tuple(s.translate(rename) for s in _STAT_SETS[name][1]) for name in (num, den)}
+        counts = self._counts(terms, idx)
+        out = np.full(counts[den].size, np.nan)
+        ok = counts[den] > 0
+        out[ok] = counts[num][ok] / counts[den][ok]
         return out
 
 

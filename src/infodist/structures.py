@@ -91,7 +91,7 @@ class InformationStructure:
         probs = _check_nonnegative(probs, "structure tensor")
         total = probs.sum()
         if abs(total - 1.0) > NORM_TOL:
-            raise NotNormalized(f"structure mass is {total!r}, not 1 within {NORM_TOL:g}")
+            raise NotNormalized(f"structure mass is {float(total)!r}, not 1 within {NORM_TOL:g}")
         labels = tuple(self.state_labels) or tuple(str(k) for k in range(probs.shape[0]))
         if len(labels) != probs.shape[0]:
             raise ShapeMismatch(

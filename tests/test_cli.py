@@ -9,7 +9,7 @@ import pytest
 import infodist as inf
 from infodist import lp
 from infodist.catalog import parity_coordination_game
-from infodist.cli import _CATALOG_NAMES, main
+from infodist.cli import _CATALOG_NAMES, _COMMANDS, main
 
 from conftest import random_structure
 
@@ -107,6 +107,33 @@ def test_witness_round_trip(capsys, files):
     assert game.payoffs.shape == (2, 2, 2)
     assert np.abs(game.payoffs).max() <= 1.0
     assert float(out.strip()) == pytest.approx(0.5, abs=1e-5)
+
+
+@pytest.mark.parametrize(
+    "argv, parse",
+    [
+        (("witness", "u1", "u2"), inf.ZeroSumGame.from_json),
+        (("reduce", "u1"), inf.InformationStructure.from_json),
+        (("decompose", "u1"), json.loads),
+        (("feasible", "u2", "bimatrix"), json.loads),
+        (("catalog", "f4-xor", "--which", "v_prime"), inf.InformationStructure.from_json),
+        (("catalog", "ladder", "--format", "csv"), inf.InformationStructure.from_json),
+        (("markov", "sample", "-N", "8", "--seed", "0"), json.loads),
+    ],
+    ids=["witness", "reduce", "decompose", "feasible", "catalog", "catalog-csv", "markov-sample"],
+)
+def test_without_output_stdout_holds_only_the_document(capsys, files, argv, parse):
+    # The document goes to stdout and the summary, which -o would leave on
+    # stdout, to stderr; so a redirected stdout reads back as the document
+    # (`infodist catalog ladder > ladder.json` gives a file that loads).
+    argv = [files.get(arg, arg) for arg in argv]
+    path = files["tmp"] / "document.json"
+    code, summary, _ = _run(capsys, *argv, "-o", str(path))
+    assert code == 0
+    code, out, err = _run(capsys, *argv)
+    assert code == 0
+    assert (out, err) == (path.read_text(), summary)
+    parse(out)
 
 
 def test_witness_command_solves_one_lp(capsys, files, solve_rows):
@@ -409,6 +436,17 @@ def test_a_loader_error_names_the_file_that_failed(capsys, files, command):
     assert report["message"].count(str(files["tmp"])) == 1
 
 
+def test_domain_errors_print_plain_numbers(capsys, files):
+    # Sums of numpy arrays, reported as numbers rather than np.float64(...).
+    bad = files["tmp"] / "bad.json"
+    bad.write_text("[0.5, 0.6]")
+    code, _, err = _run(capsys, "diameter", str(bad), str(bad))
+    assert (code, json.loads(err)["message"]) == (1, f"{bad}: state distribution sums to 1.1")
+    bad.write_text(json.dumps({"states": ["0", "1"], "signals1": 1, "signals2": 1, "probs": [[[0.5]], [[0.6]]]}))
+    code, _, err = _run(capsys, "distance", files["u1"], str(bad))
+    assert (code, json.loads(err)["message"]) == (1, f"{bad}: structure mass is 1.1, not 1 within 1e-09")
+
+
 def test_check_e_rejects_alpha_outside_the_band(capsys):
     argv = ("markov", "check-e", "-N", "4", "--seed", "0", "--alpha", "2")
     assert _domain_error(capsys, *argv) == "InvalidParameters"
@@ -418,6 +456,28 @@ def test_a_file_that_is_not_utf8_is_a_domain_error(capsys, files):
     bad = files["tmp"] / "bad.json"
     bad.write_bytes(b"\xff\xfe")
     assert _domain_error(capsys, "distance", str(bad), files["u1"]) == "InvalidParameters"
+
+
+_TOP_LEVEL_COMMANDS = (
+    "value", "distance", "compare", "witness", "d1", "diameter", "dw", "reduce", "decompose", "dnzs",
+    "feasible", "verify-bound", "catalog", "blackwell-table", "repro-appendix-f", "markov",
+)
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_every_registered_command_has_help_listing_format(capsys, name):
+    code, out, _ = _run(capsys, *name.split(), "--help")
+    assert code == 0
+    assert "--format {text,json,csv}" in out
+
+
+def test_help_lists_the_commands_in_order(capsys):
+    code, out, _ = _run(capsys, "--help")
+    assert code == 0
+    assert "{" + ",".join(_TOP_LEVEL_COMMANDS) + "}" in out
+    code, out, _ = _run(capsys, "markov", "--help")
+    assert code == 0
+    assert "{sample,check-e,check-ui,games}" in out
 
 
 def test_usage_error_exit_code(capsys):

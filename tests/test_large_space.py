@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -72,6 +74,22 @@ def test_is_nice_classification(world4):
     assert inf.is_nice([a, good_b, bad_c], matrix) == NOT_NICE_P1
     with pytest.raises(inf.InvalidSymbol):
         inf.is_nice([0, 1], matrix)
+
+
+def test_is_nice_reports_a_numpy_symbol_as_a_plain_number(world4):
+    with pytest.raises(inf.InvalidSymbol, match=r"^symbol 0 outside 1\.\.4$"):
+        inf.is_nice(np.array([0, 1]), world4.matrix)
+
+
+def test_nice_sequences_are_budgeted(world4, monkeypatch):
+    # N (N/2)^(length-1) sequences: 3.1e10 at N=100, length 6, refused
+    # before any is listed.
+    monkeypatch.delenv("INFODIST_BUDGET", raising=False)
+    with pytest.raises(inf.BudgetExceeded, match="sequence symbols"):
+        markov.nice_sequences(inf.MarkovWorld(inf.sample_S(100, 0)), 6)
+    # Within the budget: every nice sequence, in lexicographic order.
+    words = itertools.product(range(1, 5), repeat=4)
+    assert markov.nice_sequences(world4, 4) == [w for w in words if inf.is_nice(w, world4.matrix) == NICE]
 
 
 def test_chain_probability(world4):
