@@ -353,8 +353,8 @@ _CATALOG = {
     "ladder": ({"n": 1}, lambda n: cat.ladder_structure(n)),
     "email": ({"eps": 0.05, "prior": 0.5, "truncation": 12},
               lambda eps, prior, truncation: cat.email_game(eps, prior, truncation)),
-    "blackwell": ({"n": 1, "m": 0, "p": [0.75], "r": 0.75},
-                  lambda n, m, p, r: cat.blackwell_structure(cat.BlackwellSpec(n, m, p[0], r))),
+    "blackwell": ({"n": 1, "m": 0, "p": 0.75, "r": 0.75},
+                  lambda n, m, p, r: cat.blackwell_structure(cat.BlackwellSpec(n, m, p, r))),
     "approx-knowledge": ({"eps": 0.05}, _approx_knowledge),
     "opponent_correlation": ({}, lambda: cat.counterexample_pairs()["opponent_correlation"]),
     "f4-xor": ({}, lambda: cat.counterexample_pairs()["xor_state"]),
@@ -367,7 +367,7 @@ _CATALOG_NAMES = tuple(_CATALOG)
 _BUILDER_ARGS = {
     "n": {"type": int},
     "m": {"type": int},
-    "p": {"type": float, "action": "append"},
+    "p": {"type": float},
     "r": {"type": float},
     "eps": {"type": float},
     "prior": {"type": float},
@@ -524,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp = subparsers[group].add_parser(leaf, help=help)
         for flags, kwargs in args + (_FORMAT,):
             sp.add_argument(*flags, **kwargs)
-        sp.set_defaults(func=func)
+        sp.set_defaults(func=func, prog=sp.prog)
     return parser
 
 
@@ -542,7 +542,7 @@ def main(argv=None) -> int:
         payload, table = args.func(args)
         _emit(fmt, payload, table, out)
     except _UsageError as exc:
-        print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
+        print(f"{args.prog}: error: {exc}", file=sys.stderr)
         return 2
     except (InfoDistError, OSError) as exc:
         error = type(exc).__name__ if isinstance(exc, InfoDistError) else "IOError"

@@ -57,9 +57,13 @@ from .games import ZeroSumGame, guarantee, value
 from .structures import (
     ConditionalQuery,
     Garbling,
+    HYPOTHESIS_TOL,
     InformationStructure,
     PLAYER1,
     PLAYER2,
+    _check_nonnegative,
+    _frozen,
+    check_signals_cond_indep,
     eps_conditional_independence,
     garble,
     l1_distance,
@@ -98,24 +102,20 @@ class StateDistribution:
         arr = np.asarray(self.probs, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise ShapeMismatch(f"state distribution must be a vector, got {arr.shape}")
-        # NaN would pass both checks below, since every comparison with it is false.
-        if not np.isfinite(arr).all():
-            raise NotNormalized("state distribution contains non-finite entries")
-        if arr.min(initial=0.0) < -ZERO_TOL:
-            raise ShapeMismatch("state distribution has a negative entry")
-        if abs(arr.sum() - 1.0) > NORM_TOL:
-            raise ShapeMismatch(f"state distribution sums to {float(arr.sum())!r}")
-        arr = np.clip(arr, 0.0, None)
-        arr = arr / arr.sum()
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        arr = _check_nonnegative(arr, "state distribution")
+        total = arr.sum()
+        if abs(total - 1.0) > NORM_TOL:
+            raise NotNormalized(f"state distribution sums to {float(total)!r}")
+        object.__setattr__(self, "probs", _frozen(arr / total))
 
 
 @dataclass(frozen=True)
 class DiameterBounds:
+    """Bounds on d(u,v) over structures with the given state marginals,
+    both computed exactly by ``diameter_bounds``."""
+
     lower: float
     upper: float
-    heuristic: bool
 
 
 class _GapLayout(NamedTuple):
@@ -428,78 +428,48 @@ def single_agent_distance(
     )
 
 
-def _min_overlap_value(p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray) -> float:
-    return float(np.minimum(p * q2, p2 * q).sum())
-
-
-def _ascend_overlap(p: np.ndarray, q: np.ndarray, p2: np.ndarray, q2: np.ndarray):
-    """Alternating coordinate ascent on sum_k min(p_k q2_k, p2_k q_k).
-
-    Each half-step is exact (a tiny LP), so the loop is monotone; the result
-    certifies a lower estimate of the maximum.
-    """
-    k = p.size
-
-    def best_response(weights_const: np.ndarray, weights_var: np.ndarray) -> np.ndarray:
-        # max sum_k min(const_k, w_k x_k) over the simplex in x, as the
-        # best-response LP z_k <= const_k sum(x), z_k <= w_k x_k.
-        payoff = np.stack(
-            (np.repeat(weights_const[:, np.newaxis], k, axis=1), np.diag(weights_var)), axis=1
-        )
-        _, x, _ = lp.best_response(payoff, 1)
-        x = np.clip(x, 0.0, None)
-        return x / x.sum()
-
-    best = _min_overlap_value(p, q, p2, q2)
-    for _ in range(50):
-        p2 = best_response(p * q2, q)
-        q2 = best_response(p2 * q, p)
-        current = _min_overlap_value(p, q, p2, q2)
-        if current <= best + 1e-12:
-            break
-        best = current
-    return best
-
-
 def diameter_bounds(p: StateDistribution, q: StateDistribution) -> DiameterBounds:
     """Tight bounds on d(u,v) over structures with state marginals p and q:
 
         sum_k |p_k - q_k|  <=  d(u,v)  <=  2 (1 - max_{p',q'} sum_k
                                              min(p_k q'_k, p'_k q_k)).
 
-    Exact for p = q (upper = 2(1 - max_k p_k)) and for |K| = 2 (the maximum
-    is attained at p'=q'=(1,0), p'=q'=(0,1) or (p',q')=(p,q)).  For |K| >= 3
-    with p != q the inner maximum is neither concave nor convex; a vertex
-    scan plus alternating ascent certifies a lower estimate of it, so the
-    returned upper bound is valid but possibly loose, and ``heuristic`` is
-    set.
+    With t_k = min(p'_k / p_k, q'_k / q_k) the maximum is the LP
+
+        max sum_k p_k q_k t_k  s.t.  p.t <= 1, q.t <= 1, t >= 0,
+
+    whose optimum sits at a vertex with at most two nonzero t_k, so both
+    bounds are exact for every K and no LP is solved.  One nonzero t_i =
+    1 / max(p_i, q_i) is worth min(p_i, q_i).  A pair (i, j) with both rows
+    tight has t_i = (q_j - p_j) / det and t_j = (p_i - q_i) / det, det =
+    p_i q_j - q_i p_j = x + y for x = p_i (q_j - p_j) and y = p_j (p_i -
+    q_i); it is a vertex when det != 0 and the two gaps have det's sign.
+    Its p-masses p_i t_i and p_j t_j are x / det and y / det, so it is worth
+    the mixture (x q_i + y q_j) / (x + y) of q_i and q_j.  That form never
+    divides by a separately rounded det, which cancels when q is close to
+    p, and x and y are formed from mantissas and exponents, so a product of
+    two small masses cannot underflow: the result is within a few ulps of
+    the exact maximum for the given floats.
     """
     pk = p.probs
     qk = q.probs
     if pk.size != qk.size:
         raise ShapeMismatch("state distributions have different lengths")
-    n = pk.size
     lower = float(np.abs(pk - qk).sum())
-    if np.abs(pk - qk).max() <= ZERO_TOL:
-        return DiameterBounds(lower, 2.0 * (1.0 - pk.max()), False)
-    if n == 2:
-        candidates = [
-            (np.array([1.0, 0.0]), np.array([1.0, 0.0])),
-            (np.array([0.0, 1.0]), np.array([0.0, 1.0])),
-            (pk, qk),
-        ]
-        best = max(_min_overlap_value(pk, qk, a, b) for a, b in candidates)
-        return DiameterBounds(lower, 2.0 * (1.0 - best), False)
-    best = 0.0
-    eye = np.eye(n)
-    for i in range(n):
-        for j in range(n):
-            best = max(best, _min_overlap_value(pk, qk, eye[i], eye[j]))
-    best = max(best, _min_overlap_value(pk, qk, pk, qk))
-    best = max(best, _ascend_overlap(pk, qk, pk.copy(), qk.copy()))
-    for i in range(n):
-        best = max(best, _ascend_overlap(pk, qk, eye[i].copy(), eye[i].copy()))
-    return DiameterBounds(lower, 2.0 * (1.0 - best), True)
+    best = float(np.minimum(pk, qk).max())
+    # Every ordered pair: (j, i) is the vertex (i, j), and (i, i) never is one.
+    i, j = np.indices((pk.size, pk.size)).reshape(2, -1)
+    gaps = np.stack((qk[j] - pk[j], pk[i] - qk[i]))
+    (m1, e1), (m2, e2) = np.frexp(np.stack((pk[i], pk[j]))), np.frexp(np.abs(gaps))
+    mantissa, exponent = m1 * m2, e1 + e2
+    vertex = ((gaps >= 0.0).all(axis=0) | (gaps <= 0.0).all(axis=0)) & (mantissa > 0.0).any(axis=0)
+    if vertex.any():
+        mantissa, exponent = mantissa[:, vertex], exponent[:, vertex]
+        # Scale x and y by one power of two that puts the larger in [1/4, 1).
+        top = np.where(mantissa > 0.0, exponent, np.iinfo(exponent.dtype).min).max(axis=0)
+        x, y = np.ldexp(mantissa, exponent - top)
+        best = max(best, float(((x * qk[i[vertex]] + y * qk[j[vertex]]) / (x + y)).max()))
+    return DiameterBounds(lower, 2.0 * (1.0 - best))
 
 
 def dw(
@@ -522,8 +492,6 @@ def dw(
 # through the conditional-independence measurement, and evaluates the claimed
 # inequality on structures derived by marginalization.
 # ---------------------------------------------------------------------------
-
-_HYPOTHESIS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -586,13 +554,10 @@ def cond_indep_collapse_report(
 ) -> CondIndepCollapseReport:
     """Collapse harness: for conditionally independent u, v with equal
     marginals over (state, player-2 signal), d(u,v) = d1(u,v)."""
-    for s in (u, v):
-        ci = eps_conditional_independence(s.probs, ConditionalQuery((1,), (2,), (0,)))
-        if ci > _HYPOTHESIS_TOL:
-            raise HypothesisViolated(f"signals not conditionally independent: {ci:g}")
+    check_signals_cond_indep(u, v)
     mu = u.probs.sum(axis=1)
     mv = v.probs.sum(axis=1)
-    if mu.shape != mv.shape or np.abs(mu - mv).max() > _HYPOTHESIS_TOL:
+    if mu.shape != mv.shape or np.abs(mu - mv).max() > HYPOTHESIS_TOL:
         raise HypothesisViolated("marginals over (K x D) differ")
     d = value_distance(u, v)
     d1 = single_agent_distance(u, v)
@@ -610,7 +575,7 @@ def substitutes_report(joint: np.ndarray) -> SubstitutesReport:
     if arr.ndim != 5:
         raise ShapeMismatch("expected axes (k, c, c1, c2, d)")
     ci = eps_conditional_independence(arr, ConditionalQuery((2,), (1, 3, 4), (0,)))
-    if ci > _HYPOTHESIS_TOL:
+    if ci > HYPOTHESIS_TOL:
         raise HypothesisViolated(f"c1 not conditionally independent given k: {ci:g}")
     u_full = _structure_from_axes(arr, (1, 2, 3), (4,))
     v_full = _structure_from_axes(arr, (1, 2), (4,))
@@ -634,7 +599,7 @@ def complements_report(joint: np.ndarray) -> ComplementsReport:
     ci = eps_conditional_independence(
         marginalize(arr, (0, 1, 2, 3)), ConditionalQuery((1, 2), (3,), (0,))
     )
-    if ci > _HYPOTHESIS_TOL:
+    if ci > HYPOTHESIS_TOL:
         raise HypothesisViolated(
             f"(c, c1) not conditionally independent of d given k: {ci:g}"
         )

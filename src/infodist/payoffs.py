@@ -17,9 +17,7 @@ from .config import NORM_TOL, DIST_TOL, ZERO_TOL, resolve_budget
 from .distance import value_distance
 from .errors import BudgetExceeded, EmptyInput, HypothesisViolated, ShapeMismatch
 from .games import BimatrixGame, minmax_levels
-from .structures import ConditionalQuery, InformationStructure, eps_conditional_independence
-
-_CI_GATE = 1e-9
+from .structures import HYPOTHESIS_TOL, InformationStructure, check_signals_cond_indep
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -228,14 +226,7 @@ class FeasibleBoundReport:
 def _check_case(u: InformationStructure, v: InformationStructure, case: str) -> float:
     """Validate the structural hypothesis; returns the bound multiplier."""
     if case == "cond_indep":
-        for s in (u, v):
-            ci = eps_conditional_independence(
-                s.probs, ConditionalQuery((1,), (2,), (0,))
-            )
-            if ci > _CI_GATE:
-                raise HypothesisViolated(
-                    f"signals not conditionally independent given the state: {ci:g}"
-                )
+        check_signals_cond_indep(u, v)
         return 3.0
     if case == "public":
         for s in (u, v):
@@ -251,7 +242,7 @@ def _check_case(u: InformationStructure, v: InformationStructure, case: str) -> 
             mass = flat.sum(axis=1)
             live = mass > ZERO_TOL
             peak = flat[live].max(axis=1) / mass[live]
-            if peak.min(initial=1.0) < 1.0 - _CI_GATE:
+            if peak.min(initial=1.0) < 1.0 - HYPOTHESIS_TOL:
                 raise HypothesisViolated(
                     "player 1's signal does not determine (state, opponent signal)"
                 )

@@ -22,6 +22,7 @@ import numpy as np
 
 from .config import NORM_TOL, ZERO_TOL
 from .errors import (
+    HypothesisViolated,
     InvalidParameters,
     NegativeMass,
     NotNormalized,
@@ -359,3 +360,20 @@ def eps_conditional_independence(tensor: np.ndarray, query: ConditionalQuery) ->
         product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
         total += pz[z] * np.abs(joint - product).sum()
     return float(total)
+
+
+# The largest measured violation a hypothesis check accepts, such as an
+# eps_conditional_independence of a structure meant to be independent.
+HYPOTHESIS_TOL = 1e-9
+
+
+def check_signals_cond_indep(*structures: InformationStructure) -> None:
+    """Raise HypothesisViolated unless, in each structure, the two players'
+    signals are conditionally independent given the state, within
+    HYPOTHESIS_TOL."""
+    for s in structures:
+        ci = eps_conditional_independence(s.probs, ConditionalQuery((1,), (2,), (0,)))
+        if ci > HYPOTHESIS_TOL:
+            raise HypothesisViolated(
+                f"signals not conditionally independent given the state: {ci:g}"
+            )

@@ -256,6 +256,22 @@ def test_catalog_rejects_options_its_builder_does_not_read(capsys, tmp_path):
     assert code == 0, err
 
 
+def test_catalog_p_sets_the_blackwell_accuracy(capsys, tmp_path):
+    # --p is single-valued: it changes the tensor, and when it is repeated
+    # the last value wins, as for --r or any other option.
+    def blackwell(*options):
+        out = tmp_path / "b.json"
+        code, _, err = _run(capsys, "catalog", "blackwell", "--n", "2", *options, "-o", str(out))
+        assert code == 0, err
+        return inf.InformationStructure.from_json(out.read_text()).probs
+
+    default, high = blackwell(), blackwell("--p", "0.9")
+    assert np.array_equal(default, blackwell("--p", "0.75"))
+    assert not np.array_equal(high, default)
+    assert np.array_equal(blackwell("--p", "0.6", "--p", "0.9"), high)
+    assert np.array_equal(blackwell("--r", "0.6", "--r", "0.9"), blackwell("--r", "0.9"))
+
+
 def test_readme_catalog_examples_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -483,6 +499,16 @@ def test_help_lists_the_commands_in_order(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["distance"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_a_usage_error_names_the_command_as_argparse_does(capsys, monkeypatch, files):
+    monkeypatch.setenv("INFODIST_BUDGET", "abc")
+    code, _, err = _run(capsys, *_MARKOV_GAMES)
+    assert code == 2
+    assert err.startswith("infodist markov games: error: INFODIST_BUDGET")
+    code, _, err = _run(capsys, "feasible", files["u1"], files["bimatrix"])
+    assert code == 2
+    assert err.startswith("infodist feasible: error: INFODIST_BUDGET")
 
 
 def test_budget_env_override(monkeypatch):

@@ -500,7 +500,6 @@ def test_diameter_bounds_examples():
     half = inf.StateDistribution(np.array([0.5, 0.5]))
     out = inf.diameter_bounds(half, half)
     assert (out.lower, out.upper) == pytest.approx((0.0, 1.0))
-    assert not out.heuristic
 
     delta = inf.StateDistribution(np.array([1.0, 0.0]))
     out = inf.diameter_bounds(delta, delta)
@@ -524,16 +523,20 @@ def test_diameter_binary_asymmetric():
     best = max(0.4, 0.3, 0.7 * 0.4 + 0.3 * 0.6)
     assert out.upper == pytest.approx(2 * (1 - best))
     assert out.lower == pytest.approx(0.6)
-    assert not out.heuristic
 
 
-def test_diameter_three_states_heuristic_flag():
+def test_diameter_three_states_is_tight():
     p = inf.StateDistribution(np.array([0.5, 0.3, 0.2]))
     q = inf.StateDistribution(np.array([0.2, 0.5, 0.3]))
     out = inf.diameter_bounds(p, q)
-    assert out.heuristic
-    assert out.lower <= out.upper <= 2.0
-    # the heuristic must at least reach every vertex-pair candidate
+    assert out.lower == pytest.approx(0.6)
+    # The optimal vertex is (t_1, t_2, t_3) = (20/19, 30/19, 0), worth 13/38.
+    assert out.upper == pytest.approx(25 / 19, abs=1e-12)
+    # Player 1 knows the state in u, player 2 in v, and d(u, v) reaches it.
+    u = inf.validate_structure(np.diag(p.probs)[:, :, np.newaxis])
+    v = inf.validate_structure(np.diag(q.probs)[:, np.newaxis, :])
+    assert inf.value_distance(u, v) == pytest.approx(out.upper, abs=1e-9)
+    # The bound is at least as tight as every vertex-pair candidate.
     eye = np.eye(3)
     best_vertex = max(
         np.minimum(p.probs * eye[j], eye[i] * q.probs).sum()
@@ -541,6 +544,25 @@ def test_diameter_three_states_heuristic_flag():
         for j in range(3)
     )
     assert out.upper <= 2 * (1 - best_vertex) + 1e-12
+
+
+def test_diameter_bounds_solve_no_lp(rng, solve_rows):
+    for n_k in range(3, 7):
+        p, q = rng.dirichlet(np.ones(n_k), size=2)
+        inf.diameter_bounds(inf.StateDistribution(p), inf.StateDistribution(q))
+    assert solve_rows == []
+
+
+def test_diameter_bounds_hold_the_distance_of_random_pairs(rng):
+    for n_k in (2, 3, 4):
+        for _ in range(12):
+            u = random_structure(rng, n_k, 2, 2, zeros=0.2)
+            v = random_structure(rng, n_k, 2, 2, zeros=0.2)
+            out = inf.diameter_bounds(
+                inf.StateDistribution(u.state_marginal()), inf.StateDistribution(v.state_marginal())
+            )
+            assert out.lower > 0.0
+            assert out.lower - 1e-9 <= inf.value_distance(u, v) <= out.upper + 1e-9
 
 
 def test_diameter_is_valid_bound_for_actual_structures(rng):
@@ -647,7 +669,9 @@ def test_joint_information_bound(rng):
 
 
 def test_state_distribution_validation():
-    with pytest.raises(inf.ShapeMismatch):
+    with pytest.raises(inf.NotNormalized):
         inf.StateDistribution(np.array([0.5, 0.4]))
+    with pytest.raises(inf.NegativeMass):
+        inf.StateDistribution(np.array([1.2, -0.2]))
     with pytest.raises(inf.ShapeMismatch):
         inf.StateDistribution(np.array([[0.5], [0.5]]))

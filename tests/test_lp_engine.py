@@ -229,6 +229,8 @@ def _recorded_problems(monkeypatch, call):
 
 
 def _oracle_problems(monkeypatch):
+    """The LPs the solver checks replay: gap LPs, the game value's
+    best-response LPs and small hand-built problems."""
     rng = np.random.default_rng(20261018)
     problems = []
     # Gap LPs: unequal signal counts, zero cells, one-signal players.
@@ -254,11 +256,6 @@ def _oracle_problems(monkeypatch):
         u = random_structure(rng, *shape, zeros=0.3)
         g = random_game(rng, shape[0], *actions)
         problems += _recorded_problems(monkeypatch, lambda: games.value(u, g))
-    # The coordinate-ascent LPs of diameter_bounds.
-    p, q = rng.dirichlet(np.ones(4), size=2)
-    problems += _recorded_problems(
-        monkeypatch, lambda: distance._ascend_overlap(p, q, p.copy(), q.copy())
-    )
     # Small problems, one with >= and == rows.
     problems.append(_simple_problem())
     problems.append(_one_variable_problem(-1.0, [(1.0, 3.0), (-2.0, 1.0)], maximize=False))

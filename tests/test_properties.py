@@ -1,8 +1,10 @@
 """Property tests over generated structures."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -279,3 +281,74 @@ def test_dnzs_on_block_mixtures_matches_the_reference(pair):
     u, v = pair
     assert inf.dnzs(u, v) == oracle.dnzs(u, v)
     assert inf.dnzs(v, u) == oracle.dnzs(v, u)
+
+
+@st.composite
+def marginal_pairs(draw):
+    """State marginals p and q on 1-6 states, with zero entries; q is drawn
+    on its own, equals p, or is p moved by up to 1e-15 per entry."""
+    n_k = draw(st.integers(1, 6))
+
+    def normalized(raw):
+        raw = np.clip(raw, 0.0, None)
+        if raw.sum() == 0.0:
+            raw[0] = 1.0
+        return raw / raw.sum()
+
+    mass = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    p = normalized(draw(hnp.arrays(float, n_k, elements=mass)))
+    kind = draw(st.sampled_from(("independent", "equal", "noise")))
+    if kind == "independent":
+        q = normalized(draw(hnp.arrays(float, n_k, elements=mass)))
+    elif kind == "equal":
+        q = p.copy()
+    else:
+        q = normalized(p + draw(hnp.arrays(float, n_k, elements=st.floats(-1e-15, 1e-15))))
+    return inf.StateDistribution(p), inf.StateDistribution(q)
+
+
+def _exact_overlap_max(p, q):
+    """max sum_k p_k q_k t_k over p.t <= 1, q.t <= 1, t >= 0 in exact
+    arithmetic, over every vertex with at most two nonzero t_k."""
+    p = [Fraction(x) for x in p]
+    q = [Fraction(x) for x in q]
+    best = max(min(a, b) for a, b in zip(p, q))
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            det = p[i] * q[j] - q[i] * p[j]
+            if det != 0:
+                ti, tj = (q[j] - p[j]) / det, (p[i] - q[i]) / det
+                if ti >= 0 and tj >= 0:
+                    best = max(best, p[i] * q[i] * ti + p[j] * q[j] * tj)
+    return best
+
+
+@given(marginal_pairs())
+def test_diameter_upper_bound_is_the_exact_maximum(pair):
+    # The closed form against an exact enumeration of the LP's vertices,
+    # and against 200 random (p', q'), none of which may beat it.
+    p, q = pair
+    out = inf.diameter_bounds(p, q)
+    best = 1.0 - out.upper / 2.0
+    assert abs(best - float(_exact_overlap_max(p.probs, q.probs))) <= 1e-12
+    rng = np.random.default_rng(p.probs.size)
+    p2, q2 = rng.dirichlet(np.ones(p.probs.size), size=(2, 200))
+    assert np.minimum(p.probs * q2, p2 * q.probs).sum(axis=1).max() <= best + 1e-12
+    assert out.lower == np.abs(p.probs - q.probs).sum()
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        ([1.0, 0.0, 0.0], [8 / 13, 5e-324, 5 / 13]),
+        ([0.3, 5e-324, 0.7], [0.3, 0.0, 0.7]),
+        ([0.2, 1e-322, 0.8], [0.6, 0.0, 0.4]),
+        ([1.0, 1.4e-162, 1.4e-162], [1.0, 1.8e-162, 1.4e-162]),
+    ],
+)
+def test_diameter_upper_bound_with_subnormal_products(p, q):
+    # Products of these masses underflow, so a vertex read from them in
+    # plain floating point is wrong or 0/0.
+    p, q = inf.StateDistribution(p), inf.StateDistribution(q)
+    best = 1.0 - inf.diameter_bounds(p, q).upper / 2.0
+    assert abs(best - float(_exact_overlap_max(p.probs, q.probs))) <= 1e-12
