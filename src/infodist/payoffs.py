@@ -4,20 +4,40 @@ The feasible set of a two-player Bayesian game is the convex hull of the
 expected payoff pairs over all pure decision-rule profiles.  Hulls live in
 the plane under the max norm, where the Hausdorff distance between convex
 polygons is attained at vertices.
+
+One array kernel, ``_nearest``, gives every max-norm distance here: from
+many points to one polygon at once, each point against every edge (a
+one-vertex polygon is one edge of length 0).  A payoff point must have
+shape (2,) and a polygon's vertices shape (m, 2), and a clipping
+coordinate must be 0 or 1, or ``ShapeMismatch`` is raised; a non-finite
+coordinate raises ``NotNormalized``, and a bound case other than
+"cond_indep", "public" or "one_sided" raises ``InvalidParameters``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import NORM_TOL, DIST_TOL, ZERO_TOL, resolve_budget
 from .distance import value_distance
-from .errors import BudgetExceeded, EmptyInput, HypothesisViolated, ShapeMismatch
-from .games import BimatrixGame, minmax_levels
+from .errors import BudgetExceeded, HypothesisViolated, InvalidParameters, NotNormalized, ShapeMismatch
+from .games import BimatrixGame, _pure_rules, minmax_levels
 from .structures import HYPOTHESIS_TOL, InformationStructure, check_signals_cond_indep
+
+
+def _chain(points: list) -> list:
+    """One monotone chain over the sorted ``points``, without its last point."""
+    chain: list = []
+    for x, y in points:
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2:]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        chain.append((x, y))
+    return chain[:-1]
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -29,24 +49,18 @@ def _convex_hull(points: np.ndarray) -> np.ndarray:
     pts = np.unique(np.round(points, 12), axis=0)
     if len(pts) <= 2:
         return pts
+    rows = pts.tolist()
+    return np.asarray(_chain(rows) + _chain(rows[::-1]))
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.asarray(lower[:-1] + upper[:-1])
-    if len(hull) == 0:
-        return pts[:1]
-    return hull
+def _point(point) -> np.ndarray:
+    """A payoff pair as a float array of shape (2,), finite."""
+    p = np.asarray(point, dtype=float)
+    if p.shape != (2,):
+        raise ShapeMismatch(f"a payoff point must have shape (2,), got {p.shape}")
+    if not np.isfinite(p).all():
+        raise NotNormalized("payoff point has non-finite coordinates")
+    return p
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,6 +73,8 @@ class PayoffPolygon:
         pts = np.asarray(self.vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 1:
             raise ShapeMismatch(f"vertices must be (m, 2), got {pts.shape}")
+        if not np.isfinite(pts).all():
+            raise NotNormalized("polygon vertices have non-finite coordinates")
         hull = _convex_hull(pts)
         if len(hull) > 1:
             keep = [0]
@@ -72,73 +88,42 @@ class PayoffPolygon:
         hull.setflags(write=False)
         object.__setattr__(self, "vertices", hull)
 
-    @staticmethod
-    def from_points(points) -> "PayoffPolygon":
-        return PayoffPolygon(np.asarray(points, dtype=float))
-
     def contains(self, point, tol: float = NORM_TOL) -> bool:
-        return point_to_polygon_distance(np.asarray(point, float), self) <= tol
+        return point_to_polygon_distance(point, self) <= tol
 
 
-def _segment_nearest(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
-    """min over t in [0,1] of || p - (a + t (b-a)) ||_max, and the point
-    a + t (b-a) of the first candidate t attaining it.
+def _nearest(points: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max-norm distances from points (n, 2) to the convex polygon with these
+    vertices (0 inside), and a nearest point of the polygon for each.
 
-    The objective is piecewise-linear convex in t; candidates are the ends,
-    the per-coordinate zeros, and the crossings |dx(t)| = |dy(t)|.
+    On edge i -> i + 1, a + t (b - a) for t in [0, 1], the distance is convex
+    piecewise-linear in t, so its minimum is at one of six candidates: the
+    ends, the per-coordinate zeros and the crossings |dx(t)| = |dy(t)|, each
+    skipped when its denominator is at most ZERO_TOL.  The first minimum over
+    edges, then candidates, wins.
     """
-    d = b - a
-    r = p - a
-    candidates = [0.0, 1.0]
-    for i in range(2):
-        if abs(d[i]) > ZERO_TOL:
-            candidates.append(r[i] / d[i])
-    # |r0 - t d0| = |r1 - t d1| crossings
-    for s1, s2 in ((1, 1), (1, -1)):
-        denom = s1 * d[0] - s2 * d[1]
-        if abs(denom) > ZERO_TOL:
-            candidates.append((s1 * r[0] - s2 * r[1]) / denom)
-    best, best_t = np.inf, 0.0
-    for t in candidates:
-        t = min(max(t, 0.0), 1.0)
-        diff = r - t * d
-        dist = max(abs(diff[0]), abs(diff[1]))
-        if dist < best:
-            best, best_t = dist, t
-    return float(best), a + best_t * d
+    d = np.roll(vertices, -1, axis=0) - vertices  # (m, 2)
+    r = points[:, None, :] - vertices  # (n, m, 2)
+    r0, r1, d0, d1 = r[..., 0], r[..., 1], d[:, 0], d[:, 1]
+    num = np.stack([np.zeros_like(r0), np.ones_like(r0), r0, r1, r0 - r1, r0 + r1], -1)
+    den = np.stack([np.ones_like(d0), np.ones_like(d0), d0, d1, d0 - d1, d0 + d1], -1)
+    live = np.abs(den) > ZERO_TOL
+    t = np.clip(num / np.where(live, den, 1.0), 0.0, 1.0)  # (n, m, 6)
+    off = np.abs(r[:, :, None, :] - t[..., None] * d[:, None, :]).max(axis=3)
+    edge, pick = np.divmod(np.where(live, off, np.inf).reshape(len(points), -1).argmin(axis=1), 6)
+    rows = np.arange(len(points))
+    dist = off[rows, edge, pick]
+    nearest = vertices[edge] + t[rows, edge, pick][:, None] * d[edge]
+    if len(vertices) >= 3:
+        inside = (d0 * r1 - d1 * r0 >= -ZERO_TOL).all(axis=1)
+        dist[inside] = 0.0
+        nearest[inside] = points[inside]
+    return dist, nearest
 
 
-def _nearest(point: np.ndarray, polygon: PayoffPolygon) -> tuple[float, np.ndarray]:
-    """Max-norm distance from a point to a convex polygon (0 inside), and a
-    nearest point of the polygon."""
-    verts = polygon.vertices
-    if len(verts) == 1:
-        return float(np.abs(point - verts[0]).max()), verts[0].copy()
-    if _inside(point, verts):
-        return 0.0, point.copy()
-    m = len(verts)
-    return min(
-        (_segment_nearest(point, verts[i], verts[(i + 1) % m]) for i in range(m)),
-        key=lambda found: found[0],
-    )
-
-
-def point_to_polygon_distance(point: np.ndarray, polygon: PayoffPolygon) -> float:
+def point_to_polygon_distance(point, polygon: PayoffPolygon) -> float:
     """Max-norm distance from a point to a convex polygon (0 inside)."""
-    return _nearest(point, polygon)[0]
-
-
-def _inside(point: np.ndarray, verts: np.ndarray) -> bool:
-    if len(verts) < 3:
-        return False
-    m = len(verts)
-    for i in range(m):
-        a = verts[i]
-        b = verts[(i + 1) % m]
-        cross = (b[0] - a[0]) * (point[1] - a[1]) - (b[1] - a[1]) * (point[0] - a[0])
-        if cross < -ZERO_TOL:
-            return False
-    return True
+    return float(_nearest(_point(point)[None], polygon.vertices)[0][0])
 
 
 def hausdorff_max(pa: PayoffPolygon, pb: PayoffPolygon) -> float:
@@ -148,11 +133,9 @@ def hausdorff_max(pa: PayoffPolygon, pb: PayoffPolygon) -> float:
     function is attained at a vertex, so scanning both vertex lists is
     exact.
     """
-    if len(pa.vertices) == 0 or len(pb.vertices) == 0:
-        raise EmptyInput("polygons must be non-empty")
-    d_ab = max(point_to_polygon_distance(v, pb) for v in pa.vertices)
-    d_ba = max(point_to_polygon_distance(v, pa) for v in pb.vertices)
-    return max(d_ab, d_ba)
+    d_ab = _nearest(pa.vertices, pb.vertices)[0].max()
+    d_ba = _nearest(pb.vertices, pa.vertices)[0].max()
+    return float(max(d_ab, d_ba))
 
 
 def feasible_set(
@@ -175,31 +158,25 @@ def feasible_set(
     # coeff[m, c, i, d, j] = sum_k u(k,c,d) g_m(k,i,j)
     stacked = np.stack([g.payoffs1, g.payoffs2])
     coeff = np.einsum("kcd,mkij->mcidj", u.probs, stacked)
-    rules2 = np.asarray(list(itertools.product(range(n_j), repeat=n_d)), dtype=int)
-    points = np.empty((n_rules1 * n_rules2, 2))
-    row = 0
-    for rule1 in itertools.product(range(n_i), repeat=n_c):
+    rules2 = _pure_rules(n_d, n_j)
+    points = np.empty((n_rules1, n_rules2, 2))
+    for row, rule1 in enumerate(_pure_rules(n_c, n_i)):
         # (m, d, j) payoffs after fixing player 1's rule
         fixed = coeff[:, np.arange(n_c), rule1, :, :].sum(axis=1)
         by_rule2 = fixed[:, np.arange(n_d)[None, :], rules2].sum(axis=2)
-        points[row : row + n_rules2] = by_rule2.T
-        row += n_rules2
-    return PayoffPolygon.from_points(points)
+        points[row] = by_rule2.T
+    return PayoffPolygon(points.reshape(-1, 2))
 
 
 def clip_polygon_to_halfplane(
     polygon: PayoffPolygon, coordinate: int, minimum: float
 ) -> PayoffPolygon | None:
     """Intersect with {y: y[coordinate] >= minimum}; None when empty."""
+    if not (isinstance(coordinate, (int, np.integer)) and coordinate in (0, 1)):
+        raise ShapeMismatch(f"coordinate must be 0 or 1, got {coordinate!r}")
     verts = polygon.vertices
-    if len(verts) == 1:
-        return polygon if verts[0][coordinate] >= minimum - ZERO_TOL else None
     out: list[np.ndarray] = []
-    m = len(verts)
-    closed = m > 2
-    edges = range(m) if closed else range(m - 1)
-    for i in edges:
-        a, b = verts[i], verts[(i + 1) % m]
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
         a_in = a[coordinate] >= minimum - ZERO_TOL
         b_in = b[coordinate] >= minimum - ZERO_TOL
         if a_in:
@@ -207,11 +184,9 @@ def clip_polygon_to_halfplane(
         if a_in != b_in:
             t = (minimum - a[coordinate]) / (b[coordinate] - a[coordinate])
             out.append(a + t * (b - a))
-    if not closed and len(verts) == 2 and verts[-1][coordinate] >= minimum - ZERO_TOL:
-        out.append(verts[-1])
     if not out:
         return None
-    return PayoffPolygon.from_points(np.asarray(out))
+    return PayoffPolygon(np.asarray(out))
 
 
 @dataclass(frozen=True)
@@ -247,7 +222,7 @@ def _check_case(u: InformationStructure, v: InformationStructure, case: str) -> 
                     "player 1's signal does not determine (state, opponent signal)"
                 )
         return 1.0
-    raise HypothesisViolated(f"unknown case {case!r}")
+    raise InvalidParameters(f"unknown case {case!r}")
 
 
 def verify_feasible_bound(
@@ -294,7 +269,7 @@ def verify_ir_bound(
     4 d(u,v) margin is 3 d(u,v)-close to a feasible individually rational
     payoff of the other."""
     _check_case(u, v, case)
-    x = np.asarray(x, dtype=float)
+    x = _point(x)
     d = value_distance(u, v)
     f_u = feasible_set(u, g, budget)
     if point_to_polygon_distance(x, f_u) > NORM_TOL:
@@ -306,17 +281,17 @@ def verify_ir_bound(
             raise HypothesisViolated(
                 f"x[{i}] = {x[i]:g} below minmax + 4d = {m_u[i] + 4 * d:g}"
             )
-    clipped = feasible_set(v, g, budget)
-    region: PayoffPolygon | None = clipped
+    region: PayoffPolygon | None = feasible_set(v, g, budget)
     for i in range(2):
         region = clip_polygon_to_halfplane(region, i, m_v[i]) if region else None
     if region is None:
         return IrBoundReport(d, np.inf, None, m_u, m_v, False)
-    dist, nearest = _nearest(x, region)
+    dists, nearest = _nearest(x[None], region.vertices)
+    dist = float(dists[0])
     return IrBoundReport(
         distance=d,
         point_distance=dist,
-        nearest=(float(nearest[0]), float(nearest[1])),
+        nearest=tuple(nearest[0].tolist()),
         minmax_u=m_u,
         minmax_v=m_v,
         passed=dist <= 3.0 * d + DIST_TOL,

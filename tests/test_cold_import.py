@@ -102,9 +102,10 @@ def test_import_starts_no_thread_and_small_distances_start_none():
     assert out.split() == ["1", "1", "1"]
 
 
-def test_a_forked_child_starts_its_own_worker():
-    # The child of a fork has no worker thread; it must not queue a model
-    # for the parent's and wait forever.
+def test_a_forked_child_starts_its_own_pair_helpers():
+    # A helper thread lives for one paired solve and none survives a fork:
+    # after the parent's paired solves, the child's pairs must each start
+    # their own helper and finish.
     out = _python(
         "-c",
         "import os, signal\n"

@@ -583,9 +583,9 @@ def test_small_or_single_cpu_pairs_solve_in_series(monkeypatch, handoffs):
     assert handoffs == []
 
 
-def test_a_failed_worker_run_propagates_and_the_worker_goes_on(monkeypatch, handoffs):
-    # An exception in the helper's HiGHS run reaches the caller from
-    # linprog, and the next pair's helper solves it.
+def test_a_failed_helper_run_propagates_and_the_next_pair_solves(monkeypatch, handoffs):
+    # An exception in one pair's helper thread reaches the caller from
+    # linprog, and the next pair starts a new helper that solves it.
     first, second = _large_gap_pairs(20261024, [6])[0]
     want = (lp.solve(first), lp.solve(second))
     run = lp._run
@@ -605,9 +605,9 @@ def test_a_failed_worker_run_propagates_and_the_worker_goes_on(monkeypatch, hand
     assert len(handoffs) == 2
 
 
-def test_callers_on_three_threads_share_the_worker(handoffs):
-    # Three threads, more than the cores, each pair a large pair with its
-    # own helper at a short switch interval: every result is still the
+def test_callers_on_three_threads_each_start_their_own_helpers(handoffs):
+    # Three threads, more than the cores, each start one helper thread per
+    # large pair, at a short switch interval: every result is still the
     # serial solve of its own model.
     pairs = _large_gap_pairs(20261027, [5, 5, 6, 5, 6, 5])
     expected = [(lp.solve(first), lp.solve(second)) for first, second in pairs]

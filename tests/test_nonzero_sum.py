@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import infodist as inf
-from infodist import PLAYER1
+from infodist import PLAYER1, lp
 from infodist.catalog import parity_coordination_game
-from infodist.payoffs import best_common_payoff, point_to_polygon_distance
+from infodist.payoffs import best_common_payoff, clip_polygon_to_halfplane, point_to_polygon_distance
 
 from conftest import random_ci_structure, random_garbling, random_structure
 
@@ -84,6 +86,105 @@ def test_polygon_degenerate_inputs():
     segment = inf.PayoffPolygon(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]))
     assert len(segment.vertices) == 2
     assert point_to_polygon_distance(np.array([0.5, 0.5]), segment) <= 1e-12
+
+
+_SQUARE = inf.PayoffPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: inf.PayoffPolygon([[np.nan, 0.0], [1.0, 1.0]]), inf.NotNormalized),
+        (lambda: inf.PayoffPolygon([[np.inf, 0.0], [1.0, 1.0], [0.0, 1.0]]), inf.NotNormalized),
+        (lambda: _SQUARE.contains([np.nan, 0.2]), inf.NotNormalized),
+        (lambda: _SQUARE.contains([0.5, 0.5, 0.5]), inf.ShapeMismatch),
+        (lambda: _SQUARE.contains([0.5]), inf.ShapeMismatch),
+    ],
+    ids=["nan-vertex", "inf-vertex", "nan-point", "3d-point", "1d-point"],
+)
+def test_malformed_payoffs_are_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
+@pytest.mark.parametrize(
+    "x, error", [([0.1, 0.1, 0.1], inf.ShapeMismatch), ([np.nan, np.nan], inf.NotNormalized)]
+)
+def test_ir_bound_rejects_a_malformed_point(rng, x, error):
+    u = random_ci_structure(rng, 2, 2, 2)
+    with pytest.raises(error):
+        inf.verify_ir_bound(u, u, _random_bimatrix(rng, 2, 2, 2), x)
+
+
+@pytest.mark.parametrize("coordinate", [2, -1, 1.0])
+def test_clip_rejects_a_coordinate_outside_the_plane(coordinate):
+    with pytest.raises(inf.ShapeMismatch):
+        clip_polygon_to_halfplane(_SQUARE, coordinate, 0.0)
+
+
+def test_unknown_bound_case_is_invalid_parameters(rng):
+    u = random_ci_structure(rng, 2, 2, 2)
+    with pytest.raises(inf.InvalidParameters, match="bogus"):
+        inf.verify_feasible_bound(u, u, _random_bimatrix(rng, 2, 2, 2), "bogus")
+
+
+def test_clip_polygon_to_halfplane():
+    point = inf.PayoffPolygon([[0.5, 0.25]])
+    assert clip_polygon_to_halfplane(point, 1, 0.25).vertices.tolist() == [[0.5, 0.25]]
+    assert clip_polygon_to_halfplane(point, 0, 0.75) is None
+    segment = inf.PayoffPolygon([[0.0, 0.0], [1.0, 2.0]])
+    assert clip_polygon_to_halfplane(segment, 1, 1.0).vertices.tolist() == [[0.5, 1.0], [1.0, 2.0]]
+    assert clip_polygon_to_halfplane(segment, 0, 0.25).vertices.tolist() == [[0.25, 0.5], [1.0, 2.0]]
+    assert clip_polygon_to_halfplane(_SQUARE, 0, 0.5).vertices.tolist() == [
+        [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]
+    ]
+    assert clip_polygon_to_halfplane(_SQUARE, 1, 1.5) is None
+
+
+def _lp_distance(point, cloud) -> float:
+    """min s s.t. |point - sum_j lambda_j cloud_j|_max <= s, lambda in the simplex."""
+    n = len(cloud)
+    signs, coords = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0, 1, 0, 1])
+    problem = lp.LpProblem(
+        objective=np.append(np.zeros(n), 1.0),
+        row_idx=np.concatenate((np.repeat(np.arange(4), n), np.arange(4), np.full(n, 4))),
+        col_idx=np.concatenate((np.tile(np.arange(n), 4), np.full(4, n), np.arange(n))),
+        coefficients=np.concatenate(((signs[:, None] * cloud[:, coords].T).ravel(), -np.ones(4), np.ones(n))),
+        row_lower=np.append(np.full(4, -np.inf), 1.0),
+        row_upper=np.append(signs * np.asarray(point)[coords], 1.0),
+        col_lower=np.zeros(n + 1),
+        col_upper=np.full(n + 1, np.inf),
+    )
+    solution = lp.solve(problem)
+    assert solution.status == lp.OPTIMAL
+    return solution.objective
+
+
+# Coordinates on a 1e-6 grid or rounded to 0.1: a polygon merges vertices
+# closer than NORM_TOL, which the oracle's cloud does not.
+_COORD = st.one_of(st.integers(-10**6, 10**6).map(lambda k: k / 1e6), st.integers(-10, 10).map(lambda k: k / 10))
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@st.composite
+def _clouds(draw):
+    """One point, a segment, a collinear cloud, or 1-8 free points."""
+    kind = draw(st.sampled_from(["one", "segment", "collinear", "free"]))
+    if kind == "collinear":
+        a, b = np.array(draw(_POINT)), np.array(draw(_POINT))
+        ts = draw(st.lists(st.integers(-10, 20), min_size=1, max_size=8))
+        return a + np.array(ts)[:, None] / 10 * (b - a)
+    size = {"one": 1, "segment": 2}.get(kind) or draw(st.integers(1, 8))
+    return np.array(draw(st.lists(_POINT, min_size=size, max_size=size)))
+
+
+@given(_clouds(), _clouds(), _POINT, st.integers(0, 7))
+def test_max_norm_distances_match_an_lp(cloud_a, cloud_b, point, vertex):
+    pa, pb = inf.PayoffPolygon(cloud_a), inf.PayoffPolygon(cloud_b)
+    for p in [point, *cloud_a, cloud_b[vertex % len(cloud_b)], pb.vertices[vertex % len(pb.vertices)]]:
+        assert abs(point_to_polygon_distance(p, pb) - _lp_distance(p, cloud_b)) <= 1e-9
+    want = max(max(_lp_distance(p, cloud_b) for p in cloud_a), max(_lp_distance(p, cloud_a) for p in cloud_b))
+    assert abs(inf.hausdorff_max(pa, pb) - want) <= 1e-9
 
 
 def test_garbled_feasible_set_contained(rng):
