@@ -449,7 +449,7 @@ def _markov_matrix(args) -> tuple[mk.MixingMatrix, int]:
 @_command("markov sample", "sample a mixing matrix", *_MATRIX, _OUTPUT)
 def _cmd_markov_sample(args) -> _Output:
     matrix, seed = _markov_matrix(args)
-    rows = [sorted(int(b) for b in matrix.successors(a)) for a in range(1, matrix.N + 1)]
+    rows = [matrix.successors(a).tolist() for a in range(1, matrix.N + 1)]
     _write(args.output, json.dumps({"N": matrix.N, "seed": seed, "rows": rows}))
     return {"N": matrix.N, "seed": seed}, None
 

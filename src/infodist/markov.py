@@ -15,6 +15,12 @@ transition of its interleaving).  Chain structures place the atoms' mass,
 revelation games add the base score to the table, and truthful guarantees
 sum the atoms' table rows per signal, within a budget on atoms x N^p.
 
+S is stored as packed words only: its rows (successor sets) and columns
+(predecessor sets) as bit sets in uint64 words, N^2/8 bytes a side.
+``sample_S`` writes the words 64 rows at a time, so no N x N array exists
+while it runs; ``MixingMatrix.S`` unpacks N^2 bytes on each access, for
+tests and small-N callers.
+
 Full-scale parameters (N in the tens of millions) are unreachable here; the
 module is a faithful small-N implementation plus seeded statistical evidence
 at N in the thousands, with separation-level assertions gated on the mixing
@@ -53,59 +59,94 @@ E_CONDITIONS = (
 Y_FAMILIES = ("Y_a", "Y_c", "Y_ab", "Y_cd", "Y_a_c", "Y_ab_c", "Y_a_cd", "Y_ab_cd")
 
 
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows, a multiple of 64 long, as little-endian uint64 words."""
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
 def _pack(rows: np.ndarray) -> np.ndarray:
     """Boolean rows as little-endian bit sets in uint64 words, zero-padded."""
     padded = np.zeros((rows.shape[0], -(-rows.shape[1] // 64) * 64), dtype=bool)
     padded[:, : rows.shape[1]] = rows
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+    return _words(padded)
 
 
-@dataclass(frozen=True, eq=False)
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """The first n bits of each row of words, as booleans (undoes ``_pack``)."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=n, bitorder="little").view(bool)
+
+
+def _check_symbol(symbol, n: int) -> None:
+    if not (isinstance(symbol, (int, np.integer)) and 1 <= symbol <= n):
+        shown = symbol.item() if isinstance(symbol, np.generic) else symbol
+        raise InvalidSymbol(f"symbol {shown!r} outside 1..{n}")
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class MixingMatrix:
     """Boolean successor matrix: S[a-1, b-1] says the chain may move a -> b;
     every row has exactly N/2 successors.
 
-    Alongside the read-only ``S`` it keeps, for the counting statistics, the
-    successor sets (rows of S) and the predecessor sets (columns of S)
-    packed into uint64 words by ``_pack``, and their sizes ``row_sums`` and
-    ``col_sums``; all four are read-only and computed once, from S alone.
+    It stores words only: the successor sets (rows of S) and the
+    predecessor sets (columns of S) packed into uint64 words as ``_pack``
+    lays them out (N/64 rounded up per set, padding bits 0), and their
+    sizes ``row_sums`` and ``col_sums``; all four are read-only.
+    ``MixingMatrix(S)`` packs a 0/1 matrix and keeps no copy of it;
+    ``sample_S`` writes the words directly.  ``S`` unpacks the words into a
+    new read-only N x N bool array, N^2 bytes, on each access.
     """
 
-    S: np.ndarray
-    successor_words: np.ndarray = field(init=False, repr=False)
-    predecessor_words: np.ndarray = field(init=False, repr=False)
-    row_sums: np.ndarray = field(init=False, repr=False)
-    col_sums: np.ndarray = field(init=False, repr=False)
+    successor_words: np.ndarray = field(repr=False)
+    predecessor_words: np.ndarray = field(repr=False)
+    row_sums: np.ndarray = field(repr=False)
+    col_sums: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        s = np.asarray(self.S, dtype=bool)
+    def __init__(self, S):
+        s = np.asarray(S)
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise InvalidParameters(f"S must be square, got {s.shape}")
+        if s.dtype != bool and not (s.dtype.kind in "iuf" and np.all((s == 0) | (s == 1))):
+            raise InvalidParameters("every entry of S must be 0 or 1")
         n = s.shape[0]
         if n % 2 != 0 or n < 2:
             raise InvalidParameters(f"N must be even and >= 2, got {n}")
-        succ, pred = _pack(s), _pack(s.T)
-        derived = {
-            "S": s.copy(),
+        s = s.astype(bool)
+        self._store(_pack(s), _pack(s.T))
+
+    @classmethod
+    def _from_words(cls, successor_words: np.ndarray, predecessor_words: np.ndarray) -> MixingMatrix:
+        matrix = cls.__new__(cls)
+        matrix._store(successor_words, predecessor_words)
+        return matrix
+
+    def _store(self, succ: np.ndarray, pred: np.ndarray) -> None:
+        stored = {
             "successor_words": succ,
             "predecessor_words": pred,
             # A set's size is the popcount of its words (padding bits are 0).
             "row_sums": np.bitwise_count(succ).sum(axis=1, dtype=np.int64),
             "col_sums": np.bitwise_count(pred).sum(axis=1, dtype=np.int64),
         }
-        if not np.all(derived["row_sums"] == n // 2):
+        if not np.all(stored["row_sums"] == succ.shape[0] // 2):
             raise InvalidParameters("every row must have exactly N/2 successors")
-        for name, value in derived.items():
+        for name, value in stored.items():
             value.setflags(write=False)
             object.__setattr__(self, name, value)
 
     @property
     def N(self) -> int:
-        return self.S.shape[0]
+        return self.successor_words.shape[0]
+
+    @property
+    def S(self) -> np.ndarray:
+        s = _unpack(self.successor_words, self.N)
+        s.setflags(write=False)
+        return s
 
     def successors(self, symbol: int) -> np.ndarray:
-        """1-based successors of a 1-based symbol."""
-        return np.flatnonzero(self.S[symbol - 1]) + 1
+        """1-based successors of a 1-based symbol, ascending."""
+        _check_symbol(symbol, self.N)
+        return np.flatnonzero(_unpack(self.successor_words[symbol - 1], self.N)) + 1
 
 
 @dataclass(frozen=True)
@@ -132,30 +173,52 @@ class MarkovWorld:
 
 
 def sample_S(N: int, seed: int) -> MixingMatrix:
-    """Each row drawn independently and uniformly from the N/2-subsets."""
-    if N % 2 != 0 or N < 4:
-        raise InvalidParameters(f"N must be even and >= 4, got {N}")
+    """Each row drawn independently and uniformly from the N/2-subsets.
+
+    Row a holds the N/2 columns of least score among N ``rng.random``
+    scores, as ``argpartition`` of one (N, N) draw would choose them.  The
+    rows are drawn 64 at a time from the one generator (the same stream),
+    and each block is packed into its successor words and, transposed, into
+    one word column of the predecessor words, so no N x N array exists.
+    """
+    if not (isinstance(N, (int, np.integer)) and N % 2 == 0 and N >= 4):
+        raise InvalidParameters(f"N must be an even integer >= 4, got {N!r}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidParameters(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
-    scores = rng.random((N, N))
-    chosen = np.argpartition(scores, N // 2, axis=1)[:, : N // 2]
-    s = np.zeros((N, N), dtype=bool)
-    np.put_along_axis(s, chosen, True, axis=1)
-    return MixingMatrix(s)
+    half, n_words = N // 2, -(-N // 64)
+    succ = np.empty((N, n_words), np.uint64)
+    pred = np.empty((N, n_words), np.uint64)
+    block = np.zeros((64, 64 * n_words), dtype=bool)  # padding columns stay 0
+    for word, start in enumerate(range(0, N, 64)):
+        stop = min(start + 64, N)
+        rows = block[: stop - start]
+        block[len(rows) :] = False  # the last block's padding rows
+        scores = rng.random((len(rows), N))
+        # A row's N/2 least scores are those below its (N/2+1)-th least,
+        # unless scores tie at that boundary; argpartition settles such a row.
+        np.less(scores, np.partition(scores, half, axis=1)[:, half : half + 1], out=rows[:, :N])
+        succ[start:stop] = _words(rows)
+        for r in np.flatnonzero(np.bitwise_count(succ[start:stop]).sum(axis=1) != half):
+            rows[r] = False
+            rows[r, np.argpartition(scores[r], half)[:half]] = True
+            succ[start + r] = _words(rows[r])
+        pred[:, word] = _words(np.ascontiguousarray(block[:, :N].T))[:, 0]
+    return MixingMatrix._from_words(succ, pred)
 
 
 def is_nice(sequence, matrix: MixingMatrix) -> str:
     """Classify a symbol sequence by the first prefix outside the chain's
     support: odd break position blames player 1, even blames player 2."""
-    n = matrix.N
     seq = list(sequence)
     if not seq:
         raise InvalidSymbol("sequence must have length >= 1")
     for a in seq:
-        if not (isinstance(a, (int, np.integer)) and 1 <= a <= n):
-            shown = a.item() if isinstance(a, np.generic) else a
-            raise InvalidSymbol(f"symbol {shown!r} outside 1..{n}")
+        _check_symbol(a, matrix.N)
+    words = matrix.successor_words
     for i in range(len(seq) - 1):
-        if not matrix.S[seq[i] - 1, seq[i + 1] - 1]:
+        b = int(seq[i + 1]) - 1  # bit b of row seq[i] - 1 says S[seq[i] - 1, b]
+        if not int(words[seq[i] - 1, b // 64]) >> b % 64 & 1:
             first_dead = i + 2  # 1-based length of the first zero-probability prefix
             return NOT_NICE_P1 if first_dead % 2 == 1 else NOT_NICE_P2
     return NICE

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,28 @@ def test_sample_row_sums_and_determinism():
     assert not np.array_equal(inf.sample_S(4, 8).S, s1.S)
     with pytest.raises(inf.InvalidParameters):
         inf.sample_S(5, 0)
+
+
+@pytest.mark.parametrize(
+    "n, seed", [(4.0, 0), (4, -1), (4, 1.5)], ids=["float-n", "negative-seed", "float-seed"]
+)
+def test_sample_rejects_a_non_integer_size_or_seed(n, seed):
+    with pytest.raises(inf.InvalidParameters):
+        inf.sample_S(n, seed)
+
+
+@pytest.mark.parametrize("entry", [2, 0.5, float("nan")])
+def test_mixing_matrix_rejects_entries_other_than_0_and_1(entry):
+    s = np.eye(2)
+    s[0, 0] = entry
+    with pytest.raises(inf.InvalidParameters, match="0 or 1"):
+        inf.MixingMatrix(s)
+
+
+@pytest.mark.parametrize("symbol", [0, 5], ids=["zero", "n-plus-one"])
+def test_successors_reject_a_symbol_outside_1_to_n(world4, symbol):
+    with pytest.raises(inf.InvalidSymbol, match=rf"^symbol {symbol} outside 1\.\.4$"):
+        world4.matrix.successors(symbol)
 
 
 def test_pairwise_intersection_concentration():
@@ -505,6 +528,67 @@ def test_packed_words_are_the_matrix_own(n):
     assert not s.flags.writeable
     kernel = markov._StatKernel(matrix)
     assert kernel.succ is matrix.successor_words and kernel.pred is matrix.predecessor_words
+
+
+def _dense_sample(scores):
+    """S as one argpartition of a whole (n, n) score array."""
+    n = scores.shape[0]
+    chosen = np.argpartition(scores, n // 2, axis=1)[:, : n // 2]
+    s = np.zeros((n, n), dtype=bool)
+    np.put_along_axis(s, chosen, True, axis=1)
+    return s
+
+
+def _assert_matrix_is(matrix, s):
+    """The words, sums and unpacked S of ``matrix`` are those of dense ``s``."""
+    n = s.shape[0]
+    np.testing.assert_array_equal(matrix.S, s)
+    np.testing.assert_array_equal(matrix.successor_words, markov._pack(s))
+    np.testing.assert_array_equal(matrix.predecessor_words, markov._pack(s.T))
+    np.testing.assert_array_equal(matrix.row_sums, s.sum(axis=1))
+    np.testing.assert_array_equal(matrix.col_sums, s.sum(axis=0))
+    if n % 64:
+        for words in (matrix.successor_words, matrix.predecessor_words):
+            assert not np.any(words[:, -1] >> np.uint64(n % 64))  # padding bits read 0
+
+
+@pytest.mark.parametrize("n", [4, 70, 130, 2000])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_streamed_sample_is_the_dense_one(n, seed):
+    # One (n, n) draw from the seed's generator, each row's n/2 least
+    # scores chosen by argpartition: the matrix as it was first built.
+    scores = np.random.default_rng(seed).random((n, n))
+    _assert_matrix_is(inf.sample_S(n, seed), _dense_sample(scores))
+
+
+def test_streamed_sample_settles_tied_scores_as_argpartition_does(monkeypatch):
+    # Scores on a grid of eighths tie at almost every row's median, so
+    # nearly every row takes the argpartition path.
+    n, draws, default_rng = 130, [], np.random.default_rng
+
+    class CoarseGenerator:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self, shape):
+            draws.append(np.floor(self.rng.random(shape) * 8) / 8)
+            return draws[-1]
+
+    monkeypatch.setattr(markov.np.random, "default_rng", CoarseGenerator)
+    matrix = inf.sample_S(n, 0)
+    _assert_matrix_is(matrix, _dense_sample(np.concatenate(draws)))
+
+
+def test_sampling_holds_no_n_by_n_array():
+    n = 2000
+    tracemalloc.start()
+    try:
+        matrix = inf.sample_S(n, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20  # a dense float64 score array alone is 32 MB
+    assert all(value.size < n * n for value in vars(matrix).values())
 
 
 @pytest.mark.parametrize("n", [70, 300])
