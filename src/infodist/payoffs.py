@@ -16,6 +16,7 @@ coordinate raises ``NotNormalized``, and a bound case other than
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,12 +29,16 @@ from .structures import HYPOTHESIS_TOL, InformationStructure, check_signals_cond
 
 
 def _chain(points: list) -> list:
-    """One monotone chain over the sorted ``points``, without its last point."""
+    """One monotone chain over the sorted ``points``, without its last point.
+
+    A point within ZERO_TOL of the line through its neighbours is dropped:
+    the rounding of a collinear cloud must not leave a zero-area polygon.
+    """
     chain: list = []
     for x, y in points:
         while len(chain) >= 2:
             (ox, oy), (ax, ay) = chain[-2:]
-            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0:
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > ZERO_TOL * math.hypot(x - ox, y - oy):
                 break
             chain.pop()
         chain.append((x, y))
@@ -100,7 +105,10 @@ def _nearest(points: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.n
     piecewise-linear in t, so its minimum is at one of six candidates: the
     ends, the per-coordinate zeros and the crossings |dx(t)| = |dy(t)|, each
     skipped when its denominator is at most ZERO_TOL.  The first minimum over
-    edges, then candidates, wins.
+    edges, then candidates, wins.  A point is inside only if it lies on the
+    inner side of every edge with no tolerance: a point on the boundary gets
+    its (zero) edge distance either way, while a tolerance would take in
+    points far beyond a sharp vertex.
     """
     d = np.roll(vertices, -1, axis=0) - vertices  # (m, 2)
     r = points[:, None, :] - vertices  # (n, m, 2)
@@ -115,7 +123,7 @@ def _nearest(points: np.ndarray, vertices: np.ndarray) -> tuple[np.ndarray, np.n
     dist = off[rows, edge, pick]
     nearest = vertices[edge] + t[rows, edge, pick][:, None] * d[edge]
     if len(vertices) >= 3:
-        inside = (d0 * r1 - d1 * r0 >= -ZERO_TOL).all(axis=1)
+        inside = (d0 * r1 - d1 * r0 >= 0).all(axis=1)
         dist[inside] = 0.0
         nearest[inside] = points[inside]
     return dist, nearest

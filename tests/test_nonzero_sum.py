@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import infodist as inf
@@ -142,8 +142,14 @@ def test_clip_polygon_to_halfplane():
 
 
 def _lp_distance(point, cloud) -> float:
-    """min s s.t. |point - sum_j lambda_j cloud_j|_max <= s, lambda in the simplex."""
+    """min s s.t. |point - sum_j lambda_j cloud_j|_max <= s, lambda in the simplex.
+
+    Posed with the point moved to the origin: a right-hand side such as 0.2
+    against cloud entries of 1e-6 leaves HiGHS's scaled solve outside the
+    residual gates of ``lp.solve``.
+    """
     n = len(cloud)
+    cloud = cloud - np.asarray(point)
     signs, coords = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0, 1, 0, 1])
     problem = lp.LpProblem(
         objective=np.append(np.zeros(n), 1.0),
@@ -151,7 +157,7 @@ def _lp_distance(point, cloud) -> float:
         col_idx=np.concatenate((np.tile(np.arange(n), 4), np.full(4, n), np.arange(n))),
         coefficients=np.concatenate(((signs[:, None] * cloud[:, coords].T).ravel(), -np.ones(4), np.ones(n))),
         row_lower=np.append(np.full(4, -np.inf), 1.0),
-        row_upper=np.append(signs * np.asarray(point)[coords], 1.0),
+        row_upper=np.append(np.zeros(4), 1.0),
         col_lower=np.zeros(n + 1),
         col_upper=np.full(n + 1, np.inf),
     )
@@ -179,12 +185,24 @@ def _clouds(draw):
 
 
 @given(_clouds(), _clouds(), _POINT, st.integers(0, 7))
+# A collinear cloud whose rounding once left a zero-area triangle that
+# called every point on its line inside.
+@example(np.array([[0.0, 0.0]]), np.array([[3e-7, 1e-7], [6e-7, 2e-7], [1.5e-6, 5e-7]]), (0.0, 0.0), 0)
+# An oracle LP that HiGHS left beyond the gates when posed at the point 0.1.
+@example(np.array([[0.0, 0.1]]), np.array([[-1e-6, 0.0], [0.1, 1e-6]]), (0.0, 0.0), 0)
 def test_max_norm_distances_match_an_lp(cloud_a, cloud_b, point, vertex):
     pa, pb = inf.PayoffPolygon(cloud_a), inf.PayoffPolygon(cloud_b)
     for p in [point, *cloud_a, cloud_b[vertex % len(cloud_b)], pb.vertices[vertex % len(pb.vertices)]]:
         assert abs(point_to_polygon_distance(p, pb) - _lp_distance(p, cloud_b)) <= 1e-9
     want = max(max(_lp_distance(p, cloud_b) for p in cloud_a), max(_lp_distance(p, cloud_a) for p in cloud_b))
     assert abs(inf.hausdorff_max(pa, pb) - want) <= 1e-9
+
+
+def test_point_beyond_a_sharp_vertex_is_outside():
+    thin = inf.PayoffPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-9]]))
+    assert len(thin.vertices) == 3
+    assert point_to_polygon_distance((-1e-4, 0.0), thin) == pytest.approx(1e-4, abs=1e-12)
+    assert not thin.contains((-1e-4, 0.0))
 
 
 def test_garbled_feasible_set_contained(rng):
