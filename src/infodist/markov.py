@@ -175,11 +175,12 @@ class MarkovWorld:
 def sample_S(N: int, seed: int) -> MixingMatrix:
     """Each row drawn independently and uniformly from the N/2-subsets.
 
-    Row a holds the N/2 columns of least score among N ``rng.random``
-    scores, as ``argpartition`` of one (N, N) draw would choose them.  The
-    rows are drawn 64 at a time from the one generator (the same stream),
-    and each block is packed into its successor words and, transposed, into
-    one word column of the predecessor words, so no N x N array exists.
+    Row a holds the N/2 columns that ``argpartition`` picks as least among
+    N ``rng.random`` scores.  The rows are drawn 64 at a time from the one
+    generator (the same stream as one (N, N) draw, and argpartition works
+    row by row, so S is the dense recipe's), and each block is packed into
+    its successor words and, transposed, into one word column of the
+    predecessor words, so no N x N array exists.
     """
     if not (isinstance(N, (int, np.integer)) and N % 2 == 0 and N >= 4):
         raise InvalidParameters(f"N must be an even integer >= 4, got {N!r}")
@@ -194,15 +195,10 @@ def sample_S(N: int, seed: int) -> MixingMatrix:
         stop = min(start + 64, N)
         rows = block[: stop - start]
         block[len(rows) :] = False  # the last block's padding rows
-        scores = rng.random((len(rows), N))
-        # A row's N/2 least scores are those below its (N/2+1)-th least,
-        # unless scores tie at that boundary; argpartition settles such a row.
-        np.less(scores, np.partition(scores, half, axis=1)[:, half : half + 1], out=rows[:, :N])
+        chosen = np.argpartition(rng.random((len(rows), N)), half, axis=1)[:, :half]
+        rows[:, :N] = False
+        np.put_along_axis(rows[:, :N], chosen, True, axis=1)
         succ[start:stop] = _words(rows)
-        for r in np.flatnonzero(np.bitwise_count(succ[start:stop]).sum(axis=1) != half):
-            rows[r] = False
-            rows[r, np.argpartition(scores[r], half)[:half]] = True
-            succ[start + r] = _words(rows[r])
         pred[:, word] = _words(np.ascontiguousarray(block[:, :N].T))[:, 0]
     return MixingMatrix._from_words(succ, pred)
 

@@ -530,18 +530,16 @@ def test_packed_words_are_the_matrix_own(n):
     assert kernel.succ is matrix.successor_words and kernel.pred is matrix.predecessor_words
 
 
-def _dense_sample(scores):
-    """S as one argpartition of a whole (n, n) score array."""
-    n = scores.shape[0]
+@pytest.mark.parametrize("n", [4, 70, 130, 2000])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_streamed_sample_is_the_dense_one(n, seed):
+    # One (n, n) draw from the seed's generator, each row's n/2 least
+    # scores chosen by argpartition: the matrix as it was first built.
+    scores = np.random.default_rng(seed).random((n, n))
     chosen = np.argpartition(scores, n // 2, axis=1)[:, : n // 2]
     s = np.zeros((n, n), dtype=bool)
     np.put_along_axis(s, chosen, True, axis=1)
-    return s
-
-
-def _assert_matrix_is(matrix, s):
-    """The words, sums and unpacked S of ``matrix`` are those of dense ``s``."""
-    n = s.shape[0]
+    matrix = inf.sample_S(n, seed)
     np.testing.assert_array_equal(matrix.S, s)
     np.testing.assert_array_equal(matrix.successor_words, markov._pack(s))
     np.testing.assert_array_equal(matrix.predecessor_words, markov._pack(s.T))
@@ -550,33 +548,6 @@ def _assert_matrix_is(matrix, s):
     if n % 64:
         for words in (matrix.successor_words, matrix.predecessor_words):
             assert not np.any(words[:, -1] >> np.uint64(n % 64))  # padding bits read 0
-
-
-@pytest.mark.parametrize("n", [4, 70, 130, 2000])
-@pytest.mark.parametrize("seed", [0, 5])
-def test_streamed_sample_is_the_dense_one(n, seed):
-    # One (n, n) draw from the seed's generator, each row's n/2 least
-    # scores chosen by argpartition: the matrix as it was first built.
-    scores = np.random.default_rng(seed).random((n, n))
-    _assert_matrix_is(inf.sample_S(n, seed), _dense_sample(scores))
-
-
-def test_streamed_sample_settles_tied_scores_as_argpartition_does(monkeypatch):
-    # Scores on a grid of eighths tie at almost every row's median, so
-    # nearly every row takes the argpartition path.
-    n, draws, default_rng = 130, [], np.random.default_rng
-
-    class CoarseGenerator:
-        def __init__(self, seed):
-            self.rng = default_rng(seed)
-
-        def random(self, shape):
-            draws.append(np.floor(self.rng.random(shape) * 8) / 8)
-            return draws[-1]
-
-    monkeypatch.setattr(markov.np.random, "default_rng", CoarseGenerator)
-    matrix = inf.sample_S(n, 0)
-    _assert_matrix_is(matrix, _dense_sample(np.concatenate(draws)))
 
 
 def test_sampling_holds_no_n_by_n_array():
