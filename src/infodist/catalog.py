@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_integer
 from .errors import InvalidParameters, ShapeMismatch
 from .structures import InformationStructure, validate_structure
 
@@ -75,8 +76,8 @@ class BlackwellSpec:
     r: float
 
     def __post_init__(self):
-        if self.n < 0 or self.m < 0:
-            raise InvalidParameters("experiment counts must be nonnegative")
+        check_integer(self.n, "n", 0)
+        check_integer(self.m, "m", 0)
         for value in (self.p, self.r):
             if not 0.5 < value < 1.0:
                 raise InvalidParameters(f"accuracy {value} outside (1/2, 1)")
@@ -114,8 +115,8 @@ def _surplus_tails(n: int, p: float, d: int) -> tuple[float, float]:
 
 def _blackwell_gammas(n: int, l: int, p: float) -> list[float]:
     """gamma_d for d = 0..l, as ``blackwell_d1_closed_form`` defines them."""
-    if not (isinstance(n, int) and isinstance(l, int)) or not n > l >= 0:
-        raise InvalidParameters(f"need integers n > l >= 0, got n={n}, l={l}")
+    l = check_integer(l, "l", 0)
+    n = check_integer(n, "n", l + 1)
     if not 0.5 < p < 1.0:
         raise InvalidParameters(f"accuracy {p} outside (1/2, 1)")
     gammas = []
@@ -163,8 +164,7 @@ def ladder_structure(n: int) -> InformationStructure:
     on (i, i+1).  Player 2's extreme signals reveal the state; everything
     else carries only belief-about-belief information, so the family drifts
     toward no information as n grows."""
-    if n < 0:
-        raise InvalidParameters("n must be nonnegative")
+    n = check_integer(n, "n", 0)
     atoms = [(0, i, i) for i in range(n + 1)] + [(1, i, i + 1) for i in range(n + 1)]
     return uniform_support(2, n + 1, n + 2, atoms, (BLUE, RED))
 
@@ -184,8 +184,7 @@ def email_game(eps: float, p: float, truncation: int) -> InformationStructure:
         raise InvalidParameters(f"loss probability {eps} outside (0, 1]")
     if not 0.0 < p < 1.0:
         raise InvalidParameters(f"prior {p} outside (0, 1)")
-    if truncation < 1:
-        raise InvalidParameters("truncation must be >= 1")
+    truncation = check_integer(truncation, "truncation", 1)
     cap = 2 * truncation
     probs = np.zeros((2, truncation + 2, truncation + 1))
     probs[0, 0, 0] = 1.0 - p

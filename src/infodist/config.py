@@ -15,6 +15,8 @@ masquerades as mathematical signal:
 
 import os
 
+import numpy as np
+
 from .errors import InvalidParameters
 
 ZERO_TOL = 1e-12
@@ -53,3 +55,11 @@ def resolve_budget(budget: int | None) -> int:
     if budget < 1:
         raise InvalidParameters(f"budget must be positive, got {budget}")
     return budget
+
+
+def check_integer(value, name: str, low: int) -> int:
+    """``value`` as an ``int``: it must be an ``int`` or a numpy integer of
+    at least ``low``, else ``InvalidParameters`` names it."""
+    if not (isinstance(value, (int, np.integer)) and value >= low):
+        raise InvalidParameters(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)

@@ -342,9 +342,10 @@ def value_distance(u: InformationStructure, v: InformationStructure) -> float:
     ``lp.solve_pair``, which runs the (v, u) LP's HiGHS solve on a second
     thread while this one solves (u, v) if the LPs are large enough (see
     ``lp``); the results are the serial solves' bit for bit, and both
-    directions enter the memo.
+    directions enter the memo.  On one object, ``value_distance(u, u)``
+    solves the one gap LP once.
     """
-    if _recall(u, v) is None and _recall(v, u) is None:
+    if u is not v and _recall(u, v) is None and _recall(v, u) is None:
         problem_uv, layout_uv = _gap_problem(u, v)
         problem_vu, layout_vu = _gap_problem(v, u)
         sol_uv, sol_vu = lp.solve_pair(problem_uv, problem_vu)

@@ -20,17 +20,19 @@ and A^T.lam as one ``np.bincount`` each over A's entries.
 directions of a distance, on two threads at once.  The binding releases
 the interpreter lock in ``run``, so a daemon helper thread, started for
 the pair and joined before it returns, runs the second model's
-``passModel``/``run``/``getSolution`` on a spare HiGHS instance of the
-calling thread while that thread solves the first.
-Everything else (assembly, ``_columnwise``, the gates) stays on the
-calling thread, and both models still pass through ``solve`` and
-``linprog`` there, so a wrapper installed as either sees every model.
+``passModel``/``run``/``getSolution`` on its own thread's HiGHS instance
+while the calling thread solves the first.  Each problem's HiGHS arrays
+are built once and kept on the problem, so the helper and ``solve`` read
+the same ones.  Everything else (assembly, ``_columnwise``, the gates)
+stays on the calling thread, and both models still pass through ``solve``
+and ``linprog`` there, so a wrapper installed as either sees every model.
 Only a second model of at least ``_PAIR_MIN_ENTRIES`` (1,000) matrix
 entries goes to a helper, and only when the process may run on two
 CPUs.  On a 2-core machine, four K=4, L=7..9 gap LPs (2,842-5,994
 entries) took 0.19-0.29 s one after the other and 0.15 s paired, while
 handing over pairs of at most ~450 entries made 3-4 ms distance calls
-12-45% slower.  Starting and joining the helper costs about 0.2 ms.
+12-45% slower.  Starting and joining the helper costs about 0.2 ms, and
+its new HiGHS instance about 0.06 ms.
 Dual simplex itself stays on one thread: HiGHS's parallel
 dual ran 1.4x slower on these LPs.
 
@@ -59,6 +61,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -201,6 +204,12 @@ class LpProblem:
     def n_rows(self) -> int:
         return self.row_lower.size
 
+    @cached_property
+    def _prepared(self):
+        """``_prepare(self)``, built on first use and kept, so every solve
+        of this problem, a helper's run included, reads the same arrays."""
+        return _prepare(self)
+
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
@@ -222,33 +231,26 @@ class HighsResult:
 
 
 class _Local(threading.local):
-    """Per-thread state: the thread's HiGHS instance, the spare one that
-    its pairs' helper threads run on, and the model that ``solve_pair`` has
-    handed to a helper, if any."""
+    """Per-thread state: the thread's HiGHS instance and the model that
+    ``solve_pair`` has handed to a helper, if any."""
 
     highs: _highs._Highs | None = None
-    spare: _highs._Highs | None = None
     handoff: _Handoff | None = None
 
 
 _THREAD = _Local()
 
 
-def _new_highs() -> _highs._Highs:
-    highs = _highs._Highs()
-    highs.passOptions(_HIGHS_OPTIONS)
-    return highs
-
-
 def _thread_highs() -> _highs._Highs:
-    """This thread's reused HiGHS instance.
+    """This thread's reused HiGHS instance, the only place one is made.
 
     ``passModel`` clears the previous model, basis, solution and info, so a
     reused instance solves every model as a new one would; no instance
     runs two models at once.
     """
     if _THREAD.highs is None:
-        _THREAD.highs = _new_highs()
+        _THREAD.highs = _highs._Highs()
+        _THREAD.highs.passOptions(_HIGHS_OPTIONS)
     return _THREAD.highs
 
 
@@ -258,41 +260,28 @@ def _thread_highs() -> _highs._Highs:
 _PAIR_MIN_ENTRIES = 1000
 
 
-class _Handoff:
-    """A model whose HiGHS run is on a helper thread: the problem, its
-    column-wise arrays, the ``linprog`` arguments, and the helper's result.
-
-    The helper lives for this one run, on the calling thread's spare HiGHS
-    instance, so no pair builds a new instance."""
+class _Handoff(threading.Thread):
+    """A helper thread, started for one model's HiGHS run on the thread's
+    own instance: the model's ``linprog`` arguments and the run's result."""
 
     def __init__(self, problem: LpProblem):
-        self.problem = problem
-        self.prepared = _prepare(problem)
-        self.args = self.prepared[3]
+        super().__init__(name="infodist-highs", daemon=True)
+        self.args = problem._prepared[3]
         self._result = None
-        if _THREAD.spare is None:
-            _THREAD.spare = _new_highs()
-        self._helper = threading.Thread(
-            target=self._help, args=(_THREAD.spare,), name="infodist-highs", daemon=True
-        )
-        self._helper.start()
+        self.start()
 
-    def _help(self, highs: _highs._Highs) -> None:
+    def run(self) -> None:
         try:
-            self._result = _run(highs, *self.args)
+            self._result = _run(_thread_highs(), *self.args)
         except Exception as exc:  # re-raised by the waiting caller
             self._result = exc
 
-    def wait(self) -> HighsResult | Exception:
-        """The helper's run or its exception, once the helper has ended."""
-        self._helper.join()
-        return self._result
-
     def result(self) -> HighsResult:
-        result = self.wait()
-        if isinstance(result, Exception):
-            raise result
-        return result
+        """The run's result, once the helper has ended; its exception is raised."""
+        self.join()
+        if isinstance(self._result, Exception):
+            raise self._result
+        return self._result
 
 
 def _cpu_count() -> int:
@@ -460,11 +449,7 @@ def _prepare(problem: LpProblem):
 
 def solve(problem: LpProblem) -> LpSolution:
     """Solve with HiGHS; returns status, primal, row duals, objective."""
-    handoff = _THREAD.handoff
-    if handoff is not None and handoff.problem is problem:
-        rows, cols, vals, args = handoff.prepared
-    else:
-        rows, cols, vals, args = _prepare(problem)
+    rows, cols, vals, args = problem._prepared
     res = linprog(*args)
     if res.status in (INFEASIBLE, UNBOUNDED):
         return LpSolution(status=res.status)
@@ -502,7 +487,7 @@ def solve_pair(first: LpProblem, second: LpProblem) -> tuple[LpSolution, LpSolut
         return solve(first), solve(second)
     finally:
         _THREAD.handoff = None
-        handoff.wait()
+        handoff.join()
 
 
 def best_response(

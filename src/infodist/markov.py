@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import resolve_budget
+from .config import check_integer, resolve_budget
 from .errors import BudgetExceeded, InvalidParameters, InvalidSymbol
 from .games import ZeroSumGame
 from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2, validate_structure
@@ -55,8 +55,6 @@ E_CONDITIONS = (
     ("Y_a_c/Y_c", "Y_a_c", "Y_c"),
     ("Y_a_cd/Y_cd", "Y_a_cd", "Y_cd"),
 )
-
-Y_FAMILIES = ("Y_a", "Y_c", "Y_ab", "Y_cd", "Y_a_c", "Y_ab_c", "Y_a_cd", "Y_ab_cd")
 
 
 def _words(bits: np.ndarray) -> np.ndarray:
@@ -182,10 +180,9 @@ def sample_S(N: int, seed: int) -> MixingMatrix:
     its successor words and, transposed, into one word column of the
     predecessor words, so no N x N array exists.
     """
-    if not (isinstance(N, (int, np.integer)) and N % 2 == 0 and N >= 4):
-        raise InvalidParameters(f"N must be an even integer >= 4, got {N!r}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InvalidParameters(f"seed must be an integer >= 0, got {seed!r}")
+    N, seed = check_integer(N, "N", 4), check_integer(seed, "seed", 0)
+    if N % 2:
+        raise InvalidParameters(f"N must be even, got {N}")
     rng = np.random.default_rng(seed)
     half, n_words = N // 2, -(-N // 64)
     succ = np.empty((N, n_words), np.uint64)
@@ -266,8 +263,7 @@ def nice_sequences(world: MarkovWorld, length: int) -> list[tuple[int, ...]]:
     There are N (N/2)^(length-1) of them; when their symbol count exceeds
     the default budget this raises ``BudgetExceeded`` before listing any.
     """
-    if length < 1:
-        raise InvalidParameters("length must be >= 1")
+    length = check_integer(length, "length", 1)
     n = world.N
     symbols = n * (n // 2) ** (length - 1) * length
     budget = resolve_budget(None)
@@ -285,8 +281,7 @@ def chain_structure(
     only the N (N/2)^(2l-1) nice interleavings carry mass; state 1 has
     conditional probability c_1/(N+1).
     """
-    if l < 1:
-        raise InvalidParameters("l must be >= 1")
+    l = check_integer(l, "l", 1)
     n = world.N
     cells = 2 * n ** (2 * l)
     budget = resolve_budget(budget)
@@ -318,8 +313,7 @@ def revelation_game(
     Payoff = base score of the first reported symbol + niceness bonus of the
     interleaved report.  All payoffs verified within the 8/9 bound.
     """
-    if p < 1:
-        raise InvalidParameters("p must be >= 1")
+    p = check_integer(p, "p", 1)
     n = world.N
     n_i = n**p
     n_j = n ** (p - 1)
@@ -352,6 +346,7 @@ _STAT_SETS = {
     "Y_a_cd": (8.0, (">a", "c>", "d>")),
     "Y_ab_cd": (16.0, (">a", ">b", "c>", "d>")),
 }
+Y_FAMILIES = tuple(_STAT_SETS)
 
 # Each kind of ``_StatKernel.conditional_ratio`` is the count ratio of one
 # E condition, its numerator's sets over its denominator's in
@@ -481,10 +476,7 @@ class _StatKernel:
         rename = str.maketrans(roles)
         terms = {name: tuple(s.translate(rename) for s in _STAT_SETS[name][1]) for name in (num, den)}
         counts = self._counts(terms, idx)
-        out = np.full(counts[den].size, np.nan)
-        ok = counts[den] > 0
-        out[ok] = counts[num][ok] / counts[den][ok]
-        return out
+        return _ratio(counts[num], counts[den])
 
 
 def _distinct_pairs(rng: np.random.Generator, n: int, size: int):
@@ -493,11 +485,9 @@ def _distinct_pairs(rng: np.random.Generator, n: int, size: int):
     return first, second
 
 
-def _ratio_deviation(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    dev = np.full(num.shape, np.inf)
-    ok = den > 0
-    dev[ok] = np.abs(num[ok] / den[ok] - 1.0)
-    return dev
+def _ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den per tuple, NaN where the conditioning set is empty (den 0)."""
+    return np.divide(num, den, out=np.full(num.shape, np.nan), where=den > 0)
 
 
 def _tuple_arrays(matrix: MixingMatrix, sample_budget: int, seed: int):
@@ -519,12 +509,12 @@ def _event_e(matrix: MixingMatrix, alpha: float, sample_budget: int, seed: int):
     distinct-index tuples (N^4 fits the budget) or a uniform sample."""
     if not 0.0 < alpha < 0.5:
         raise InvalidParameters(f"alpha {alpha} outside (0, 1/2)")
-    if sample_budget < 1:
-        raise InvalidParameters("sample budget must be >= 1")
+    sample_budget = check_integer(sample_budget, "sample budget", 1)
+    seed = check_integer(seed, "seed", 0)
     a, b, c, d, exhaustive = _tuple_arrays(matrix, sample_budget, seed)
     stats = _StatKernel(matrix).stats(a, b, c, d)
     passed = {
-        name: _ratio_deviation(stats[num], stats[den]) <= 2.0 * alpha
+        name: np.abs(_ratio(stats[num], stats[den]) - 1.0) <= 2.0 * alpha
         for name, num, den in E_CONDITIONS
     }
     return stats, passed, np.logical_and.reduce(list(passed.values())), exhaustive
@@ -603,10 +593,7 @@ def mixing_implication_check(
     stats, _, e_pass, _ = _event_e(matrix, alpha, sample_budget, seed)
     violations = np.zeros(e_pass.size, dtype=bool)
     for _, num, den in E_CONDITIONS:
-        ratio = np.full(e_pass.size, np.nan)
-        ok = stats[den] > 0
-        ratio[ok] = 0.5 * stats[num][ok] / stats[den][ok]
-        violations |= np.abs(ratio - 0.5) > alpha
+        violations |= np.abs(0.5 * _ratio(stats[num], stats[den]) - 0.5) > alpha
     return MixingImplicationReport(
         n_tuples=int(e_pass.size),
         n_e_pass=int(e_pass.sum()),
@@ -682,10 +669,9 @@ def check_mixing(
     single report round the opponent-side conditions are empty and the
     report is vacuous-pass.
     """
-    if l < 1:
-        raise InvalidParameters("l must be >= 1")
-    if sample_budget < 1:
-        raise InvalidParameters("sample budget must be >= 1")
+    l = check_integer(l, "l", 1)
+    sample_budget = check_integer(sample_budget, "sample budget", 1)
+    seed = check_integer(seed, "seed", 0)
     n = world.N
     kernel = _StatKernel(world.matrix)
     rng = np.random.default_rng(seed)
@@ -748,6 +734,7 @@ class TruthfulGuarantee:
 def truthful_strategy(world: MarkovWorld, l: int, p: int, side: str) -> Garbling:
     """Deterministic report of the first p (player 1) or p-1 (player 2)
     observed symbols, as a behavioral strategy on the dense signal space."""
+    l, p = check_integer(l, "l", 1), check_integer(p, "p", 1)
     n = world.N
     if side == PLAYER1:
         if p > l:
@@ -789,7 +776,8 @@ def truthful_guarantee(
     per-atom tables hold atoms x N^p entries, and that count, like the
     report space N^(2p-1), must fit the budget.
     """
-    if p < 1 or p > l + 1:
+    l, p = check_integer(l, "l", 1), check_integer(p, "p", 1)
+    if p > l + 1:
         raise InvalidParameters(f"need 1 <= p <= l+1, got p={p}, l={l}")
     n = world.N
     budget = resolve_budget(budget)

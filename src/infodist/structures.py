@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import NORM_TOL, ZERO_TOL
+from .config import NORM_TOL, ZERO_TOL, check_integer
 from .errors import (
     HypothesisViolated,
     InvalidParameters,
@@ -277,6 +277,7 @@ def embed_signals(
     u: InformationStructure, target1: int, target2: int
 ) -> InformationStructure:
     """Zero-pad the signal spaces up to (target1, target2)."""
+    target1, target2 = check_integer(target1, "target1", 1), check_integer(target2, "target2", 1)
     if target1 < u.signals1_count or target2 < u.signals2_count:
         raise ShrinkNotAllowed(
             f"cannot embed {u.shape[1:]} into ({target1}, {target2})"
@@ -322,10 +323,10 @@ def conditional(tensor: np.ndarray, given: dict[int, int]) -> np.ndarray:
     arr = np.asarray(tensor, dtype=float)
     index = [slice(None)] * arr.ndim
     for axis, value in given.items():
-        if axis < 0 or axis >= arr.ndim:
-            raise ShapeMismatch(f"axis {axis} out of range for ndim={arr.ndim}")
-        if not 0 <= value < arr.shape[axis]:
-            raise ShapeMismatch(f"value {value} out of range for axis {axis} of size {arr.shape[axis]}")
+        if not (isinstance(axis, (int, np.integer)) and 0 <= axis < arr.ndim):
+            raise ShapeMismatch(f"axis {axis!r} out of range for ndim={arr.ndim}")
+        if not (isinstance(value, (int, np.integer)) and 0 <= value < arr.shape[axis]):
+            raise ShapeMismatch(f"value {value!r} out of range for axis {axis} of size {arr.shape[axis]}")
         index[axis] = value
     sliced = arr[tuple(index)]
     mass = sliced.sum()

@@ -1,4 +1,5 @@
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +52,15 @@ def two_cpus(monkeypatch):
     """``lp.solve_pair`` sees two CPUs, whatever the host has, so large
     pairs take the helper path."""
     monkeypatch.setattr(lp.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture(autouse=True)
+def no_helper_outlives_its_pair():
+    """``lp.solve_pair`` joins its helper thread before it returns, so none
+    is alive after any test."""
+    yield
+    helpers = [t for t in threading.enumerate() if t.name == "infodist-highs"]
+    assert not helpers, f"{len(helpers)} HiGHS helper thread(s) still alive"
 
 
 @pytest.fixture

@@ -221,13 +221,22 @@ def test_a_failed_direction_of_a_pair_is_not_kept(monkeypatch, two_cpus, failing
     assert distance._recall(*failed) is None
     # The caller waited for the helper's run before raising.
     assert len(handoffs) == 1 and handoffs[0]._result is not None
-    assert lp._THREAD.handoff is None and not handoffs[0]._helper.is_alive()
+    assert lp._THREAD.handoff is None and not handoffs[0].is_alive()
     assert _bits(inf.value_distance(u, v)) == _bits(want)
     # The failed call solved up to its failure; the next one both models.
     assert len(calls) == failing + 3 and len(handoffs) == 2
 
 
-def test_small_distances_never_start_the_worker(rng, monkeypatch, solve_rows):
+def test_distance_to_itself_solves_its_gap_once(rng, solve_rows):
+    # Both directions of (u, u) are the same gap LP.
+    u = random_structure(rng, 2, 3, 3)
+    d = inf.value_distance(u, u)
+    assert solve_rows == [18]
+    assert _bits(d) == _bits(inf.one_sided_gap(u, u).gap)
+    assert solve_rows == [18]
+
+
+def test_small_distances_never_start_a_helper(rng, monkeypatch, solve_rows):
     # Pairs the size of the acceptance suites' stay on one thread.
     handed = []
     monkeypatch.setattr(lp, "_Handoff", lambda problem: handed.append(problem))

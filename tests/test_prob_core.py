@@ -1,8 +1,11 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 import infodist as inf
 from infodist import PLAYER1, PLAYER2, lp
+from infodist import markov as mk
 from infodist.structures import common_embedding
 
 from conftest import random_garbling, random_structure
@@ -239,6 +242,38 @@ def test_garbling_json_round_trip(rng):
 def test_from_json_rejects_malformed_input(load, text, error):
     with pytest.raises(error):
         load(text)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        ("mk.chain_structure(world, 1.5)", inf.InvalidParameters),
+        ("mk.revelation_game(world, 1.5)", inf.InvalidParameters),
+        ("mk.truthful_guarantee(world, 2, 1.5)", inf.InvalidParameters),
+        ("mk.truthful_strategy(world, 1.5, 1, PLAYER1)", inf.InvalidParameters),
+        ("mk.nice_sequences(world, 1.5)", inf.InvalidParameters),
+        ("mk.check_mixing(world, 1.5)", inf.InvalidParameters),
+        ("mk.check_mixing(world, 1, sample_budget=1.5)", inf.InvalidParameters),
+        ("mk.concentration_report(world.matrix, sample_budget=1.5)", inf.InvalidParameters),
+        ("mk.concentration_report(world.matrix, sample_budget=10, seed=-1)", inf.InvalidParameters),
+        ("mk.concentration_report(world.matrix, sample_budget=10, seed=1.5)", inf.InvalidParameters),
+        ("inf.ladder_structure(1.5)", inf.InvalidParameters),
+        ("inf.email_game(0.1, 0.5, 2.5)", inf.InvalidParameters),
+        ("inf.blackwell_structure(inf.BlackwellSpec(1.5, 0, 0.7, 0.7))", inf.InvalidParameters),
+        ("inf.embed_signals(u, 1.5, 1)", inf.InvalidParameters),
+        ("inf.conditional(u.probs, {0: 1.5})", inf.ShapeMismatch),
+        ("inf.conditional(u.probs, {1.5: 0})", inf.ShapeMismatch),
+        ("inf.blackwell_d1_closed_form(np.int64(3), 1, 0.75)", None),
+        ("mk.sample_S(np.int64(4), np.int64(0))", None),
+    ],
+)
+def test_integer_parameters_are_checked(call, error):
+    # A non-integer or a too small integer is a domain error; numpy
+    # integers are integers.
+    world = mk.MarkovWorld(mk.sample_S(4, 0))
+    u = inf.validate_structure(np.full((2, 2, 2), 1 / 8))
+    with pytest.raises(error) if error else nullcontext():
+        eval(call)
 
 
 def test_structures_immutable(rng):
