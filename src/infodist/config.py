@@ -49,12 +49,18 @@ def default_budget() -> int:
 
 
 def resolve_budget(budget: int | None) -> int:
-    """Explicit argument wins; None falls back to :func:`default_budget`."""
+    """Explicit argument wins; None falls back to :func:`default_budget`.
+
+    The budget must be an ``int`` or a numpy integer of at least 1, else
+    ``InvalidParameters`` is raised.
+    """
     if budget is None:
         return default_budget()
+    if not isinstance(budget, (int, np.integer)):
+        raise InvalidParameters(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise InvalidParameters(f"budget must be positive, got {budget}")
-    return budget
+    return int(budget)
 
 
 def check_integer(value, name: str, low: int) -> int:

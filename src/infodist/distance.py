@@ -23,7 +23,9 @@ Weak duality brackets every game's gap between two exact numbers that need
 no LP: the identity strategies guarantee val(v,g) - val(u,g) from below, and
 the garblings' || q1.u - v.q2 || caps it, and the supremum too, from above.
 ``witness_game`` accepts its game only if that bracket lies within
-WITNESS_TOL of the LP gap.
+WITNESS_TOL of the LP gap.  The lower end is two einsums on the witness
+and the upper end two on the garblings; no identity garbling and no
+garbled structure is built.
 
 Calls on the same pair of structure objects share one gap solve:
 ``one_sided_gap``, ``value_distance``, ``witness_game`` and ``is_better``
@@ -37,8 +39,11 @@ memo is keyed on object identity, not content.  A structure's tensor is
 read-only, so the same pair of objects always has the same gap, and
 comparing identities costs nothing where hashing the tensors would read
 both on every call.  A structure rebuilt from the same tensor is solved
-afresh.  Apart from the memo, the gap LP's index arrays and bounds are
-built once per shape (see ``_gap_pattern``).
+afresh.  Apart from the memo, the gap LP's index arrays, bounds and
+repeat counts are built once per shape (see ``_gap_pattern``), and so are
+``lp``'s checks of them and their column-wise sort.  Per call,
+``_gap_problem`` reads the signal masses, spreads the beliefs over the
+pattern with one ``np.repeat`` and drops the zero coefficients.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ import numpy as np
 from . import lp
 from .config import DIST_TOL, NORM_TOL, WITNESS_TOL, ZERO_TOL
 from .errors import HypothesisViolated, NotNormalized, NumericalFailure, ShapeMismatch
-from .games import ZeroSumGame, guarantee, value
+from .games import ZeroSumGame, value
 from .structures import (
     ConditionalQuery,
     Garbling,
@@ -63,10 +68,9 @@ from .structures import (
     PLAYER2,
     _check_nonnegative,
     _frozen,
+    _garbled_probs,
     check_signals_cond_indep,
     eps_conditional_independence,
-    garble,
-    l1_distance,
     marginalize,
     validate_structure,
 )
@@ -88,8 +92,16 @@ class GapCertificate:
     direction: str
 
     def recheck(self, u: InformationStructure, v: InformationStructure) -> float:
-        """Recompute || q1.u - v.q2 || from the stored garblings."""
-        return l1_distance(garble(u, PLAYER1, self.q1), garble(v, PLAYER2, self.q2))
+        """Recompute || q1.u - v.q2 || from the stored garblings.
+
+        The garbled tensors are ``garble``'s, but are subtracted as they
+        are: no structure is built, validated and renormalized from them.
+        """
+        left = _garbled_probs(u, PLAYER1, self.q1)
+        right = _garbled_probs(v, PLAYER2, self.q2)
+        if left.shape != right.shape:
+            raise ShapeMismatch(f"q1.u has shape {left.shape} and v.q2 {right.shape}")
+        return float(np.add.reduce(np.abs(left - right), axis=None))
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,21 +147,27 @@ class _GapLayout(NamedTuple):
 
 
 def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    live = np.flatnonzero(masses > ZERO_TOL)
+    live = (masses > ZERO_TOL).nonzero()[0]
     return live, masses[live]
+
+
+# The tail coefficients: -a_c in every (c,e) row, +b_d in every (d,f) row.
+_TAIL = np.array([-1.0, 1.0])
 
 
 @functools.lru_cache(maxsize=256)
 def _gap_pattern(n_k: int, n1: int, l1: int, n2: int, l2: int):
     """The gap LP's triplet indices and bounds for every cell, by shape.
 
-    Returns ``(rows, cols, tail, row_lower, row_upper, col_lower,
-    col_upper)``: one (row, column) per cell of u's beliefs (K, n1, l2) in
+    Returns ``(rows, cols, repeats, row_lower, row_upper, col_lower,
+    col_upper, zeros)``: one (row, column) per cell of u's beliefs (K, n1, l2) in
     C order, each repeated over e, then one per cell of v's beliefs
-    (K, l1, n2), each repeated over f, then the ``tail`` entries -a_c and
-    +b_d, whose coefficients ``tail`` holds.  ``_gap_problem`` keeps the
-    cells of positive belief, so the pattern depends on the shape alone.
-    Every array is shared by all calls on the shape, so none is writable.
+    (K, l1, n2), each repeated over f, then the tail entries -a_c and
+    +b_d.  ``np.repeat(coefficients, repeats)`` spreads u's beliefs, v's
+    negated beliefs and ``_TAIL`` over them, and ``zeros`` is g's part of
+    the objective.  ``_gap_problem`` keeps the cells of positive belief,
+    so the pattern depends on the shape alone.  Every array is shared by
+    all calls on the shape, so none is writable.
     """
     n_cells = n_k * l1 * l2
     n_q1 = n1 * l1
@@ -162,22 +180,30 @@ def _gap_pattern(n_k: int, n1: int, l1: int, n2: int, l2: int):
     v_rows = (n_q1 + d[:, None] * l2 + f).ravel()
     v_cols = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
 
-    # -a_c in every (c,e) row, +b_d in every (d,f) row.
     ce = np.arange(n_q1)
     df = np.arange(n2 * l2)
     n_rows = n_q1 + df.size
     arrays = (
         np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
         np.concatenate((u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)),
-        np.concatenate((-np.ones(n_q1), np.ones(df.size))),
+        np.concatenate((np.full(n_k * n1 * l2, l1), np.full(n_k * l1 * n2, l2), (n_q1, df.size))),
         np.full(n_rows, -np.inf),
         np.zeros(n_rows),
         np.concatenate((np.full(n_cells, -1.0), np.full(n1 + n2, -np.inf))),
         np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
+        np.zeros(n_cells),
     )
     for array in arrays:
         array.setflags(write=False)
     return arrays
+
+
+def _beliefs(probs: np.ndarray, live: np.ndarray, mass: np.ndarray, axis: int) -> np.ndarray:
+    """``probs`` over the live signals on ``axis`` (1 or 2), divided by
+    ``mass``, one entry per live signal, and flattened."""
+    if live.size < probs.shape[axis]:
+        probs = probs.take(live, axis=axis)
+    return (probs / mass[:, None] if axis == 1 else probs / mass).ravel()
 
 
 def _gap_problem(u: InformationStructure, v: InformationStructure):
@@ -203,9 +229,9 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     the row duals sum to m_c (resp. n_d) per block, so q1(c,e) is the
     (c,e) row dual over m_c and q2(d,f) the (d,f) row dual over n_d.
 
-    The index arrays and bounds come from ``_gap_pattern`` for the shape;
-    each call keeps one triplet per positive belief of u (resp. v) and per
-    e (resp. f), in ``np.nonzero`` order.
+    The index arrays and bounds come from ``_gap_pattern`` for the shape.
+    Per call, one ``np.repeat`` spreads the beliefs over the pattern, and
+    the triplets of zero coefficient are dropped, in ``np.nonzero`` order.
     """
     if u.state_count != v.state_count:
         raise ShapeMismatch(
@@ -214,22 +240,23 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     n_k = u.state_count
     l1 = v.signals1_count
     l2 = u.signals2_count
-    live1, mass1 = _live_signals(u.probs.sum(axis=(0, 2)))
-    live2, mass2 = _live_signals(v.probs.sum(axis=(0, 1)))
-    rows, cols, tail, row_lower, row_upper, col_lower, col_upper = _gap_pattern(
+    live1, mass1 = _live_signals(np.add.reduce(u.probs, axis=(0, 2)))
+    live2, mass2 = _live_signals(np.add.reduce(v.probs, axis=(0, 1)))
+    rows, cols, repeats, row_lower, row_upper, col_lower, col_upper, zeros = _gap_pattern(
         n_k, live1.size, l1, live2.size, l2
     )
-    u_beliefs = (u.probs[:, live1, :] / mass1[:, None]).ravel()
-    v_beliefs = (v.probs[:, :, live2] / mass2).ravel()
-    keep = np.concatenate(
-        (np.repeat(u_beliefs > 0.0, l1), np.repeat(v_beliefs > 0.0, l2), np.ones(tail.size, bool))
-    )
-    values = np.concatenate((np.repeat(u_beliefs, l1), np.repeat(-v_beliefs, l2), tail))
+    # Beliefs are >= 0, so a coefficient is 0 exactly where its belief is;
+    # x / -m is -(x / m) to the bit.
+    beliefs = (_beliefs(u.probs, live1, mass1, 1), _beliefs(v.probs, live2, -mass2, 2), _TAIL)
+    values = np.repeat(np.concatenate(beliefs), repeats)
+    keep = values != 0.0
+    if not keep.all():
+        rows, cols, values = rows[keep], cols[keep], values[keep]
     problem = lp.LpProblem(
-        objective=np.concatenate((np.zeros(n_k * l1 * l2), -mass1, mass2)),
-        row_idx=rows[keep],
-        col_idx=cols[keep],
-        coefficients=values[keep],
+        objective=np.concatenate((zeros, -mass1, mass2)),
+        row_idx=rows,
+        col_idx=cols,
+        coefficients=values,
         row_lower=row_lower,
         row_upper=row_upper,
         col_lower=col_lower,
@@ -304,9 +331,12 @@ def _garbling(duals: np.ndarray, live: np.ndarray, mass: np.ndarray, n_source: i
     """Garbling rows from one block of row duals: each live signal's duals
     over its mass, normalized; a dropped signal's row is uniform (any
     distribution would do, as the signal carries at most ZERO_TOL)."""
-    q = np.clip(duals.reshape(live.size, -1) / mass[:, None], 0.0, None)
+    q = np.maximum(duals.reshape(live.size, -1) / mass[:, None], 0.0)
+    q /= np.add.reduce(q, axis=1, keepdims=True)
+    if live.size == n_source:
+        return Garbling(q)
     rows = np.full((n_source, q.shape[1]), 1.0 / q.shape[1])
-    rows[live] = q / q.sum(axis=1, keepdims=True)
+    rows[live] = q
     return Garbling(rows)
 
 
@@ -367,23 +397,25 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     count, u's player-2 signal count).  The witness is certified without an
     LP by an exact bracket:
 
-        lower = guarantee(v, g, identity, PLAYER1) - guarantee(u, g, identity, PLAYER2)
+        lower = sum_d min_f <v(.,.,d), g(.,.,f)> - sum_c max_e <u(.,c,.), g(.,e,.)>
              <= val(v,g) - val(u,g)
              <= sup_g' (val(v,g') - val(u,g'))
              <= || q1.u - v.q2 || = upper
 
-    by weak duality for any g and for the garblings of the same solve.  A
-    target farther than WITNESS_TOL from either end means the witness
-    misses the target or the target misses the supremum, and this raises.
+    by weak duality for any g and for the garblings of the same solve:
+    ``lower`` is what the identity strategies guarantee (``games.guarantee``
+    with ``Garbling.identity``), each one einsum on the witness.  A target
+    farther than WITNESS_TOL from either end means the witness misses the
+    target or the target misses the supremum, and this raises.
     """
     solve = _solve_gap(u, v)
     target = solve.gap
     n_k, l1, l2 = solve.layout.shape
     g = solve.solution.primal[: n_k * l1 * l2].reshape(solve.layout.shape)
-    game = ZeroSumGame(np.clip(g, -1.0, 1.0))
-    lower = guarantee(v, game, Garbling.identity(l1), PLAYER1) - guarantee(
-        u, game, Garbling.identity(l2), PLAYER2
-    )
+    game = ZeroSumGame(g.clip(-1.0, 1.0))
+    v_by_df = np.einsum("ked,kef->df", v.probs, game.payoffs)
+    u_by_ce = np.einsum("kcf,kef->ce", u.probs, game.payoffs)
+    lower = float(v_by_df.min(axis=1).sum()) - float(u_by_ce.max(axis=1).sum())
     upper = one_sided_gap(u, v).recheck(u, v)
     miss = max(upper - target, target - lower)
     if miss > WITNESS_TOL:

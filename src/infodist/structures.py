@@ -42,11 +42,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_nonnegative(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    """``arr`` with its entries in [-ZERO_TOL, 0) set to 0.  Two reductions
+    check it: a NaN or an infinity shows in its least or greatest entry."""
+    low = np.minimum.reduce(arr, axis=None, initial=0.0)
+    high = np.maximum.reduce(arr, axis=None, initial=0.0)
+    if not -np.inf < low <= high < np.inf:
         raise NotNormalized(f"{what} contains non-finite entries")
-    if arr.min(initial=0.0) < -ZERO_TOL:
-        raise NegativeMass(f"{what} has an entry {arr.min():g} < -{ZERO_TOL:g}")
-    return np.clip(arr, 0.0, None)
+    if low < -ZERO_TOL:
+        raise NegativeMass(f"{what} has an entry {low:g} < -{ZERO_TOL:g}")
+    return np.maximum(arr, 0.0)
 
 
 def _parse_json(text: str, what: str):
@@ -90,10 +94,10 @@ class InformationStructure:
         if min(probs.shape) < 1:
             raise ShapeMismatch(f"all axes must be positive, got shape {probs.shape}")
         probs = _check_nonnegative(probs, "structure tensor")
-        total = probs.sum()
+        total = np.add.reduce(probs, axis=None)
         if abs(total - 1.0) > NORM_TOL:
             raise NotNormalized(f"structure mass is {float(total)!r}, not 1 within {NORM_TOL:g}")
-        labels = tuple(self.state_labels) or tuple(str(k) for k in range(probs.shape[0]))
+        labels = tuple(self.state_labels) or tuple(map(str, range(probs.shape[0])))
         if len(labels) != probs.shape[0]:
             raise ShapeMismatch(
                 f"{len(labels)} state labels for {probs.shape[0]} states"
@@ -156,9 +160,9 @@ class Garbling:
         if rows.ndim != 2 or min(rows.shape) < 1:
             raise ShapeMismatch(f"garbling rows must be a 2-D matrix, got {rows.shape}")
         rows = _check_nonnegative(rows, "garbling rows")
-        sums = rows.sum(axis=1)
-        if np.abs(sums - 1.0).max() > NORM_TOL:
-            worst = np.abs(sums - 1.0).max()
+        sums = np.add.reduce(rows, axis=1)
+        worst = np.maximum.reduce(np.abs(sums - 1.0))
+        if worst > NORM_TOL:
             raise NotNormalized(f"garbling row sum off by {worst:g} (> {NORM_TOL:g})")
         object.__setattr__(self, "rows", _frozen(rows / sums[:, None]))
 
@@ -234,21 +238,24 @@ def garble(u: InformationStructure, side: str, q: Garbling) -> InformationStruct
     player 2.  The marginal over (state, other player's signal) is preserved
     exactly.
     """
+    return InformationStructure(_garbled_probs(u, side, q), u.state_labels)
+
+
+def _garbled_probs(u: InformationStructure, side: str, q: Garbling) -> np.ndarray:
+    """The tensor of ``garble(u, side, q)`` before it is validated."""
     if side == PLAYER1:
         if q.source_count != u.signals1_count:
             raise ShapeMismatch(
                 f"garbling source {q.source_count} != player-1 signals {u.signals1_count}"
             )
-        probs = np.einsum("kcd,ce->ked", u.probs, q.rows)
-    elif side == PLAYER2:
+        return np.einsum("kcd,ce->ked", u.probs, q.rows)
+    if side == PLAYER2:
         if q.source_count != u.signals2_count:
             raise ShapeMismatch(
                 f"garbling source {q.source_count} != player-2 signals {u.signals2_count}"
             )
-        probs = np.einsum("kcd,df->kcf", u.probs, q.rows)
-    else:
-        raise ShapeMismatch(f"side must be {PLAYER1!r} or {PLAYER2!r}, got {side!r}")
-    return InformationStructure(probs, u.state_labels)
+        return np.einsum("kcd,df->kcf", u.probs, q.rows)
+    raise ShapeMismatch(f"side must be {PLAYER1!r} or {PLAYER2!r}, got {side!r}")
 
 
 def compose_garblings(outer: Garbling, inner: Garbling) -> Garbling:

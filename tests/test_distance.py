@@ -227,6 +227,28 @@ def test_a_failed_direction_of_a_pair_is_not_kept(monkeypatch, two_cpus, failing
     assert len(calls) == failing + 3 and len(handoffs) == 2
 
 
+def test_witness_builds_only_the_certificate_garblings(rng, monkeypatch, solve_rows):
+    # The witness bracket's lower end is two einsums on the witness: after
+    # value_distance, witness_game builds the certificate's q1 and q2 and
+    # no identity garbling.
+    built = []
+    post_init = inf.Garbling.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(inf.Garbling, "__post_init__", counting_post_init)
+    u = random_structure(rng, 2, 3, 3, zeros=0.2)
+    v = random_structure(rng, 2, 3, 2, zeros=0.2)
+    inf.value_distance(u, v)
+    assert built == []
+    inf.witness_game(u, v)
+    cert = inf.one_sided_gap(u, v)
+    assert built == [cert.q1, cert.q2]
+    assert len(solve_rows) == 2
+
+
 def test_distance_to_itself_solves_its_gap_once(rng, solve_rows):
     # Both directions of (u, u) are the same gap LP.
     u = random_structure(rng, 2, 3, 3)

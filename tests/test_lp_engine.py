@@ -11,6 +11,7 @@ from infodist import BlackwellSpec, blackwell_structure, distance, games, lp
 from infodist.config import LP_TOL
 from infodist.errors import ShapeMismatch
 
+import gate_oracle
 from conftest import random_game, random_structure
 from workloads import catalog_members
 
@@ -288,20 +289,53 @@ def test_solve_matches_linprog(monkeypatch):
         assert sol.objective == objective
 
 
-def test_solve_agrees_with_presolved_linprog(monkeypatch):
-    # lp.solve runs HiGHS without presolve; linprog's default presolve
-    # reaches the same status and, within the gap gate, the same objective,
-    # on the oracle problems and on the degenerate Blackwell gap LPs.
-    problems = _oracle_problems(monkeypatch)
+def _blackwell_gap_problems():
+    """The degenerate gap LPs between the Blackwell (n+2, n) and (n, n)
+    members, both ways, for n = 9..16."""
+    problems = []
     for n in range(9, 17):
         a = blackwell_structure(BlackwellSpec(n + 2, n, 0.75, 0.75))
         b = blackwell_structure(BlackwellSpec(n, n, 0.75, 0.75))
         problems += [distance._gap_problem(a, b)[0], distance._gap_problem(b, a)[0]]
+    return problems
+
+
+def test_solve_agrees_with_presolved_linprog(monkeypatch):
+    # lp.solve runs HiGHS without presolve; linprog's default presolve
+    # reaches the same status and, within the gap gate, the same objective,
+    # on the oracle problems and on the degenerate Blackwell gap LPs.
+    problems = _oracle_problems(monkeypatch) + _blackwell_gap_problems()
     for problem in problems:
         sol = lp.solve(problem)
         status, _, _, objective = _linprog_oracle(problem, presolve=True)
         assert sol.status == status == lp.OPTIMAL
         assert abs(sol.objective - objective) <= LP_TOL * (1.0 + abs(objective))
+
+
+def test_gates_match_the_reference_residuals(monkeypatch):
+    # lp._residuals returns gate_oracle's triple on the solved points and
+    # on perturbed ones, whose residuals fail the gates, so every solve
+    # passes or fails its gates as it did.  The floats are equal; only a
+    # zero's sign may differ, as the maxima reduce in another order.
+    rng = np.random.default_rng(20261019)
+    failing = 0
+    for problem in _oracle_problems(monkeypatch) + _blackwell_gap_problems():
+        rows, cols, vals, args = problem._prepared
+        res = lp.linprog(*args)
+        assert res.status == lp.OPTIMAL
+        points = [(res.x, res.row_dual)]
+        for scale in (1e-9, 1e-6, 1e-2):
+            points.append((res.x + scale * rng.normal(size=res.x.size), res.row_dual))
+            points.append((res.x, res.row_dual + scale * rng.normal(size=res.row_dual.size)))
+        # Every row dual of the wrong sign, and x beyond its bounds.
+        points.append((res.x, -res.row_dual))
+        points.append((np.where(rng.random(res.x.size) < 0.5, 2.0 * res.x + 1.0, res.x), res.row_dual))
+        for x, duals_min in points:
+            got = lp._residuals(problem, rows, cols, vals, x, duals_min, float(problem.objective @ x))
+            want = gate_oracle._residuals(problem, rows, cols, vals, x, duals_min)
+            assert got == want
+            failing += want[0] > LP_TOL or want[1] > 10 * LP_TOL or want[2] > LP_TOL
+    assert failing > 100
 
 
 @pytest.mark.parametrize(

@@ -230,6 +230,16 @@ def test_non_positive_budget_is_invalid_parameters(rng):
         inf.feasible_set(u, _random_bimatrix(rng, 2, 2, 2), budget=-3)
 
 
+@pytest.mark.parametrize("budget", [2.5, np.float64(4.0)])
+def test_non_integer_budget_is_invalid_parameters(rng, budget):
+    # A float budget is refused as such, not compared with a profile count.
+    u = random_structure(rng, 2, 2, 2)
+    with pytest.raises(inf.InvalidParameters, match="budget must be an integer"):
+        inf.value_normal_form(u, inf.ZeroSumGame(rng.uniform(-1, 1, (2, 2, 2))), budget=budget)
+    with pytest.raises(inf.InvalidParameters, match="budget must be an integer"):
+        inf.feasible_set(u, _random_bimatrix(rng, 2, 2, 2), budget=budget)
+
+
 def test_verify_bound_equal_structures(rng):
     u = random_ci_structure(rng, 2, 2, 2)
     g = _random_bimatrix(rng, 2, 2, 2)
