@@ -40,10 +40,12 @@ read-only, so the same pair of objects always has the same gap, and
 comparing identities costs nothing where hashing the tensors would read
 both on every call.  A structure rebuilt from the same tensor is solved
 afresh.  Apart from the memo, the gap LP's index arrays, bounds and
-repeat counts are built once per shape (see ``_gap_pattern``), and so are
-``lp``'s checks of them and their column-wise sort.  Per call,
+repeat counts are built once per shape (see ``_gap_pattern``), and ``lp``
+checks the index arrays and sorts them once per content for an LP of at
+most 1,024 entries (see ``lp._cached_layout``).  Per call,
 ``_gap_problem`` reads the signal masses, spreads the beliefs over the
-pattern with one ``np.repeat`` and drops the zero coefficients.
+pattern with one ``np.repeat`` and drops the zero coefficients, and
+``lp`` checks the bounds.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ class GapCertificate:
         right = _garbled_probs(v, PLAYER2, self.q2)
         if left.shape != right.shape:
             raise ShapeMismatch(f"q1.u has shape {left.shape} and v.q2 {right.shape}")
-        return float(np.add.reduce(np.abs(left - right), axis=None))
+        return float(np.abs(left - right).sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +149,7 @@ class _GapLayout(NamedTuple):
 
 
 def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    live = (masses > ZERO_TOL).nonzero()[0]
+    live = np.flatnonzero(masses > ZERO_TOL)
     return live, masses[live]
 
 
@@ -240,8 +242,8 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     n_k = u.state_count
     l1 = v.signals1_count
     l2 = u.signals2_count
-    live1, mass1 = _live_signals(np.add.reduce(u.probs, axis=(0, 2)))
-    live2, mass2 = _live_signals(np.add.reduce(v.probs, axis=(0, 1)))
+    live1, mass1 = _live_signals(u.probs.sum(axis=(0, 2)))
+    live2, mass2 = _live_signals(v.probs.sum(axis=(0, 1)))
     rows, cols, repeats, row_lower, row_upper, col_lower, col_upper, zeros = _gap_pattern(
         n_k, live1.size, l1, live2.size, l2
     )
@@ -332,7 +334,7 @@ def _garbling(duals: np.ndarray, live: np.ndarray, mass: np.ndarray, n_source: i
     over its mass, normalized; a dropped signal's row is uniform (any
     distribution would do, as the signal carries at most ZERO_TOL)."""
     q = np.maximum(duals.reshape(live.size, -1) / mass[:, None], 0.0)
-    q /= np.add.reduce(q, axis=1, keepdims=True)
+    q /= q.sum(axis=1, keepdims=True)
     if live.size == n_source:
         return Garbling(q)
     rows = np.full((n_source, q.shape[1]), 1.0 / q.shape[1])
@@ -412,7 +414,7 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     target = solve.gap
     n_k, l1, l2 = solve.layout.shape
     g = solve.solution.primal[: n_k * l1 * l2].reshape(solve.layout.shape)
-    game = ZeroSumGame(g.clip(-1.0, 1.0))
+    game = ZeroSumGame(np.clip(g, -1.0, 1.0))
     v_by_df = np.einsum("ked,kef->df", v.probs, game.payoffs)
     u_by_ce = np.einsum("kcf,kef->ce", u.probs, game.payoffs)
     lower = float(v_by_df.min(axis=1).sum()) - float(u_by_ce.max(axis=1).sum())

@@ -36,7 +36,7 @@ class ZeroSumGame:
         if arr.ndim != 3 or min(arr.shape) < 1:
             raise ShapeMismatch(f"payoffs must be a (K, I, J) tensor, got {arr.shape}")
         # The largest |entry| is NaN or infinite exactly when some entry is.
-        largest = np.maximum.reduce(np.abs(arr), axis=None)
+        largest = np.abs(arr).max()
         if not largest < np.inf:
             raise NotNormalized("payoffs contain non-finite entries")
         if largest > 1.0 + ZERO_TOL:
@@ -171,8 +171,8 @@ def value(u: InformationStructure, g: ZeroSumGame) -> ValueResult:
     n_c, n_d = u.signals1_count, u.signals2_count
     n_i, n_j = g.actions1_count, g.actions2_count
     coeff = _coefficients(u, g)
-    m = _signal_scale(np.add.reduce(u.probs, axis=(0, 2)))
-    n = _signal_scale(np.add.reduce(u.probs, axis=(0, 1)))
+    m = _signal_scale(u.probs.sum(axis=(0, 2)))
+    n = _signal_scale(u.probs.sum(axis=(0, 1)))
 
     # Variables: x(c, i) flattened, then w(d); rows (d, j).
     payoff = coeff.transpose(2, 3, 0, 1) / (n[:, None, None, None] * m[:, None])
@@ -180,15 +180,15 @@ def value(u: InformationStructure, g: ZeroSumGame) -> ValueResult:
         payoff.reshape(n_d, n_j, n_c * n_i), n_c, block_mass=m, weights=n
     )
 
-    sigma = np.maximum(x.reshape(n_c, n_i) / m[:, None], 0.0)
-    sigma /= np.add.reduce(sigma, axis=1, keepdims=True)
+    sigma = np.clip(x.reshape(n_c, n_i) / m[:, None], 0.0, None)
+    sigma /= sigma.sum(axis=1, keepdims=True)
     # The duals on the (d, j) rows over n_d are tau(j|d).
-    tau = np.maximum(duals / n[:, None], 0.0)
-    sums = np.add.reduce(tau, axis=1)
+    tau = np.clip(duals / n[:, None], 0.0, None)
+    sums = tau.sum(axis=1)
     degenerate = sums <= NORM_TOL
-    if np.logical_or.reduce(degenerate):
+    if degenerate.any():
         tau[degenerate] = 1.0 / n_j
-        sums = np.add.reduce(tau, axis=1)
+        sums = tau.sum(axis=1)
     tau /= sums[:, None]
     return ValueResult(objective, Garbling(sigma), Garbling(tau))
 

@@ -18,16 +18,20 @@ and A^T.lam as one ``np.bincount`` each over A's entries, and each gate is
 one maximum over all its violations.
 
 A solve does only per-call work: it gathers the values into column-wise
-order, runs HiGHS and gates the answer.  What depends on the bounds and
-the index arrays alone, their checks and the stable (column, row) sort of
-the triplets, is done when the ``LpProblem`` is built (``_layout``), and
-for a problem of at most 1,024 entries, rows and columns in all, once per
-content of those arrays (``_cached_layout``).  The package's LPs share them by shape: the gap LP
-takes its index arrays and bounds from ``distance._gap_pattern``, and
-``best_response`` from ``_best_response_pattern``.  On a small
-structure's 18-row gap LP (K=3, 3x3; 2-core machine, warm caches),
-building the problem took 11 us, HiGHS's arrays 1.5 us and the gates
-26 us, against 19, 12 and 37 us when every call redid all of it.
+order, runs HiGHS and gates the answer.  Building an ``LpProblem`` checks
+its shapes, values and bounds on every call; the checks of its triplet
+indices and their stable (column, row) sort depend on the index arrays
+alone, and an LP of at most ``_CACHE_ENTRIES`` (1,024) matrix entries
+reads them from ``_cached_layout``, keyed on those arrays' bytes.  The
+package's LPs share their index arrays by shape: the gap LP takes them
+from ``distance._gap_pattern``, and ``best_response`` from
+``_best_response_pattern``.  Over 10 s of each benchmark workload (2-core
+machine), the cache gave 97% of small-random's layouts, 96% of
+catalog-sweep's cacheable ones (76% of all) and 99% of large-random's (a
+third of all; its gap LPs are larger).  On a small structure's 18-row gap
+LP (K=3, 3x3; warm caches), building the problem took 16 us, HiGHS's
+arrays 1.5 us and the gates 28 us, against 21, 13 and 39 us when every
+call redid all of it.
 
 ``solve_pair`` solves two independent problems, such as the two
 directions of a distance, on two threads at once.  The binding releases
@@ -168,8 +172,8 @@ class LpProblem:
     the same (row, column) add up.  An infinite bound is an absent bound:
     a ``<=`` row has ``row_lower = -inf``, an ``==`` row equal bounds.
     Every row needs a finite bound.  Building a problem checks it and
-    sorts its triplets into column-wise order (``_layout``, kept on the
-    problem).
+    keeps the column-wise order of its triplets (``_layout``, see
+    ``_cached_layout``).
     """
 
     objective: np.ndarray
@@ -195,14 +199,16 @@ class LpProblem:
             raise ShapeMismatch("column bounds and objective lengths differ")
         if not _max(np.abs(np.concatenate((c, vals))), initial=0.0) < np.inf:
             raise ShapeMismatch("LP coefficients must be finite")
-        # The checks of the bounds and indices, and the column-wise layout,
-        # depend on those arrays alone: a small problem reads them from
-        # _cached_layout, which the package's LPs share by shape.
-        fixed = (row_lower, row_upper, col_lower, col_upper, rows, cols)
-        if vals.size + row_lower.size + c.size <= _CACHE_ENTRIES:
-            layout = _cached_layout(*(array.tobytes() for array in fixed))
-        else:
-            layout = _layout(*fixed)
+        # A maximum is NaN over a NaN, else finite exactly when every entry is.
+        magnitudes = np.abs(np.concatenate((row_lower, row_upper, col_lower, col_upper)))
+        if np.isnan(_max(magnitudes, initial=0.0)):
+            raise ShapeMismatch("LP bounds must not be NaN")
+        n_rows = row_lower.size
+        if not _max(np.minimum(magnitudes[:n_rows], magnitudes[n_rows : 2 * n_rows]), initial=0.0) < np.inf:
+            raise ShapeMismatch("every row needs a finite bound")
+        # The index checks and the column-wise sort depend on the index
+        # arrays alone, which the package's LPs share by shape.
+        layout = _per_shape(_cached_layout, rows.size, rows.tobytes(), cols.tobytes(), n_rows, c.size)
         # Past the frozen dataclass's __setattr__, as object.__setattr__ goes.
         self.__dict__.update(zip(_FLOAT_FIELDS, floats), row_idx=rows, col_idx=cols, _layout=layout)
 
@@ -370,35 +376,34 @@ def linprog(
     return _run(_thread_highs(), cost, a, row_bounds, col_bounds)
 
 
-# LPs of at most this many matrix entries, rows and columns in all share
-# their per-shape arrays through caches: _cached_layout's checks and
-# layouts, and _best_response_pattern's arrays (counted by payoff entries).
-# Larger ones, such as the normal-form oracle's matrix games, build them
-# per call.
+# An LP of at most this many matrix entries keeps the arrays that depend on
+# its shape alone in a cache of 256 entries: _cached_layout's, about 40
+# bytes an entry, and _best_response_pattern's, about 24.  That bounds
+# each cache to about 10 MB.  Larger LPs, such as the normal-form oracle's
+# matrix games of up to a budget's 10**6 entries, build them per call:
+# caching every size raised catalog-sweep's peak RSS from 93 to 111 MB
+# (2-core machine) and sped up no workload.
 _CACHE_ENTRIES = 1024
 
 
-def _layout(
-    row_lower: np.ndarray,
-    row_upper: np.ndarray,
-    col_lower: np.ndarray,
-    col_upper: np.ndarray,
-    row_idx: np.ndarray,
-    col_idx: np.ndarray,
-):
-    """``LpProblem``'s checks of its bounds and triplet indices, then
-    ``(order, first, start, rows, cols)``: the stable (column, row) sort of
-    the triplets, the start of each run of one (row, column) (None when no
-    entry repeats), and the column-wise ``start``, ``rows`` and ``cols`` of
-    ``_columnwise``."""
-    # A maximum is NaN over a NaN, else finite exactly when every entry is.
-    magnitudes = np.abs(np.concatenate((row_lower, row_upper, col_lower, col_upper)))
-    if np.isnan(_max(magnitudes, initial=0.0)):
-        raise ShapeMismatch("LP bounds must not be NaN")
-    n_rows, n_vars = row_lower.size, col_lower.size
-    lower_magnitude, upper_magnitude = magnitudes[: 2 * n_rows].reshape(2, n_rows)
-    if not _max(np.minimum(lower_magnitude, upper_magnitude), initial=0.0) < np.inf:
-        raise ShapeMismatch("every row needs a finite bound")
+def _per_shape(cached, n_entries: int, *args):
+    """``cached(*args)`` from its cache for an LP of at most
+    ``_CACHE_ENTRIES`` matrix entries; for a larger one the function is run
+    afresh, and nothing is kept."""
+    return (cached if n_entries <= _CACHE_ENTRIES else cached.__wrapped__)(*args)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_layout(row_idx: bytes, col_idx: bytes, n_rows: int, n_vars: int):
+    """``LpProblem``'s checks of its triplet indices, then ``(order, first,
+    start, rows, cols)``: the stable (column, row) sort of the triplets,
+    the start of each run of one (row, column) (None when no entry
+    repeats), and the column-wise ``start``, ``rows`` and ``cols`` of
+    ``_columnwise``.  The index arrays come as their bytes, the cache's
+    key.  The arrays are shared by every problem with these indices, so
+    none is writable."""
+    row_idx = np.frombuffer(row_idx, dtype=int)
+    col_idx = np.frombuffer(col_idx, dtype=int)
     # A negative index viewed as unsigned exceeds every size.
     if row_idx.size and not (_max(row_idx.view(np.uintp)) < n_rows and _max(col_idx.view(np.uintp)) < n_vars):
         raise ShapeMismatch("triplet index outside the matrix")
@@ -410,21 +415,12 @@ def _layout(
     key = key[order]
     repeat = key[1:] == key[:-1]
     first = None
-    if np.logical_or.reduce(repeat):
+    if repeat.any():
         first = np.flatnonzero(np.concatenate(([True], ~repeat)))
         key = key[first]
     cols, rows = np.divmod(key, n_rows)
     start = cols.searchsorted(np.arange(n_vars + 1))
-    return order, first, start, rows, cols
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_layout(*arrays: bytes):
-    """``_layout`` of the bound and index arrays with these bytes, checked
-    and built once.  The arrays are shared by every problem with these
-    bounds and indices, so none is writable."""
-    floats = [np.frombuffer(array, dtype=float) for array in arrays[:4]]
-    layout = _layout(*floats, *(np.frombuffer(array, dtype=int) for array in arrays[4:]))
+    layout = order, first, start, rows, cols
     for array in layout:
         if array is not None:
             array.setflags(write=False)
@@ -439,8 +435,8 @@ def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     zeros kept.  HiGHS rejects a model with a repeated (row, column).
     Column j's entries are ``start[j]:start[j + 1]``; ``cols`` repeats j
     for each of them, for the residual gates.  The sort depends on the
-    index arrays alone and was made with the problem (see ``_layout``), so
-    only the values are gathered here.
+    index arrays alone and was made with the problem (see
+    ``_cached_layout``), so only the values are gathered here.
     """
     order, first, start, rows, cols = problem._layout
     vals = problem.coefficients[order]
@@ -604,8 +600,10 @@ def best_response(
     from ``_best_response_pattern`` for the shape.
     """
     n_d, n_j, n_x = payoff.shape
-    pattern = _best_response_pattern if payoff.size <= _CACHE_ENTRIES else _best_response_pattern.__wrapped__
-    rows, cols, ones, row_lower, row_upper, col_lower, col_upper, zeros = pattern(n_d, n_j, n_x, n_blocks)
+    n_entries = payoff.size + n_d * n_j + n_x
+    rows, cols, ones, row_lower, row_upper, col_lower, col_upper, zeros = _per_shape(
+        _best_response_pattern, n_entries, n_d, n_j, n_x, n_blocks
+    )
     mass = np.ones(n_blocks) if block_mass is None else block_mass
     problem = LpProblem(
         objective=np.concatenate((zeros, np.ones(n_d) if weights is None else weights)),

@@ -44,8 +44,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def _check_nonnegative(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` with its entries in [-ZERO_TOL, 0) set to 0.  Two reductions
     check it: a NaN or an infinity shows in its least or greatest entry."""
-    low = np.minimum.reduce(arr, axis=None, initial=0.0)
-    high = np.maximum.reduce(arr, axis=None, initial=0.0)
+    low = arr.min(initial=0.0)
+    high = arr.max(initial=0.0)
     if not -np.inf < low <= high < np.inf:
         raise NotNormalized(f"{what} contains non-finite entries")
     if low < -ZERO_TOL:
@@ -94,10 +94,10 @@ class InformationStructure:
         if min(probs.shape) < 1:
             raise ShapeMismatch(f"all axes must be positive, got shape {probs.shape}")
         probs = _check_nonnegative(probs, "structure tensor")
-        total = np.add.reduce(probs, axis=None)
+        total = probs.sum()
         if abs(total - 1.0) > NORM_TOL:
             raise NotNormalized(f"structure mass is {float(total)!r}, not 1 within {NORM_TOL:g}")
-        labels = tuple(self.state_labels) or tuple(map(str, range(probs.shape[0])))
+        labels = tuple(self.state_labels) or tuple(str(k) for k in range(probs.shape[0]))
         if len(labels) != probs.shape[0]:
             raise ShapeMismatch(
                 f"{len(labels)} state labels for {probs.shape[0]} states"
@@ -160,9 +160,9 @@ class Garbling:
         if rows.ndim != 2 or min(rows.shape) < 1:
             raise ShapeMismatch(f"garbling rows must be a 2-D matrix, got {rows.shape}")
         rows = _check_nonnegative(rows, "garbling rows")
-        sums = np.add.reduce(rows, axis=1)
-        worst = np.maximum.reduce(np.abs(sums - 1.0))
-        if worst > NORM_TOL:
+        sums = rows.sum(axis=1)
+        if np.abs(sums - 1.0).max() > NORM_TOL:
+            worst = np.abs(sums - 1.0).max()
             raise NotNormalized(f"garbling row sum off by {worst:g} (> {NORM_TOL:g})")
         object.__setattr__(self, "rows", _frozen(rows / sums[:, None]))
 

@@ -93,6 +93,22 @@ def test_malformed_problem_is_rejected(change):
         lp.LpProblem(**{**fields, **change})
 
 
+def test_only_small_problems_are_cached():
+    # A problem with an earlier one's index arrays reads its layout from
+    # the cache; one of more than _CACHE_ENTRIES matrix entries builds its
+    # layout and best-response pattern afresh and keeps neither.
+    lp._cached_layout.cache_clear()
+    lp._best_response_pattern.cache_clear()
+    rng = np.random.default_rng(5)
+    lp.best_response(rng.uniform(-1.0, 1.0, (2, 3, 4)), 2)
+    lp.best_response(rng.uniform(-1.0, 1.0, (2, 3, 4)), 2, block_mass=np.array([0.5, 0.5]))
+    assert lp._cached_layout.cache_info()[:2] == (1, 1)
+    assert lp._best_response_pattern.cache_info()[:2] == (1, 1)
+    lp.best_response(rng.uniform(-1.0, 1.0, (1, 40, 30)), 1)  # 1,270 entries
+    assert lp._cached_layout.cache_info()[:2] == (1, 1)
+    assert lp._best_response_pattern.cache_info()[:2] == (1, 1)
+
+
 def test_infeasible_detected():
     sol = lp.solve(_one_variable_problem(0.0, [(1.0, -1.0)], maximize=False))
     assert sol.status == lp.INFEASIBLE
