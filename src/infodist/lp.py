@@ -17,6 +17,22 @@ pass per solve that these small LPs do not need.  The residual gates take A.x
 and A^T.lam as one ``np.bincount`` each over A's entries, and each gate is
 one maximum over all its violations.
 
+HiGHS solves each model as posed, without scaling it.  The package scales
+its LPs itself: each row of the gap and value LPs is divided by its
+signal's mass, so rows hold beliefs in [0, 1], the witness is boxed in
+[-1, 1] and the costs are masses.  HiGHS's equilibration on top of that
+made the solves slower, most of all on the Blackwell gap LPs: on the 200 LPs of one catalog-sweep pass of ops (2-core machine), HiGHS
+took 194 ms and 9,920 iterations unscaled against 261 ms and 11,326
+scaled.  Neither choice suits every LP: unscaled,
+the Blackwell (18,16) -> (16,16) gap LP misses the gap gate (1.6e-8), and
+scaled, a 5-row max-norm LP misses the primal gate (9e-7).  So ``solve``
+keeps an unscaled answer only when it is OPTIMAL within the gates.  Any
+other outcome, a failed gate or any status but OPTIMAL, is solved once
+more on the thread's second HiGHS instance, at HiGHS's own scaling (the
+options every solve ran at before), and that answer stands.  The second
+instance is made at the thread's first fallback; one pass of ops and
+checks of each benchmark workload took none.
+
 A solve does only per-call work: it gathers the values into column-wise
 order, runs HiGHS and gates the answer.  Building an ``LpProblem`` checks
 its shapes, values and bounds on every call; the checks of its triplet
@@ -43,7 +59,8 @@ are built once and kept on the problem, so the helper and ``solve`` read
 the same ones.  Everything else (assembly, ``_columnwise``, the gates)
 stays on the calling thread, and both models still pass through ``solve``
 and ``linprog`` there, so a wrapper installed as either sees every model.
-Only a second model of at least ``_PAIR_MIN_ENTRIES`` (1,000) matrix
+The helper runs the unscaled solve; a fallback runs on the calling
+thread.  Only a second model of at least ``_PAIR_MIN_ENTRIES`` (1,000) matrix
 entries goes to a helper, and only when the process may run on two
 CPUs.  On a 2-core machine, four K=4, L=7..9 gap LPs (2,842-5,994
 entries) took 0.19-0.29 s one after the other and 0.15 s paired, while
@@ -63,7 +80,9 @@ The contract the rest of the package relies on:
 - primal feasibility residual <= 1e-8, duality gap <= 1e-8 * (1 + |obj|),
   else ``NumericalFailure``, which propagates to the caller,
 - HiGHS runs at feasibility tolerances an order of magnitude below these
-  gates, and no solve is retried anywhere.
+  gates.  A model whose unscaled answer is not OPTIMAL within them is
+  solved once more with HiGHS's scaling, the package's only re-solve, and
+  that answer's status, gates and ``NumericalFailure`` stand.
 
 For a minimization problem the Lagrange multiplier of a ``<=`` row is
 ``-dual[i] >= 0``; for a maximization it is ``dual[i] >= 0``, which is how
@@ -125,7 +144,7 @@ UNBOUNDED = "unbounded"
 _DUAL_GATE = LP_TOL * 10
 
 
-def _highs_options() -> _highs.HighsOptions:
+def _highs_options(scaled: bool) -> _highs.HighsOptions:
     options = _highs.HighsOptions()
     # Silent dual simplex without presolve.  Presolve is a fixed pass per
     # solve that the package's LPs do not need: on the 13-row, 90-entry
@@ -141,10 +160,18 @@ def _highs_options() -> _highs.HighsOptions:
     # reject.  It runs an order of magnitude below LP_TOL instead.
     options.primal_feasibility_tolerance = LP_TOL / 10
     options.dual_feasibility_tolerance = LP_TOL / 10
+    if not scaled:
+        # The package scales its LPs itself (rows of beliefs, masses as
+        # costs), and HiGHS's equilibration on top of that made the
+        # solves slower (see the module docstring).
+        options.simplex_scale_strategy = 0
     return options
 
 
-_HIGHS_OPTIONS = _highs_options()
+# Every model is first solved as posed; only a solve whose answer ``solve``
+# cannot keep is run again at HiGHS's own scaling (see the module docstring).
+_HIGHS_OPTIONS = _highs_options(scaled=False)
+_SCALED_OPTIONS = _highs_options(scaled=True)
 
 # HiGHS model status -> solve status, as ``scipy.optimize.linprog`` maps it;
 # any other status is a NumericalFailure.
@@ -247,27 +274,33 @@ class HighsResult:
 
 
 class _Local(threading.local):
-    """Per-thread state: the thread's HiGHS instance and the model that
+    """Per-thread state: the thread's HiGHS instances, as posed and scaled
+    (the latter made at the thread's first fallback), and the model that
     ``solve_pair`` has handed to a helper, if any."""
 
     highs: _highs._Highs | None = None
+    scaled: _highs._Highs | None = None
     handoff: _Handoff | None = None
 
 
 _THREAD = _Local()
 
 
-def _thread_highs() -> _highs._Highs:
-    """This thread's reused HiGHS instance, the only place one is made.
+def _thread_highs(scaled: bool = False) -> _highs._Highs:
+    """This thread's reused HiGHS instance at ``_HIGHS_OPTIONS``, or at
+    ``_SCALED_OPTIONS`` when ``scaled``; the only place one is made.
 
     ``passModel`` clears the previous model, basis, solution and info, so a
     reused instance solves every model as a new one would; no instance
     runs two models at once.
     """
-    if _THREAD.highs is None:
-        _THREAD.highs = _highs._Highs()
-        _THREAD.highs.passOptions(_HIGHS_OPTIONS)
-    return _THREAD.highs
+    name = "scaled" if scaled else "highs"
+    highs = getattr(_THREAD, name)
+    if highs is None:
+        highs = _highs._Highs()
+        highs.passOptions(_SCALED_OPTIONS if scaled else _HIGHS_OPTIONS)
+        setattr(_THREAD, name, highs)
+    return highs
 
 
 # A pair of models goes to two threads only when the second has at least
@@ -277,8 +310,9 @@ _PAIR_MIN_ENTRIES = 1000
 
 
 class _Handoff(threading.Thread):
-    """A helper thread, started for one model's HiGHS run on the thread's
-    own instance: the model's ``linprog`` arguments and the run's result."""
+    """A helper thread, started for one model's unscaled HiGHS run on the
+    thread's own instance: the model's ``linprog`` arguments and the run's
+    result."""
 
     def __init__(self, problem: LpProblem):
         super().__init__(name="infodist-highs", daemon=True)
@@ -358,22 +392,26 @@ def linprog(
     a: tuple[np.ndarray, np.ndarray, np.ndarray],
     row_bounds: tuple[np.ndarray, np.ndarray],
     col_bounds: tuple[np.ndarray, np.ndarray],
+    scaled: bool = False,
 ) -> HighsResult:
     """min cost.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
 
     ``a`` is A column-wise, ``(start, index, value)`` as HiGHS stores it.
     The one function that talks to HiGHS; ``status`` is OPTIMAL,
     INFEASIBLE, UNBOUNDED or else HiGHS's own name for its model status.
-    ``solve`` calls it through this module's global, so a wrapper installed
-    as ``lp.linprog`` (the benchmark's tracer) times every HiGHS call and
+    HiGHS solves the model as posed, or with its own scaling when
+    ``scaled`` (``solve``'s fallback).  ``solve`` calls it through this
+    module's global, so a wrapper installed as ``lp.linprog`` (the
+    benchmark's tracer) times every HiGHS call, fallbacks included, and
     reads its ``nit``.  For the model that ``solve_pair`` handed to a
-    helper (the same ``a``), it waits for the helper's run and returns it.
+    helper (the same ``a``), the first call, ``solve``'s unscaled one,
+    waits for the helper's run and returns it.
     """
     handoff = _THREAD.handoff
     if handoff is not None and a is handoff.args[1]:
         _THREAD.handoff = None
         return handoff.result()
-    return _run(_thread_highs(), cost, a, row_bounds, col_bounds)
+    return _run(_thread_highs(scaled), cost, a, row_bounds, col_bounds)
 
 
 # An LP of at most this many matrix entries keeps the arrays that depend on
@@ -510,26 +548,44 @@ def _prepare(problem: LpProblem):
     return rows, cols, vals, args
 
 
-def solve(problem: LpProblem) -> LpSolution:
-    """Solve with HiGHS; returns status, primal, row duals, objective."""
-    rows, cols, vals, args = problem._prepared
-    res = linprog(*args)
-    if res.status in (INFEASIBLE, UNBOUNDED):
-        return LpSolution(status=res.status)
-    if res.status != OPTIMAL:
-        raise NumericalFailure(f"HiGHS failed: {res.status}")
-
+def _optimum(problem: LpProblem, res: HighsResult) -> tuple[LpSolution, str | None]:
+    """HiGHS's OPTIMAL ``res`` as a solution, and why its residuals fail
+    the gates (None when they pass)."""
+    rows, cols, vals, _ = problem._prepared
     # HiGHS solved the minimization, so its row duals are duals_min.
     duals_min = res.row_dual
     objective = float(problem.objective @ res.x)
     primal_res, dual_res, gap = _residuals(problem, rows, cols, vals, res.x, duals_min, objective)
+    failure = None
     if primal_res > LP_TOL or dual_res > _DUAL_GATE or gap > LP_TOL:
-        raise NumericalFailure(
-            f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"
-        )
-
+        failure = f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"
     duals = -duals_min if problem.maximize else duals_min
-    return LpSolution(status=OPTIMAL, primal=res.x, dual=duals, objective=objective)
+    return LpSolution(status=OPTIMAL, primal=res.x, dual=duals, objective=objective), failure
+
+
+def solve(problem: LpProblem) -> LpSolution:
+    """Solve with HiGHS; returns status, primal, row duals, objective.
+
+    The model is solved as posed, and that answer is kept when it is
+    OPTIMAL within the gates.  Any other outcome is solved again with
+    HiGHS's scaling, and that answer stands: INFEASIBLE, UNBOUNDED, or
+    OPTIMAL within the gates, else ``NumericalFailure``.
+    """
+    args = problem._prepared[3]
+    res = linprog(*args)
+    if res.status == OPTIMAL:
+        solution, failure = _optimum(problem, res)
+        if failure is None:
+            return solution
+    res = linprog(*args, scaled=True)
+    if res.status in (INFEASIBLE, UNBOUNDED):
+        return LpSolution(status=res.status)
+    if res.status != OPTIMAL:
+        raise NumericalFailure(f"HiGHS failed: {res.status}")
+    solution, failure = _optimum(problem, res)
+    if failure is not None:
+        raise NumericalFailure(failure)
+    return solution
 
 
 def solve_pair(first: LpProblem, second: LpProblem) -> tuple[LpSolution, LpSolution]:

@@ -456,7 +456,10 @@ def test_blackwell_members_pass_the_gates(n):
     # HiGHS's default feasibility tolerances (1e-7) let it report points
     # the residual gates reject on these pairs; it must run below the gates.
     # From n = 12 the binomial cells reach 1e-9, and the gap LP and the
-    # value LP pass the gates only when scaled by signal mass.
+    # value LP pass the gates only when scaled by signal mass.  HiGHS
+    # solves them as posed, without its own scaling; only the n = 16 gap
+    # LP from (18,16) to (16,16) then misses a gate (the gap, 1.6e-8), and
+    # lp.solve's scaled re-solve of it passes.
     a = inf.blackwell_structure(inf.BlackwellSpec(n + 2, n, 0.75, 0.75))
     b = inf.blackwell_structure(inf.BlackwellSpec(n, n, 0.75, 0.75))
     d = inf.value_distance(a, b)

@@ -1,10 +1,11 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import linprog  # the oracle for lp.solve only
+from scipy.optimize import OptimizeWarning, linprog  # the oracle for lp.solve only
 from scipy.optimize._highspy import _core as _highs
 
 from infodist import BlackwellSpec, blackwell_structure, distance, games, lp
@@ -191,10 +192,10 @@ def test_value_duality_through_player_swap(rng):
 
 def _linprog_oracle(problem, presolve=False):
     """``problem`` through ``scipy.optimize.linprog`` at the options
-    ``lp.solve`` gives HiGHS (unless ``presolve`` is set): ``<=`` and
-    sign-flipped ``>=`` rows as A_ub, ``==`` rows as A_eq.  Returns
-    (status, primal, duals, objective), the duals oriented as ``lp.solve``
-    reports them."""
+    ``lp.solve`` first gives HiGHS, unscaled (unless ``presolve`` is set,
+    which keeps scipy's scaling too): ``<=`` and sign-flipped ``>=`` rows
+    as A_ub, ``==`` rows as A_eq.  Returns (status, primal, duals,
+    objective), the duals oriented as ``lp.solve`` reports them."""
     a = sp.csr_matrix(
         (problem.coefficients, (problem.row_idx, problem.col_idx)),
         shape=(problem.n_rows, problem.n_vars),
@@ -205,20 +206,26 @@ def _linprog_oracle(problem, presolve=False):
     eq = np.flatnonzero(lower == upper)
     geq = np.isposinf(upper[ub])
     sign = np.where(geq, -1.0, 1.0)
-    res = linprog(
-        -problem.objective if problem.maximize else problem.objective,
-        A_ub=sp.diags(sign) @ a[ub] if ub.size else None,
-        b_ub=np.where(geq, -lower[ub], upper[ub]) if ub.size else None,
-        A_eq=a[eq] if eq.size else None,
-        b_eq=lower[eq] if eq.size else None,
-        bounds=np.column_stack((problem.col_lower, problem.col_upper)),
-        method="highs",
-        options={
-            "presolve": presolve,
-            "primal_feasibility_tolerance": LP_TOL / 10,
-            "dual_feasibility_tolerance": LP_TOL / 10,
-        },
-    )
+    options = {
+        "presolve": presolve,
+        "primal_feasibility_tolerance": LP_TOL / 10,
+        "dual_feasibility_tolerance": LP_TOL / 10,
+    }
+    if not presolve:
+        # Not a linprog option: scipy warns and hands it to HiGHS as it is.
+        options["simplex_scale_strategy"] = 0
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
+        res = linprog(
+            -problem.objective if problem.maximize else problem.objective,
+            A_ub=sp.diags(sign) @ a[ub] if ub.size else None,
+            b_ub=np.where(geq, -lower[ub], upper[ub]) if ub.size else None,
+            A_eq=a[eq] if eq.size else None,
+            b_eq=lower[eq] if eq.size else None,
+            bounds=np.column_stack((problem.col_lower, problem.col_upper)),
+            method="highs",
+            options=options,
+        )
     status = {0: lp.OPTIMAL, 2: lp.INFEASIBLE, 3: lp.UNBOUNDED}[res.status]
     if status != lp.OPTIMAL:
         return status, None, None, None
@@ -354,6 +361,27 @@ def test_gates_match_the_reference_residuals(monkeypatch):
     assert failing > 100
 
 
+def _recorded_linprog(monkeypatch):
+    """The ``scaled`` flag of every ``lp.linprog`` call, in order."""
+    calls = []
+    linprog = lp.linprog
+
+    def recording_linprog(*args, scaled=False):
+        calls.append(scaled)
+        return linprog(*args, scaled=scaled)
+
+    monkeypatch.setattr(lp, "linprog", recording_linprog)
+    return calls
+
+
+def _gates_pass(problem, sol):
+    """``sol`` is inside every gate of gate_oracle's residuals."""
+    rows, cols, vals, _ = problem._prepared
+    duals_min = -sol.dual if problem.maximize else sol.dual
+    primal, dual, gap = gate_oracle._residuals(problem, rows, cols, vals, sol.primal, duals_min)
+    return primal <= LP_TOL and dual <= 10 * LP_TOL and gap <= LP_TOL
+
+
 @pytest.mark.parametrize(
     "problem, status",
     [
@@ -362,8 +390,81 @@ def test_gates_match_the_reference_residuals(monkeypatch):
         (_one_variable_problem(-1.0, [(-1.0, 1.0)], maximize=False), lp.UNBOUNDED),
     ],
 )
-def test_infeasible_and_unbounded_match_linprog(problem, status):
+def test_infeasible_and_unbounded_match_linprog(monkeypatch, problem, status):
+    # Only an optimum is kept unscaled: the scaled re-solve's status stands.
+    calls = _recorded_linprog(monkeypatch)
     assert lp.solve(problem).status == _linprog_oracle(problem)[0] == status
+    assert calls == [False, True]
+
+
+def test_badly_scaled_max_norm_lp_solves():
+    # min s s.t. |p - sum_j lambda_j c_j|_max <= s, lambda in the simplex,
+    # from p = (0, 0.1) to the cloud (-1e-6, 0), (0.1, 1e-6), posed as it
+    # is: HiGHS's scaled solve of it left a primal residual of 9e-7.
+    point, cloud = np.array([0.0, 0.1]), np.array([[-1e-6, 0.0], [0.1, 1e-6]])
+    signs, coords = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0, 1, 0, 1])
+    problem = lp.LpProblem(
+        objective=[0.0, 0.0, 1.0],
+        row_idx=np.concatenate((np.repeat(np.arange(4), 2), np.arange(4), [4, 4])),
+        col_idx=np.concatenate((np.tile([0, 1], 4), np.full(4, 2), [0, 1])),
+        coefficients=np.concatenate(((signs[:, None] * cloud[:, coords].T).ravel(), -np.ones(4), np.ones(2))),
+        row_lower=np.append(np.full(4, -np.inf), 1.0),
+        row_upper=np.append(signs * point[coords], 1.0),
+        col_lower=np.zeros(3),
+        col_upper=np.full(3, np.inf),
+    )
+    sol = lp.solve(problem)
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(0.099999, abs=1e-8)
+    assert _gates_pass(problem, sol)
+
+
+def test_well_scaled_lps_never_make_the_scaled_instance(monkeypatch):
+    # The package's LPs and the small hand-built ones keep their unscaled
+    # answers: one linprog call each, and a new thread solving all of them
+    # makes no scaled HiGHS instance.
+    problems = _oracle_problems(monkeypatch)
+    calls = _recorded_linprog(monkeypatch)
+    scaled = []
+
+    def work():
+        for problem in problems:
+            assert lp.solve(problem).status == lp.OPTIMAL
+        scaled.append(lp._THREAD.scaled)
+
+    thread = threading.Thread(target=work, daemon=True)
+    thread.start()
+    thread.join(timeout=120)
+    assert scaled == [None]
+    assert calls == [False] * len(problems)
+
+
+def test_a_gate_failure_falls_back_to_the_scaled_solve(monkeypatch):
+    # The Blackwell (18,16) -> (16,16) gap LP unscaled misses the gap gate;
+    # solve then returns, bit for bit, HiGHS's scaled solve at the options
+    # every solve ran before (HiGHS's default scaling).
+    a = blackwell_structure(BlackwellSpec(18, 16, 0.75, 0.75))
+    b = blackwell_structure(BlackwellSpec(16, 16, 0.75, 0.75))
+    problem = distance._gap_problem(a, b)[0]
+    args = problem._prepared[3]
+    assert lp._optimum(problem, lp.linprog(*args))[1].startswith("residuals beyond gates")
+    options = _highs.HighsOptions()
+    options.output_flag = False
+    options.log_to_console = False
+    options.presolve = "off"
+    options.simplex_strategy = _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.primal_feasibility_tolerance = LP_TOL / 10
+    options.dual_feasibility_tolerance = LP_TOL / 10
+    highs = _highs._Highs()
+    highs.passOptions(options)
+    want = lp._run(highs, *args)
+    calls = _recorded_linprog(monkeypatch)
+    sol = lp.solve(problem)
+    assert calls == [False, True]
+    assert sol.status == want.status == lp.OPTIMAL
+    assert sol.primal.tobytes() == want.x.tobytes()
+    assert sol.dual.tobytes() == (-want.row_dual).tobytes()
+    assert _gates_pass(problem, sol)
 
 
 def _same(a, b):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import infodist as inf
@@ -185,6 +185,9 @@ def _clouds(draw):
 
 
 @given(_clouds(), _clouds(), _POINT, st.integers(0, 7))
+# The same examples in every run, whichever tests ran before, so that two
+# runs pose the same oracle LPs.
+@settings(derandomize=True, database=None)
 # A collinear cloud whose rounding once left a zero-area triangle that
 # called every point on its line inside.
 @example(np.array([[0.0, 0.0]]), np.array([[3e-7, 1e-7], [6e-7, 2e-7], [1.5e-6, 5e-7]]), (0.0, 0.0), 0)
