@@ -27,6 +27,32 @@ WITNESS_TOL of the LP gap.  The lower end is two einsums on the witness
 and the upper end two on the garblings; no identity garbling and no
 garbled structure is built.
 
+Some pairs need only the single-agent LP.  Say u and v have the same
+number of player-2 signals, more than one, and
+
+    delta = eps_CI(u) + eps_CI(v) + sum_{k,d} |sum_c u(k,c,d) - sum_c v(k,c,d)|
+         <= ZERO_TOL,
+
+with eps_CI the ``eps_conditional_independence`` of the two signals given
+the state.  At delta = 0 each structure's two signals are conditionally
+independent given the state, their (state, player-2 signal) marginals are
+equal, and the gap is the single-agent gap of the player-1 marginals u'
+and v' (see ``single_agent_distance``): with q2 the identity,
+|| q1.u - v || = || q1.u' - v' ||, so the gap is at most the single-agent
+gap, and a game that ignores player 2's action reaches the single-agent
+gap, so the gap is at least as large.  On such a pair the gap LP is posed
+on (u', v'), with one (d,f) row where the full LP has one per pair of
+player-2 signals, and its answer is lifted: the gap is its optimum, q1
+comes from its duals, q2 is the identity, and the witness is g(k,e,f) =
+g1(k,e) for every f.  For delta > 0: every game value is 1-Lipschitz in
+l1, and moving u and v to an exact such pair with the same u' and v'
+moves them by at most eps_CI(u) + eps_CI(v) + 2 * (the marginal term) <=
+2 delta, so the true gap lies between the returned gap and that plus
+2 delta.  (A state of mass below ZERO_TOL, which
+``eps_conditional_independence`` skips, adds at most twice its mass.)
+The lifted witness's bracket is still checked against u and v
+themselves.  Every other pair poses the full gap LP.
+
 Calls on the same pair of structure objects share one gap solve:
 ``one_sided_gap``, ``value_distance``, ``witness_game`` and ``is_better``
 read the last few (u, v) solves from a small LRU memo.  An entry holds the
@@ -71,6 +97,8 @@ from .structures import (
     _check_nonnegative,
     _frozen,
     _garbled_probs,
+    _SIGNALS_GIVEN_STATE,
+    _player1_marginal,
     check_signals_cond_indep,
     eps_conditional_independence,
     marginalize,
@@ -146,6 +174,28 @@ class _GapLayout(NamedTuple):
     mass1: np.ndarray
     live2: np.ndarray
     mass2: np.ndarray
+
+
+def _collapses(u: InformationStructure, v: InformationStructure) -> bool:
+    """Does the (u, v) gap collapse to the single-agent gap of the player-1
+    marginals?  True when u and v have the same number of player-2 signals,
+    more than one, and delta <= ZERO_TOL (see the module docstring).  The
+    marginal term is read first: it rejects most pairs in one subtraction.
+    The test is symmetric in u and v."""
+    n2 = u.signals2_count
+    if n2 < 2 or v.signals2_count != n2 or u.state_count != v.state_count:
+        return False
+    delta = float(np.abs(u.probs.sum(axis=1) - v.probs.sum(axis=1)).sum())
+    if delta > ZERO_TOL:
+        return False
+    delta += eps_conditional_independence(u.probs, _SIGNALS_GIVEN_STATE)
+    delta += eps_conditional_independence(v.probs, _SIGNALS_GIVEN_STATE)
+    return delta <= ZERO_TOL
+
+
+def _posed(u: InformationStructure, v: InformationStructure, collapsed: bool):
+    """The structures whose gap LP is solved for the (u, v) gap."""
+    return (_player1_marginal(u), _player1_marginal(v)) if collapsed else (u, v)
 
 
 def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,12 +320,15 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
 
 @dataclass
 class _GapSolve:
-    """One memoised gap solve: the LP solution, its layout, and the
-    certificate, which ``one_sided_gap`` builds on its first call and every
-    later call returns."""
+    """One memoised gap solve: the LP solution, its layout, whether the LP
+    was posed on the player-1 marginals (``collapsed``; the layout is then
+    that LP's, with one player-2 action), and the certificate, which
+    ``one_sided_gap`` builds on its first call and every later call
+    returns."""
 
     solution: lp.LpSolution
     layout: _GapLayout
+    collapsed: bool
     certificate: GapCertificate | None = None
 
     @property
@@ -283,13 +336,13 @@ class _GapSolve:
         return max(self.solution.objective, 0.0)
 
 
-def _gap_solve(sol: lp.LpSolution, layout: _GapLayout) -> _GapSolve:
+def _gap_solve(sol: lp.LpSolution, layout: _GapLayout, collapsed: bool) -> _GapSolve:
     if sol.status != lp.OPTIMAL:
         raise NumericalFailure(f"gap LP ended with status {sol.status}")
     # Every caller gets this same solution, so none may write into it.
     sol.primal.setflags(write=False)
     sol.dual.setflags(write=False)
-    return _GapSolve(sol, layout)
+    return _GapSolve(sol, layout, collapsed)
 
 
 # The last _GAP_MEMO_SIZE gap solves by (u, v) identity, least recent first.
@@ -323,10 +376,21 @@ def _solve_gap(u, v) -> _GapSolve:
     """
     solve = _recall(u, v)
     if solve is None:
-        problem, layout = _gap_problem(u, v)
-        solve = _gap_solve(lp.solve(problem), layout)
+        collapsed = _collapses(u, v)
+        problem, layout = _gap_problem(*_posed(u, v, collapsed))
+        solve = _gap_solve(lp.solve(problem), layout, collapsed)
         _remember(u, v, solve)
     return solve
+
+
+def _solve_gaps(u, v, collapsed: bool) -> tuple[_GapSolve, _GapSolve]:
+    """The (u, v) and (v, u) gap LPs, posed on the player-1 marginals when
+    ``collapsed``, as one ``lp.solve_pair``; neither enters the memo."""
+    a, b = _posed(u, v, collapsed)
+    problem_ab, layout_ab = _gap_problem(a, b)
+    problem_ba, layout_ba = _gap_problem(b, a)
+    sol_ab, sol_ba = lp.solve_pair(problem_ab, problem_ba)
+    return _gap_solve(sol_ab, layout_ab, collapsed), _gap_solve(sol_ba, layout_ba, collapsed)
 
 
 def _garbling(duals: np.ndarray, live: np.ndarray, mass: np.ndarray, n_source: int) -> Garbling:
@@ -350,19 +414,21 @@ def one_sided_gap(
     The garblings are the row duals of the game-space gap LP over the
     signal masses; each row sums to 1 by stationarity in a and b, up to the
     LP's dual gate.  q1 maps u's player-1 signals to v's, q2 maps v's
-    player-2 signals to u's.  Calls on the same (u, v) objects return the
-    same certificate object, built once per solve.
+    player-2 signals to u's; on a collapsed pair (see the module
+    docstring) q1 comes from the single-agent LP and q2 is the identity.
+    Calls on the same (u, v) objects return the same certificate object,
+    built once per solve.
     """
     solve = _solve_gap(u, v)
     if solve.certificate is None:
         sol, layout = solve.solution, solve.layout
         n_q1 = layout.live1.size * layout.shape[1]
-        solve.certificate = GapCertificate(
-            gap=solve.gap,
-            q1=_garbling(sol.dual[:n_q1], layout.live1, layout.mass1, u.signals1_count),
-            q2=_garbling(sol.dual[n_q1:], layout.live2, layout.mass2, v.signals2_count),
-            direction="sup_g val(v,g)-val(u,g)",
-        )
+        q1 = _garbling(sol.dual[:n_q1], layout.live1, layout.mass1, u.signals1_count)
+        if solve.collapsed:
+            q2 = Garbling.identity(v.signals2_count)
+        else:
+            q2 = _garbling(sol.dual[n_q1:], layout.live2, layout.mass2, v.signals2_count)
+        solve.certificate = GapCertificate(solve.gap, q1, q2, "sup_g val(v,g)-val(u,g)")
     return solve.certificate
 
 
@@ -374,16 +440,13 @@ def value_distance(u: InformationStructure, v: InformationStructure) -> float:
     ``lp.solve_pair``, which runs the (v, u) LP's HiGHS solve on a second
     thread while this one solves (u, v) if the LPs are large enough (see
     ``lp``); the results are the serial solves' bit for bit, and both
-    directions enter the memo.  On one object, ``value_distance(u, u)``
-    solves the one gap LP once.
+    directions enter the memo.  On a collapsed pair (see the module
+    docstring) those are the single-agent LPs.  On one object,
+    ``value_distance(u, u)`` solves the one gap LP once.
     """
     if u is not v and _recall(u, v) is None and _recall(v, u) is None:
-        problem_uv, layout_uv = _gap_problem(u, v)
-        problem_vu, layout_vu = _gap_problem(v, u)
-        sol_uv, sol_vu = lp.solve_pair(problem_uv, problem_vu)
-        uv = _gap_solve(sol_uv, layout_uv)
+        uv, vu = _solve_gaps(u, v, _collapses(u, v))
         _remember(u, v, uv)
-        vu = _gap_solve(sol_vu, layout_vu)
         _remember(v, u, vu)
         return max(uv.gap, vu.gap)
     return max(_solve_gap(u, v).gap, _solve_gap(v, u).gap)
@@ -392,10 +455,11 @@ def value_distance(u: InformationStructure, v: InformationStructure) -> float:
 def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGame:
     """Payoff function achieving sup_g (val(v,g) - val(u,g)).
 
-    The witness is the primal g of the gap LP, so one gap solve gives both
-    the target and the witness, and on the same (u, v) objects it is the
-    solve that ``value_distance``, ``one_sided_gap`` and ``is_better`` use
-    (see the module docstring).  Its shape is (K, v's player-1 signal
+    The witness is the primal g of the gap LP (on a collapsed pair, the
+    single-agent LP's g1, repeated over player 2's actions), so one gap
+    solve gives both the target and the witness, and on the same (u, v)
+    objects it is the solve that ``value_distance``, ``one_sided_gap`` and
+    ``is_better`` use (see the module docstring).  Its shape is (K, v's player-1 signal
     count, u's player-2 signal count).  The witness is certified without an
     LP by an exact bracket:
 
@@ -414,6 +478,9 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     target = solve.gap
     n_k, l1, l2 = solve.layout.shape
     g = solve.solution.primal[: n_k * l1 * l2].reshape(solve.layout.shape)
+    if solve.collapsed:
+        # g1(k,e) for every player-2 action f.
+        g = np.repeat(g, u.signals2_count, axis=2)
     game = ZeroSumGame(np.clip(g, -1.0, 1.0))
     v_by_df = np.einsum("ked,kef->df", v.probs, game.payoffs)
     u_by_ce = np.einsum("kcf,kef->ce", u.probs, game.payoffs)
@@ -455,12 +522,11 @@ def single_agent_distance(
     on the marginals u', v' over (state, player-1 signal).  That is the
     value distance of u' and v' as structures with a single player-2
     signal: there q2 is trivial and the gap LP reduces to min over q1 of
-    ||q1.u' - v'||.  Always <= value_distance(u, v).
+    ||q1.u' - v'||.  Always <= value_distance(u, v).  The two gap LPs are
+    solved as one ``lp.solve_pair`` and enter no memo, as u' and v' are
+    built afresh on every call.
     """
-    return value_distance(
-        InformationStructure(u.probs.sum(axis=2, keepdims=True)),
-        InformationStructure(v.probs.sum(axis=2, keepdims=True)),
-    )
+    return max(solve.gap for solve in _solve_gaps(u, v, collapsed=True))
 
 
 def diameter_bounds(p: StateDistribution, q: StateDistribution) -> DiameterBounds:
@@ -588,13 +654,17 @@ def cond_indep_collapse_report(
     u: InformationStructure, v: InformationStructure
 ) -> CondIndepCollapseReport:
     """Collapse harness: for conditionally independent u, v with equal
-    marginals over (state, player-2 signal), d(u,v) = d1(u,v)."""
+    marginals over (state, player-2 signal), d(u,v) = d1(u,v).
+
+    d comes from the full gap LPs in both directions, never from the
+    single-agent LPs that ``value_distance`` solves on such pairs, so the
+    report checks the theorem that path relies on."""
     check_signals_cond_indep(u, v)
     mu = u.probs.sum(axis=1)
     mv = v.probs.sum(axis=1)
     if mu.shape != mv.shape or np.abs(mu - mv).max() > HYPOTHESIS_TOL:
         raise HypothesisViolated("marginals over (K x D) differ")
-    d = value_distance(u, v)
+    d = max(solve.gap for solve in _solve_gaps(u, v, collapsed=False))
     d1 = single_agent_distance(u, v)
     return CondIndepCollapseReport(d, d1, abs(d - d1) <= DIST_TOL)
 

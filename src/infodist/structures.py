@@ -231,6 +231,22 @@ def validate_structure(raw, state_labels=None) -> InformationStructure:
     return InformationStructure(arr, labels)
 
 
+def _player1_marginal(u: InformationStructure) -> InformationStructure:
+    """u's marginal over (state, player-1 signal), as a structure with one
+    player-2 signal.
+
+    Its tensor is ``InformationStructure(u.probs.sum(axis=2,
+    keepdims=True)).probs`` to the bit, division by its sum included, but
+    it is not validated again: the sums of a validated tensor are finite,
+    nonnegative and total 1 within NORM_TOL.
+    """
+    probs = u.probs.sum(axis=2, keepdims=True)
+    marginal = InformationStructure.__new__(InformationStructure)
+    object.__setattr__(marginal, "probs", _frozen(probs / probs.sum()))
+    object.__setattr__(marginal, "state_labels", u.state_labels)
+    return marginal
+
+
 def garble(u: InformationStructure, side: str, q: Garbling) -> InformationStructure:
     """Apply a garbling to one player's signal.
 
@@ -375,12 +391,16 @@ def eps_conditional_independence(tensor: np.ndarray, query: ConditionalQuery) ->
 HYPOTHESIS_TOL = 1e-9
 
 
+# A structure's player-1 signal against its player-2 signal, given the state.
+_SIGNALS_GIVEN_STATE = ConditionalQuery((1,), (2,), (0,))
+
+
 def check_signals_cond_indep(*structures: InformationStructure) -> None:
     """Raise HypothesisViolated unless, in each structure, the two players'
     signals are conditionally independent given the state, within
     HYPOTHESIS_TOL."""
     for s in structures:
-        ci = eps_conditional_independence(s.probs, ConditionalQuery((1,), (2,), (0,)))
+        ci = eps_conditional_independence(s.probs, _SIGNALS_GIVEN_STATE)
         if ci > HYPOTHESIS_TOL:
             raise HypothesisViolated(
                 f"signals not conditionally independent given the state: {ci:g}"

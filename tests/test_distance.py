@@ -5,12 +5,12 @@ import pytest
 
 import infodist as inf
 from infodist import PLAYER1, PLAYER2, distance, lp
-from infodist.config import DIST_TOL, WITNESS_TOL
+from infodist.config import DIST_TOL, LP_TOL, WITNESS_TOL
 from infodist.config import ZERO_TOL
 from infodist.distance import _gap_pattern, _gap_problem, _solve_gap
 from infodist.errors import NumericalFailure
 from infodist.games import guarantee
-from infodist.structures import common_embedding
+from infodist.structures import ConditionalQuery, common_embedding, eps_conditional_independence
 
 import gap_oracle
 from conftest import random_ci_structure, random_garbling, random_structure
@@ -459,19 +459,29 @@ def test_blackwell_members_pass_the_gates(n):
     # value LP pass the gates only when scaled by signal mass.  HiGHS
     # solves them as posed, without its own scaling; only the n = 16 gap
     # LP from (18,16) to (16,16) then misses a gate (the gap, 1.6e-8), and
-    # lp.solve's scaled re-solve of it passes.
+    # lp.solve's scaled re-solve of it passes.  The pairs are conditionally
+    # independent with one player-2 marginal, so distance solves them on
+    # the single-agent LP; the full gap LPs are solved here directly, and
+    # the lifted answers must match them within the gates.
     a = inf.blackwell_structure(inf.BlackwellSpec(n + 2, n, 0.75, 0.75))
     b = inf.blackwell_structure(inf.BlackwellSpec(n, n, 0.75, 0.75))
     d = inf.value_distance(a, b)
     gaps = []
     for u, v in ((a, b), (b, a)):
+        full = lp.solve(_gap_problem(u, v)[0])
+        assert full.status == lp.OPTIMAL
         cert = inf.one_sided_gap(u, v)
+        assert _solve_gap(u, v).collapsed
+        assert cert.gap == pytest.approx(max(full.objective, 0.0), abs=LP_TOL)
         assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
         g = inf.witness_game(u, v)
         achieved = inf.value(v, g).value - inf.value(u, g).value
         assert achieved == pytest.approx(cert.gap, abs=WITNESS_TOL)
         gaps.append(cert.gap)
-    assert d == pytest.approx(max(gaps), abs=1e-9)
+    assert d == max(gaps)
+    # a garbles into b exactly; the lifted garblings show it within LP_TOL.
+    ok, cert = inf.is_better(a, b)
+    assert ok and cert.recheck(a, b) <= LP_TOL
 
 
 def test_is_better_after_garbling(rng):
@@ -501,6 +511,16 @@ def test_single_agent_distance_basics(rng):
     f3 = inf.counterexample_pairs()["opponent_correlation"]
     assert inf.single_agent_distance(f3["u"], f3["v"]) <= 1e-9
     assert inf.value_distance(f3["u"], f3["v"]) > 1e-3
+
+
+def test_single_agent_distance_is_the_distance_of_the_validated_marginals(rng):
+    # The marginals are not validated again, but their tensors are the
+    # validated ones to the bit, so d1 is too.
+    for _ in range(10):
+        u = random_structure(rng, 3, 3, 3, zeros=0.2)
+        v = random_structure(rng, 3, 4, 2, zeros=0.2)
+        marginals = [inf.validate_structure(s.probs.sum(axis=2, keepdims=True)) for s in (u, v)]
+        assert inf.single_agent_distance(u, v) == inf.value_distance(*marginals)
 
 
 def test_single_agent_blackwell_example():
@@ -630,17 +650,62 @@ def test_dw_with_witness_game():
     assert inf.dw(u_emb, v_emb, [g]) <= inf.value_distance(u, v) + 1e-6
 
 
+def _ci_pair_with_one_player2_marginal(rng):
+    """u and v conditionally independent with one (state, player-2)
+    marginal; u has 3 player-1 signals and v 4."""
+    u = random_ci_structure(rng, 2, 3, 2)
+    pk = u.state_marginal()
+    d_given_k = u.probs.sum(axis=1) / pk[:, None]
+    c_given_k = rng.random((2, 4)) + 0.05
+    c_given_k /= c_given_k.sum(axis=1, keepdims=True)
+    return u, np.einsum("k,kc,kd->kcd", pk, c_given_k, d_given_k)
+
+
 def test_collapse_on_random_ci_pairs(rng):
     for _ in range(5):
-        u = random_ci_structure(rng, 2, 3, 2)
-        # same (state, player-2) marginal, fresh player-1 conditional
-        pk = u.state_marginal()
-        d_given_k = u.probs.sum(axis=1) / pk[:, None]
-        c_given_k = rng.random((2, 4)) + 0.05
-        c_given_k /= c_given_k.sum(axis=1, keepdims=True)
-        v = inf.validate_structure(np.einsum("k,kc,kd->kcd", pk, c_given_k, d_given_k))
-        report = inf.cond_indep_collapse_report(u, v)
+        u, raw_v = _ci_pair_with_one_player2_marginal(rng)
+        report = inf.cond_indep_collapse_report(u, inf.validate_structure(raw_v))
         assert report.passed, (report.d, report.d1)
+
+
+def test_collapse_report_solves_the_full_gap_lps(rng, solve_rows):
+    # d comes from the full gap LPs, d1 from the single-agent LPs, so the
+    # report checks the collapse that value_distance relies on.
+    u, raw_v = _ci_pair_with_one_player2_marginal(rng)
+    v = inf.validate_structure(raw_v)
+    report = inf.cond_indep_collapse_report(u, v)
+    # Full: 3*4 (c,e) rows and 2*2 (d,f) rows each way.  Single-agent: the
+    # same (c,e) rows and one (d,f) row.
+    assert solve_rows == [16, 16, 13, 13]
+    assert report.passed
+    # value_distance solves the single-agent LPs alone, as d1 did.
+    assert inf.value_distance(u, v) == report.d1
+    assert solve_rows == [16, 16, 13, 13, 13, 13]
+
+
+def test_a_pair_just_outside_the_collapse_solves_the_full_lp(rng):
+    # Moving mass between two player-1 signals keeps the (state, player-2)
+    # marginal and leaves a CI defect just above ZERO_TOL: the gap LP is
+    # the full one, solved bit for bit as the oracle poses it.
+    u, raw_v = _ci_pair_with_one_player2_marginal(rng)
+    assert _solve_gap(u, inf.validate_structure(raw_v)).collapsed
+    raw_v[0, 0, 0] += 6e-13
+    raw_v[0, 1, 0] -= 6e-13
+    v = inf.validate_structure(raw_v)
+    query = ConditionalQuery((1,), (2,), (0,))
+    delta = np.abs(u.probs.sum(axis=1) - v.probs.sum(axis=1)).sum()
+    delta += eps_conditional_independence(u.probs, query) + eps_conditional_independence(v.probs, query)
+    assert ZERO_TOL < delta < 2 * ZERO_TOL
+    # A pair with one player-2 signal is its own single-agent problem and
+    # keeps the full LP too.
+    two, one = (inf.blackwell_structure(inf.BlackwellSpec(n, 0, 0.75, 0.75)) for n in (2, 1))
+    for a, b in ((u, v), (v, u), (two, one)):
+        solve = _solve_gap(a, b)
+        assert not solve.collapsed
+        want = lp.solve(gap_oracle.triplet_gap_problem(a, b)[0])
+        assert solve.solution.objective == want.objective
+        assert np.array_equal(solve.solution.primal, want.primal)
+        assert np.array_equal(solve.solution.dual, want.dual)
 
 
 def test_collapse_hypothesis_gate():

@@ -12,6 +12,7 @@ from hypothesis.extra import numpy as hnp
 import gap_oracle
 import hierarchy_oracle as oracle
 import infodist as inf
+from infodist import distance
 from infodist.config import DIST_TOL, VALUE_TOL, WITNESS_TOL, ZERO_TOL
 from infodist.hierarchy import is_redundant
 from infodist.structures import common_embedding
@@ -105,6 +106,49 @@ def test_gap_matches_the_common_embedding_lp(pair):
         assert cert.q2.rows.shape == (b.signals2_count, a.signals2_count)
         game = inf.witness_game(a, b)
         assert game.payoffs.shape == (a.state_count, b.signals1_count, a.signals2_count)
+
+
+@st.composite
+def ci_pairs(draw):
+    """Two structures on 2-4 states whose signals are conditionally
+    independent given the state, with one (state, player-2 signal)
+    marginal and different player-1 signal counts.  Conditional cells may
+    be 0, so a signal may have no mass at all."""
+    n_k = draw(st.integers(2, 4))
+    counts = draw(st.lists(st.integers(1, 5), min_size=2, max_size=2, unique=True))
+    n2 = draw(st.integers(2, 4))
+
+    def conditional(n):
+        rows = draw(hnp.arrays(float, (n_k, n), elements=_CELL))
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        return rows / rows.sum(axis=1, keepdims=True)
+
+    states = draw(hnp.arrays(float, n_k, elements=st.floats(0.05, 1.0)))
+    states /= states.sum()
+    d_given_k = conditional(n2)
+    return tuple(
+        inf.validate_structure(np.einsum("k,kc,kd->kcd", states, conditional(n1), d_given_k))
+        for n1 in counts
+    )
+
+
+@given(ci_pairs())
+def test_ci_pairs_with_one_player2_marginal_solve_the_single_agent_lp(pair):
+    # Both gaps come from the LP on the player-1 marginals, lifted: q2 is
+    # the identity and the witness ignores player 2's action.  The lifted
+    # answers must be the full LP's and pass every check against u and v.
+    u, v = pair
+    for a, b in ((u, v), (v, u)):
+        cert = inf.one_sided_gap(a, b)
+        assert distance._solve_gap(a, b).collapsed
+        assert abs(cert.gap - gap_oracle.plain_gap(a, b)) <= 1e-9
+        assert abs(cert.recheck(a, b) - cert.gap) <= DIST_TOL
+        assert np.array_equal(cert.q2.rows, np.eye(a.signals2_count))
+        game = inf.witness_game(a, b)
+        assert game.payoffs.shape == (a.state_count, b.signals1_count, a.signals2_count)
+        assert (game.payoffs == game.payoffs[:, :, :1]).all()
+        achieved = inf.value(b, game).value - inf.value(a, game).value
+        assert abs(achieved - cert.gap) <= WITNESS_TOL
 
 
 @given(raw_pairs(count=3))
