@@ -6,22 +6,33 @@ player, repeatedly split signals whose conditional distributions over
 (state, opponent classes) differ, stop at the fixpoint.  Two signals then
 share a class iff all finite-level belief hierarchies coincide.
 
-Each round is a handful of array operations over both players at once.  One
-matrix product with the one-hot matrix of the opponents' current classes
-sums every signal's mass over (state, opponent class); dividing by the
-signal's mass gives its belief row, and new class ids go by first occurrence
-of (old class, belief row), numbered per player.  Belief vectors are rounded
-to 12 decimal digits before hashing, exactly as ``round(x, 12)`` rounds, so
-that class membership is a genuine equivalence relation rather than an
-eps-relation.  The exact mode runs the same rounds on an object array of
-Python integers: each entry of a signal's row of the tensor is snapped to the
-nearest fraction with denominator at most 10**15 (so 0.1 reads as 1/10), and
-the row is scaled to a common denominator.  Belief rows are then equal iff
-the integer rows are proportional; the snapping is the only rounding.
-Signals of mass at most ZERO_TOL are null: they form the class -1 and count
-as absent in the other player's beliefs.
+The refinement runs in rounds over a worklist.  A signal's key is its
+belief on each (state, opponent class) cell it holds: each cell summed one
+entry at a time in (state, opponent) order, divided by the signal's mass,
+and put on the 12-decimal grid exactly as ``round(x, 12)`` rounds, so that
+class membership is a genuine equivalence relation rather than an
+eps-relation.  A round splits each class by (class, key).  Only a signal
+holding a cell on a signal that changed class in the previous round, a
+dirty one, can have a new key, so each round recomputes the keys of the
+dirty signals alone, and a class with no dirty member keeps the one key its
+members share.  Class ids stay stable so that stored keys stay valid: a
+class that splits keeps its id for the piece holding its clean members, or
+for its largest piece when every member is dirty.  A class of one signal
+cannot split, so its signal leaves the worklist.  The rounds, the classes and
+``level`` (the rounds that split a class) are those of refining every
+signal in every round; class ids are numbered by first occurrence, per
+player, once at the end.  Keys are computed in plain Python when the dirty
+signals hold few tensor entries and in one numpy pass (``bincount``, which
+adds one entry at a time too) when they hold many; the two give identical
+keys.
 
-Common-knowledge components are labelled with array operations too: each
+The exact mode runs the same rounds with each tensor entry snapped to the
+nearest fraction with denominator at most 10**15 (so 0.1 reads as 1/10)
+and beliefs compared as exact fractions; the snapping is the only
+rounding.  Signals of mass at most ZERO_TOL are null: they form the class
+-1 and count as absent in the other player's beliefs.
+
+Common-knowledge components are labelled with array operations: each
 signal starts with its own node number, each round every linked pair lowers
 the larger of its labels to the smaller (``np.minimum.at`` over the edges),
 and pointer jumping follows labels to a fixed point.  Labels only fall and
@@ -32,7 +43,7 @@ component is labelled by its smallest signal.
 from __future__ import annotations
 
 import functools
-import math
+import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,6 +92,11 @@ class Decomposition:
         return tuple(w for w, _ in self.components)
 
 
+# A round computes its keys in plain Python when the dirty signals hold at
+# most this many tensor entries, and in one numpy pass when they hold more.
+_PYTHON_ENTRIES = 64
+
+
 def _number(keys: list, n_c: int) -> list[int]:
     """Class ids by first occurrence of each key, numbered per player
     (player 1's signals are the first ``n_c``)."""
@@ -91,57 +107,69 @@ def _number(keys: list, n_c: int) -> list[int]:
     return out
 
 
+# 10**12 and a float's high and low 26 bits (Veltkamp's split), for the
+# exact error of a product by 10**12 (Dekker's two-product).
+_SCALE = 10.0**_ROUND_DIGITS
+_SPLITTER = 2.0**27 + 1.0
+
+
+def _halves(x):
+    c = _SPLITTER * x
+    high = c - (c - x)
+    return high, x - high
+
+
+_SCALE_HIGH, _SCALE_LOW = _halves(_SCALE)
+
+
 def _grid(beliefs: np.ndarray) -> np.ndarray:
     """Index of each belief on the 10**-12 grid, the one ``round(x, 12)``
-    rounds to.
+    rounds to, as int64.
 
-    ``beliefs * 10**12`` is within 2**-14 of the exact product for beliefs
-    up to 1, so ``rint`` picks the exact grid point except near a tie; the
-    few products that close to a tie are rounded exactly, half to even.
+    ``scaled = beliefs * 10**12`` is within 2**-14 of the exact product for
+    beliefs up to 1, so ``rint`` picks the exact grid point except near a
+    tie.  There the exact product is ``scaled + err``, ``err`` the product's
+    rounding error: it lies above the grid point ``floor(scaled)`` by
+    ``frac + err``, ``frac`` the fractional part of ``scaled``, and rounds up
+    when that exceeds one half, to the even neighbour at a tie.  Near a tie
+    ``frac - 0.5`` is exact (Sterbenz's lemma), so the comparisons are.
     """
-    scaled = beliefs * 10.0**_ROUND_DIGITS
+    scaled = beliefs * _SCALE
     grid = np.rint(scaled)
-    for i in np.flatnonzero(np.abs(scaled - grid) > 0.499):
-        grid.flat[i] = round(Fraction(beliefs.flat[i]) * 10**_ROUND_DIGITS)
-    return grid
+    near = np.flatnonzero(np.abs(scaled - grid) > 0.499)
+    if near.size:
+        x, scaled = beliefs[near], scaled[near]
+        high, low = _halves(x)
+        err = ((high * _SCALE_HIGH - scaled) + high * _SCALE_LOW + low * _SCALE_HIGH) + low * _SCALE_LOW
+        below = np.floor(scaled)
+        half = scaled - below - 0.5
+        odd = below.astype(np.int64) % 2 == 1
+        grid[near] = below + ((half > -err) | ((half == -err) & odd))
+    return grid.astype(np.int64)
 
 
-def _integer_rows(rows: np.ndarray) -> np.ndarray:
-    """Each row's entries snapped to the nearest fraction with denominator at
-    most 10**15, scaled by the row's common denominator to Python integers."""
-    out = []
-    for row in rows.tolist():
-        exact = [Fraction(x).limit_denominator(10**15) for x in row]
-        scale = math.lcm(*(x.denominator for x in exact))
-        out.append([x.numerator * (scale // x.denominator) for x in exact])
-    return np.array(out, dtype=object)
-
-
-def _belief_keys(cells: np.ndarray, mass: np.ndarray | None) -> list:
-    """One key per signal, equal iff the signals' beliefs over (state,
-    opponent class) are.
-
-    Float cells are divided by the signal's mass and rounded to the grid, an
-    empty cell reading -1.  Integer cells (exact mode, no ``mass``) are
-    proportional iff the beliefs are equal, and equal once divided by their
-    gcd.
-    """
-    if mass is None:
-        gcd = np.gcd.reduce(cells, axis=1)
-        gcd[gcd == 0] = 1
-        return [tuple(row) for row in (cells // gcd[:, None]).tolist()]
-    beliefs = _grid(cells / mass)
-    beliefs[cells == 0] = -1
-    return beliefs.view(np.dtype((np.void, beliefs.strides[0]))).ravel().tolist()
+def _snap(belief: float) -> int:
+    """``_grid`` of one belief, in plain Python.  Away from a tie the
+    rounded product decides; near one, the exact product of the belief's
+    integer ratio does."""
+    scaled = belief * _SCALE
+    index = round(scaled)
+    if abs(scaled - index) > 0.499:
+        numerator, denominator = belief.as_integer_ratio()
+        index, rest = divmod(numerator * 10**_ROUND_DIGITS, denominator)
+        if 2 * rest > denominator or (2 * rest == denominator and index % 2):
+            index += 1
+    return index
 
 
 def hierarchy_partition(u: InformationStructure, exact: bool = False) -> SignalPartition:
     """Partition each player's signals by finite-level belief hierarchy.
 
-    Refinement stabilizes in at most |C| + |D| rounds.  With ``exact=True``
-    each tensor entry is snapped to the nearest fraction with denominator at
-    most 10**15 and the conditionals are compared in exact rational
-    arithmetic, without the 12-digit grid; both modes run the same rounds.
+    Refinement stabilizes in at most |C| + |D| rounds; ``level`` counts the
+    rounds that split a class.  With ``exact=True`` each tensor entry is
+    snapped to the nearest fraction with denominator at most 10**15 and the
+    conditionals are compared in exact rational arithmetic, without the
+    12-digit grid; both modes run the same rounds.
 
     The last few partitions are memoised per structure object, one entry
     per mode, so ``reduce_redundancy``, ``is_redundant``, ``ck_decompose``
@@ -161,48 +189,185 @@ def _partition_of(u: InformationStructure, exact: bool) -> SignalPartition:
 def _refine(probs: np.ndarray, exact: bool) -> SignalPartition:
     """The refinement behind ``hierarchy_partition``, on a bare (K, C, D)
     tensor of any total mass."""
-    n_k, n_c, n_d = probs.shape
-    n = n_c + n_d
-    # Both players' signals on one axis, player 1's first: pair[s, k, o] is
-    # the mass of signal s with opponent signal o in state k.
-    pair = np.zeros((n, n_k, n))
-    pair[:n_c, :, n_c:] = probs.transpose(1, 0, 2)
-    pair[n_c:, :, :n_c] = probs.transpose(2, 0, 1)
-    # Null signals (mass at most ZERO_TOL) count as absent, as
-    # reduce_redundancy drops them: their cells are zero on both sides.  A
-    # player's null signals share one class through the refinement (their
-    # rows are all zero), so the numbering spends one id on it, and read -1
-    # at the end.
-    live = np.concatenate([probs.sum(axis=(0, 2)), probs.sum(axis=(0, 1))]) > ZERO_TOL
-    pair[~live] = 0
-    pair[:, :, ~live] = 0
-    pair = pair.reshape(n, n_k * n)
-    if exact:
-        pair, mass = _integer_rows(pair), None
-    else:
-        # cumsum adds strictly in (state, opponent signal) order, so a mass
-        # does not depend on how numpy splits a sum.
-        mass = np.cumsum(pair, axis=1)[:, -1:]
-        mass[mass == 0] = 1.0
-    pair = pair.reshape(n * n_k, n)
-    onehot = np.eye(n, dtype=pair.dtype)
-    labels = _number(live.tolist(), n_c)
+    n_c = probs.shape[1]
+    refinement = _Refinement(probs, exact)
+    dirty = refinement.splittable(range(len(refinement.classes)))
     level = 0
-    for _ in range(n + 1):
-        # Opponent classes as columns: player 1's classes first, then
-        # player 2's.  cells[s, k, g] is the mass of signal s in state k on
-        # opponent class g.
-        m1 = max(labels[:n_c]) + 1
-        columns = labels[:n_c] + [m1 + label for label in labels[n_c:]]
-        width = m1 + max(labels[n_c:]) + 1
-        cells = (pair @ onehot[columns, :width]).reshape(n, -1)
-        new = _number(list(zip(labels, _belief_keys(cells, mass))), n_c)
-        if new == labels:
+    while dirty:
+        moved = refinement.split(dirty)
+        if not moved:
             break
-        labels = new
         level += 1
-    labels = np.where(live, labels, NULL_CLASS).tolist()
+        dirty = refinement.splittable(refinement.neighbours(moved))
+    labels = _number(refinement.classes, n_c)
+    labels = [label if live else NULL_CLASS for label, live in zip(labels, refinement.live)]
     return SignalPartition(tuple(labels[:n_c]), tuple(labels[n_c:]), level)
+
+
+class _Refinement:
+    """One refinement in progress.
+
+    Both players' signals sit on one axis, player 1's first.  The entries
+    ``owner``, ``state``, ``other`` and ``value`` list the nonzero entries
+    of the tensor twice, once on each signal's row, sorted by (owner, state,
+    opponent); ``degree[s]`` counts signal s's entries and ``mass[s]`` sums
+    them.  ``classes[s]`` is the id of the class of signal s, ``size[g]``
+    the number of signals in class g, and ``class_keys[g]`` the key they all
+    had when it was last computed.
+    """
+
+    def __init__(self, probs: np.ndarray, exact: bool):
+        n_k, n_c, n_d = probs.shape
+        n = n_c + n_d
+        self.n_k, self.exact = n_k, exact
+        # pair[s, k, o] is the mass of signal s with opponent signal o in
+        # state k.
+        pair = np.zeros((n, n_k, n))
+        pair[:n_c, :, n_c:] = probs.transpose(1, 0, 2)
+        pair[n_c:, :, :n_c] = probs.transpose(2, 0, 1)
+        # Null signals (mass at most ZERO_TOL) count as absent, as
+        # reduce_redundancy drops them: they hold no entries and are no
+        # one's opponent.  Each player's null signals share a class, so the
+        # final numbering spends one id on it; they read -1.
+        live = np.concatenate([probs.sum(axis=(0, 2)), probs.sum(axis=(0, 1))]) > ZERO_TOL
+        if not live.all():
+            pair[~live] = 0
+            pair[:, :, ~live] = 0
+        at = np.flatnonzero(pair)
+        self.owner, rest = np.divmod(at, n_k * n)
+        self.state, self.other = np.divmod(rest, n)
+        self.value = pair.ravel()[at]
+        if exact:
+            # Each entry snapped to the nearest fraction with denominator at
+            # most 10**15 (so 0.1 reads as 1/10): the only rounding.
+            self.value = np.array(
+                [Fraction(x).limit_denominator(10**15) for x in self.value.tolist()], dtype=object
+            )
+            self.mass = np.zeros(n, dtype=object)
+            np.add.at(self.mass, self.owner, self.value)
+        else:
+            # bincount adds each signal's entries one at a time in (state,
+            # opponent) order, as its cells are summed.
+            self.mass = np.bincount(self.owner, weights=self.value, minlength=n)
+        self.degree = np.bincount(self.owner, minlength=n).tolist()
+        self.live = live.tolist()
+        # Four classes to start: each player's live and null signals.
+        self.classes = [0] * n_c + [2] * n_d
+        for s in np.flatnonzero(~live).tolist():
+            self.classes[s] += 1
+        self.size = [self.classes.count(g) for g in range(4)]
+        self.class_keys: list = [None] * 4
+
+    @functools.cached_property
+    def lists(self) -> tuple[list, ...]:
+        """Where each signal's entries start, and the entry and mass arrays,
+        as lists for the plain-Python kernel."""
+        start = [0]
+        for d in self.degree:
+            start.append(start[-1] + d)
+        return start, self.state.tolist(), self.other.tolist(), self.value.tolist(), self.mass.tolist()
+
+    def splittable(self, signals) -> list[int]:
+        """The signals among ``signals`` whose class has other members: a
+        class of one signal cannot split."""
+        return sorted(s for s in signals if self.size[self.classes[s]] > 1)
+
+    def neighbours(self, signals: list[int]):
+        """The signals holding an entry on one of ``signals``, or every
+        signal when ``signals`` hold more than _PYTHON_ENTRIES entries: a
+        clean signal's key comes out as it was, and scanning that many
+        entries costs more than the keys it saves."""
+        if sum(map(self.degree.__getitem__, signals)) > _PYTHON_ENTRIES:
+            return range(len(self.classes))
+        start, _, other = self.lists[:3]
+        out: set[int] = set()
+        for s in signals:
+            out.update(other[start[s] : start[s + 1]])
+        return out
+
+    def split(self, dirty: list[int]) -> list[int]:
+        """One round: recompute the keys of ``dirty`` (in plain Python when
+        they hold at most _PYTHON_ENTRIES entries, else in one numpy pass),
+        split every class by key and return the signals that moved to a new
+        class.
+
+        Only a dirty signal's key can have changed, so a class with clean
+        members keeps its id for them and for the dirty members whose key
+        is still the class's key.  A class of dirty members alone keeps its
+        id for its largest piece.
+        """
+        if sum(map(self.degree.__getitem__, dirty)) <= _PYTHON_ENTRIES:
+            keys = self.python_keys(dirty)
+        else:
+            keys = self.numpy_keys(dirty)
+        classes, size = self.classes, self.size
+        pieces: dict[int, dict] = {}
+        for s, key in zip(dirty, keys):
+            pieces.setdefault(classes[s], {}).setdefault(key, []).append(s)
+        moved = []
+        for g, by_key in pieces.items():
+            if sum(map(len, by_key.values())) == size[g]:
+                self.class_keys[g] = max(by_key, key=lambda k: len(by_key[k]))
+            for key, piece in by_key.items():
+                if key != self.class_keys[g]:
+                    new = len(size)
+                    size.append(len(piece))
+                    size[g] -= len(piece)
+                    self.class_keys.append(key)
+                    for s in piece:
+                        classes[s] = new
+                    moved += piece
+        return moved
+
+    def python_keys(self, dirty: list[int]) -> list:
+        """Each dirty signal's key: its belief on each (state, opponent
+        class) cell it holds, as (cell code, belief) pairs in code order,
+        code = class * K + state.  Each cell is summed one entry at a time in
+        (state, opponent) order and divided by the signal's mass.  A float
+        belief is its index on the 10**-12 grid, and the key the bytes of
+        the pairs as int64; an exact belief is a Fraction, and the key the
+        tuple of the pairs."""
+        classes, n_k, exact = self.classes, self.n_k, self.exact
+        start, state, other, value, mass = self.lists
+        keys = []
+        for s in dirty:
+            cells: dict = {}
+            for j in range(start[s], start[s + 1]):
+                code = classes[other[j]] * n_k + state[j]
+                cells[code] = cells.get(code, 0) + value[j]
+            key: list = []
+            if exact:
+                for code in sorted(cells):
+                    key += (code, cells[code] / mass[s])
+                keys.append(tuple(key))
+            else:
+                for code in sorted(cells):
+                    key += (code, _snap(cells[code] / mass[s]))
+                keys.append(struct.pack(f"{len(key)}q", *key))
+        return keys
+
+    def numpy_keys(self, dirty: list[int]) -> list:
+        """``python_keys`` in one array pass over every entry: the same
+        cells summed in the same order (``bincount`` adds its weights one at
+        a time), the same beliefs and keys."""
+        width = len(self.size) * self.n_k
+        codes = np.array(self.classes)[self.other] * self.n_k + self.state
+        if self.exact:
+            sums = np.zeros(len(self.classes) * width, dtype=object)
+            np.add.at(sums, self.owner * width + codes, self.value)
+        else:
+            sums = np.bincount(
+                self.owner * width + codes, weights=self.value, minlength=len(self.classes) * width
+            )
+        rows = sums.reshape(-1, width)[dirty]
+        row, code = np.nonzero(rows)
+        beliefs = rows[row, code] / self.mass[dirty][row]
+        bounds = (2 * np.cumsum(np.bincount(row, minlength=len(dirty)))).tolist()
+        if self.exact:
+            flat = np.column_stack([code, beliefs]).ravel().tolist()
+            return [tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
+        data = np.column_stack([code, _grid(beliefs)]).tobytes()
+        return [data[8 * a : 8 * b] for a, b in zip([0] + bounds, bounds)]
 
 
 def reduce_redundancy(u: InformationStructure, exact: bool = False) -> InformationStructure:

@@ -16,6 +16,7 @@ cache; compare content with ``np.array_equal(u.probs, v.probs)``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -371,19 +372,19 @@ def eps_conditional_independence(tensor: np.ndarray, query: ConditionalQuery) ->
     query.validate_for(arr.ndim)
     order = tuple(query.x_axes) + tuple(query.y_axes) + tuple(query.z_axes)
     moved = np.transpose(arr, order)
-    nx = int(np.prod([arr.shape[a] for a in query.x_axes]))
-    ny = int(np.prod([arr.shape[a] for a in query.y_axes]))
-    nz = int(np.prod([arr.shape[a] for a in query.z_axes])) if query.z_axes else 1
+    nx = math.prod(arr.shape[a] for a in query.x_axes)
+    ny = math.prod(arr.shape[a] for a in query.y_axes)
+    nz = math.prod(arr.shape[a] for a in query.z_axes)
     flat = moved.reshape(nx, ny, nz)
     pz = flat.sum(axis=(0, 1))
-    total = 0.0
-    for z in range(nz):
-        if pz[z] < ZERO_TOL:
-            continue
-        joint = flat[:, :, z] / pz[z]
-        product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-        total += pz[z] * np.abs(joint - product).sum()
-    return float(total)
+    kept = np.flatnonzero(pz >= ZERO_TOL)
+    # Indexing along z keeps each (x, y) slice in the memory layout that a
+    # loop over the z-cells slices, so each sum below adds in its order.
+    joint = flat.transpose(2, 0, 1)[kept] / pz[kept, None, None]
+    product = joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+    gaps = np.abs(joint - product).reshape(len(kept), nx * ny).sum(axis=1)
+    # Python's sum adds the z-cells one at a time, in order.
+    return float(sum((pz[kept] * gaps).tolist(), 0.0))
 
 
 # The largest measured violation a hypothesis check accepts, such as an

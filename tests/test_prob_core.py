@@ -9,6 +9,7 @@ from infodist import markov as mk
 from infodist.structures import common_embedding
 
 from conftest import random_garbling, random_structure
+from workloads import catalog_members
 
 
 def test_uniform_tensor_accepted():
@@ -176,6 +177,49 @@ def test_eps_ci_opponent_correlation_positive():
     tensor = u.probs[:, :, None, :]  # (k, c-prime, trivial, d)
     q = inf.ConditionalQuery((1,), (0, 3), (2,))
     assert inf.eps_conditional_independence(tensor, q) > 0.1
+
+
+def _eps_ci_loop(tensor, query):
+    """eps_conditional_independence as a loop over the z-cells."""
+    order = query.x_axes + query.y_axes + query.z_axes
+    size = lambda axes: int(np.prod([tensor.shape[a] for a in axes]))
+    flat = tensor.transpose(order).reshape(size(query.x_axes), size(query.y_axes), size(query.z_axes))
+    pz = flat.sum(axis=(0, 1))
+    total = 0.0
+    for z in range(flat.shape[2]):
+        if pz[z] < 1e-12:
+            continue
+        joint = flat[:, :, z] / pz[z]
+        product = np.outer(joint.sum(axis=1), joint.sum(axis=0))
+        total += pz[z] * np.abs(joint - product).sum()
+    return float(total)
+
+
+def test_eps_ci_adds_as_the_loop_over_z_cells(rng):
+    # Bit for bit: on random tensors with random axis groups (z possibly
+    # empty, cells possibly zero), and on every catalog-sweep structure with
+    # the signals-given-state query that distance._collapses asks.
+    cases = []
+    for _ in range(300):
+        shape = tuple(int(n) for n in rng.integers(1, 5, rng.integers(2, 5)))
+        tensor = rng.random(shape) * (rng.random(shape) < 0.8)
+        tensor.flat[0] += 1.0
+        axes = [int(a) for a in rng.permutation(len(shape))]
+        nx = int(rng.integers(1, len(shape)))
+        ny = int(rng.integers(1, len(shape) - nx + 1))
+        query = inf.ConditionalQuery(tuple(axes[:nx]), tuple(axes[nx : nx + ny]), tuple(axes[nx + ny :]))
+        cases.append((tensor / tensor.sum(), query))
+    # Larger slices, laid out column-major in the loop when the queried
+    # axes run against the tensor's order, so their sums split into blocks.
+    for _ in range(40):
+        tensor = rng.random((int(rng.integers(10, 40)), int(rng.integers(10, 40)), 2))
+        for query in (inf.ConditionalQuery((1,), (0,), (2,)), inf.ConditionalQuery((1,), (0, 2))):
+            cases.append((tensor / tensor.sum(), query))
+    signals_given_state = inf.ConditionalQuery((1,), (2,), (0,))
+    for _, generate, _, _ in catalog_members():
+        cases += [(u.probs, signals_given_state) for u in generate()]
+    for tensor, query in cases:
+        assert inf.eps_conditional_independence(tensor, query) == _eps_ci_loop(tensor, query)
 
 
 def test_eps_ci_query_validation():

@@ -272,6 +272,44 @@ def test_exact_partition_matches_the_oracle(u):
     assert inf.hierarchy_partition(u, exact=True) == oracle.hierarchy_partition(u, exact=True)
 
 
+@st.composite
+def chain_structures(draw):
+    """A banded structure, chain-shaped like the ladder and the email game:
+    2-3 states, 1-20 signals a player, player-1 signal c meeting player-2
+    signals c to c + width - 1 only.  Cells are random, dyadic, or all
+    equal but the first (a ladder: beliefs differ at the chain's end alone,
+    so each round splits the next signals off and the refinement runs as
+    long as the chain).  A few signals of each player may have no mass."""
+    n_k = draw(st.integers(2, 3))
+    signals = st.one_of(st.integers(1, 20), st.integers(12, 20))
+    n_c, n_d = draw(signals), draw(signals)
+    width = draw(st.integers(1, 3))
+    cell = draw(st.sampled_from([_CELL, st.sampled_from([0.125, 0.25, 0.5, 1.0]), st.just(0.25)]))
+    band = draw(hnp.arrays(float, (n_k, n_c, width), elements=cell, fill=st.nothing()))
+    band[0, 0, 0] *= 2.0
+    probs = np.zeros((n_k, n_c, max(n_c, n_d) + width))
+    for c in range(n_c):
+        probs[:, c, c : c + width] = band[:, c]
+    probs = probs[:, :, :n_d]
+    probs[:, sorted(draw(st.sets(st.integers(0, n_c - 1), max_size=2)))] = 0.0
+    probs[:, :, sorted(draw(st.sets(st.integers(0, n_d - 1), max_size=2)))] = 0.0
+    if probs.sum() == 0.0:
+        probs[0, 0, 0] = 1.0
+    return inf.validate_structure(probs / probs.sum())
+
+
+@given(chain_structures())
+def test_chain_partition_matches_the_oracle(u):
+    # Long worklists: each round of a chain dirties a few signals.
+    assert inf.hierarchy_partition(u) == oracle.hierarchy_partition(u)
+
+
+@settings(max_examples=8)
+@given(chain_structures())
+def test_exact_chain_partition_matches_the_oracle(u):
+    assert inf.hierarchy_partition(u, exact=True) == oracle.hierarchy_partition(u, exact=True)
+
+
 @given(redundant_structures())
 def test_reduce_redundancy_is_value_equivalent_and_idempotent(u):
     # ROADMAP item 5: d(u, reduce(u)) <= DIST_TOL, and the reduced

@@ -217,9 +217,19 @@ def test_catalog_sweep_structures_match_the_oracle():
             assert oracle.contents(dec) == oracle.contents(oracle.ck_decompose(u))
 
 
+def test_ladder_refines_to_one_class_per_signal():
+    # 401 rounds over 803 signals; each round after the first has a few
+    # dirty signals, so the worklist refinement takes milliseconds.
+    part = inf.hierarchy_partition(inf.ladder_structure(400))
+    assert part.level == 401
+    assert part.player1_classes == tuple(range(401))
+    assert part.player2_classes == tuple(range(402))
+
+
 def test_ladder_components_match_the_union_find():
-    # One component threaded through 803 signals.  Refining ladder(400)
-    # takes 401 rounds, so the labelling runs on it directly.
+    # One component threaded through 803 signals.  The ladder is
+    # non-redundant (test_ladder_refines_to_one_class_per_signal), so the
+    # labelling runs on it directly.
     u = inf.ladder_structure(400)
     dec = hierarchy._decompose(u)
     assert len(dec.components) == 1
@@ -259,13 +269,76 @@ def test_belief_grid_rounds_like_round():
     # Near a tie, x * 1e12 in floats can fall on the other side of it from
     # the exact product; the grid follows round(x, 12), which rounds the
     # exact value.
+    # An odd multiple of 2**-13 times 1e12 is exactly half an integer: a
+    # true tie, which goes to the even neighbour.  2.44140625e-05, a
+    # Blackwell belief, is the nearest float to a decimal tie.
     rng = np.random.default_rng(0)
     ties = (rng.integers(0, 10**12, 500) + 0.5) / 1e12
-    x = np.concatenate([ties, np.nextafter(ties, 0), np.nextafter(ties, 1), rng.random(500)])
+    dyadic = (2 * rng.integers(0, 2**12, 500) + 1) / 2**13
+    assert (dyadic * 1e12 % 1 == 0.5).all()
+    x = np.concatenate(
+        [ties, dyadic, [2.44140625e-05, 0.0, 1.0, 5e-13, 1.5e-12], rng.random(500), rng.random(500) * 1e-9]
+    )
+    x = np.concatenate([x, np.nextafter(x, 0), np.nextafter(x, 1)])
     exact = [
         int(Decimal(v).scaleb(_ROUND_DIGITS).to_integral_value(ROUND_HALF_EVEN)) for v in x.tolist()
     ]
     assert hierarchy._grid(x).tolist() == exact
+    assert [hierarchy._snap(v) for v in x.tolist()] == exact
+
+
+def _refinement_rounds(probs, exact):
+    """The refinement's state before each round of ``_refine``."""
+    refinement = hierarchy._Refinement(probs, exact)
+    dirty = refinement.splittable(range(len(refinement.classes)))
+    while dirty:
+        yield refinement
+        moved = refinement.split(dirty)
+        if not moved:
+            return
+        dirty = refinement.splittable(refinement.neighbours(moved))
+
+
+def test_both_key_kernels_give_the_same_keys(rng):
+    # A round's keys come from plain Python or from numpy, chosen by the
+    # number of tensor entries its dirty signals hold; on every signal,
+    # before every round, the two must agree key for key, in both modes.
+    # In ``ties`` player 1's signals hold mass 8192 in odd parts, beliefs on
+    # exact grid ties; the first and last also hold a cell below the grid.
+    ties = np.zeros((2, 3, 3))
+    ties[0, :, 0] = [1, 3, 5]
+    ties[1, :, 1] = [8191, 8189, 8187]
+    ties[0, 0, 2] = ties[1, 2, 2] = 1e-10
+    # In ``order`` player 1's first signal holds three entries on player 2's
+    # first class in state 0: summed in (state, opponent) order and divided
+    # by the signal's mass they round to 555358830965 on the grid, summed
+    # the other way round to 555358830966.
+    order = np.zeros((2, 2, 3))
+    order[0, 0] = [3.6690118789672854, 0.0004661693572998047, 1.7084151268005372]
+    order[1, 0, 0] = 4.305743557139621
+    order[1, 1, 1] = 1.0
+    nulls = random_structure(rng, 3, 6, 5, zeros=0.3).probs.copy()
+    nulls[:, 2, :] = 0.0
+    nulls[:, :, 4] *= 1e-15
+    cases = [
+        inf.email_game(0.1, 0.5, 8).probs,
+        inf.ladder_structure(6).probs,
+        inf.blackwell_structure(inf.BlackwellSpec(4, 2, 0.75, 0.75)).probs,
+        _redundant_mixture().probs,
+        ties,
+        order,
+        nulls / nulls.sum(),
+    ]
+    for probs in cases:
+        for exact in (False, True):
+            rounds = 0
+            for refinement in _refinement_rounds(probs, exact):
+                every = list(range(len(refinement.classes)))
+                assert refinement.python_keys(every) == refinement.numpy_keys(every)
+                rounds += 1
+            # The round that finds no split is skipped once every class
+            # is a single signal.
+            assert rounds >= hierarchy._refine(probs, exact).level
 
 
 def test_exact_mode_agrees_on_rational_structures():
