@@ -93,7 +93,13 @@ class Decomposition:
 
 
 # A round computes its keys in plain Python when the dirty signals hold at
-# most this many tensor entries, and in one numpy pass when they hold more.
+# most this many tensor entries, and in one numpy pass when they hold more;
+# the round after one whose moved signals hold more takes every signal as
+# dirty rather than scanning for their neighbours.  Timed on the tensors the
+# catalog sweep refines, numpy keys alone double the refinement time and
+# Python keys alone multiply the Blackwell members' time by 2.4; the best
+# key threshold lies between 32 and 64 entries, the best scan threshold
+# between 16 and 64, and always scanning costs the Blackwell members 15%.
 _PYTHON_ENTRIES = 64
 
 
@@ -107,51 +113,30 @@ def _number(keys: list, n_c: int) -> list[int]:
     return out
 
 
-# 10**12 and a float's high and low 26 bits (Veltkamp's split), for the
-# exact error of a product by 10**12 (Dekker's two-product).
 _SCALE = 10.0**_ROUND_DIGITS
-_SPLITTER = 2.0**27 + 1.0
-
-
-def _halves(x):
-    c = _SPLITTER * x
-    high = c - (c - x)
-    return high, x - high
-
-
-_SCALE_HIGH, _SCALE_LOW = _halves(_SCALE)
 
 
 def _grid(beliefs: np.ndarray) -> np.ndarray:
     """Index of each belief on the 10**-12 grid, the one ``round(x, 12)``
     rounds to, as int64.
 
-    ``scaled = beliefs * 10**12`` is within 2**-14 of the exact product for
-    beliefs up to 1, so ``rint`` picks the exact grid point except near a
-    tie.  There the exact product is ``scaled + err``, ``err`` the product's
-    rounding error: it lies above the grid point ``floor(scaled)`` by
-    ``frac + err``, ``frac`` the fractional part of ``scaled``, and rounds up
-    when that exceeds one half, to the even neighbour at a tie.  Near a tie
-    ``frac - 0.5`` is exact (Sterbenz's lemma), so the comparisons are.
+    ``beliefs * 10**12`` is within 2**-14 of the exact product for beliefs
+    up to 1, so ``rint`` picks the exact grid point except near a tie; the
+    few beliefs that close to a tie are settled by ``_snap``.
     """
     scaled = beliefs * _SCALE
     grid = np.rint(scaled)
     near = np.flatnonzero(np.abs(scaled - grid) > 0.499)
+    grid = grid.astype(np.int64)
     if near.size:
-        x, scaled = beliefs[near], scaled[near]
-        high, low = _halves(x)
-        err = ((high * _SCALE_HIGH - scaled) + high * _SCALE_LOW + low * _SCALE_HIGH) + low * _SCALE_LOW
-        below = np.floor(scaled)
-        half = scaled - below - 0.5
-        odd = below.astype(np.int64) % 2 == 1
-        grid[near] = below + ((half > -err) | ((half == -err) & odd))
-    return grid.astype(np.int64)
+        grid[near] = [_snap(x) for x in beliefs[near].tolist()]
+    return grid
 
 
 def _snap(belief: float) -> int:
     """``_grid`` of one belief, in plain Python.  Away from a tie the
     rounded product decides; near one, the exact product of the belief's
-    integer ratio does."""
+    integer ratio does, half to even."""
     scaled = belief * _SCALE
     index = round(scaled)
     if abs(scaled - index) > 0.499:
@@ -234,15 +219,18 @@ class _Refinement:
             pair[~live] = 0
             pair[:, :, ~live] = 0
         at = np.flatnonzero(pair)
-        self.owner, rest = np.divmod(at, n_k * n)
-        self.state, self.other = np.divmod(rest, n)
-        self.value = pair.ravel()[at]
+        value = pair.ravel()[at]
         if exact:
             # Each entry snapped to the nearest fraction with denominator at
-            # most 10**15 (so 0.1 reads as 1/10): the only rounding.
-            self.value = np.array(
-                [Fraction(x).limit_denominator(10**15) for x in self.value.tolist()], dtype=object
-            )
+            # most 10**15 (so 0.1 reads as 1/10): the only rounding.  An
+            # entry below 5e-16 snaps to 0 and is then absent.
+            value = np.array([Fraction(x).limit_denominator(10**15) for x in value.tolist()], dtype=object)
+            kept = value != 0
+            at, value = at[kept], value[kept]
+        self.owner, rest = np.divmod(at, n_k * n)
+        self.state, self.other = np.divmod(rest, n)
+        self.value = value
+        if exact:
             self.mass = np.zeros(n, dtype=object)
             np.add.at(self.mass, self.owner, self.value)
         else:

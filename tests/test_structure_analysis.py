@@ -299,6 +299,28 @@ def _refinement_rounds(probs, exact):
         dirty = refinement.splittable(refinement.neighbours(moved))
 
 
+def _below_the_snap():
+    """Two player-1 signals alike but for an entry of 1e-16 on the second:
+    a cell below the grid, and below 5e-16, so exact mode snaps it to 0."""
+    probs = np.zeros((2, 2, 2))
+    probs[0, :, 0] = probs[1, :, 1] = 0.25
+    probs[0, 1, 1] = 1e-16
+    return probs
+
+
+def test_an_entry_that_snaps_to_zero_is_absent_in_exact_mode():
+    # The float mode sees the tiny entry as a cell whose belief rounds to
+    # 0, which an absent cell is not; the exact mode snaps it to 0 first.
+    u = inf.InformationStructure(_below_the_snap())
+    exact = inf.hierarchy_partition(u, exact=True)
+    assert exact == oracle.hierarchy_partition(u, exact=True)
+    assert exact.player1_classes == (0, 0)
+    assert exact.level == 1
+    fast = inf.hierarchy_partition(u)
+    assert fast == oracle.hierarchy_partition(u)
+    assert fast.player1_classes == (0, 1)
+
+
 def test_both_key_kernels_give_the_same_keys(rng):
     # A round's keys come from plain Python or from numpy, chosen by the
     # number of tensor entries its dirty signals hold; on every signal,
@@ -321,6 +343,7 @@ def test_both_key_kernels_give_the_same_keys(rng):
     nulls[:, 2, :] = 0.0
     nulls[:, :, 4] *= 1e-15
     cases = [
+        _below_the_snap(),
         inf.email_game(0.1, 0.5, 8).probs,
         inf.ladder_structure(6).probs,
         inf.blackwell_structure(inf.BlackwellSpec(4, 2, 0.75, 0.75)).probs,
