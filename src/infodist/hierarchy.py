@@ -24,7 +24,9 @@ signal in every round; class ids are numbered by first occurrence, per
 player, once at the end.  Keys are computed in plain Python when the dirty
 signals hold few tensor entries and in one numpy pass (``bincount``, which
 adds one entry at a time too) when they hold many; the two give identical
-keys.
+keys.  Exact mode always takes the plain-Python kernel: on an object
+array numpy adds the Fractions one Python call at a time anyway, and the
+threshold was tuned in float mode.
 
 The exact mode runs the same rounds with each tensor entry snapped to the
 nearest fraction with denominator at most 10**15 (so 0.1 reads as 1/10)
@@ -274,17 +276,17 @@ class _Refinement:
         return out
 
     def split(self, dirty: list[int]) -> list[int]:
-        """One round: recompute the keys of ``dirty`` (in plain Python when
-        they hold at most _PYTHON_ENTRIES entries, else in one numpy pass),
-        split every class by key and return the signals that moved to a new
-        class.
+        """One round: recompute the keys of ``dirty`` (in plain Python in
+        exact mode or when they hold at most _PYTHON_ENTRIES entries, else
+        in one numpy pass), split every class by key and return the signals
+        that moved to a new class.
 
         Only a dirty signal's key can have changed, so a class with clean
         members keeps its id for them and for the dirty members whose key
         is still the class's key.  A class of dirty members alone keeps its
         id for its largest piece.
         """
-        if sum(map(self.degree.__getitem__, dirty)) <= _PYTHON_ENTRIES:
+        if self.exact or sum(map(self.degree.__getitem__, dirty)) <= _PYTHON_ENTRIES:
             keys = self.python_keys(dirty)
         else:
             keys = self.numpy_keys(dirty)
@@ -335,25 +337,16 @@ class _Refinement:
         return keys
 
     def numpy_keys(self, dirty: list[int]) -> list:
-        """``python_keys`` in one array pass over every entry: the same
-        cells summed in the same order (``bincount`` adds its weights one at
-        a time), the same beliefs and keys."""
+        """Float mode's ``python_keys`` in one array pass over every entry:
+        the same cells summed in the same order (``bincount`` adds its
+        weights one at a time), the same beliefs and keys."""
         width = len(self.size) * self.n_k
         codes = np.array(self.classes)[self.other] * self.n_k + self.state
-        if self.exact:
-            sums = np.zeros(len(self.classes) * width, dtype=object)
-            np.add.at(sums, self.owner * width + codes, self.value)
-        else:
-            sums = np.bincount(
-                self.owner * width + codes, weights=self.value, minlength=len(self.classes) * width
-            )
+        sums = np.bincount(self.owner * width + codes, weights=self.value, minlength=len(self.classes) * width)
         rows = sums.reshape(-1, width)[dirty]
         row, code = np.nonzero(rows)
         beliefs = rows[row, code] / self.mass[dirty][row]
         bounds = (2 * np.cumsum(np.bincount(row, minlength=len(dirty)))).tolist()
-        if self.exact:
-            flat = np.column_stack([code, beliefs]).ravel().tolist()
-            return [tuple(flat[a:b]) for a, b in zip([0] + bounds, bounds)]
         data = np.column_stack([code, _grid(beliefs)]).tobytes()
         return [data[8 * a : 8 * b] for a, b in zip([0] + bounds, bounds)]
 

@@ -5,17 +5,22 @@ private binding ``scipy.optimize._highspy._core`` (the package's only use
 of scipy; scipy >= 1.17).  ``_load_highs`` loads that one extension from
 its file, without importing ``scipy.optimize``, whose own imports were
 most of a cold ``import infodist`` (1.01 s -> 0.36 s, 2-core machine).
-A problem is plain arrays: the
-constraint matrix as (row, column, value) triplets, and
+
+An LP takes two forms.  An ``LpProblem`` is plain arrays: the constraint
+matrix as (row, column, value) triplets, and
 ``row_lower <= A.x <= row_upper``, ``col_lower <= x <= col_upper`` with
-infinite entries for absent bounds.  ``solve`` sorts the triplets into
-HiGHS's column-wise arrays with numpy (no ``scipy.sparse``) and hands
+infinite entries for absent bounds.  Building one checks it and assembles,
+once and with numpy (no ``scipy.sparse``), the model HiGHS solves: A in
+HiGHS's column-wise arrays and the minimization cost.  ``linprog`` hands
 those arrays to the binding's flat ``passModel``, with no ``HighsLp``
 object in between: each thread reuses one instance, given the options
 once, for every model.  HiGHS runs dual simplex without presolve, a fixed
-pass per solve that these small LPs do not need.  The residual gates take A.x
-and A^T.lam as one ``np.bincount`` each over A's entries, and each gate is
-one maximum over all its violations.
+pass per solve that these small LPs do not need.  ``linprog`` returns the
+``LpSolution``, the second form: already oriented as the problem is posed,
+with HiGHS's iteration count.  ``solve`` then gates it.  The residual gates
+read the problem's own column-wise arrays, so they check the matrix HiGHS
+solved: A.x and A^T.lam are one ``np.bincount`` each over its entries, and
+each gate is one maximum over all its violations.
 
 HiGHS solves each model as posed, without scaling it.  The package scales
 its LPs itself: each row of the gap and value LPs is divided by its
@@ -33,9 +38,9 @@ options every solve ran at before), and that answer stands.  The second
 instance is made at the thread's first fallback; one pass of ops and
 checks of each benchmark workload took none.
 
-A solve does only per-call work: it gathers the values into column-wise
-order, runs HiGHS and gates the answer.  Building an ``LpProblem`` checks
-its shapes, values and bounds on every call; the checks of its triplet
+A solve does only per-call work: it runs HiGHS and gates the answer.
+Building an ``LpProblem`` checks its shapes, values and bounds and gathers
+its values into column-wise order on every call; the checks of its triplet
 indices and their stable (column, row) sort depend on the index arrays
 alone, and an LP of at most ``_CACHE_ENTRIES`` (1,024) matrix entries
 reads them from ``_cached_layout``, keyed on those arrays' bytes.  The
@@ -45,9 +50,9 @@ from ``distance._gap_pattern``, and ``best_response`` from
 machine), the cache gave 97% of small-random's layouts, 96% of
 catalog-sweep's cacheable ones (76% of all) and 99% of large-random's (a
 third of all; its gap LPs are larger).  On a small structure's 18-row gap
-LP (K=3, 3x3; warm caches), building the problem took 16 us, HiGHS's
-arrays 1.5 us and the gates 28 us, against 21, 13 and 39 us when every
-call redid all of it.
+LP (K=3, 3x3; warm caches), building the problem took 16 us, gathering
+its values 1.5 us and the gates 28 us, against 21, 13 and 39 us when
+every call redid all of it.
 
 ``solve_pair`` solves two independent problems, such as the two
 directions of a distance, on two threads at once.  The binding releases
@@ -55,10 +60,10 @@ the interpreter lock in ``run``, so a daemon helper thread, started for
 the pair and joined before it returns, runs the second model's
 ``passModel``/``run``/``getSolution`` on its own thread's HiGHS instance
 while the calling thread solves the first.  Each problem's HiGHS arrays
-are built once and kept on the problem, so the helper and ``solve`` read
-the same ones.  Everything else (assembly, ``_columnwise``, the gates)
-stays on the calling thread, and both models still pass through ``solve``
-and ``linprog`` there, so a wrapper installed as either sees every model.
+are built with the problem, so the helper and ``linprog`` read the same
+ones.  Everything else (assembly, the gates) stays on the calling thread,
+and both models still pass through ``solve`` and ``linprog`` there, so a
+wrapper installed as either sees every model.
 The helper runs the unscaled solve; a fallback runs on the calling
 thread.  Only a second model of at least ``_PAIR_MIN_ENTRIES`` (1,000) matrix
 entries goes to a helper, and only when the process may run on two
@@ -199,8 +204,9 @@ class LpProblem:
     the same (row, column) add up.  An infinite bound is an absent bound:
     a ``<=`` row has ``row_lower = -inf``, an ``==`` row equal bounds.
     Every row needs a finite bound.  Building a problem checks it and
-    keeps the column-wise order of its triplets (``_layout``, see
-    ``_cached_layout``).
+    assembles the model HiGHS solves, once: A column-wise as
+    ``_start``, ``_rows`` and ``_values``, with each entry's column in
+    ``_cols`` for the gates, and the minimization cost ``_cost``.
     """
 
     objective: np.ndarray
@@ -235,9 +241,18 @@ class LpProblem:
             raise ShapeMismatch("every row needs a finite bound")
         # The index checks and the column-wise sort depend on the index
         # arrays alone, which the package's LPs share by shape.
-        layout = _per_shape(_cached_layout, rows.size, rows.tobytes(), cols.tobytes(), n_rows, c.size)
+        order, first, start, index, columns = _per_shape(
+            _cached_layout, rows.size, rows.tobytes(), cols.tobytes(), n_rows, c.size
+        )
+        # The canonical CSC that scipy.sparse builds from the triplets:
+        # entries at one (row, column) summed in input order, explicit zeros
+        # kept.  HiGHS rejects a model with a repeated (row, column).
+        values = vals[order]
+        if first is not None:
+            values = np.add.reduceat(values, first)
         # Past the frozen dataclass's __setattr__, as object.__setattr__ goes.
-        self.__dict__.update(zip(_FLOAT_FIELDS, floats), row_idx=rows, col_idx=cols, _layout=layout)
+        self.__dict__.update(zip(_FLOAT_FIELDS, floats), row_idx=rows, col_idx=cols, _cost=-c if self.maximize else c)
+        self.__dict__.update(_start=start, _rows=index, _cols=columns, _values=values)
 
     @property
     def n_vars(self) -> int:
@@ -247,30 +262,18 @@ class LpProblem:
     def n_rows(self) -> int:
         return self.row_lower.size
 
-    @functools.cached_property
-    def _prepared(self):
-        """``_prepare(self)``, built on first use and kept, so every solve
-        of this problem, a helper's run included, reads the same arrays."""
-        return _prepare(self)
-
 
 @dataclass(frozen=True, eq=False)
 class LpSolution:
+    """One HiGHS run's answer, oriented as its problem is posed: the
+    ``primal`` x, the row duals and the objective c.x (empty and NaN unless
+    ``status`` is OPTIMAL), and ``nit``, simplex plus IPM iterations."""
+
     status: str
     primal: np.ndarray = field(default_factory=lambda: np.zeros(0))
     dual: np.ndarray = field(default_factory=lambda: np.zeros(0))
     objective: float = float("nan")
-
-
-@dataclass(frozen=True, eq=False)
-class HighsResult:
-    """One HiGHS run: status, primal ``x`` and ``row_dual`` (both empty
-    unless OPTIMAL) and ``nit``, simplex plus IPM iterations."""
-
-    status: str
-    x: np.ndarray
-    row_dual: np.ndarray
-    nit: int
+    nit: int = 0
 
 
 class _Local(threading.local):
@@ -310,23 +313,22 @@ _PAIR_MIN_ENTRIES = 1000
 
 
 class _Handoff(threading.Thread):
-    """A helper thread, started for one model's unscaled HiGHS run on the
-    thread's own instance: the model's ``linprog`` arguments and the run's
-    result."""
+    """A helper thread, started for one problem's unscaled HiGHS run on the
+    thread's own instance: the problem and the run's result."""
 
     def __init__(self, problem: LpProblem):
         super().__init__(name="infodist-highs", daemon=True)
-        self.args = problem._prepared[3]
+        self.problem = problem
         self._result = None
         self.start()
 
     def run(self) -> None:
         try:
-            self._result = _run(_thread_highs(), *self.args)
+            self._result = _run(_thread_highs(), self.problem)
         except Exception as exc:  # re-raised by the waiting caller
             self._result = exc
 
-    def result(self) -> HighsResult:
+    def result(self) -> LpSolution:
         """The run's result, once the helper has ended; its exception is raised."""
         self.join()
         if isinstance(self._result, Exception):
@@ -342,30 +344,26 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _run(
-    highs: _highs._Highs,
-    cost: np.ndarray,
-    a: tuple[np.ndarray, np.ndarray, np.ndarray],
-    row_bounds: tuple[np.ndarray, np.ndarray],
-    col_bounds: tuple[np.ndarray, np.ndarray],
-) -> HighsResult:
-    """One model through ``highs``: ``passModel``, ``run``, the status, the
-    iteration count and the solution (see ``linprog``)."""
-    start, index, value = a
-    n_cols = cost.size
+def _run(highs: _highs._Highs, problem: LpProblem) -> LpSolution:
+    """``problem``'s model through ``highs``: ``passModel``, ``run``, the
+    status, the iteration count and the oriented solution (see
+    ``linprog``)."""
+    n_cols = problem.n_vars
     passed = highs.passModel(
         n_cols,
-        row_bounds[0].size,
-        value.size,
+        problem.n_rows,
+        problem._values.size,
         _highs.MatrixFormat.kColwise,
         _highs.ObjSense.kMinimize,
         0.0,
-        cost,
-        *col_bounds,
-        *row_bounds,
-        start[:-1].astype(np.int32),
-        index.astype(np.int32),
-        value,
+        problem._cost,
+        problem.col_lower,
+        problem.col_upper,
+        problem.row_lower,
+        problem.row_upper,
+        problem._start[:-1].astype(np.int32),
+        problem._rows.astype(np.int32),
+        problem._values,
         # All columns continuous; HiGHS rejects an empty integrality array.
         np.zeros(n_cols, dtype=np.int32),
     )
@@ -382,36 +380,35 @@ def _run(
         nit += max(count, 0) if read == _highs.HighsStatus.kOk else 0
     status = _STATUS.get(model_status) or highs.modelStatusToString(model_status)
     if status != OPTIMAL:
-        return HighsResult(status, np.zeros(0), np.zeros(0), nit)
+        return LpSolution(status, nit=nit)
     solution = highs.getSolution()
-    return HighsResult(status, np.array(solution.col_value), np.array(solution.row_dual), nit)
+    x = np.array(solution.col_value)
+    # HiGHS solved the minimization, so its row duals are duals_min.
+    duals_min = np.array(solution.row_dual)
+    duals = -duals_min if problem.maximize else duals_min
+    return LpSolution(status, x, duals, float(problem.objective @ x), nit)
 
 
-def linprog(
-    cost: np.ndarray,
-    a: tuple[np.ndarray, np.ndarray, np.ndarray],
-    row_bounds: tuple[np.ndarray, np.ndarray],
-    col_bounds: tuple[np.ndarray, np.ndarray],
-    scaled: bool = False,
-) -> HighsResult:
-    """min cost.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
+def linprog(problem: LpProblem, scaled: bool = False) -> LpSolution:
+    """One HiGHS run of ``problem``, without the gates.
 
-    ``a`` is A column-wise, ``(start, index, value)`` as HiGHS stores it.
-    The one function that talks to HiGHS; ``status`` is OPTIMAL,
-    INFEASIBLE, UNBOUNDED or else HiGHS's own name for its model status.
-    HiGHS solves the model as posed, or with its own scaling when
-    ``scaled`` (``solve``'s fallback).  ``solve`` calls it through this
-    module's global, so a wrapper installed as ``lp.linprog`` (the
-    benchmark's tracer) times every HiGHS call, fallbacks included, and
-    reads its ``nit``.  For the model that ``solve_pair`` handed to a
-    helper (the same ``a``), the first call, ``solve``'s unscaled one,
-    waits for the helper's run and returns it.
+    The one function that talks to HiGHS.  HiGHS minimizes ``_cost`` as
+    posed, or with its own scaling when ``scaled`` (``solve``'s fallback),
+    and the answer comes back oriented as ``problem`` is posed: the
+    objective is c.x, and a maximization's row duals are negated.
+    ``status`` is OPTIMAL, INFEASIBLE, UNBOUNDED or else HiGHS's own name
+    for its model status.  ``solve`` calls it through this module's
+    global, so a wrapper installed as ``lp.linprog`` (the benchmark's
+    tracer) times every HiGHS call, fallbacks included, and reads its
+    ``nit``.  For the problem that ``solve_pair`` handed to a helper, the
+    first call, ``solve``'s unscaled one, waits for the helper's run and
+    returns it.
     """
     handoff = _THREAD.handoff
-    if handoff is not None and a is handoff.args[1]:
+    if handoff is not None and problem is handoff.problem:
         _THREAD.handoff = None
         return handoff.result()
-    return _run(_thread_highs(scaled), cost, a, row_bounds, col_bounds)
+    return _run(_thread_highs(scaled), problem)
 
 
 # An LP of at most this many matrix entries keeps the arrays that depend on
@@ -436,10 +433,11 @@ def _cached_layout(row_idx: bytes, col_idx: bytes, n_rows: int, n_vars: int):
     """``LpProblem``'s checks of its triplet indices, then ``(order, first,
     start, rows, cols)``: the stable (column, row) sort of the triplets,
     the start of each run of one (row, column) (None when no entry
-    repeats), and the column-wise ``start``, ``rows`` and ``cols`` of
-    ``_columnwise``.  The index arrays come as their bytes, the cache's
-    key.  The arrays are shared by every problem with these indices, so
-    none is writable."""
+    repeats), and the column-wise arrays: column j's entries are
+    ``start[j]:start[j + 1]``, with their rows in ``rows`` and j repeated
+    in ``cols``.  The index arrays come as their bytes, the cache's key.
+    The arrays are shared by every problem with these indices, so none is
+    writable."""
     row_idx = np.frombuffer(row_idx, dtype=int)
     col_idx = np.frombuffer(col_idx, dtype=int)
     # A negative index viewed as unsigned exceeds every size.
@@ -465,51 +463,27 @@ def _cached_layout(row_idx: bytes, col_idx: bytes, n_rows: int, n_vars: int):
     return layout
 
 
-def _columnwise(problem: LpProblem) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A's entries in column-wise order: ``(start, rows, cols, values)``.
-
-    The canonical CSC that ``scipy.sparse`` builds from the triplets:
-    sorted by (column, row), entries at one (row, column) summed, explicit
-    zeros kept.  HiGHS rejects a model with a repeated (row, column).
-    Column j's entries are ``start[j]:start[j + 1]``; ``cols`` repeats j
-    for each of them, for the residual gates.  The sort depends on the
-    index arrays alone and was made with the problem (see
-    ``_cached_layout``), so only the values are gathered here.
-    """
-    order, first, start, rows, cols = problem._layout
-    vals = problem.coefficients[order]
-    if first is not None:
-        vals = np.add.reduceat(vals, first)
-    return start, rows, cols, vals
-
-
 def _residuals(
-    problem: LpProblem,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    x: np.ndarray,
-    duals_min: np.ndarray,
-    objective: float,
+    problem: LpProblem, x: np.ndarray, duals_min: np.ndarray, objective: float
 ) -> tuple[float, float, float]:
     """(primal, dual-sign, relative-gap) residuals, minimization orientation.
 
     ``objective`` is ``problem.objective @ x``, which ``solve`` reports too.
-    A.x and A^T.lam are one ``np.bincount`` each over the column-wise
-    arrays HiGHS was given, so the gates check the matrix HiGHS solved.
-    Each of the first two residuals is one maximum over all its
-    violations; a column's stationarity violation is the bound multiplier
-    it would need on a bound it lacks.
+    A.x and A^T.lam are one ``np.bincount`` each over the problem's
+    column-wise arrays, the ones HiGHS was given, so the gates check the
+    matrix HiGHS solved.  Each of the first two residuals is one maximum
+    over all its violations; a column's stationarity violation is the
+    bound multiplier it would need on a bound it lacks.
     """
     row_lower, row_upper = problem.row_lower, problem.row_upper
     lower, upper = problem.col_lower, problem.col_upper
+    rows, cols, vals = problem._rows, problem._cols, problem._values
     lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
     ax = np.bincount(rows, weights=x[cols] * vals, minlength=problem.n_rows)
     at_lam = np.bincount(cols, weights=lam[rows] * vals, minlength=problem.n_vars)
     primal = _max(np.concatenate((row_lower - ax, ax - row_upper, lower - x, x - upper)), initial=0.0)
 
-    # c_min + A^T.lam, c_min = -c for a maximization: the same bits.
-    reduced = at_lam - problem.objective if problem.maximize else problem.objective + at_lam
+    reduced = problem._cost + at_lam  # c_min + A^T.lam
     # Row 0 is about the lower column bounds, row 1 the upper ones: the
     # bound multipliers max(+-reduced, 0) and which bounds are absent.  A
     # column lacking a bound cannot take its multiplier, which is then a
@@ -534,33 +508,14 @@ def _residuals(
     return float(primal), float(dual_sign), gap
 
 
-def _prepare(problem: LpProblem):
-    """``(rows, cols, vals, args)``: A's column-wise entries for the gates,
-    and the ``linprog`` arguments of the minimization HiGHS solves."""
-    start, rows, cols, vals = _columnwise(problem)
-    cost = -problem.objective if problem.maximize else problem.objective
-    args = (
-        cost,
-        (start, rows, vals),
-        (problem.row_lower, problem.row_upper),
-        (problem.col_lower, problem.col_upper),
-    )
-    return rows, cols, vals, args
-
-
-def _optimum(problem: LpProblem, res: HighsResult) -> tuple[LpSolution, str | None]:
-    """HiGHS's OPTIMAL ``res`` as a solution, and why its residuals fail
-    the gates (None when they pass)."""
-    rows, cols, vals, _ = problem._prepared
-    # HiGHS solved the minimization, so its row duals are duals_min.
-    duals_min = res.row_dual
-    objective = float(problem.objective @ res.x)
-    primal_res, dual_res, gap = _residuals(problem, rows, cols, vals, res.x, duals_min, objective)
-    failure = None
-    if primal_res > LP_TOL or dual_res > _DUAL_GATE or gap > LP_TOL:
-        failure = f"residuals beyond gates: primal={primal_res:g} dual={dual_res:g} gap={gap:g}"
-    duals = -duals_min if problem.maximize else duals_min
-    return LpSolution(status=OPTIMAL, primal=res.x, dual=duals, objective=objective), failure
+def _gate_failure(problem: LpProblem, solution: LpSolution) -> str | None:
+    """Why an OPTIMAL ``solution``'s residuals fail the gates, or None when
+    they pass."""
+    duals_min = -solution.dual if problem.maximize else solution.dual
+    primal, dual, gap = _residuals(problem, solution.primal, duals_min, solution.objective)
+    if primal > LP_TOL or dual > _DUAL_GATE or gap > LP_TOL:
+        return f"residuals beyond gates: primal={primal:g} dual={dual:g} gap={gap:g}"
+    return None
 
 
 def solve(problem: LpProblem) -> LpSolution:
@@ -571,18 +526,15 @@ def solve(problem: LpProblem) -> LpSolution:
     HiGHS's scaling, and that answer stands: INFEASIBLE, UNBOUNDED, or
     OPTIMAL within the gates, else ``NumericalFailure``.
     """
-    args = problem._prepared[3]
-    res = linprog(*args)
-    if res.status == OPTIMAL:
-        solution, failure = _optimum(problem, res)
-        if failure is None:
-            return solution
-    res = linprog(*args, scaled=True)
-    if res.status in (INFEASIBLE, UNBOUNDED):
-        return LpSolution(status=res.status)
-    if res.status != OPTIMAL:
-        raise NumericalFailure(f"HiGHS failed: {res.status}")
-    solution, failure = _optimum(problem, res)
+    solution = linprog(problem)
+    if solution.status == OPTIMAL and _gate_failure(problem, solution) is None:
+        return solution
+    solution = linprog(problem, scaled=True)
+    if solution.status in (INFEASIBLE, UNBOUNDED):
+        return solution
+    if solution.status != OPTIMAL:
+        raise NumericalFailure(f"HiGHS failed: {solution.status}")
+    failure = _gate_failure(problem, solution)
     if failure is not None:
         raise NumericalFailure(failure)
     return solution

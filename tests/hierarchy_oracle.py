@@ -6,9 +6,9 @@ by three refinements.
 ``hierarchy_partition`` computes the same refinement with array operations;
 the tests require it to return exactly what these loops return, classes and
 level, and ``reduce_redundancy`` to return the tensor ``merge_by_classes``
-builds from those classes, bit for bit.  The one place they differ on purpose: these loops
-count a signal's cells on opponent signals of positive mass at most
-ZERO_TOL (null signals), which the library takes as absent.
+builds from those classes, bit for bit.  Signals of mass at most ZERO_TOL
+(null signals) form the class -1 and count as absent: their entries are
+left out of their opponents' cells and masses, as the library drops them.
 
 ``dnzs`` here reduces u and v one at a time and refines a third structure,
 the union of all their components scaled to mass 1, for class ids shared
@@ -53,15 +53,17 @@ def _refine(tensor, labels1, labels2, rounder):
     n_k = len(tensor)
     n_c = len(tensor[0])
     n_d = len(tensor[0][0])
+    live1 = [c for c in range(n_c) if labels1[c] != NULL_CLASS]
+    live2 = [d for d in range(n_d) if labels2[d] != NULL_CLASS]
     sigs1 = []
     for c in range(n_c):
         if labels1[c] == NULL_CLASS:
             sigs1.append(NULL_CLASS)
             continue
-        mass = sum(tensor[k][c][d] for k in range(n_k) for d in range(n_d))
+        mass = sum(tensor[k][c][d] for k in range(n_k) for d in live2)
         cells = {}
         for k in range(n_k):
-            for d in range(n_d):
+            for d in live2:
                 key = (k, labels2[d])
                 cells[key] = cells.get(key, 0) + tensor[k][c][d]
         sigs1.append(
@@ -72,10 +74,10 @@ def _refine(tensor, labels1, labels2, rounder):
         if labels2[d] == NULL_CLASS:
             sigs2.append(NULL_CLASS)
             continue
-        mass = sum(tensor[k][c][d] for k in range(n_k) for c in range(n_c))
+        mass = sum(tensor[k][c][d] for k in range(n_k) for c in live1)
         cells = {}
         for k in range(n_k):
-            for c in range(n_c):
+            for c in live1:
                 key = (k, labels1[c])
                 cells[key] = cells.get(key, 0) + tensor[k][c][d]
         sigs2.append(

@@ -65,7 +65,7 @@ def test_traced_pair_on_two_threads_keeps_one_span_stack(monkeypatch, two_cpus):
     v = random_structure(rng, 4, 6, 6)
     problems = [distance._gap_problem(u, v)[0], distance._gap_problem(v, u)[0]]
     assert [problem.coefficients.size for problem in problems] == [1800, 1800]
-    nit = [lp.linprog(*lp._prepare(problem)[3]).nit for problem in problems]
+    nit = [lp.linprog(problem).nit for problem in problems]
     handed = []
     handoff = lp._Handoff
     monkeypatch.setattr(lp, "_Handoff", lambda problem: handed.append(problem) or handoff(problem))

@@ -343,19 +343,20 @@ def test_gates_match_the_reference_residuals(monkeypatch):
     rng = np.random.default_rng(20261019)
     failing = 0
     for problem in _oracle_problems(monkeypatch) + _blackwell_gap_problems():
-        rows, cols, vals, args = problem._prepared
-        res = lp.linprog(*args)
-        assert res.status == lp.OPTIMAL
-        points = [(res.x, res.row_dual)]
+        sol = lp.linprog(problem)
+        assert sol.status == lp.OPTIMAL
+        x, duals_min = sol.primal, -sol.dual if problem.maximize else sol.dual
+        points = [(x, duals_min)]
         for scale in (1e-9, 1e-6, 1e-2):
-            points.append((res.x + scale * rng.normal(size=res.x.size), res.row_dual))
-            points.append((res.x, res.row_dual + scale * rng.normal(size=res.row_dual.size)))
+            points.append((x + scale * rng.normal(size=x.size), duals_min))
+            points.append((x, duals_min + scale * rng.normal(size=duals_min.size)))
         # Every row dual of the wrong sign, and x beyond its bounds.
-        points.append((res.x, -res.row_dual))
-        points.append((np.where(rng.random(res.x.size) < 0.5, 2.0 * res.x + 1.0, res.x), res.row_dual))
+        points.append((x, -duals_min))
+        points.append((np.where(rng.random(x.size) < 0.5, 2.0 * x + 1.0, x), duals_min))
+        arrays = problem._rows, problem._cols, problem._values
         for x, duals_min in points:
-            got = lp._residuals(problem, rows, cols, vals, x, duals_min, float(problem.objective @ x))
-            want = gate_oracle._residuals(problem, rows, cols, vals, x, duals_min)
+            got = lp._residuals(problem, x, duals_min, float(problem.objective @ x))
+            want = gate_oracle._residuals(problem, *arrays, x, duals_min)
             assert got == want
             failing += want[0] > LP_TOL or want[1] > 10 * LP_TOL or want[2] > LP_TOL
     assert failing > 100
@@ -366,9 +367,9 @@ def _recorded_linprog(monkeypatch):
     calls = []
     linprog = lp.linprog
 
-    def recording_linprog(*args, scaled=False):
+    def recording_linprog(problem, scaled=False):
         calls.append(scaled)
-        return linprog(*args, scaled=scaled)
+        return linprog(problem, scaled=scaled)
 
     monkeypatch.setattr(lp, "linprog", recording_linprog)
     return calls
@@ -376,9 +377,9 @@ def _recorded_linprog(monkeypatch):
 
 def _gates_pass(problem, sol):
     """``sol`` is inside every gate of gate_oracle's residuals."""
-    rows, cols, vals, _ = problem._prepared
+    arrays = problem._rows, problem._cols, problem._values
     duals_min = -sol.dual if problem.maximize else sol.dual
-    primal, dual, gap = gate_oracle._residuals(problem, rows, cols, vals, sol.primal, duals_min)
+    primal, dual, gap = gate_oracle._residuals(problem, *arrays, sol.primal, duals_min)
     return primal <= LP_TOL and dual <= 10 * LP_TOL and gap <= LP_TOL
 
 
@@ -446,8 +447,7 @@ def test_a_gate_failure_falls_back_to_the_scaled_solve(monkeypatch):
     a = blackwell_structure(BlackwellSpec(18, 16, 0.75, 0.75))
     b = blackwell_structure(BlackwellSpec(16, 16, 0.75, 0.75))
     problem = distance._gap_problem(a, b)[0]
-    args = problem._prepared[3]
-    assert lp._optimum(problem, lp.linprog(*args))[1].startswith("residuals beyond gates")
+    assert lp._gate_failure(problem, lp.linprog(problem)).startswith("residuals beyond gates")
     options = _highs.HighsOptions()
     options.output_flag = False
     options.log_to_console = False
@@ -457,13 +457,12 @@ def test_a_gate_failure_falls_back_to_the_scaled_solve(monkeypatch):
     options.dual_feasibility_tolerance = LP_TOL / 10
     highs = _highs._Highs()
     highs.passOptions(options)
-    want = lp._run(highs, *args)
+    want = lp._run(highs, problem)
     calls = _recorded_linprog(monkeypatch)
     sol = lp.solve(problem)
     assert calls == [False, True]
-    assert sol.status == want.status == lp.OPTIMAL
-    assert sol.primal.tobytes() == want.x.tobytes()
-    assert sol.dual.tobytes() == (-want.row_dual).tobytes()
+    assert want.status == lp.OPTIMAL
+    assert _same(sol, want) and sol.nit == want.nit
     assert _gates_pass(problem, sol)
 
 
@@ -581,24 +580,24 @@ def test_reused_instance_solves_any_size_as_a_fresh_one_does():
     assert all(_same(got, want) for got, want in zip(reused, fresh))
 
 
-def _linprog_through_highs_lp(cost, a, row_bounds, col_bounds):
-    """``lp.linprog`` with the model handed to a fresh HiGHS instance as a
-    ``HighsLp`` object, filled field by field."""
-    start, index, value = a
-    n_rows, n_cols = row_bounds[0].size, cost.size
+def _linprog_through_highs_lp(problem):
+    """``lp.linprog`` with the problem's model handed to a fresh HiGHS
+    instance as a ``HighsLp`` object, filled field by field.  Returns the
+    status, HiGHS's x and row duals, and the iteration count."""
+    n_rows, n_cols = problem.n_rows, problem.n_vars
     model = _highs.HighsLp()
     model.num_col_ = n_cols
     model.num_row_ = n_rows
-    model.col_cost_ = cost
-    model.col_lower_, model.col_upper_ = col_bounds
-    model.row_lower_, model.row_upper_ = row_bounds
+    model.col_cost_ = problem._cost
+    model.col_lower_, model.col_upper_ = problem.col_lower, problem.col_upper
+    model.row_lower_, model.row_upper_ = problem.row_lower, problem.row_upper
     matrix = model.a_matrix_
     matrix.format_ = _highs.MatrixFormat.kColwise
     matrix.num_col_ = n_cols
     matrix.num_row_ = n_rows
-    matrix.start_ = start
-    matrix.index_ = index
-    matrix.value_ = value
+    matrix.start_ = problem._start
+    matrix.index_ = problem._rows
+    matrix.value_ = problem._values
     highs = _highs._Highs()
     highs.passOptions(lp._HIGHS_OPTIONS)
     assert highs.passModel(model) != _highs.HighsStatus.kError
@@ -608,9 +607,9 @@ def _linprog_through_highs_lp(cost, a, row_bounds, col_bounds):
     nit = max(info.simplex_iteration_count, 0) + max(info.ipm_iteration_count, 0)
     status = lp._STATUS.get(model_status) or highs.modelStatusToString(model_status)
     if status != lp.OPTIMAL:
-        return lp.HighsResult(status, np.zeros(0), np.zeros(0), nit)
+        return status, np.zeros(0), np.zeros(0), nit
     solution = highs.getSolution()
-    return lp.HighsResult(status, np.array(solution.col_value), np.array(solution.row_dual), nit)
+    return status, np.array(solution.col_value), np.array(solution.row_dual), nit
 
 
 def test_flat_model_solves_as_a_highs_lp_object_does(monkeypatch):
@@ -626,19 +625,11 @@ def test_flat_model_solves_as_a_highs_lp_object_does(monkeypatch):
     ]
     statuses = set()
     for problem in problems:
-        start, rows, _, vals = lp._columnwise(problem)
-        args = (
-            -problem.objective if problem.maximize else problem.objective,
-            (start, rows, vals),
-            (problem.row_lower, problem.row_upper),
-            (problem.col_lower, problem.col_upper),
-        )
-        got = lp.linprog(*args)
-        want = _linprog_through_highs_lp(*args)
-        assert got.status == want.status
-        assert got.x.tobytes() == want.x.tobytes()
-        assert got.row_dual.tobytes() == want.row_dual.tobytes()
-        assert got.nit == want.nit
+        got = lp.linprog(problem)
+        status, x, row_dual, nit = _linprog_through_highs_lp(problem)
+        assert (got.status, got.nit) == (status, nit)
+        assert got.primal.tobytes() == x.tobytes()
+        assert got.dual.tobytes() == (-row_dual if problem.maximize else row_dual).tobytes()
         statuses.add(got.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
@@ -647,9 +638,11 @@ def test_a_rejected_model_reports_no_iterations():
     # HiGHS rejects a repeated (row, column) in passModel and runs nothing;
     # its iteration counts are then unavailable, not the last solve's.
     assert lp.solve(_simple_problem()).status == lp.OPTIMAL
-    one = np.ones(1)
-    repeated = (np.array([0, 2]), np.array([0, 0]), np.array([1.0, 1.0]))
-    res = lp.linprog(one, repeated, (-np.inf * one, one), (0 * one, one))
+    problem = _one_variable_problem(1.0, [(1.0, 1.0), (1.0, 1.0)], maximize=False)
+    # LpProblem sums repeats, so the model's second entry is moved onto the
+    # first one's (row, column) after assembly.
+    problem.__dict__["_rows"] = np.array([0, 0])
+    res = lp.linprog(problem)
     assert (res.status, res.nit) == (lp.INFEASIBLE, 0)
 
 
@@ -670,8 +663,7 @@ def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
     unique, first = np.unique(keys, axis=0, return_index=True)
     sums = np.add.reduceat(vals[order], first)
     start = np.concatenate(([0], np.cumsum(np.bincount(unique[:, 0], minlength=n_vars))))
-    got = lp._columnwise(problem)
-    assert len(got) == 4
+    got = (problem._start, problem._rows, problem._cols, problem._values)
     want = (start, unique[:, 1], unique[:, 0], sums)
     for name, have, want in zip(("start", "rows", "cols", "values"), got, want):
         assert have.dtype == want.dtype, name

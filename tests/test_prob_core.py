@@ -341,7 +341,6 @@ def _value_pairs():
         "MixingMatrix": lambda: inf.MixingMatrix(np.eye(2, dtype=bool)),
         "LpProblem": lambda: lp.LpProblem(one, [0], [0], one, one, one, one - 1, one),
         "LpSolution": lambda: lp.LpSolution(lp.OPTIMAL, one, one, 1.0),
-        "HighsResult": lambda: lp.HighsResult(lp.OPTIMAL, one, one, 1),
     }
     return [pytest.param(make(), make(), id=name) for name, make in makers.items()]
 

@@ -233,15 +233,15 @@ def test_value_matches_the_normal_form_oracle(pair, partial):
 
 
 @st.composite
-def redundant_structures(draw, tiny=True, n_k=None):
+def redundant_structures(draw, n_k=None):
     """A structure on ``n_k`` states (2-3 when None) with 1-6 signals per
     player, where each signal after a player's first may be a proportional
-    copy of an earlier one of the same player, have zero mass, or (with
-    ``tiny``) have a positive mass below ZERO_TOL."""
+    copy of an earlier one of the same player, have zero mass, or have a
+    positive mass below ZERO_TOL."""
     n_k = n_k or draw(st.integers(2, 3))
     shape = (n_k, draw(st.integers(1, 6)), draw(st.integers(1, 6)))
     probs = draw(hnp.arrays(float, shape, elements=_CELL))
-    kinds = ("free", "copy", "zero", "tiny") if tiny else ("free", "copy", "zero")
+    kinds = ("free", "copy", "zero", "tiny")
     for signals in (probs, probs.transpose(0, 2, 1)):  # a view: writes reach probs
         for s in range(1, signals.shape[1]):
             kind = draw(st.sampled_from(kinds))
@@ -257,17 +257,16 @@ def redundant_structures(draw, tiny=True, n_k=None):
     return inf.validate_structure(probs / probs.sum())
 
 
-@given(redundant_structures(tiny=False))
+@given(redundant_structures())
 def test_partition_matches_the_oracle(u):
     # The array refinement against the dict-signature loops it replaced:
-    # the same classes, numbered the same, at the same level.  (The loops
-    # also count cells on signals of positive mass below ZERO_TOL, which
-    # the refinement takes as absent, so such signals are left out here.)
+    # the same classes, numbered the same, at the same level.  Signals of
+    # positive mass below ZERO_TOL are drawn too: both take them as absent.
     assert inf.hierarchy_partition(u) == oracle.hierarchy_partition(u)
 
 
 @settings(max_examples=8)
-@given(redundant_structures(tiny=False))
+@given(redundant_structures())
 def test_exact_partition_matches_the_oracle(u):
     assert inf.hierarchy_partition(u, exact=True) == oracle.hierarchy_partition(u, exact=True)
 

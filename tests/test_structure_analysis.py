@@ -322,9 +322,10 @@ def test_an_entry_that_snaps_to_zero_is_absent_in_exact_mode():
 
 
 def test_both_key_kernels_give_the_same_keys(rng):
-    # A round's keys come from plain Python or from numpy, chosen by the
-    # number of tensor entries its dirty signals hold; on every signal,
-    # before every round, the two must agree key for key, in both modes.
+    # A float round's keys come from plain Python or from numpy, chosen by
+    # the number of tensor entries its dirty signals hold; on every signal,
+    # before every round, the two must agree key for key.  Exact mode always
+    # takes plain Python; both modes run at least the rounds they count.
     # In ``ties`` player 1's signals hold mass 8192 in odd parts, beliefs on
     # exact grid ties; the first and last also hold a cell below the grid.
     ties = np.zeros((2, 3, 3))
@@ -357,7 +358,8 @@ def test_both_key_kernels_give_the_same_keys(rng):
             rounds = 0
             for refinement in _refinement_rounds(probs, exact):
                 every = list(range(len(refinement.classes)))
-                assert refinement.python_keys(every) == refinement.numpy_keys(every)
+                if not exact:
+                    assert refinement.python_keys(every) == refinement.numpy_keys(every)
                 rounds += 1
             # The round that finds no split is skipped once every class
             # is a single signal.
