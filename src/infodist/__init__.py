@@ -43,7 +43,6 @@ from .distance import (
 )
 from .errors import (
     BudgetExceeded,
-    EmptyInput,
     HypothesisViolated,
     InfoDistError,
     InvalidParameters,

@@ -53,25 +53,26 @@ moves them by at most eps_CI(u) + eps_CI(v) + 2 * (the marginal term) <=
 The lifted witness's bracket is still checked against u and v
 themselves.  Every other pair poses the full gap LP.
 
-Calls on the same pair of structure objects share one gap solve:
-``one_sided_gap``, ``value_distance``, ``witness_game`` and ``is_better``
-read the last few (u, v) solves from a small LRU memo.  An entry holds the
-LP solution, its layout and the ``GapCertificate``, which the first
-``one_sided_gap`` call builds and every later one returns.
-``value_distance`` reads the objective alone and builds no garbling; when
-the memo holds neither direction it solves both as one ``lp.solve_pair``,
-which may run them on two threads, and stores both.  The
+Calls on the same structure objects share their gap solves: a small LRU
+memo keys each solve on the structures its LP is posed on, (u, v) or, on a
+collapsed pair, the player-1 marginals (u', v'), which are built once per
+structure object.  So no public function here solves an LP again that
+another has just solved.  An entry holds the LP solution, its layout and
+the ``GapCertificate``, which the first ``one_sided_gap`` call builds and
+every later one returns.  The distances read the objective alone and build
+no garbling; when the memo holds neither direction they solve both as one
+``lp.solve_pair``, which may run them on two threads, and store both.  The
 memo is keyed on object identity, not content.  A structure's tensor is
 read-only, so the same pair of objects always has the same gap, and
 comparing identities costs nothing where hashing the tensors would read
 both on every call.  A structure rebuilt from the same tensor is solved
-afresh.  Apart from the memo, the gap LP's index arrays, bounds and
-repeat counts are built once per shape (see ``_gap_pattern``), and ``lp``
-checks the index arrays and sorts them once per content for an LP of at
-most 1,024 entries (see ``lp._cached_layout``).  Per call,
-``_gap_problem`` reads the signal masses, spreads the beliefs over the
-pattern with one ``np.repeat`` and drops the zero coefficients, and
-``lp`` checks the bounds.
+afresh.  Apart from the memo, the gap LP's index arrays, bounds and repeat
+counts are built once per shape (see ``_gap_pattern``), and ``lp`` checks
+the index arrays and sorts them once per content for an LP of at most
+1,024 entries (see ``lp._cached_layout``).  Per call, ``_gap_problem``
+reads the signal masses, spreads the beliefs over the pattern with one
+``np.repeat`` and drops the zero coefficients, and ``lp`` checks the
+bounds.
 """
 
 from __future__ import annotations
@@ -98,7 +99,6 @@ from .structures import (
     _frozen,
     _garbled_probs,
     _SIGNALS_GIVEN_STATE,
-    _player1_marginal,
     check_signals_cond_indep,
     eps_conditional_independence,
     marginalize,
@@ -176,6 +176,13 @@ class _GapLayout(NamedTuple):
     mass2: np.ndarray
 
 
+# Each memo below holds one public call's entries: a call on (u, v) poses
+# at most four gap LPs and reads _collapses(u, v), _marginal(u) and
+# _marginal(v).  A memo holds its structures, so ids stay unique in it.
+_GAP_MEMO_SIZE = 4
+
+
+@functools.lru_cache(maxsize=_GAP_MEMO_SIZE)
 def _collapses(u: InformationStructure, v: InformationStructure) -> bool:
     """Does the (u, v) gap collapse to the single-agent gap of the player-1
     marginals?  True when u and v have the same number of player-2 signals,
@@ -193,9 +200,16 @@ def _collapses(u: InformationStructure, v: InformationStructure) -> bool:
     return delta <= ZERO_TOL
 
 
-def _posed(u: InformationStructure, v: InformationStructure, collapsed: bool):
+@functools.lru_cache(maxsize=_GAP_MEMO_SIZE)
+def _marginal(u: InformationStructure) -> InformationStructure:
+    """u's marginal u' over (state, player-1 signal), as a structure with
+    one player-2 signal; one object per u, so the gap memo keeps its LPs."""
+    return InformationStructure(u.probs.sum(axis=2, keepdims=True), u.state_labels)
+
+
+def _posed(u: InformationStructure, v: InformationStructure):
     """The structures whose gap LP is solved for the (u, v) gap."""
-    return (_player1_marginal(u), _player1_marginal(v)) if collapsed else (u, v)
+    return (_marginal(u), _marginal(v)) if _collapses(u, v) else (u, v)
 
 
 def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,15 +334,12 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
 
 @dataclass
 class _GapSolve:
-    """One memoised gap solve: the LP solution, its layout, whether the LP
-    was posed on the player-1 marginals (``collapsed``; the layout is then
-    that LP's, with one player-2 action), and the certificate, which
-    ``one_sided_gap`` builds on its first call and every later call
-    returns."""
+    """One memoised gap solve: the LP solution, its layout and the
+    certificate, which ``one_sided_gap`` builds on its first call and every
+    later call returns."""
 
     solution: lp.LpSolution
     layout: _GapLayout
-    collapsed: bool
     certificate: GapCertificate | None = None
 
     @property
@@ -336,18 +347,16 @@ class _GapSolve:
         return max(self.solution.objective, 0.0)
 
 
-def _gap_solve(sol: lp.LpSolution, layout: _GapLayout, collapsed: bool) -> _GapSolve:
+def _gap_solve(sol: lp.LpSolution, layout: _GapLayout) -> _GapSolve:
     if sol.status != lp.OPTIMAL:
         raise NumericalFailure(f"gap LP ended with status {sol.status}")
     # Every caller gets this same solution, so none may write into it.
     sol.primal.setflags(write=False)
     sol.dual.setflags(write=False)
-    return _GapSolve(sol, layout, collapsed)
+    return _GapSolve(sol, layout)
 
 
 # The last _GAP_MEMO_SIZE gap solves by (u, v) identity, least recent first.
-# The memo holds its structures, so an id cannot be reused while an entry lives.
-_GAP_MEMO_SIZE = 4
 _gap_memo: dict[tuple[InformationStructure, InformationStructure], _GapSolve] = {}
 _gap_memo_lock = threading.Lock()
 
@@ -369,28 +378,32 @@ def _remember(u, v, solve: _GapSolve) -> None:
 
 
 def _solve_gap(u, v) -> _GapSolve:
-    """The (u, v) gap LP's solve, shared by calls on the same objects.
+    """The gap LP posed on (u, v), shared by calls on the same objects.
 
     A raised NumericalFailure is not cached: the next call solves again.
     Neither is a solve whose witness fails its bracket in ``witness_game``.
     """
     solve = _recall(u, v)
     if solve is None:
-        collapsed = _collapses(u, v)
-        problem, layout = _gap_problem(*_posed(u, v, collapsed))
-        solve = _gap_solve(lp.solve(problem), layout, collapsed)
+        problem, layout = _gap_problem(u, v)
+        solve = _gap_solve(lp.solve(problem), layout)
         _remember(u, v, solve)
     return solve
 
 
-def _solve_gaps(u, v, collapsed: bool) -> tuple[_GapSolve, _GapSolve]:
-    """The (u, v) and (v, u) gap LPs, posed on the player-1 marginals when
-    ``collapsed``, as one ``lp.solve_pair``; neither enters the memo."""
-    a, b = _posed(u, v, collapsed)
-    problem_ab, layout_ab = _gap_problem(a, b)
-    problem_ba, layout_ba = _gap_problem(b, a)
-    sol_ab, sol_ba = lp.solve_pair(problem_ab, problem_ba)
-    return _gap_solve(sol_ab, layout_ab, collapsed), _gap_solve(sol_ba, layout_ba, collapsed)
+def _solve_gaps(u, v) -> tuple[_GapSolve, _GapSolve]:
+    """The gap LPs posed on (u, v) and (v, u).  When the memo holds neither
+    and u is not v, they are solved as one ``lp.solve_pair`` and both are
+    remembered."""
+    if u is v or _recall(u, v) is not None or _recall(v, u) is not None:
+        return _solve_gap(u, v), _solve_gap(v, u)
+    problem_uv, layout_uv = _gap_problem(u, v)
+    problem_vu, layout_vu = _gap_problem(v, u)
+    sol_uv, sol_vu = lp.solve_pair(problem_uv, problem_vu)
+    uv, vu = _gap_solve(sol_uv, layout_uv), _gap_solve(sol_vu, layout_vu)
+    _remember(u, v, uv)
+    _remember(v, u, vu)
+    return uv, vu
 
 
 def _garbling(duals: np.ndarray, live: np.ndarray, mass: np.ndarray, n_source: int) -> Garbling:
@@ -419,12 +432,12 @@ def one_sided_gap(
     Calls on the same (u, v) objects return the same certificate object,
     built once per solve.
     """
-    solve = _solve_gap(u, v)
+    solve = _solve_gap(*_posed(u, v))
     if solve.certificate is None:
         sol, layout = solve.solution, solve.layout
         n_q1 = layout.live1.size * layout.shape[1]
         q1 = _garbling(sol.dual[:n_q1], layout.live1, layout.mass1, u.signals1_count)
-        if solve.collapsed:
+        if _collapses(u, v):
             q2 = Garbling.identity(v.signals2_count)
         else:
             q2 = _garbling(sol.dual[n_q1:], layout.live2, layout.mass2, v.signals2_count)
@@ -441,15 +454,10 @@ def value_distance(u: InformationStructure, v: InformationStructure) -> float:
     thread while this one solves (u, v) if the LPs are large enough (see
     ``lp``); the results are the serial solves' bit for bit, and both
     directions enter the memo.  On a collapsed pair (see the module
-    docstring) those are the single-agent LPs.  On one object,
+    docstring) those are ``single_agent_distance``'s LPs.  On one object,
     ``value_distance(u, u)`` solves the one gap LP once.
     """
-    if u is not v and _recall(u, v) is None and _recall(v, u) is None:
-        uv, vu = _solve_gaps(u, v, _collapses(u, v))
-        _remember(u, v, uv)
-        _remember(v, u, vu)
-        return max(uv.gap, vu.gap)
-    return max(_solve_gap(u, v).gap, _solve_gap(v, u).gap)
+    return max(solve.gap for solve in _solve_gaps(*_posed(u, v)))
 
 
 def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGame:
@@ -474,11 +482,11 @@ def witness_game(u: InformationStructure, v: InformationStructure) -> ZeroSumGam
     farther than WITNESS_TOL from either end means the witness misses the
     target or the target misses the supremum, and this raises.
     """
-    solve = _solve_gap(u, v)
+    solve = _solve_gap(*_posed(u, v))
     target = solve.gap
     n_k, l1, l2 = solve.layout.shape
     g = solve.solution.primal[: n_k * l1 * l2].reshape(solve.layout.shape)
-    if solve.collapsed:
+    if _collapses(u, v):
         # g1(k,e) for every player-2 action f.
         g = np.repeat(g, u.signals2_count, axis=2)
     game = ZeroSumGame(np.clip(g, -1.0, 1.0))
@@ -522,11 +530,11 @@ def single_agent_distance(
     on the marginals u', v' over (state, player-1 signal).  That is the
     value distance of u' and v' as structures with a single player-2
     signal: there q2 is trivial and the gap LP reduces to min over q1 of
-    ||q1.u' - v'||.  Always <= value_distance(u, v).  The two gap LPs are
-    solved as one ``lp.solve_pair`` and enter no memo, as u' and v' are
-    built afresh on every call.
+    ||q1.u' - v'||.  Always <= value_distance(u, v).  u' and v' are built
+    once per structure object, so their two gap LPs share the memo: on a
+    collapsed pair they are ``value_distance``'s.
     """
-    return max(solve.gap for solve in _solve_gaps(u, v, collapsed=True))
+    return max(solve.gap for solve in _solve_gaps(_marginal(u), _marginal(v)))
 
 
 def diameter_bounds(p: StateDistribution, q: StateDistribution) -> DiameterBounds:
@@ -656,15 +664,16 @@ def cond_indep_collapse_report(
     """Collapse harness: for conditionally independent u, v with equal
     marginals over (state, player-2 signal), d(u,v) = d1(u,v).
 
-    d comes from the full gap LPs in both directions, never from the
+    d comes from the full gap LPs posed on (u, v), never from the
     single-agent LPs that ``value_distance`` solves on such pairs, so the
-    report checks the theorem that path relies on."""
+    report checks the theorem that path relies on; d1 is
+    ``single_agent_distance``'s."""
     check_signals_cond_indep(u, v)
     mu = u.probs.sum(axis=1)
     mv = v.probs.sum(axis=1)
     if mu.shape != mv.shape or np.abs(mu - mv).max() > HYPOTHESIS_TOL:
         raise HypothesisViolated("marginals over (K x D) differ")
-    d = max(solve.gap for solve in _solve_gaps(u, v, collapsed=False))
+    d = max(solve.gap for solve in _solve_gaps(u, v))
     d1 = single_agent_distance(u, v)
     return CondIndepCollapseReport(d, d1, abs(d - d1) <= DIST_TOL)
 

@@ -47,7 +47,3 @@ class NumericalFailure(InfoDistError):
 
 class HypothesisViolated(InfoDistError):
     """Structures fed to a verification harness do not satisfy its hypothesis."""
-
-
-class EmptyInput(InfoDistError, ValueError):
-    """An operation received an empty collection where content is required."""

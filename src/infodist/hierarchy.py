@@ -159,18 +159,22 @@ def hierarchy_partition(u: InformationStructure, exact: bool = False) -> SignalP
     12-digit grid; both modes run the same rounds.
 
     The last few partitions are memoised per structure object, one entry
-    per mode, so ``reduce_redundancy``, ``is_redundant``, ``ck_decompose``
-    and ``is_simple`` on the same object refine it once.  The memo is keyed
-    on identity, not content, as the gap LP's is: a structure rebuilt from
-    the same tensor is refined afresh.  A call that raises is not cached.
+    per mode, together with the reduction they give, so
+    ``reduce_redundancy``, ``is_redundant``, ``ck_decompose`` and
+    ``is_simple`` on the same object refine and merge it once.  The memo is
+    keyed on identity, not content, as the gap LP's is: a structure rebuilt
+    from the same tensor is refined afresh.  A call that raises is not
+    cached.
     """
-    return _partition_of(u, exact)
+    return _reduction_of(u, exact)[0]
 
 
 # The memo holds its structures, so an id cannot be reused while an entry lives.
 @functools.lru_cache(maxsize=4)
-def _partition_of(u: InformationStructure, exact: bool) -> SignalPartition:
-    return _refine(u.probs, exact)
+def _reduction_of(u: InformationStructure, exact: bool) -> tuple[SignalPartition, InformationStructure]:
+    """u's partition and ``reduce_redundancy(u, exact)``."""
+    part = _refine(u.probs, exact)
+    return part, _merge_by_classes(u, part.player1_classes, part.player2_classes)
 
 
 def _refine(probs: np.ndarray, exact: bool) -> SignalPartition:
@@ -359,13 +363,14 @@ def reduce_redundancy(u: InformationStructure, exact: bool = False) -> Informati
     value-equivalent to the input; a non-redundant input is returned as
     it is.
     """
-    part = hierarchy_partition(u, exact=exact)
-    if not _redundant(part):
-        return u
-    return _merge_by_classes(u, part.player1_classes, part.player2_classes)
+    return _reduction_of(u, exact)[1]
 
 
 def _merge_by_classes(u, classes1, classes2) -> InformationStructure:
+    """One signal per class of u's signals, in class order, null signals
+    dropped; u itself when no signal is null or shares its class."""
+    if all(NULL_CLASS not in c and len(set(c)) == len(c) for c in (classes1, classes2)):
+        return u
     classes1, classes2 = np.asarray(classes1), np.asarray(classes2)
     live1 = np.flatnonzero(classes1 != NULL_CLASS)
     live2 = np.flatnonzero(classes2 != NULL_CLASS)
@@ -379,18 +384,8 @@ def _merge_by_classes(u, classes1, classes2) -> InformationStructure:
     return InformationStructure(np.ascontiguousarray(merged.transpose(2, 0, 1)), u.state_labels)
 
 
-def _redundant(part: SignalPartition) -> bool:
-    """Some signal has zero mass or shares its class with another."""
-    return (
-        NULL_CLASS in part.player1_classes
-        or NULL_CLASS in part.player2_classes
-        or part.class_count(PLAYER1) < len(part.player1_classes)
-        or part.class_count(PLAYER2) < len(part.player2_classes)
-    )
-
-
 def is_redundant(u: InformationStructure) -> bool:
-    return _redundant(hierarchy_partition(u))
+    return reduce_redundancy(u) is not u
 
 
 def ck_decompose(u: InformationStructure) -> Decomposition:
@@ -401,11 +396,10 @@ def ck_decompose(u: InformationStructure) -> Decomposition:
     pair positive mass; each component satisfies u(A|s) in {0,1} for every
     signal s.  Redundant input is auto-reduced first (with a warning).
     """
-    part = hierarchy_partition(u)
-    if _redundant(part):
+    reduced = reduce_redundancy(u)
+    if reduced is not u:
         warnings.warn("structure is redundant; reducing before decomposition")
-        u = _merge_by_classes(u, part.player1_classes, part.player2_classes)
-    return _decompose(u)
+    return _decompose(reduced)
 
 
 def _component_labels(link: np.ndarray) -> np.ndarray:
@@ -501,10 +495,8 @@ def dnzs(u: InformationStructure, v: InformationStructure) -> float:
     ):
         own1, names1 = _first_occurrence(classes1)
         own2, names2 = _first_occurrence(classes2)
-        if len(names1) < len(own1) or len(names2) < len(own2):
-            # The reduced structure's signal j is own class j.
-            structure = _merge_by_classes(structure, own1, own2)
-        dec = _decompose(structure)
+        # The reduced structure's signal j is own class j.
+        dec = _decompose(_merge_by_classes(structure, own1, own2))
         by_print: dict = {}
         for (w, comp), (cs, ds) in zip(dec.components, dec.signal_blocks):
             cls1 = np.array([ids1.setdefault(names1[c], len(ids1)) for c in cs])

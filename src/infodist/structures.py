@@ -232,22 +232,6 @@ def validate_structure(raw, state_labels=None) -> InformationStructure:
     return InformationStructure(arr, labels)
 
 
-def _player1_marginal(u: InformationStructure) -> InformationStructure:
-    """u's marginal over (state, player-1 signal), as a structure with one
-    player-2 signal.
-
-    Its tensor is ``InformationStructure(u.probs.sum(axis=2,
-    keepdims=True)).probs`` to the bit, division by its sum included, but
-    it is not validated again: the sums of a validated tensor are finite,
-    nonnegative and total 1 within NORM_TOL.
-    """
-    probs = u.probs.sum(axis=2, keepdims=True)
-    marginal = InformationStructure.__new__(InformationStructure)
-    object.__setattr__(marginal, "probs", _frozen(probs / probs.sum()))
-    object.__setattr__(marginal, "state_labels", u.state_labels)
-    return marginal
-
-
 def garble(u: InformationStructure, side: str, q: Garbling) -> InformationStructure:
     """Apply a garbling to one player's signal.
 

@@ -337,16 +337,21 @@ def test_out_of_range_options_are_usage_errors(capsys, files, option, value):
 
 
 def test_blackwell_table_values_and_determinism(capsys):
-    code, out1, _ = _run(capsys, "blackwell-table", "--p", "0.75", "--nmax", "4")
-    assert code == 0
-    code, out2, _ = _run(capsys, "blackwell-table", "--p", "0.75", "--nmax", "4")
-    assert out1 == out2
-    rows = {}
-    for line in out1.strip().splitlines()[1:]:
-        p, n, l, d1 = line.split(",")
-        rows[(int(n), int(l))] = float(d1)
-    assert rows[(4, 2)] == pytest.approx(0.1875)
-    assert rows[(2, 1)] == pytest.approx(0.1875)
+    # With --lp, each row's single-agent LP column matches its closed form.
+    for extra in ((), ("--lp",)):
+        code, out1, _ = _run(capsys, "blackwell-table", "--p", "0.75", "--nmax", "4", *extra)
+        assert code == 0
+        code, out2, _ = _run(capsys, "blackwell-table", "--p", "0.75", "--nmax", "4", *extra)
+        assert out1 == out2
+        rows = {}
+        for line in out1.strip().splitlines()[1:]:
+            p, n, l, d1, *d1_lp = line.split(",")
+            rows[(int(n), int(l))] = float(d1)
+            assert len(d1_lp) == len(extra)
+            for value in d1_lp:
+                assert float(value) == pytest.approx(float(d1), abs=1e-9)
+        assert rows[(4, 2)] == pytest.approx(0.1875)
+        assert rows[(2, 1)] == pytest.approx(0.1875)
 
 
 def test_repro_canonical_examples(capsys):

@@ -126,6 +126,7 @@ def test_distances_build_no_garbling(rng, monkeypatch, solve_rows):
     v = random_structure(rng, 2, 3, 2, zeros=0.2)
     d = inf.value_distance(u, v)
     d1 = inf.single_agent_distance(u, v)
+    assert inf.single_agent_distance(u, v) == d1
     assert built == []
     assert len(solve_rows) == 4
     cert = inf.one_sided_gap(u, v)
@@ -144,6 +145,20 @@ def test_gap_memo_is_keyed_on_identity(rng, solve_rows):
     again = inf.one_sided_gap(inf.validate_structure(u.probs.copy()), v)
     assert solve_rows == [15, 15]
     assert again.gap == pytest.approx(cert.gap, abs=1e-12)
+
+
+def test_mismatched_state_counts_raise_and_solve_nothing(rng, solve_rows):
+    # Both pairs have two player-2 signals a side, so the collapse test
+    # reads the state counts too.
+    u = random_structure(rng, 2, 3, 2)
+    v = random_structure(rng, 3, 2, 2)
+    distance._gap_memo.clear()
+    calls = (inf.value_distance, inf.one_sided_gap, inf.witness_game, inf.single_agent_distance, inf.is_better, inf.dnzs)
+    for call in calls:
+        for a, b in ((u, v), (v, u)):
+            with pytest.raises(inf.ShapeMismatch, match="state counts differ"):
+                call(a, b)
+    assert solve_rows == [] and distance._gap_memo == {}
 
 
 def test_gap_memo_does_not_keep_failures(rng, monkeypatch):
@@ -471,7 +486,7 @@ def test_blackwell_members_pass_the_gates(n):
         full = lp.solve(_gap_problem(u, v)[0])
         assert full.status == lp.OPTIMAL
         cert = inf.one_sided_gap(u, v)
-        assert _solve_gap(u, v).collapsed
+        assert distance._collapses(u, v)
         assert cert.gap == pytest.approx(max(full.objective, 0.0), abs=LP_TOL)
         assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
         g = inf.witness_game(u, v)
@@ -514,8 +529,7 @@ def test_single_agent_distance_basics(rng):
 
 
 def test_single_agent_distance_is_the_distance_of_the_validated_marginals(rng):
-    # The marginals are not validated again, but their tensors are the
-    # validated ones to the bit, so d1 is too.
+    # d1 is the value distance of the validated marginals, bit for bit.
     for _ in range(10):
         u = random_structure(rng, 3, 3, 3, zeros=0.2)
         v = random_structure(rng, 3, 4, 2, zeros=0.2)
@@ -678,9 +692,11 @@ def test_collapse_report_solves_the_full_gap_lps(rng, solve_rows):
     # same (c,e) rows and one (d,f) row.
     assert solve_rows == [16, 16, 13, 13]
     assert report.passed
-    # value_distance solves the single-agent LPs alone, as d1 did.
+    # value_distance reads the single-agent LPs that d1 solved, and d1
+    # again solves none.
     assert inf.value_distance(u, v) == report.d1
-    assert solve_rows == [16, 16, 13, 13, 13, 13]
+    assert inf.single_agent_distance(u, v) == report.d1
+    assert solve_rows == [16, 16, 13, 13]
 
 
 def test_a_pair_just_outside_the_collapse_solves_the_full_lp(rng):
@@ -688,7 +704,7 @@ def test_a_pair_just_outside_the_collapse_solves_the_full_lp(rng):
     # marginal and leaves a CI defect just above ZERO_TOL: the gap LP is
     # the full one, solved bit for bit as the oracle poses it.
     u, raw_v = _ci_pair_with_one_player2_marginal(rng)
-    assert _solve_gap(u, inf.validate_structure(raw_v)).collapsed
+    assert distance._collapses(u, inf.validate_structure(raw_v))
     raw_v[0, 0, 0] += 6e-13
     raw_v[0, 1, 0] -= 6e-13
     v = inf.validate_structure(raw_v)
@@ -700,8 +716,8 @@ def test_a_pair_just_outside_the_collapse_solves_the_full_lp(rng):
     # keeps the full LP too.
     two, one = (inf.blackwell_structure(inf.BlackwellSpec(n, 0, 0.75, 0.75)) for n in (2, 1))
     for a, b in ((u, v), (v, u), (two, one)):
+        assert not distance._collapses(a, b)
         solve = _solve_gap(a, b)
-        assert not solve.collapsed
         want = lp.solve(gap_oracle.triplet_gap_problem(a, b)[0])
         assert solve.solution.objective == want.objective
         assert np.array_equal(solve.solution.primal, want.primal)

@@ -12,9 +12,9 @@ from hypothesis.extra import numpy as hnp
 import gap_oracle
 import hierarchy_oracle as oracle
 import infodist as inf
-from infodist import distance
+from infodist import distance, hierarchy
 from infodist.config import DIST_TOL, VALUE_TOL, WITNESS_TOL, ZERO_TOL
-from infodist.hierarchy import is_redundant
+from infodist.hierarchy import NULL_CLASS, is_redundant
 from infodist.structures import common_embedding
 
 # Cells are 0 or at least 0.05, so a generated structure is no worse
@@ -140,7 +140,7 @@ def test_ci_pairs_with_one_player2_marginal_solve_the_single_agent_lp(pair):
     u, v = pair
     for a, b in ((u, v), (v, u)):
         cert = inf.one_sided_gap(a, b)
-        assert distance._solve_gap(a, b).collapsed
+        assert distance._collapses(a, b)
         assert abs(cert.gap - gap_oracle.plain_gap(a, b)) <= 1e-9
         assert abs(cert.recheck(a, b) - cert.gap) <= DIST_TOL
         assert np.array_equal(cert.q2.rows, np.eye(a.signals2_count))
@@ -272,14 +272,15 @@ def test_exact_partition_matches_the_oracle(u):
 
 
 @st.composite
-def chain_structures(draw):
+def chain_structures(draw, n_k=None):
     """A banded structure, chain-shaped like the ladder and the email game:
-    2-3 states, 1-20 signals a player, player-1 signal c meeting player-2
-    signals c to c + width - 1 only.  Cells are random, dyadic, or all
-    equal but the first (a ladder: beliefs differ at the chain's end alone,
-    so each round splits the next signals off and the refinement runs as
-    long as the chain).  A few signals of each player may have no mass."""
-    n_k = draw(st.integers(2, 3))
+    ``n_k`` states (2-3 when None), 1-20 signals a player, player-1 signal
+    c meeting player-2 signals c to c + width - 1 only.  Cells are random,
+    dyadic, or all equal but the first (a ladder: beliefs differ at the
+    chain's end alone, so each round splits the next signals off and the
+    refinement runs as long as the chain).  A few signals of each player may
+    have no mass."""
+    n_k = n_k or draw(st.integers(2, 3))
     signals = st.one_of(st.integers(1, 20), st.integers(12, 20))
     n_c, n_d = draw(signals), draw(signals)
     width = draw(st.integers(1, 3))
@@ -362,6 +363,38 @@ def test_dnzs_on_block_mixtures_matches_the_reference(pair):
     u, v = pair
     assert inf.dnzs(u, v) == oracle.dnzs(u, v)
     assert inf.dnzs(v, u) == oracle.dnzs(v, u)
+
+
+@st.composite
+def same_state_pairs(draw, structures):
+    n_k = draw(st.integers(2, 3))
+    return [draw(structures(n_k=n_k)) for _ in range(2)]
+
+
+def _renumbered(classes):
+    """Class ids by first occurrence, as ``hierarchy_partition`` numbers
+    them: the null class spends an id too, but reads -1."""
+    ids = {}
+    for c in classes:
+        ids.setdefault(c, len(ids))
+    return tuple(NULL_CLASS if c == NULL_CLASS else ids[c] for c in classes)
+
+
+@given(st.one_of(block_mixture_pairs(), same_state_pairs(redundant_structures), same_state_pairs(chain_structures)))
+def test_the_union_refinement_restricted_to_a_side_is_its_partition(pair):
+    # dnzs reads each side's classes off one refinement of the block-diagonal
+    # union: restricted to a side and renumbered by first occurrence, they
+    # must be that side's own partition.
+    u, v = pair
+    n_k, n_c, n_d = u.shape
+    union = np.zeros((n_k, n_c + v.signals1_count, n_d + v.signals2_count))
+    union[:, :n_c, :n_d] = u.probs
+    union[:, n_c:, n_d:] = v.probs
+    joint = hierarchy._refine(union, exact=False)
+    for side, cut1, cut2 in ((u, slice(None, n_c), slice(None, n_d)), (v, slice(n_c, None), slice(n_d, None))):
+        own = inf.hierarchy_partition(side)
+        assert _renumbered(joint.player1_classes[cut1]) == own.player1_classes
+        assert _renumbered(joint.player2_classes[cut2]) == own.player2_classes
 
 
 @st.composite

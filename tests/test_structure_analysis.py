@@ -74,7 +74,7 @@ def _count_refinements(monkeypatch):
         return refine(probs, exact)
 
     monkeypatch.setattr(hierarchy, "_refine", counting)
-    hierarchy._partition_of.cache_clear()
+    hierarchy._reduction_of.cache_clear()
     return calls
 
 
