@@ -408,15 +408,12 @@ def _solve_gaps(u, v) -> tuple[_GapSolve, _GapSolve]:
 
 def _garbling(duals: np.ndarray, live: np.ndarray, mass: np.ndarray, n_source: int) -> Garbling:
     """Garbling rows from one block of row duals: each live signal's duals
-    over its mass, normalized; a dropped signal's row is uniform (any
+    over its mass, made row-stochastic by ``lp._stochastic``.  A dropped
+    signal gets a zero row, which that rule makes uniform (any
     distribution would do, as the signal carries at most ZERO_TOL)."""
-    q = np.maximum(duals.reshape(live.size, -1) / mass[:, None], 0.0)
-    q /= q.sum(axis=1, keepdims=True)
-    if live.size == n_source:
-        return Garbling(q)
-    rows = np.full((n_source, q.shape[1]), 1.0 / q.shape[1])
-    rows[live] = q
-    return Garbling(rows)
+    rows = np.zeros((n_source, duals.size // live.size))
+    rows[live] = duals.reshape(live.size, -1) / mass[:, None]
+    return Garbling(lp._stochastic(rows))
 
 
 def one_sided_gap(

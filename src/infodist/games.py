@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .config import NORM_TOL, ZERO_TOL, resolve_budget
+from .config import ZERO_TOL, resolve_budget
 from .errors import BudgetExceeded, NotNormalized, ShapeMismatch
 from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2, _json_floats, _json_object
 
@@ -165,31 +165,18 @@ def value(u: InformationStructure, g: ZeroSumGame) -> ValueResult:
 
     The binomial cells of the Blackwell members reach 1e-9, and unscaled
     rows of such masses fail the dual gate.  m_c and n_d are the players'
-    signal masses, or 1 for a signal of mass at most ZERO_TOL.
+    signal masses, or 1 for a signal of mass at most ZERO_TOL.  sigma (x
+    over m_c) and tau (the (d, j) duals over n_d) are ``lp.best_response``'s.
     """
     _check_compatible(u, g)
-    n_c, n_d = u.signals1_count, u.signals2_count
-    n_i, n_j = g.actions1_count, g.actions2_count
+    n_c, n_d, n_j = u.signals1_count, u.signals2_count, g.actions2_count
     coeff = _coefficients(u, g)
     m = _signal_scale(u.probs.sum(axis=(0, 2)))
     n = _signal_scale(u.probs.sum(axis=(0, 1)))
 
     # Variables: x(c, i) flattened, then w(d); rows (d, j).
     payoff = coeff.transpose(2, 3, 0, 1) / (n[:, None, None, None] * m[:, None])
-    objective, x, duals = lp.best_response(
-        payoff.reshape(n_d, n_j, n_c * n_i), n_c, block_mass=m, weights=n
-    )
-
-    sigma = np.clip(x.reshape(n_c, n_i) / m[:, None], 0.0, None)
-    sigma /= sigma.sum(axis=1, keepdims=True)
-    # The duals on the (d, j) rows over n_d are tau(j|d).
-    tau = np.clip(duals / n[:, None], 0.0, None)
-    sums = tau.sum(axis=1)
-    degenerate = sums <= NORM_TOL
-    if degenerate.any():
-        tau[degenerate] = 1.0 / n_j
-        sums = tau.sum(axis=1)
-    tau /= sums[:, None]
+    objective, sigma, tau = lp.best_response(payoff.reshape(n_d, n_j, -1), n_c, block_mass=m, weights=n)
     return ValueResult(objective, Garbling(sigma), Garbling(tau))
 
 

@@ -90,8 +90,9 @@ The contract the rest of the package relies on:
   that answer's status, gates and ``NumericalFailure`` stand.
 
 For a minimization problem the Lagrange multiplier of a ``<=`` row is
-``-dual[i] >= 0``; for a maximization it is ``dual[i] >= 0``, which is how
-the gap LP's row duals become garblings.
+``-dual[i] >= 0``; for a maximization it is ``dual[i] >= 0``.  One rule,
+``_stochastic``, turns multipliers into ``best_response``'s strategies and
+the gap LP's garblings.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LP_TOL
+from .config import LP_TOL, NORM_TOL
 from .errors import NumericalFailure, ShapeMismatch
 
 _CORE = "scipy.optimize._highspy._core"
@@ -590,6 +591,19 @@ def _best_response_pattern(n_d: int, n_j: int, n_x: int, n_blocks: int):
     return arrays
 
 
+def _stochastic(weights: np.ndarray) -> np.ndarray:
+    """LP multipliers as row-stochastic rows, the one rule for every strategy
+    and garbling read off an LP: negative entries clip to 0, a row summing
+    to at most NORM_TOL (a signal the optimum leaves free) becomes uniform,
+    and each row is divided by its sum."""
+    rows = np.maximum(weights, 0.0)
+    sums = _sum(rows, axis=1)
+    flat = sums <= NORM_TOL
+    rows[flat] = 1.0
+    sums[flat] = rows.shape[1]
+    return rows / sums[:, None]
+
+
 def best_response(
     payoff: np.ndarray,
     n_blocks: int,
@@ -602,10 +616,11 @@ def best_response(
 
     with x cut into ``n_blocks`` equal consecutive blocks, block b summing
     to ``block_mass[b]`` (1 if not given), x >= 0, and weights w (1 if not
-    given).  Variables are x, then the free z.  Returns the objective, x
-    and the (D, J) duals of the (d, j) rows; for each d these are >= 0 and
-    sum to w_d by stationarity in z_d.  The index arrays and bounds come
-    from ``_best_response_pattern`` for the shape.
+    given).  Variables are x, then the free z.  Returns the objective and
+    both players' strategies through ``_stochastic``: x's blocks over their
+    masses, and the (D, J) duals of the (d, j) rows over w_d (>= 0 and
+    summing to w_d for each d by stationarity in z_d).  The index arrays
+    and bounds come from ``_best_response_pattern`` for the shape.
     """
     n_d, n_j, n_x = payoff.shape
     n_entries = payoff.size + n_d * n_j + n_x
@@ -613,8 +628,9 @@ def best_response(
         _best_response_pattern, n_entries, n_d, n_j, n_x, n_blocks
     )
     mass = np.ones(n_blocks) if block_mass is None else block_mass
+    w = np.ones(n_d) if weights is None else weights
     problem = LpProblem(
-        objective=np.concatenate((zeros, np.ones(n_d) if weights is None else weights)),
+        objective=np.concatenate((zeros, w)),
         row_idx=rows,
         col_idx=cols,
         coefficients=np.concatenate((-payoff.ravel(), ones)),
@@ -627,7 +643,9 @@ def best_response(
     sol = solve(problem)
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"best-response LP ended with status {sol.status}")
-    return sol.objective, sol.primal[:n_x], sol.dual[: n_d * n_j].reshape(n_d, n_j)
+    x = sol.primal[:n_x].reshape(n_blocks, -1) / mass[:, None]
+    y = sol.dual[: n_d * n_j].reshape(n_d, n_j) / w[:, None]
+    return sol.objective, _stochastic(x), _stochastic(y)
 
 
 def solve_matrix_game(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -641,11 +659,5 @@ def solve_matrix_game(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ShapeMismatch(f"matrix game needs a 2-D payoff array, got {a.shape}")
-    n = a.shape[1]
-    value, x, duals = best_response(a.T[np.newaxis], 1)
-    x = np.clip(x, 0.0, None)
-    x /= x.sum()
-    y = np.clip(duals[0], 0.0, None)
-    total = y.sum()
-    y = np.full(n, 1.0 / n) if total <= 0 else y / total
-    return value, x, y
+    value, x, y = best_response(a.T[np.newaxis], 1)
+    return value, x[0], y[0]

@@ -177,11 +177,13 @@ class Garbling:
 
     @staticmethod
     def identity(n: int) -> "Garbling":
-        return Garbling(np.eye(n))
+        return Garbling(np.eye(check_integer(n, "n", 1)))
 
     @staticmethod
     def constant(source: int, target: int, index: int = 0) -> "Garbling":
-        if not 0 <= index < target:
+        source, target = check_integer(source, "source", 1), check_integer(target, "target", 1)
+        # Any integer index; one outside the targets is a shape error.
+        if not 0 <= check_integer(index, "index", -math.inf) < target:
             raise ShapeMismatch(f"target index {index} out of range for {target} targets")
         rows = np.zeros((source, target))
         rows[:, index] = 1.0

@@ -181,6 +181,16 @@ def test_gap_memo_does_not_keep_failures(rng, monkeypatch):
     assert cert.recheck(u, v) == pytest.approx(cert.gap, abs=DIST_TOL)
 
 
+@pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
+def test_a_gap_solve_that_is_not_optimal_raises_and_is_not_kept(rng, monkeypatch, status):
+    u = random_structure(rng, 2, 3, 3)
+    v = random_structure(rng, 2, 3, 2)
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpSolution(status))
+    with pytest.raises(NumericalFailure, match=f"gap LP ended with status {status}"):
+        inf.one_sided_gap(u, v)
+    assert distance._recall(u, v) is None
+
+
 def _dense_pairs(seed, signals=range(5, 10)):
     rng = np.random.default_rng(seed)
     return [(random_structure(rng, 4, n, n), random_structure(rng, 4, n, n)) for n in signals]

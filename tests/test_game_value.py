@@ -54,6 +54,19 @@ def test_strategies_are_optimal(rng):
         assert_optimal(u, g, inf.value(u, g))
 
 
+def test_strategies_of_a_live_signal_of_tiny_mass():
+    # Player 1's signal 0 has mass 1e-10: HiGHS sets its x block to 0
+    # within its tolerance, and its strategy row is then uniform, not 0/0.
+    eps = 1e-10
+    probs = [[[eps / 4, eps / 4], [0.5 - eps / 2, 0.0]], [[eps / 4, eps / 4], [0.0, 0.5 - eps / 2]]]
+    u = inf.validate_structure(probs)
+    pennies = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    g = inf.ZeroSumGame(np.array([pennies, -pennies]))
+    result = inf.value(u, g)
+    assert result.value == pytest.approx(0.0, abs=VALUE_TOL)
+    assert_optimal(u, g, result)
+
+
 def test_brute_force_oracle_small(rng):
     for _ in range(10):
         u = random_structure(rng, 2, 3, 2)

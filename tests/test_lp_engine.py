@@ -10,7 +10,7 @@ from scipy.optimize._highspy import _core as _highs
 
 from infodist import BlackwellSpec, blackwell_structure, distance, games, lp
 from infodist.config import LP_TOL
-from infodist.errors import ShapeMismatch
+from infodist.errors import NumericalFailure, ShapeMismatch
 
 import gate_oracle
 from conftest import random_game, random_structure
@@ -464,6 +464,42 @@ def test_a_gate_failure_falls_back_to_the_scaled_solve(monkeypatch):
     assert want.status == lp.OPTIMAL
     assert _same(sol, want) and sol.nit == want.nit
     assert _gates_pass(problem, sol)
+
+
+def _fallback_answers(monkeypatch, answer):
+    """``lp.linprog`` replaced by ``answer(problem)`` for the unscaled and
+    the scaled run alike; the ``scaled`` flag of every call, in order."""
+    calls = []
+
+    def fake_linprog(problem, scaled=False):
+        calls.append(scaled)
+        return answer(problem)
+
+    monkeypatch.setattr(lp, "linprog", fake_linprog)
+    return calls
+
+
+def test_a_scaled_fallback_that_ends_not_optimal_raises(monkeypatch):
+    calls = _fallback_answers(monkeypatch, lambda problem: lp.LpSolution("Time limit reached"))
+    with pytest.raises(NumericalFailure, match="HiGHS failed: Time limit reached"):
+        lp.solve(_simple_problem())
+    assert calls == [False, True]
+
+
+def test_a_scaled_fallback_that_misses_a_gate_raises(monkeypatch):
+    # x = 4 breaks the row x <= 3 by 1, far outside the primal gate.
+    off = lp.LpSolution(lp.OPTIMAL, np.array([4.0]), np.array([1.0]), 4.0)
+    calls = _fallback_answers(monkeypatch, lambda problem: off)
+    with pytest.raises(NumericalFailure, match="residuals beyond gates: primal=1 "):
+        lp.solve(_simple_problem())
+    assert calls == [False, True]
+
+
+@pytest.mark.parametrize("status", [lp.INFEASIBLE, lp.UNBOUNDED])
+def test_best_response_raises_unless_the_solve_is_optimal(monkeypatch, status):
+    monkeypatch.setattr(lp, "solve", lambda problem: lp.LpSolution(status))
+    with pytest.raises(NumericalFailure, match=f"best-response LP ended with status {status}"):
+        lp.best_response(np.ones((1, 2, 2)), 1)
 
 
 def _same(a, b):

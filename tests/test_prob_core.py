@@ -305,6 +305,11 @@ def test_from_json_rejects_malformed_input(load, text, error):
         ("inf.email_game(0.1, 0.5, 2.5)", inf.InvalidParameters),
         ("inf.blackwell_structure(inf.BlackwellSpec(1.5, 0, 0.7, 0.7))", inf.InvalidParameters),
         ("inf.embed_signals(u, 1.5, 1)", inf.InvalidParameters),
+        ("inf.Garbling.identity(2.0)", inf.InvalidParameters),
+        ("inf.Garbling.identity(-1)", inf.InvalidParameters),
+        ("inf.Garbling.constant(2, 3, 1.0)", inf.InvalidParameters),
+        ("inf.Garbling.constant(2.0, 3, 1)", inf.InvalidParameters),
+        ("inf.Garbling.constant(np.int64(2), 3, np.int64(1))", None),
         ("inf.conditional(u.probs, {0: 1.5})", inf.ShapeMismatch),
         ("inf.conditional(u.probs, {1.5: 0})", inf.ShapeMismatch),
         ("inf.blackwell_d1_closed_form(np.int64(3), 1, 0.75)", None),

@@ -22,10 +22,28 @@ from infodist.structures import common_embedding
 _CELL = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
 
 
+def _tiny_signal(draw, probs):
+    """The normalized ``probs``, in which one player's signal may be scaled
+    to a mass in (ZERO_TOL, 1e-8]: live, yet small enough that HiGHS may
+    set its multipliers to 0 within its tolerance."""
+    if not draw(st.booleans()):
+        return probs
+    axis = draw(st.sampled_from((1, 2)))
+    live = np.flatnonzero(probs.sum(axis=(0, 3 - axis)))
+    if live.size < 2:
+        return probs
+    index = (slice(None),) * axis + (draw(st.sampled_from(live)),)
+    mass = probs[index].sum()
+    target = 10.0 ** draw(st.floats(-11.9, -8.0))
+    probs[index] *= target * (1.0 - mass) / ((1.0 - target) * mass)
+    return probs / probs.sum()
+
+
 @st.composite
-def raw_pairs(draw, count=2):
+def raw_pairs(draw, count=2, tiny=False):
     """``count`` raw tensors (two by default) on 2-4 states with 1-5
-    signals per player."""
+    signals per player; with ``tiny``, each may have a signal of mass in
+    (ZERO_TOL, 1e-8] (see ``_tiny_signal``)."""
     n_k = draw(st.integers(2, 4))
     signals = st.integers(1, 5)
     pair = []
@@ -34,7 +52,8 @@ def raw_pairs(draw, count=2):
         probs = draw(hnp.arrays(float, shape, elements=_CELL))
         if probs.sum() == 0.0:
             probs[0, 0, 0] = 1.0
-        pair.append(probs / probs.sum())
+        probs /= probs.sum()
+        pair.append(_tiny_signal(draw, probs) if tiny else probs)
     return pair
 
 
@@ -42,7 +61,7 @@ def _fresh(raw_u, raw_v):
     return inf.validate_structure(raw_u), inf.validate_structure(raw_v)
 
 
-@given(raw_pairs())
+@given(raw_pairs(tiny=True))
 def test_shared_gap_solve_matches_fresh_solves(pair):
     # Calls on the same objects share one gap solve; each answer must be
     # bit-identical to a solve on freshly validated copies of the inputs.
@@ -71,7 +90,7 @@ def test_shared_gap_solve_matches_fresh_solves(pair):
     assert abs(achieved - cert.gap) <= WITNESS_TOL
 
 
-@given(raw_pairs())
+@given(raw_pairs(tiny=True))
 def test_witness_bracket_holds_the_achieved_gap(pair):
     # Weak duality: the identity strategies bound the witness's gap from
     # below and the garblings bound every game's gap from above.  The
@@ -209,15 +228,16 @@ def test_blackwell_d1_matches_the_closed_form(counts, p):
 
 @st.composite
 def games_on_structures(draw):
-    """A structure on 2-3 states with 1-3 signals per player and a game with
-    1-3 actions per player, small enough for the normal-form oracle."""
+    """A structure on 2-3 states with 1-3 signals per player, one of which
+    may have a mass in (ZERO_TOL, 1e-8], and a game with 1-3 actions per
+    player, small enough for the normal-form oracle."""
     n_k = draw(st.integers(2, 3))
     small = st.integers(1, 3)
     probs = draw(hnp.arrays(float, (n_k, draw(small), draw(small)), elements=_CELL))
     if probs.sum() == 0.0:
         probs[0, 0, 0] = 1.0
     payoffs = draw(hnp.arrays(float, (n_k, draw(small), draw(small)), elements=st.floats(-1.0, 1.0)))
-    return inf.validate_structure(probs / probs.sum()), inf.ZeroSumGame(payoffs)
+    return inf.validate_structure(_tiny_signal(draw, probs / probs.sum())), inf.ZeroSumGame(payoffs)
 
 
 @given(games_on_structures(), st.booleans())
@@ -229,7 +249,11 @@ def test_value_matches_the_normal_form_oracle(pair, partial):
     rules1 = g.actions1_count**u.signals1_count
     rules2 = g.actions2_count**u.signals2_count
     budget = min(rules1, rules2) if partial else None
-    assert abs(inf.value(u, g).value - inf.value_normal_form(u, g, budget=budget)) <= VALUE_TOL
+    result = inf.value(u, g)
+    assert abs(result.value - inf.value_normal_form(u, g, budget=budget)) <= VALUE_TOL
+    # Both strategies guarantee the value, a tiny signal's rows included.
+    assert inf.guarantee(u, g, result.strategy1, inf.PLAYER1) >= result.value - VALUE_TOL
+    assert inf.guarantee(u, g, result.strategy2, inf.PLAYER2) <= result.value + VALUE_TOL
 
 
 @st.composite
