@@ -6,7 +6,8 @@ it cached the index arrays per shape; ``_gap_problem`` must match it bit
 for bit.
 
 ``plain_gap`` solves the plain LP on the common embedding, as the library
-built it before the LP was trimmed and scaled.
+built it before the LP was trimmed and scaled, and reads its objective at
+the vertex of HiGHS's optimal basis.
 
 The actions range over L1 = max of the player-1 signal counts and L2 = max
 of the player-2 signal counts, every signal keeps its rows, and the rows
@@ -25,7 +26,7 @@ must be this one.
 import numpy as np
 
 from infodist import InformationStructure, lp
-from infodist.config import ZERO_TOL
+from infodist.config import LP_TOL, ZERO_TOL
 
 
 def _live_signals(masses):
@@ -115,6 +116,34 @@ def plain_gap(u: InformationStructure, v: InformationStructure) -> float:
         col_upper=np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
         maximize=True,
     )
-    sol = lp.solve(problem)
-    assert sol.status == lp.OPTIMAL
-    return max(sol.objective, 0.0)
+    return max(_vertex_objective(problem), 0.0)
+
+
+def _vertex_objective(problem: lp.LpProblem) -> float:
+    """The objective at the vertex of HiGHS's optimal basis, recomputed by
+    one dense solve.  HiGHS stops within its feasibility tolerance, and on
+    the plain LP's raw masses that can move its reported objective 1e-11
+    off the optimum."""
+    highs = lp._highs._Highs()
+    highs.passOptions(lp._HIGHS_OPTIONS)
+    assert lp._run(highs, problem).status == lp.OPTIMAL
+    kind = lp._highs.HighsBasisStatus
+    basis = highs.getBasis()
+    cols = np.array(basis.col_status)
+    tight = np.array(basis.row_status) != kind.kBasic
+    dense = np.zeros((problem.n_rows, problem.n_vars))
+    np.add.at(dense, (problem.row_idx, problem.col_idx), problem.coefficients)
+
+    # Nonbasic columns sit at a bound (a free one at 0), nonbasic rows at
+    # theirs; the basic columns solve the tight rows.
+    x = np.where(cols == kind.kLower, problem.col_lower, 0.0)
+    x = np.where(cols == kind.kUpper, problem.col_upper, x)
+    basic = cols == kind.kBasic
+    rhs = np.where(np.array(basis.row_status) == kind.kLower, problem.row_lower, problem.row_upper)
+    x[basic] = np.linalg.solve(
+        dense[tight][:, basic], rhs[tight] - dense[tight][:, ~basic] @ x[~basic]
+    )
+    ax = dense @ x
+    assert max(np.max(problem.row_lower - ax), np.max(ax - problem.row_upper)) <= LP_TOL
+    assert max(np.max(problem.col_lower - x), np.max(x - problem.col_upper)) <= LP_TOL
+    return float(problem.objective @ x)

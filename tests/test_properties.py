@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -111,7 +111,36 @@ def test_witness_bracket_holds_the_achieved_gap(pair):
     assert inf.value_distance(u, v) <= inf.l1_distance(u_emb, v_emb) + DIST_TOL
 
 
+def _filled(shape, fill, cells):
+    """A tensor of ``fill`` but for the ``cells`` {index: value}, normalized."""
+    probs = np.full(shape, float(fill))
+    for index, value in cells.items():
+        probs[index] = value
+    return probs / probs.sum()
+
+
+# On u -> v, HiGHS's reported objective of the plain LP is 2.3e-12 off the
+# optimum, within its tolerance; the vertex of its basis is not.
+_PLAIN_LP_OVERSHOOT = [
+    _filled((4, 5, 5), 999990, {
+        (0, 1, 2): 690777, (0, 2, 3): 765954, (0, 2, 4): 728886, (0, 3, 0): 980975,
+        (0, 3, 1): 0, (1, 1, 1): 463481, (1, 2, 3): 50000, (1, 4, 3): 0, (2, 0, 4): 0,
+        (2, 1, 2): 778778, (2, 2, 2): 83419, (2, 2, 4): 0, (2, 4, 3): 0,
+        (2, 4, 4): 619152, (3, 0, 4): 0, (3, 1, 1): 1000000, (3, 2, 0): 0,
+        (3, 4, 1): 50000, (3, 4, 3): 619152,
+    }),
+    _filled((4, 5, 3), 737551, {
+        (0, 1, 0): 202888, (0, 2, 0): 327948, (0, 2, 2): 379733, (0, 4, 0): 0,
+        (1, 0, 1): 929031, (1, 0, 2): 0, (1, 1, 1): 1000000, (1, 1, 2): 395176,
+        (1, 2, 0): 759550, (1, 2, 1): 0, (1, 2, 2): 0, (1, 3, 2): 566960,
+        (2, 0, 0): 250913, (2, 2, 0): 590777, (2, 2, 1): 118096, (3, 3, 0): 0,
+        (3, 3, 1): 202888, (3, 3, 2): 0, (3, 4, 0): 0, (3, 4, 2): 0,
+    }),
+]
+
+
 @given(raw_pairs())
+@example(_PLAIN_LP_OVERSHOOT)
 def test_gap_matches_the_common_embedding_lp(pair):
     # The gap LP on the garblings' natural shapes, scaled by signal mass,
     # has the optimum of the plain LP on the common embedding.  q1 maps u's
