@@ -66,18 +66,18 @@ memo is keyed on object identity, not content.  A structure's tensor is
 read-only, so the same pair of objects always has the same gap, and
 comparing identities costs nothing where hashing the tensors would read
 both on every call.  A structure rebuilt from the same tensor is solved
-afresh.  Apart from the memo, the gap LP's index arrays, bounds and repeat
-counts are built once per shape (see ``_gap_pattern``), and ``lp`` checks
-the index arrays and sorts them once per content for an LP of at most
-1,024 entries (see ``lp._cached_layout``).  Per call, ``_gap_problem``
-reads the signal masses, spreads the beliefs over the pattern with one
-``np.repeat`` and drops the zero coefficients, and ``lp`` checks the
-bounds.
+afresh.  Apart from the memo, the gap LP's index arrays and bounds are
+built once per shape for an LP of at most ``lp._CACHE_ENTRIES`` (1,024)
+entries, and per call for a larger one (see ``_gap_pattern``).  They are
+in HiGHS's column-wise order, which ``lp.LpProblem`` takes as it is.  Per
+call, ``_gap_problem`` reads the signal masses, writes the beliefs into
+that order and drops the zero coefficients, and ``lp`` checks the problem.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -217,42 +217,32 @@ def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return live, masses[live]
 
 
-# The tail coefficients: -a_c in every (c,e) row, +b_d in every (d,f) row.
-_TAIL = np.array([-1.0, 1.0])
-
-
 @functools.lru_cache(maxsize=256)
 def _gap_pattern(n_k: int, n1: int, l1: int, n2: int, l2: int):
     """The gap LP's triplet indices and bounds for every cell, by shape.
 
-    Returns ``(rows, cols, repeats, row_lower, row_upper, col_lower,
-    col_upper, zeros)``: one (row, column) per cell of u's beliefs (K, n1, l2) in
-    C order, each repeated over e, then one per cell of v's beliefs
-    (K, l1, n2), each repeated over f, then the tail entries -a_c and
-    +b_d.  ``np.repeat(coefficients, repeats)`` spreads u's beliefs, v's
-    negated beliefs and ``_TAIL`` over them, and ``zeros`` is g's part of
-    the objective.  ``_gap_problem`` keeps the cells of positive belief,
-    so the pattern depends on the shape alone.  Every array is shared by
+    Returns ``(rows, cols, row_lower, row_upper, col_lower, col_upper,
+    zeros)``.  The triplets are in HiGHS's column-wise order: the column of
+    each g(k,e,f), in C order, holds the (c,e) rows of u's n1 live signals
+    c and then the (d,f) rows of v's n2 live signals d; each a_c column
+    holds its l1 (c,e) rows and each b_d column its l2 (d,f) rows.
+    ``zeros`` is g's part of the objective.  ``_gap_problem`` drops the
+    entries of zero coefficient, so the pattern depends on the shape alone,
+    and reads it through ``lp._per_shape``, so only the pattern of an LP of
+    at most ``lp._CACHE_ENTRIES`` entries is kept.  Every array is shared by
     all calls on the shape, so none is writable.
     """
     n_cells = n_k * l1 * l2
     n_q1 = n1 * l1
-    k, c, f = np.indices((n_k, n1, l2)).reshape(3, -1)
-    e = np.arange(l1)
-    u_rows = (c[:, None] * l1 + e).ravel()
-    u_cols = ((k[:, None] * l1 + e) * l2 + f[:, None]).ravel()
-    k, e, d = np.indices((n_k, l1, n2)).reshape(3, -1)
-    f = np.arange(l2)
-    v_rows = (n_q1 + d[:, None] * l2 + f).ravel()
-    v_cols = ((k[:, None] * l1 + e[:, None]) * l2 + f).ravel()
-
+    e, f = np.indices((l1, l2))
+    u_rows = np.arange(n1) * l1 + e[..., None]
+    v_rows = n_q1 + np.arange(n2) * l2 + f[..., None]
     ce = np.arange(n_q1)
     df = np.arange(n2 * l2)
     n_rows = n_q1 + df.size
     arrays = (
-        np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
-        np.concatenate((u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)),
-        np.concatenate((np.full(n_k * n1 * l2, l1), np.full(n_k * l1 * n2, l2), (n_q1, df.size))),
+        np.concatenate((np.tile(np.concatenate((u_rows, v_rows), axis=2).ravel(), n_k), ce, n_q1 + df)),
+        np.concatenate((np.repeat(np.arange(n_cells), n1 + n2), n_cells + ce // l1, n_cells + n1 + df // l2)),
         np.full(n_rows, -np.inf),
         np.zeros(n_rows),
         np.concatenate((np.full(n_cells, -1.0), np.full(n1 + n2, -np.inf))),
@@ -266,10 +256,10 @@ def _gap_pattern(n_k: int, n1: int, l1: int, n2: int, l2: int):
 
 def _beliefs(probs: np.ndarray, live: np.ndarray, mass: np.ndarray, axis: int) -> np.ndarray:
     """``probs`` over the live signals on ``axis`` (1 or 2), divided by
-    ``mass``, one entry per live signal, and flattened."""
+    ``mass``, one entry per live signal."""
     if live.size < probs.shape[axis]:
         probs = probs.take(live, axis=axis)
-    return (probs / mass[:, None] if axis == 1 else probs / mass).ravel()
+    return probs / mass[:, None] if axis == 1 else probs / mass
 
 
 def _gap_problem(u: InformationStructure, v: InformationStructure):
@@ -295,9 +285,9 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     the row duals sum to m_c (resp. n_d) per block, so q1(c,e) is the
     (c,e) row dual over m_c and q2(d,f) the (d,f) row dual over n_d.
 
-    The index arrays and bounds come from ``_gap_pattern`` for the shape.
-    Per call, one ``np.repeat`` spreads the beliefs over the pattern, and
-    the triplets of zero coefficient are dropped, in ``np.nonzero`` order.
+    The index arrays and bounds come from ``_gap_pattern`` for the shape,
+    in column-wise order.  Per call, the beliefs are written into that
+    order, and the triplets of zero coefficient are dropped with one mask.
     """
     if u.state_count != v.state_count:
         raise ShapeMismatch(
@@ -308,13 +298,21 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     l2 = u.signals2_count
     live1, mass1 = _live_signals(u.probs.sum(axis=(0, 2)))
     live2, mass2 = _live_signals(v.probs.sum(axis=(0, 1)))
-    rows, cols, repeats, row_lower, row_upper, col_lower, col_upper, zeros = _gap_pattern(
-        n_k, live1.size, l1, live2.size, l2
+    n1, n2 = live1.size, live2.size
+    n_entries = n_k * l1 * l2 * (n1 + n2) + n1 * l1 + n2 * l2
+    rows, cols, row_lower, row_upper, col_lower, col_upper, zeros = lp._per_shape(
+        _gap_pattern, n_entries, n_k, n1, l1, n2, l2
     )
-    # Beliefs are >= 0, so a coefficient is 0 exactly where its belief is;
-    # x / -m is -(x / m) to the bit.
-    beliefs = (_beliefs(u.probs, live1, mass1, 1), _beliefs(v.probs, live2, -mass2, 2), _TAIL)
-    values = np.repeat(np.concatenate(beliefs), repeats)
+    # Each g(k,e,f) column's entries: u's beliefs u(k,c,f) / m_c, then v's
+    # negated beliefs -v(k,e,d) / n_d (x / -m is -(x / m) to the bit).
+    values = np.empty(rows.size)
+    cells = values[: zeros.size * (n1 + n2)].reshape(n_k, l1, l2, n1 + n2)
+    cells[..., :n1] = _beliefs(u.probs, live1, mass1, 1).transpose(0, 2, 1)[:, None]
+    cells[..., n1:] = _beliefs(v.probs, live2, -mass2, 2)[:, :, None]
+    # The tails: -a_c in every (c,e) row, +b_d in every (d,f) row.
+    values[cells.size : cells.size + n1 * l1] = -1.0
+    values[cells.size + n1 * l1 :] = 1.0
+    # Beliefs are >= 0, so a coefficient is 0 exactly where its belief is.
     keep = values != 0.0
     if not keep.all():
         rows, cols, values = rows[keep], cols[keep], values[keep]
@@ -584,11 +582,12 @@ def dw(
     games: list[ZeroSumGame],
 ) -> float:
     """Pointwise metric slice: sum_n 2^-(n+1) |val(u,g_n) - val(v,g_n)| over
-    the supplied game list."""
+    the supplied game list, of any length: each term is scaled by
+    ``math.ldexp``, as ``2.0 ** (n + 1)`` overflows from n = 1023 on."""
     total = 0.0
     for n, g in enumerate(games):
         gap = abs(value(u, g).value - value(v, g).value)
-        total += gap / 2.0 ** (n + 1)
+        total += math.ldexp(gap, -(n + 1))
     return total
 
 

@@ -7,18 +7,18 @@ its file, without importing ``scipy.optimize``, whose own imports were
 most of a cold ``import infodist`` (1.01 s -> 0.36 s, 2-core machine).
 
 An LP takes two forms.  An ``LpProblem`` is plain arrays: the constraint
-matrix as (row, column, value) triplets, and
+matrix as (row, column, value) triplets in HiGHS's column-wise order, and
 ``row_lower <= A.x <= row_upper``, ``col_lower <= x <= col_upper`` with
-infinite entries for absent bounds.  Building one checks it and assembles,
-once and with numpy (no ``scipy.sparse``), the model HiGHS solves: A in
-HiGHS's column-wise arrays and the minimization cost.  ``linprog`` hands
-those arrays to the binding's flat ``passModel``, with no ``HighsLp``
+infinite entries for absent bounds.  Building one checks it and adds, with
+numpy (no ``scipy.sparse``), the column starts and the minimization cost,
+so the triplets are the model HiGHS solves.  ``linprog`` hands those
+arrays to the binding's flat ``passModel``, with no ``HighsLp``
 object in between: each thread reuses one instance, given the options
 once, for every model.  HiGHS runs dual simplex without presolve, a fixed
 pass per solve that these small LPs do not need.  ``linprog`` returns the
 ``LpSolution``, the second form: already oriented as the problem is posed,
 with HiGHS's iteration count.  ``solve`` then gates it.  The residual gates
-read the problem's own column-wise arrays, so they check the matrix HiGHS
+read the problem's own triplets, so they check the matrix HiGHS
 solved: A.x and A^T.lam are one ``np.bincount`` each over its entries, and
 each gate is one maximum over all its violations.
 
@@ -39,20 +39,18 @@ instance is made at the thread's first fallback; one pass of ops and
 checks of each benchmark workload took none.
 
 A solve does only per-call work: it runs HiGHS and gates the answer.
-Building an ``LpProblem`` checks its shapes, values and bounds and gathers
-its values into column-wise order on every call; the checks of its triplet
-indices and their stable (column, row) sort depend on the index arrays
-alone, and an LP of at most ``_CACHE_ENTRIES`` (1,024) matrix entries
-reads them from ``_cached_layout``, keyed on those arrays' bytes.  The
-package's LPs share their index arrays by shape: the gap LP takes them
-from ``distance._gap_pattern``, and ``best_response`` from
-``_best_response_pattern``.  Over 10 s of each benchmark workload (2-core
-machine), the cache gave 97% of small-random's layouts, 96% of
-catalog-sweep's cacheable ones (76% of all) and 99% of large-random's (a
-third of all; its gap LPs are larger).  On a small structure's 18-row gap
-LP (K=3, 3x3; warm caches), building the problem took 16 us, gathering
-its values 1.5 us and the gates 28 us, against 21, 13 and 39 us when
-every call redid all of it.
+An ``LpProblem`` takes its triplets sorted by (column, row), each (row,
+column) once, and raises ``ShapeMismatch`` otherwise, so building one sorts
+and sums nothing: it checks the order, the indices, the shapes, values and
+bounds, and takes the column starts from one ``searchsorted``.  The
+package's two builders emit that order by construction, from index arrays
+that depend on the shape alone: the gap LP takes them from
+``distance._gap_pattern``, and ``best_response`` from
+``_best_response_pattern``, each cached per shape for an LP of at most
+``_CACHE_ENTRIES`` (1,024) matrix entries.  On a 2-core machine, building
+a K=4, L=9 gap LP (5,994 entries) took 131 us against 202 us when
+``LpProblem`` sorted the triplets, and a K=3, 3x3 one (180 entries) 45 us
+against 38 us when a layout cache skipped the index checks and the sort.
 
 ``solve_pair`` solves two independent problems, such as the two
 directions of a distance, on two threads at once.  The binding releases
@@ -201,13 +199,13 @@ _FLOAT_FIELDS = ("objective", "coefficients", "row_lower", "row_upper", "col_low
 class LpProblem:
     """min/max c.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
 
-    ``(row_idx, col_idx, coefficients)`` hold A in triplet form; entries at
-    the same (row, column) add up.  An infinite bound is an absent bound:
-    a ``<=`` row has ``row_lower = -inf``, an ``==`` row equal bounds.
-    Every row needs a finite bound.  Building a problem checks it and
-    assembles the model HiGHS solves, once: A column-wise as
-    ``_start``, ``_rows`` and ``_values``, with each entry's column in
-    ``_cols`` for the gates, and the minimization cost ``_cost``.
+    ``(row_idx, col_idx, coefficients)`` hold A in HiGHS's column-wise
+    order: triplets sorted by (column, row), each (row, column) once.  An
+    infinite bound is an absent bound: a ``<=`` row has ``row_lower =
+    -inf``, an ``==`` row equal bounds.  Every row needs a finite bound.
+    Building a problem checks it and adds what HiGHS needs besides the
+    triplets: ``_start``, where each column's entries start, and the
+    minimization cost ``_cost``.
     """
 
     objective: np.ndarray
@@ -240,20 +238,22 @@ class LpProblem:
         n_rows = row_lower.size
         if not _max(np.minimum(magnitudes[:n_rows], magnitudes[n_rows : 2 * n_rows]), initial=0.0) < np.inf:
             raise ShapeMismatch("every row needs a finite bound")
-        # The index checks and the column-wise sort depend on the index
-        # arrays alone, which the package's LPs share by shape.
-        order, first, start, index, columns = _per_shape(
-            _cached_layout, rows.size, rows.tobytes(), cols.tobytes(), n_rows, c.size
-        )
-        # The canonical CSC that scipy.sparse builds from the triplets:
-        # entries at one (row, column) summed in input order, explicit zeros
-        # kept.  HiGHS rejects a model with a repeated (row, column).
-        values = vals[order]
-        if first is not None:
-            values = np.add.reduceat(values, first)
+        # A negative index viewed as unsigned exceeds every size.
+        if rows.size and not (_max(rows.view(np.uintp)) < n_rows and _max(cols.view(np.uintp)) < c.size):
+            raise ShapeMismatch("triplet index outside the matrix")
+        # Column-wise order is a strictly increasing (column, row) key;
+        # HiGHS rejects a model with a repeated (row, column).
+        key = cols * n_rows + rows
+        if not (key[:-1] < key[1:]).all():
+            raise ShapeMismatch("triplets must be sorted by (column, row), each (row, column) once")
         # Past the frozen dataclass's __setattr__, as object.__setattr__ goes.
-        self.__dict__.update(zip(_FLOAT_FIELDS, floats), row_idx=rows, col_idx=cols, _cost=-c if self.maximize else c)
-        self.__dict__.update(_start=start, _rows=index, _cols=columns, _values=values)
+        self.__dict__.update(
+            zip(_FLOAT_FIELDS, floats),
+            row_idx=rows,
+            col_idx=cols,
+            _start=cols.searchsorted(np.arange(c.size + 1)),
+            _cost=-c if self.maximize else c,
+        )
 
     @property
     def n_vars(self) -> int:
@@ -353,7 +353,7 @@ def _run(highs: _highs._Highs, problem: LpProblem) -> LpSolution:
     passed = highs.passModel(
         n_cols,
         problem.n_rows,
-        problem._values.size,
+        problem.coefficients.size,
         _highs.MatrixFormat.kColwise,
         _highs.ObjSense.kMinimize,
         0.0,
@@ -363,8 +363,8 @@ def _run(highs: _highs._Highs, problem: LpProblem) -> LpSolution:
         problem.row_lower,
         problem.row_upper,
         problem._start[:-1].astype(np.int32),
-        problem._rows.astype(np.int32),
-        problem._values,
+        problem.row_idx.astype(np.int32),
+        problem.coefficients,
         # All columns continuous; HiGHS rejects an empty integrality array.
         np.zeros(n_cols, dtype=np.int32),
     )
@@ -413,12 +413,13 @@ def linprog(problem: LpProblem, scaled: bool = False) -> LpSolution:
 
 
 # An LP of at most this many matrix entries keeps the arrays that depend on
-# its shape alone in a cache of 256 entries: _cached_layout's, about 40
-# bytes an entry, and _best_response_pattern's, about 24.  That bounds
-# each cache to about 10 MB.  Larger LPs, such as the normal-form oracle's
-# matrix games of up to a budget's 10**6 entries, build them per call:
-# caching every size raised catalog-sweep's peak RSS from 93 to 111 MB
-# (2-core machine) and sped up no workload.
+# its shape alone in a cache of 256 entries: distance._gap_pattern's and
+# _best_response_pattern's, whose triplet indices take 16 bytes an entry.
+# That bounds each cache to about 4 MB.  Larger LPs, such as the chain
+# structures' gap LPs or the normal-form oracle's matrix games of up to a
+# budget's 10**6 entries, build them per call: caching every size raised
+# catalog-sweep's peak RSS from 93 to 111 MB (2-core machine) and sped up
+# no workload.
 _CACHE_ENTRIES = 1024
 
 
@@ -427,41 +428,6 @@ def _per_shape(cached, n_entries: int, *args):
     ``_CACHE_ENTRIES`` matrix entries; for a larger one the function is run
     afresh, and nothing is kept."""
     return (cached if n_entries <= _CACHE_ENTRIES else cached.__wrapped__)(*args)
-
-
-@functools.lru_cache(maxsize=256)
-def _cached_layout(row_idx: bytes, col_idx: bytes, n_rows: int, n_vars: int):
-    """``LpProblem``'s checks of its triplet indices, then ``(order, first,
-    start, rows, cols)``: the stable (column, row) sort of the triplets,
-    the start of each run of one (row, column) (None when no entry
-    repeats), and the column-wise arrays: column j's entries are
-    ``start[j]:start[j + 1]``, with their rows in ``rows`` and j repeated
-    in ``cols``.  The index arrays come as their bytes, the cache's key.
-    The arrays are shared by every problem with these indices, so none is
-    writable."""
-    row_idx = np.frombuffer(row_idx, dtype=int)
-    col_idx = np.frombuffer(col_idx, dtype=int)
-    # A negative index viewed as unsigned exceeds every size.
-    if row_idx.size and not (_max(row_idx.view(np.uintp)) < n_rows and _max(col_idx.view(np.uintp)) < n_vars):
-        raise ShapeMismatch("triplet index outside the matrix")
-
-    # One int64 key per entry, in (column, row) order, sorted stably so that
-    # entries at one (row, column) are summed in input order.
-    key = col_idx * n_rows + row_idx
-    order = key.argsort(kind="stable")
-    key = key[order]
-    repeat = key[1:] == key[:-1]
-    first = None
-    if repeat.any():
-        first = np.flatnonzero(np.concatenate(([True], ~repeat)))
-        key = key[first]
-    cols, rows = np.divmod(key, n_rows)
-    start = cols.searchsorted(np.arange(n_vars + 1))
-    layout = order, first, start, rows, cols
-    for array in layout:
-        if array is not None:
-            array.setflags(write=False)
-    return layout
 
 
 def _residuals(
@@ -478,7 +444,7 @@ def _residuals(
     """
     row_lower, row_upper = problem.row_lower, problem.row_upper
     lower, upper = problem.col_lower, problem.col_upper
-    rows, cols, vals = problem._rows, problem._cols, problem._values
+    rows, cols, vals = problem.row_idx, problem.col_idx, problem.coefficients
     lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
     ax = np.bincount(rows, weights=x[cols] * vals, minlength=problem.n_rows)
     at_lam = np.bincount(cols, weights=lam[rows] * vals, minlength=problem.n_vars)
@@ -566,20 +532,19 @@ def solve_pair(first: LpProblem, second: LpProblem) -> tuple[LpSolution, LpSolut
 def _best_response_pattern(n_d: int, n_j: int, n_x: int, n_blocks: int):
     """``best_response``'s arrays that depend on the shape alone.
 
-    Returns ``(row_idx, col_idx, ones, row_lower, row_upper, col_lower,
-    col_upper, zeros)``: the triplet indices of the payoff entries, the z
-    entries and the block sums; the +1 coefficients of the last two; the
-    (d, j) rows' bounds, to which the block rows' masses are appended;
-    the column bounds; and x's part of the objective.  Shared by every
-    call on the shape, so none is writable.
+    Returns ``(row_idx, col_idx, row_lower, row_upper, col_lower,
+    col_upper, zeros)``: the triplet indices in column-wise order, each x
+    column's (d, j) rows and then its block row, then each z_d column's
+    (d, j) rows; the (d, j) rows' bounds, to which the block rows' masses
+    are appended; the column bounds; and x's part of the objective.
+    Shared by every call on the shape, so none is writable.
     """
     n_rows = n_d * n_j
     rows = np.arange(n_rows)
-    x_cols = np.arange(n_x)
+    x_rows = np.column_stack((np.tile(rows, (n_x, 1)), n_rows + np.arange(n_x) // (n_x // n_blocks)))
     arrays = (
-        np.concatenate((np.repeat(rows, n_x), rows, n_rows + x_cols // (n_x // n_blocks))),
-        np.concatenate((np.tile(x_cols, n_rows), n_x + rows // n_j, x_cols)),
-        np.ones(n_rows + n_x),
+        np.concatenate((x_rows.ravel(), rows)),
+        np.concatenate((np.repeat(np.arange(n_x), n_rows + 1), n_x + rows // n_j)),
         np.full(n_rows, -np.inf),
         np.zeros(n_rows),
         np.concatenate((np.zeros(n_x), np.full(n_d, -np.inf))),
@@ -623,17 +588,20 @@ def best_response(
     and bounds come from ``_best_response_pattern`` for the shape.
     """
     n_d, n_j, n_x = payoff.shape
-    n_entries = payoff.size + n_d * n_j + n_x
-    rows, cols, ones, row_lower, row_upper, col_lower, col_upper, zeros = _per_shape(
-        _best_response_pattern, n_entries, n_d, n_j, n_x, n_blocks
+    n_rows = n_d * n_j
+    rows, cols, row_lower, row_upper, col_lower, col_upper, zeros = _per_shape(
+        _best_response_pattern, payoff.size + n_rows + n_x, n_d, n_j, n_x, n_blocks
     )
+    # Each x column's -payoff entries and its block row's 1, then z's ones.
+    values = np.ones(rows.size)
+    values[: n_x * (n_rows + 1)].reshape(n_x, -1)[:, :n_rows] = -payoff.reshape(n_rows, n_x).T
     mass = np.ones(n_blocks) if block_mass is None else block_mass
     w = np.ones(n_d) if weights is None else weights
     problem = LpProblem(
         objective=np.concatenate((zeros, w)),
         row_idx=rows,
         col_idx=cols,
-        coefficients=np.concatenate((-payoff.ravel(), ones)),
+        coefficients=values,
         row_lower=np.concatenate((row_lower, mass)),
         row_upper=np.concatenate((row_upper, mass)),
         col_lower=col_lower,
@@ -644,7 +612,7 @@ def best_response(
     if sol.status != OPTIMAL:
         raise NumericalFailure(f"best-response LP ended with status {sol.status}")
     x = sol.primal[:n_x].reshape(n_blocks, -1) / mass[:, None]
-    y = sol.dual[: n_d * n_j].reshape(n_d, n_j) / w[:, None]
+    y = sol.dual[:n_rows].reshape(n_d, n_j) / w[:, None]
     return sol.objective, _stochastic(x), _stochastic(y)
 
 

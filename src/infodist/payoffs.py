@@ -10,8 +10,10 @@ many points to one polygon at once, each point against every edge (a
 one-vertex polygon is one edge of length 0).  A payoff point must have
 shape (2,) and a polygon's vertices shape (m, 2), and a clipping
 coordinate must be 0 or 1, or ``ShapeMismatch`` is raised; a non-finite
-coordinate raises ``NotNormalized``, and a bound case other than
-"cond_indep", "public" or "one_sided" raises ``InvalidParameters``.
+coordinate raises ``NotNormalized``, as does a NaN clipping bound (an
+infinite one clips to nothing or to the whole polygon), and a bound case
+other than "cond_indep", "public" or "one_sided" raises
+``InvalidParameters``.
 """
 
 from __future__ import annotations
@@ -179,9 +181,14 @@ def feasible_set(
 def clip_polygon_to_halfplane(
     polygon: PayoffPolygon, coordinate: int, minimum: float
 ) -> PayoffPolygon | None:
-    """Intersect with {y: y[coordinate] >= minimum}; None when empty."""
+    """Intersect with {y: y[coordinate] >= minimum}; None when empty.
+
+    A ``minimum`` of +inf gives None and one of -inf the whole polygon; a
+    NaN raises ``NotNormalized``."""
     if not (isinstance(coordinate, (int, np.integer)) and coordinate in (0, 1)):
         raise ShapeMismatch(f"coordinate must be 0 or 1, got {coordinate!r}")
+    if math.isnan(minimum):
+        raise NotNormalized("clipping bound is NaN")
     verts = polygon.vertices
     out: list[np.ndarray] = []
     for a, b in zip(verts, np.roll(verts, -1, axis=0)):

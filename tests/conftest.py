@@ -38,6 +38,19 @@ def random_ci_structure(rng, n_k, n_c, n_d):
     return validate_structure(probs)
 
 
+def columnwise_problem(row_idx, col_idx, coefficients, **fields):
+    """``lp.LpProblem`` of a reference LP whose triplets come in another
+    order, put in the column-wise order it takes by a stable lexsort on
+    (column, row).  The triplets must not repeat a (row, column)."""
+    order = np.lexsort((row_idx, col_idx))
+    return lp.LpProblem(
+        row_idx=np.asarray(row_idx)[order],
+        col_idx=np.asarray(col_idx)[order],
+        coefficients=np.asarray(coefficients, dtype=float)[order],
+        **fields,
+    )
+
+
 def random_game(rng, n_k, n_i, n_j):
     return ZeroSumGame(rng.uniform(-1.0, 1.0, (n_k, n_i, n_j)))
 

@@ -2,7 +2,8 @@
 
 ``triplet_gap_problem`` builds the library's trimmed, scaled gap LP from the
 structures' nonzero beliefs, one call at a time, as the library did before
-it cached the index arrays per shape; ``_gap_problem`` must match it bit
+it cached the index arrays per shape, in u's cells and then v's; put in
+column-wise order by a stable lexsort, it must match ``_gap_problem`` bit
 for bit.
 
 ``plain_gap`` solves the plain LP on the common embedding, as the library
@@ -28,6 +29,8 @@ import numpy as np
 from infodist import InformationStructure, lp
 from infodist.config import LP_TOL, ZERO_TOL
 
+from conftest import columnwise_problem
+
 
 def _live_signals(masses):
     live = np.flatnonzero(masses > ZERO_TOL)
@@ -36,8 +39,8 @@ def _live_signals(masses):
 
 def triplet_gap_problem(u: InformationStructure, v: InformationStructure):
     """``distance._gap_problem(u, v)`` built from ``np.nonzero`` of the
-    beliefs.  Returns the problem and the layout tuple (shape, live1,
-    mass1, live2, mass2)."""
+    beliefs, its triplets lexsorted into column-wise order.  Returns the
+    problem and the layout tuple (shape, live1, mass1, live2, mass2)."""
     n_k = u.state_count
     l1 = v.signals1_count
     l2 = u.signals2_count
@@ -65,7 +68,7 @@ def triplet_gap_problem(u: InformationStructure, v: InformationStructure):
     ce = np.arange(n_q1)
     df = np.arange(n2 * l2)
     n_rows = n_q1 + df.size
-    problem = lp.LpProblem(
+    problem = columnwise_problem(
         objective=np.concatenate((np.zeros(n_cells), -mass1, mass2)),
         row_idx=np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
         col_idx=np.concatenate(
@@ -105,7 +108,7 @@ def plain_gap(u: InformationStructure, v: InformationStructure) -> float:
     ce = np.arange(n_q1)
     df = np.arange(n2 * l2)
     n_rows = n_q1 + df.size
-    problem = lp.LpProblem(
+    problem = columnwise_problem(
         objective=np.concatenate((np.zeros(n_cells), -np.ones(n1), np.ones(n2))),
         row_idx=np.concatenate((u_rows, v_rows, ce, n_q1 + df)),
         col_idx=np.concatenate((u_cols, v_cols, n_cells + ce // l1, n_cells + n1 + df // l2)),

@@ -401,7 +401,8 @@ def _with_light_signal(rng, probs, axis):
 
 def test_gap_problem_matches_the_triplet_reference():
     # The per-shape pattern keeps the triplets of positive beliefs in
-    # np.nonzero order, so every array is the reference's bit for bit.
+    # column-wise order, so every array is the lexsorted reference's bit
+    # for bit.
     rng = np.random.default_rng(20261021)
     pairs = []
     for _ in range(60):
@@ -453,7 +454,7 @@ def test_gap_problem_matches_the_triplet_reference():
     u, v = pairs[-1]
     problem, _ = _gap_problem(u, v)
     pattern = _gap_pattern(3, 3, 2, 3, 2)
-    assert problem.row_lower is pattern[3]
+    assert problem.row_lower is pattern[2]
     assert not any(array.flags.writeable for array in pattern)
     with pytest.raises(ValueError):
         pattern[0][0] = 0
@@ -662,6 +663,16 @@ def test_dw(rng):
     assert inf.dw(u, u, [g]) <= 1e-12
     gap = abs(inf.value(u, g).value - inf.value(v, g).value)
     assert inf.dw(u, v, [g]) == pytest.approx(0.5 * gap, abs=1e-12)
+
+
+def test_dw_takes_a_list_of_any_length():
+    # 2.0 ** (n + 1) overflows from n = 1023 on.  Guessing the state is
+    # worth 1 to the informed player and 1/2 to the uninformed one, so
+    # 1,100 copies of the game sum to 1/2 (1 - 2^-1100).
+    informed = inf.validate_structure(np.array([[[0.5], [0.0]], [[0.0], [0.5]]]))
+    uninformed = inf.validate_structure(np.array([[[0.5]], [[0.5]]]))
+    guess = inf.ZeroSumGame(np.eye(2)[:, :, None])
+    assert inf.dw(informed, uninformed, [guess] * 1100) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_dw_with_witness_game():

@@ -13,7 +13,7 @@ from infodist.config import LP_TOL
 from infodist.errors import NumericalFailure, ShapeMismatch
 
 import gate_oracle
-from conftest import random_game, random_structure
+from conftest import columnwise_problem, random_game, random_structure
 from workloads import catalog_members
 
 
@@ -76,6 +76,12 @@ def test_two_sided_row(maximize, bound):
         {"col_upper": [np.nan]},
         {"col_lower": [0.0, 0.0]},
         {"coefficients": [np.inf]},
+        # Out of column-wise order: columns, then rows within a column.
+        {"objective": [1.0, 1.0], "col_lower": [0.0, 0.0], "col_upper": [1.0, 1.0],
+         "row_idx": [0, 0], "col_idx": [1, 0], "coefficients": [1.0, 1.0]},
+        {"row_idx": [1, 0], "col_idx": [0, 0], "coefficients": [1.0, 1.0],
+         "row_lower": [-np.inf, -np.inf], "row_upper": [3.0, 3.0]},
+        {"row_idx": [0, 0], "col_idx": [0, 0], "coefficients": [0.5, 0.5]},  # a repeated (row, column)
     ],
 )
 def test_malformed_problem_is_rejected(change):
@@ -95,19 +101,24 @@ def test_malformed_problem_is_rejected(change):
 
 
 def test_only_small_problems_are_cached():
-    # A problem with an earlier one's index arrays reads its layout from
-    # the cache; one of more than _CACHE_ENTRIES matrix entries builds its
-    # layout and best-response pattern afresh and keeps neither.
-    lp._cached_layout.cache_clear()
+    # A problem of an earlier one's shape reads its pattern from the cache;
+    # one of more than _CACHE_ENTRIES matrix entries builds its pattern
+    # afresh and keeps none.
     lp._best_response_pattern.cache_clear()
+    distance._gap_pattern.cache_clear()
     rng = np.random.default_rng(5)
     lp.best_response(rng.uniform(-1.0, 1.0, (2, 3, 4)), 2)
     lp.best_response(rng.uniform(-1.0, 1.0, (2, 3, 4)), 2, block_mass=np.array([0.5, 0.5]))
-    assert lp._cached_layout.cache_info()[:2] == (1, 1)
     assert lp._best_response_pattern.cache_info()[:2] == (1, 1)
     lp.best_response(rng.uniform(-1.0, 1.0, (1, 40, 30)), 1)  # 1,270 entries
-    assert lp._cached_layout.cache_info()[:2] == (1, 1)
     assert lp._best_response_pattern.cache_info()[:2] == (1, 1)
+    u, v = random_structure(rng, 2, 3, 2), random_structure(rng, 2, 2, 3)
+    distance._gap_problem(u, v)
+    distance._gap_problem(u, v)
+    assert distance._gap_pattern.cache_info()[:2] == (1, 1)
+    u, v = random_structure(rng, 4, 7, 7), random_structure(rng, 4, 7, 7)
+    assert distance._gap_problem(u, v)[0].coefficients.size == 2842
+    assert distance._gap_pattern.cache_info()[:2] == (1, 1)
 
 
 def test_infeasible_detected():
@@ -148,7 +159,7 @@ def test_complementary_slackness(rng):
     for _ in range(10):
         matrix = rng.uniform(-1, 1, (4, 4))
         # Variables (v, x_1..x_4); max v s.t. v <= x.A[:, j], sum x = 1.
-        problem = lp.LpProblem(
+        problem = columnwise_problem(
             objective=[1.0, 0.0, 0.0, 0.0, 0.0],
             row_idx=np.concatenate((np.repeat(np.arange(4), 5), np.full(4, 4))),
             col_idx=np.concatenate((np.tile(np.arange(5), 4), 1 + np.arange(4))),
@@ -284,7 +295,7 @@ def _oracle_problems(monkeypatch):
     problems.append(_simple_problem())
     problems.append(_one_variable_problem(-1.0, [(1.0, 3.0), (-2.0, 1.0)], maximize=False))
     problems.append(
-        lp.LpProblem(
+        columnwise_problem(
             objective=[1.0, 2.0],
             row_idx=[0, 0, 1, 1],
             col_idx=[0, 1, 0, 1],
@@ -353,7 +364,7 @@ def test_gates_match_the_reference_residuals(monkeypatch):
         # Every row dual of the wrong sign, and x beyond its bounds.
         points.append((x, -duals_min))
         points.append((np.where(rng.random(x.size) < 0.5, 2.0 * x + 1.0, x), duals_min))
-        arrays = problem._rows, problem._cols, problem._values
+        arrays = problem.row_idx, problem.col_idx, problem.coefficients
         for x, duals_min in points:
             got = lp._residuals(problem, x, duals_min, float(problem.objective @ x))
             want = gate_oracle._residuals(problem, *arrays, x, duals_min)
@@ -377,7 +388,7 @@ def _recorded_linprog(monkeypatch):
 
 def _gates_pass(problem, sol):
     """``sol`` is inside every gate of gate_oracle's residuals."""
-    arrays = problem._rows, problem._cols, problem._values
+    arrays = problem.row_idx, problem.col_idx, problem.coefficients
     duals_min = -sol.dual if problem.maximize else sol.dual
     primal, dual, gap = gate_oracle._residuals(problem, *arrays, sol.primal, duals_min)
     return primal <= LP_TOL and dual <= 10 * LP_TOL and gap <= LP_TOL
@@ -404,7 +415,7 @@ def test_badly_scaled_max_norm_lp_solves():
     # is: HiGHS's scaled solve of it left a primal residual of 9e-7.
     point, cloud = np.array([0.0, 0.1]), np.array([[-1e-6, 0.0], [0.1, 1e-6]])
     signs, coords = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0, 1, 0, 1])
-    problem = lp.LpProblem(
+    problem = columnwise_problem(
         objective=[0.0, 0.0, 1.0],
         row_idx=np.concatenate((np.repeat(np.arange(4), 2), np.arange(4), [4, 4])),
         col_idx=np.concatenate((np.tile([0, 1], 4), np.full(4, 2), [0, 1])),
@@ -512,49 +523,6 @@ def _same(a, b):
     )
 
 
-def _with_triplets(problem, rows, cols, vals):
-    return lp.LpProblem(
-        objective=problem.objective,
-        row_idx=rows,
-        col_idx=cols,
-        coefficients=vals,
-        row_lower=problem.row_lower,
-        row_upper=problem.row_upper,
-        col_lower=problem.col_lower,
-        col_upper=problem.col_upper,
-        maximize=problem.maximize,
-    )
-
-
-def test_duplicate_triplets_add_up(rng):
-    # HiGHS rejects a repeated (row, column); solve sums the repeats, in
-    # the order given, as scipy.sparse did.
-    problem, _ = distance._gap_problem(
-        random_structure(rng, 3, 3, 2, zeros=0.2), random_structure(rng, 3, 2, 3, zeros=0.2)
-    )
-    split = rng.random(problem.coefficients.size) < 0.3
-    first = problem.coefficients * np.where(split, 0.3, 1.0)
-    second = (problem.coefficients - first)[split]
-    merged = first.copy()
-    merged[split] += second
-    rows, cols = problem.row_idx, problem.col_idx
-    # The split halves in shuffled positions, so no repeat is adjacent.
-    order = rng.permutation(rows.size + int(split.sum()))
-    repeated = _with_triplets(
-        problem,
-        np.concatenate((rows, rows[split]))[order],
-        np.concatenate((cols, cols[split]))[order],
-        np.concatenate((first, second))[order],
-    )
-    expected = lp.solve(_with_triplets(problem, rows, cols, merged))
-    assert expected.status == lp.OPTIMAL
-    assert _same(lp.solve(repeated), expected)
-    # One variable, one coefficient in two pieces: max x s.t. 0.5x + 0.5x <= 3.
-    one = _one_variable_problem(1.0, [(0.5, 3.0)], maximize=True)
-    two = _with_triplets(one, [0, 0], [0, 0], [0.5, 0.5])
-    assert _same(lp.solve(two), lp.solve(_one_variable_problem(1.0, [(1.0, 3.0)], maximize=True)))
-
-
 def test_threads_solve_as_one_thread_does():
     # Each thread reuses its own HiGHS instance.  Two threads solving
     # different gap LPs in lockstep get every bit of the sequential solves.
@@ -632,8 +600,8 @@ def _linprog_through_highs_lp(problem):
     matrix.num_col_ = n_cols
     matrix.num_row_ = n_rows
     matrix.start_ = problem._start
-    matrix.index_ = problem._rows
-    matrix.value_ = problem._values
+    matrix.index_ = problem.row_idx
+    matrix.value_ = problem.coefficients
     highs = _highs._Highs()
     highs.passOptions(lp._HIGHS_OPTIONS)
     assert highs.passModel(model) != _highs.HighsStatus.kError
@@ -671,39 +639,12 @@ def test_flat_model_solves_as_a_highs_lp_object_does(monkeypatch):
 
 
 def test_a_rejected_model_reports_no_iterations():
-    # HiGHS rejects a repeated (row, column) in passModel and runs nothing;
-    # its iteration counts are then unavailable, not the last solve's.
+    # HiGHS rejects a coefficient of at least 1e15 in passModel and runs
+    # nothing; its iteration counts are then unavailable, not the last
+    # solve's.
     assert lp.solve(_simple_problem()).status == lp.OPTIMAL
-    problem = _one_variable_problem(1.0, [(1.0, 1.0), (1.0, 1.0)], maximize=False)
-    # LpProblem sums repeats, so the model's second entry is moved onto the
-    # first one's (row, column) after assembly.
-    problem.__dict__["_rows"] = np.array([0, 0])
-    res = lp.linprog(problem)
+    res = lp.linprog(_one_variable_problem(1.0, [(1e15, 1.0)], maximize=False))
     assert (res.status, res.nit) == (lp.INFEASIBLE, 0)
-
-
-def test_columnwise_matches_a_lexsort_of_the_triplets(rng):
-    # Column-wise arrays bit for bit as a stable (column, row) lexsort gives
-    # them, each run of repeats summed by np.add.reduceat in input order,
-    # with each entry's column beside its row.
-    n_rows, n_vars, size = 7, 9, 400  # ~6 entries per (row, column)
-    rows = rng.integers(0, n_rows, size)
-    cols = rng.integers(0, n_vars, size)
-    vals = rng.normal(size=size)
-    problem = lp.LpProblem(
-        np.zeros(n_vars), rows, cols, vals,
-        np.full(n_rows, -np.inf), np.ones(n_rows), np.zeros(n_vars), np.ones(n_vars),
-    )
-    order = np.lexsort((rows, cols))
-    keys = np.stack((cols[order], rows[order]), axis=1)
-    unique, first = np.unique(keys, axis=0, return_index=True)
-    sums = np.add.reduceat(vals[order], first)
-    start = np.concatenate(([0], np.cumsum(np.bincount(unique[:, 0], minlength=n_vars))))
-    got = (problem._start, problem._rows, problem._cols, problem._values)
-    want = (start, unique[:, 1], unique[:, 0], sums)
-    for name, have, want in zip(("start", "rows", "cols", "values"), got, want):
-        assert have.dtype == want.dtype, name
-        assert have.tobytes() == want.tobytes(), name
 
 
 def _large_gap_pairs(seed, signals=range(5, 10)):

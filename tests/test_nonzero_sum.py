@@ -8,7 +8,7 @@ from infodist import PLAYER1, lp
 from infodist.catalog import parity_coordination_game
 from infodist.payoffs import best_common_payoff, clip_polygon_to_halfplane, point_to_polygon_distance
 
-from conftest import random_ci_structure, random_garbling, random_structure
+from conftest import columnwise_problem, random_ci_structure, random_garbling, random_structure
 
 
 def _random_bimatrix(rng, n_k, n_i, n_j):
@@ -139,6 +139,10 @@ def test_clip_polygon_to_halfplane():
         [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.5, 1.0]
     ]
     assert clip_polygon_to_halfplane(_SQUARE, 1, 1.5) is None
+    assert clip_polygon_to_halfplane(_SQUARE, 1, np.inf) is None
+    assert clip_polygon_to_halfplane(_SQUARE, 0, -np.inf).vertices.tolist() == _SQUARE.vertices.tolist()
+    with pytest.raises(inf.NotNormalized):
+        clip_polygon_to_halfplane(_SQUARE, 0, np.nan)
 
 
 def _lp_distance(point, cloud) -> float:
@@ -151,7 +155,7 @@ def _lp_distance(point, cloud) -> float:
     n = len(cloud)
     cloud = cloud - np.asarray(point)
     signs, coords = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0, 1, 0, 1])
-    problem = lp.LpProblem(
+    problem = columnwise_problem(
         objective=np.append(np.zeros(n), 1.0),
         row_idx=np.concatenate((np.repeat(np.arange(4), n), np.arange(4), np.full(n, 4))),
         col_idx=np.concatenate((np.tile(np.arange(n), 4), np.full(4, n), np.arange(n))),
