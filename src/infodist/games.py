@@ -13,7 +13,6 @@ whose duals on the (d, j) rows are player 2's optimal behavioral strategy.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -224,8 +223,21 @@ def minmax_levels(u: InformationStructure, g: BimatrixGame) -> tuple[float, floa
 
 
 def _pure_rules(n_signals: int, n_actions: int) -> np.ndarray:
-    rules = list(itertools.product(range(n_actions), repeat=n_signals))
-    return np.asarray(rules, dtype=int)
+    """Every map from signals to actions, one a row, in ``itertools.product`` order."""
+    return np.indices((n_actions,) * n_signals).reshape(n_signals, -1).T
+
+
+def _fold(coeff: np.ndarray, axis: int) -> np.ndarray:
+    """Sum over the signal axis ``axis`` under every pure rule of the action axis
+    after it: out[..., r, ...] = sum_s coeff[..., s, rules[r, s], ...], with rules
+    ``_pure_rules`` of the two axes.  Adds one signal at a time to zeros, in signal
+    order, so no temporary is larger than the output."""
+    rules = _pure_rules(*coeff.shape[axis : axis + 2])
+    shape = coeff.shape[:axis] + (len(rules),) + coeff.shape[axis + 2 :]
+    out = np.zeros(shape)
+    for s in range(coeff.shape[axis]):
+        out += coeff.take(s, axis).take(rules[:, s], axis)
+    return out
 
 
 def value_normal_form(
@@ -237,7 +249,8 @@ def value_normal_form(
     budget, solves the full |I|^|C| x |J|^|D| matrix game.  Otherwise
     enumerates the smaller side's rules and keeps the per-signal best-response
     decomposition for the other side, which is still independent of the
-    behavioral-LP path used by :func:`value`.
+    behavioral-LP path used by :func:`value`.  Every pure-rule payoff comes
+    from one kernel, ``_fold``, which sums one player's signals one at a time.
     """
     _check_compatible(u, g)
     budget = resolve_budget(budget)
@@ -245,17 +258,11 @@ def value_normal_form(
     n_i, n_j = g.actions1_count, g.actions2_count
     n_rules1 = n_i**n_c
     n_rules2 = n_j**n_d
-    coeff = _coefficients(u, g)
+    coeff = _coefficients(u, g)  # (c, i, d, j)
 
     if n_rules1 * n_rules2 <= budget:
-        rules1 = _pure_rules(n_c, n_i)
-        rules2 = _pure_rules(n_d, n_j)
-        # M[s, t] = sum_c sum_d coeff[c, s(c), d, t(d)]
-        picked = coeff[np.arange(n_c)[:, None], rules1.T, :, :]  # (c, s, d, j)
-        matrix = np.zeros((n_rules1, n_rules2))
-        for d in range(n_d):
-            matrix += picked[:, :, d, :].sum(axis=0)[:, rules2[:, d]]
-        val, _, _ = lp.solve_matrix_game(matrix)
+        # M[s, t] = sum_c sum_d coeff[c, s(c), d, t(d)]: (c, i, d, j) -> (s, d, j) -> (s, t)
+        val, _, _ = lp.solve_matrix_game(_fold(_fold(coeff, 0), 1))
         return val
 
     if min(n_rules1, n_rules2) > budget:
@@ -265,18 +272,10 @@ def value_normal_form(
 
     if n_rules2 <= n_rules1:
         # min over mixtures y of player 2's pure rules of
-        # sum_c max_i sum_t y_t A[c, i, t].
-        rules2 = _pure_rules(n_d, n_j)
-        a = np.zeros((n_c, n_i, n_rules2))
-        for d in range(n_d):
-            a += coeff[:, :, d, rules2[:, d]]
+        # sum_c max_i sum_t y_t A[c, i, t], A[c, i, t] = sum_d coeff[c, i, d, t(d)].
         # That is minus the best-response LP on the negated payoff.
-        return -lp.best_response(-a, 1)[0]
+        return -lp.best_response(-_fold(coeff, 2), 1)[0]
 
     # Symmetric case: enumerate player 1's rules, decompose player 2.
-    rules1 = _pure_rules(n_c, n_i)
-    a = np.zeros((n_d, n_j, len(rules1)))
-    for c in range(n_c):
-        a += coeff[c, rules1[:, c], :, :].transpose(1, 2, 0)
-    return lp.best_response(a, 1)[0]
-
+    # a[d, j, s] = sum_c coeff[c, s(c), d, j]
+    return lp.best_response(_fold(coeff.transpose(2, 3, 0, 1), 2), 1)[0]

@@ -26,7 +26,7 @@ import numpy as np
 from .config import NORM_TOL, DIST_TOL, ZERO_TOL, resolve_budget
 from .distance import value_distance
 from .errors import BudgetExceeded, HypothesisViolated, InvalidParameters, NotNormalized, ShapeMismatch
-from .games import BimatrixGame, _pure_rules, minmax_levels
+from .games import BimatrixGame, _fold, minmax_levels
 from .structures import HYPOTHESIS_TOL, InformationStructure, check_signals_cond_indep
 
 
@@ -151,7 +151,8 @@ def hausdorff_max(pa: PayoffPolygon, pb: PayoffPolygon) -> float:
 def feasible_set(
     u: InformationStructure, g: BimatrixGame, budget: int | None = None
 ) -> PayoffPolygon:
-    """Convex hull of expected payoff pairs over pure decision-rule profiles."""
+    """Convex hull of expected payoff pairs over pure decision-rule profiles, each
+    summed by the normal-form oracle's kernel ``games._fold``, one signal at a time."""
     if u.state_count != g.state_count:
         raise ShapeMismatch(
             f"structure has {u.state_count} states, game has {g.state_count}"
@@ -168,14 +169,8 @@ def feasible_set(
     # coeff[m, c, i, d, j] = sum_k u(k,c,d) g_m(k,i,j)
     stacked = np.stack([g.payoffs1, g.payoffs2])
     coeff = np.einsum("kcd,mkij->mcidj", u.probs, stacked)
-    rules2 = _pure_rules(n_d, n_j)
-    points = np.empty((n_rules1, n_rules2, 2))
-    for row, rule1 in enumerate(_pure_rules(n_c, n_i)):
-        # (m, d, j) payoffs after fixing player 1's rule
-        fixed = coeff[:, np.arange(n_c), rule1, :, :].sum(axis=1)
-        by_rule2 = fixed[:, np.arange(n_d)[None, :], rules2].sum(axis=2)
-        points[row] = by_rule2.T
-    return PayoffPolygon(points.reshape(-1, 2))
+    # (m, c, i, d, j) -> (m, s, d, j) -> (m, s, t)
+    return PayoffPolygon(_fold(_fold(coeff, 1), 2).reshape(2, -1).T)
 
 
 def clip_polygon_to_halfplane(

@@ -12,7 +12,9 @@ from infodist import Garbling, ZeroSumGame, lp, validate_structure
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 # The settings of every property test: 40 examples, no per-example deadline.
-settings.register_profile("infodist", max_examples=40, deadline=None)
+# A failure prints a ``@reproduce_failure`` blob that replays its example
+# exactly; the printed arrays, at 8 digits, may not.
+settings.register_profile("infodist", max_examples=40, deadline=None, print_blob=True)
 settings.load_profile("infodist")
 
 

@@ -31,6 +31,12 @@ def test_blackwell_spec_validation():
         inf.BlackwellSpec(1, 0, 0.5, 0.75)
 
 
+@pytest.mark.parametrize("eps", [-0.1, 0.5])
+def test_approx_knowledge_pair_needs_eps_below_one_half(eps):
+    with pytest.raises(inf.InvalidParameters):
+        inf.approx_knowledge_pair(eps)
+
+
 def test_blackwell_structure_values():
     flat = inf.blackwell_structure(inf.BlackwellSpec(0, 0, 0.75, 0.75))
     assert flat.shape == (2, 1, 1)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -214,6 +215,18 @@ def test_feasible_and_verify_bound(capsys, tmp_path):
     assert json.loads(err.splitlines()[-1])["error"] == "HypothesisViolated"
 
 
+def test_verify_bound_reports_the_library_result(capsys, tmp_path):
+    u, v = (inf.blackwell_structure(inf.BlackwellSpec(n, 0, 0.75, 0.75)) for n in (2, 1))
+    g = parity_coordination_game()
+    paths = [tmp_path / name for name in ("u.json", "v.json", "g.json")]
+    for path, item in zip(paths, (u, v, g)):
+        path.write_text(item.to_json())
+
+    code, out, _ = _run(capsys, "verify-bound", *map(str, paths), "--case", "cond_indep", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == dataclasses.asdict(inf.verify_feasible_bound(u, v, g, "cond_indep"))
+
+
 def test_catalog_round_trip(capsys, tmp_path):
     out = tmp_path / "u1.json"
     code, _, _ = _run(capsys, "catalog", "u1", "-o", str(out))
@@ -319,6 +332,7 @@ def test_options_belong_to_the_commands_that_read_them(capsys, files):
     "option, value",
     [
         ("--budget", "-3"), ("--budget", "0"), ("--budget", "2.5"), ("--tolerance", "0.5"), ("--tolerance", "0"),
+        ("--tolerance", "abc"),
         ("--seed", "-1"), ("--tuples", "-1"), ("--tuples", "0"), ("--nmax", "0"), ("--nmax", "-1"),
     ],
 )

@@ -789,6 +789,37 @@ def test_complements_inequality(rng):
         assert report.passed, report
 
 
+def test_complements_hypothesis_gate(rng):
+    joint = rng.random((2, 2, 2, 2, 2))
+    joint /= joint.sum()
+    with pytest.raises(inf.HypothesisViolated):
+        inf.complements_report(joint)
+
+
+@pytest.mark.parametrize("report", [inf.substitutes_report, inf.complements_report, inf.joint_information_report])
+def test_joint_reports_need_a_five_axis_tensor(report):
+    with pytest.raises(inf.ShapeMismatch):
+        report(np.full((2, 2, 2, 2), 1 / 16))
+
+
+def test_collapse_needs_equal_state_signal_marginals(rng):
+    u, v = random_ci_structure(rng, 2, 2, 2), random_ci_structure(rng, 2, 2, 2)
+    with pytest.raises(inf.HypothesisViolated, match="marginals"):
+        inf.cond_indep_collapse_report(u, v)
+
+
+def test_recheck_needs_matching_garbled_shapes(rng):
+    u, v = random_structure(rng, 2, 2, 2), random_structure(rng, 2, 2, 2)
+    cert = inf.one_sided_gap(u, v)
+    with pytest.raises(inf.ShapeMismatch):
+        cert.recheck(random_structure(rng, 2, 2, 3), v)
+
+
+def test_diameter_bounds_need_equal_state_counts():
+    with pytest.raises(inf.ShapeMismatch):
+        inf.diameter_bounds(inf.StateDistribution([0.5, 0.5]), inf.StateDistribution([0.2, 0.3, 0.5]))
+
+
 def test_joint_information_bound(rng):
     for _ in range(5):
         base = random_structure(rng, 2, 2, 2)  # (k, c, d)

@@ -1,10 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import infodist as inf
 from infodist import PLAYER1, PLAYER2
 from infodist.config import VALUE_TOL
-from infodist.games import guarantee
+from infodist.games import _pure_rules, guarantee
 from infodist.lp import solve_matrix_game
 
 from conftest import random_game, random_garbling, random_structure
@@ -87,6 +89,54 @@ def test_normal_form_partial_enumeration_path(rng):
         assert full == pytest.approx(partial, abs=1e-7)
         with pytest.raises(inf.BudgetExceeded):
             inf.value_normal_form(u, g, budget=2)
+
+
+def _profile_payoffs(probs, payoffs):
+    """(I^C, J^D) expected payoff of every pure-rule profile, by a plain loop."""
+    n_k, n_c, n_d = probs.shape
+    _, n_i, n_j = payoffs.shape
+    rules1 = list(itertools.product(range(n_i), repeat=n_c))
+    rules2 = list(itertools.product(range(n_j), repeat=n_d))
+    out = np.zeros((len(rules1), len(rules2)))
+    for a, s in enumerate(rules1):
+        for b, t in enumerate(rules2):
+            for k in range(n_k):
+                for c in range(n_c):
+                    for d in range(n_d):
+                        out[a, b] += probs[k, c, d] * payoffs[k, s[c], t[d]]
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_k, n_c, n_d, n_i, n_j, zeros",
+    [
+        (2, 3, 2, 2, 3, 0.3),
+        (2, 2, 3, 1, 2, 0.0),
+        (3, 3, 2, 2, 1, 0.0),
+        (2, 1, 3, 3, 2, 0.0),
+        (2, 3, 1, 2, 3, 0.3),
+        (2, 8, 2, 2, 2, 0.3),
+        (2, 2, 8, 2, 2, 0.0),
+    ],
+    ids=["zero-cells", "one-action-1", "one-action-2", "one-signal-1", "one-signal-2", "8-signals-1", "8-signals-2"],
+)
+def test_pure_rule_payoffs_match_a_plain_loop(n_k, n_c, n_d, n_i, n_j, zeros):
+    rng = np.random.default_rng([n_k, n_c, n_d, n_i, n_j])
+    u = random_structure(rng, n_k, n_c, n_d, zeros=zeros)
+    g1, g2 = rng.uniform(-1.0, 1.0, (2, n_k, n_i, n_j))
+    points = np.stack([_profile_payoffs(u.probs, g).ravel() for g in (g1, g2)], axis=1)
+    # Summed in another order, 8 or more signals may differ in the last place.
+    tol = 1e-12 if max(n_c, n_d) >= 8 else 0.0
+    hull = inf.feasible_set(u, inf.BimatrixGame(g1, g2)).vertices
+    np.testing.assert_allclose(hull, inf.PayoffPolygon(points).vertices, rtol=0.0, atol=tol)
+    expected, _, _ = solve_matrix_game(_profile_payoffs(u.probs, g1))
+    assert inf.value_normal_form(u, inf.ZeroSumGame(g1)) == pytest.approx(expected, abs=1e-12)
+
+
+def test_pure_rules_keep_the_product_order():
+    for n_signals, n_actions in ((1, 1), (1, 3), (3, 2), (2, 3), (4, 1)):
+        expected = list(itertools.product(range(n_actions), repeat=n_signals))
+        assert _pure_rules(n_signals, n_actions).tolist() == [list(rule) for rule in expected]
 
 
 def test_garbling_monotonicity(rng):
@@ -187,6 +237,29 @@ def test_i4_coordination_minmax_is_zero():
 def test_payoff_bound_validation():
     with pytest.raises(inf.NotNormalized):
         inf.ZeroSumGame(np.full((1, 1, 1), 1.5))
+
+
+_NO_INFO = inf.no_information([1.0])
+_ZERO_GAME = inf.ZeroSumGame(np.zeros((1, 2, 2)))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: inf.ZeroSumGame(np.zeros((2, 2))), inf.ShapeMismatch),
+        (lambda: inf.ZeroSumGame(np.full((1, 2, 2), np.nan)), inf.NotNormalized),
+        (lambda: inf.ZeroSumGame.from_json(_ZERO_GAME.to_json().replace('"states": 1', '"states": 2')), inf.ShapeMismatch),
+        (lambda: inf.BimatrixGame(np.zeros((1, 2, 2)), np.zeros((1, 2, 3))), inf.ShapeMismatch),
+        (lambda: inf.value(inf.no_information([0.5, 0.5]), _ZERO_GAME), inf.ShapeMismatch),
+        (lambda: inf.guarantee(_NO_INFO, _ZERO_GAME, inf.Garbling.identity(3), PLAYER2), inf.ShapeMismatch),
+        (lambda: inf.guarantee(_NO_INFO, _ZERO_GAME, inf.Garbling.identity(2), "p3"), inf.ShapeMismatch),
+        (lambda: inf.transport_strategy(inf.Garbling.identity(2), inf.Garbling.identity(3)), inf.ShapeMismatch),
+    ],
+    ids=["not-3d", "not-finite", "json-shape", "bimatrix-shapes", "value-states", "guarantee-shape", "guarantee-side", "transport"],
+)
+def test_malformed_game_inputs_are_rejected(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_game_json_round_trip(rng):

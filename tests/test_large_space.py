@@ -43,6 +43,16 @@ def test_mixing_matrix_rejects_entries_other_than_0_and_1(entry):
         inf.MixingMatrix(s)
 
 
+@pytest.mark.parametrize(
+    "s, message",
+    [(np.zeros((2, 3)), "square"), (np.zeros((3, 3)), "even"), ([[1, 1], [0, 1]], "N/2 successors")],
+    ids=["not-square", "odd-n", "row-sum"],
+)
+def test_mixing_matrix_rejects_a_malformed_shape(s, message):
+    with pytest.raises(inf.InvalidParameters, match=message):
+        inf.MixingMatrix(s)
+
+
 @pytest.mark.parametrize("symbol", [0, 5], ids=["zero", "n-plus-one"])
 def test_successors_reject_a_symbol_outside_1_to_n(world4, symbol):
     with pytest.raises(inf.InvalidSymbol, match=rf"^symbol {symbol} outside 1\.\.4$"):
@@ -97,6 +107,24 @@ def test_is_nice_classification(world4):
     assert inf.is_nice([a, good_b, bad_c], matrix) == NOT_NICE_P1
     with pytest.raises(inf.InvalidSymbol):
         inf.is_nice([0, 1], matrix)
+
+
+def test_is_nice_needs_a_symbol(world4):
+    with pytest.raises(inf.InvalidSymbol):
+        inf.is_nice([], world4.matrix)
+
+
+def test_revelation_game_is_budgeted(world4):
+    # 2 x 4^2 x 4 = 128 payoff cells at p = 2.
+    with pytest.raises(inf.BudgetExceeded):
+        inf.revelation_game(world4, 2, budget=127)
+
+
+def test_truthful_strategy_checks_the_report_length_and_side(world4):
+    with pytest.raises(inf.InvalidParameters, match="player 2"):
+        markov.truthful_strategy(world4, 1, 3, PLAYER2)
+    with pytest.raises(inf.InvalidParameters, match="side"):
+        markov.truthful_strategy(world4, 1, 1, "p3")
 
 
 def test_is_nice_reports_a_numpy_symbol_as_a_plain_number(world4):

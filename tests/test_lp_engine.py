@@ -82,6 +82,7 @@ def test_two_sided_row(maximize, bound):
         {"row_idx": [1, 0], "col_idx": [0, 0], "coefficients": [1.0, 1.0],
          "row_lower": [-np.inf, -np.inf], "row_upper": [3.0, 3.0]},
         {"row_idx": [0, 0], "col_idx": [0, 0], "coefficients": [0.5, 0.5]},  # a repeated (row, column)
+        {"row_lower": [-np.inf, -np.inf]},  # row bounds of unequal length
     ],
 )
 def test_malformed_problem_is_rejected(change):
@@ -98,6 +99,11 @@ def test_malformed_problem_is_rejected(change):
     lp.LpProblem(**fields)
     with pytest.raises(ShapeMismatch):
         lp.LpProblem(**{**fields, **change})
+
+
+def test_matrix_game_needs_a_matrix():
+    with pytest.raises(ShapeMismatch):
+        lp.solve_matrix_game(np.zeros(3))
 
 
 def test_only_small_problems_are_cached():

@@ -341,6 +341,26 @@ def test_ir_bound_hypothesis_gate(rng):
         inf.verify_ir_bound(u, u, g, np.array([5.0, 5.0]))  # infeasible point
 
 
+def test_ir_bound_rejects_a_point_below_the_minmax_margin(rng):
+    u = random_ci_structure(rng, 2, 2, 2)
+    g = _random_bimatrix(rng, 2, 2, 2)
+    lowest = min(inf.feasible_set(u, g).vertices, key=lambda x: x[0])
+    assert lowest[0] < inf.minmax_levels(u, g)[0] - 1e-6
+    with pytest.raises(inf.HypothesisViolated, match="below minmax"):
+        inf.verify_ir_bound(u, u, g, lowest)
+
+
+def test_feasible_set_needs_the_game_states(rng):
+    with pytest.raises(inf.ShapeMismatch):
+        inf.feasible_set(random_structure(rng, 2, 2, 2), _random_bimatrix(rng, 3, 2, 2))
+
+
+def test_public_case_needs_equal_signal_counts(rng):
+    u = random_structure(rng, 2, 2, 3)
+    with pytest.raises(inf.HypothesisViolated, match="equal signal spaces"):
+        inf.verify_feasible_bound(u, u, _random_bimatrix(rng, 2, 2, 2), "public")
+
+
 def test_common_interest_best_payoff_gap(rng):
     for _ in range(5):
         u = random_ci_structure(rng, 2, 2, 2)

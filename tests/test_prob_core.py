@@ -229,6 +229,33 @@ def test_eps_ci_query_validation():
         )
 
 
+_U2 = inf.canonical_examples()["u2"]
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: inf.validate_structure(np.zeros((2, 0, 2))), inf.ShapeMismatch),
+        (lambda: inf.Garbling(np.ones(2)), inf.ShapeMismatch),
+        (lambda: inf.Garbling([[0.5, 0.4]]), inf.NotNormalized),
+        (lambda: inf.eps_conditional_independence(np.full((2, 2), 0.25), inf.ConditionalQuery((), (0, 1))), inf.ShapeMismatch),
+        (lambda: inf.garble(_U2, PLAYER2, inf.Garbling.identity(5)), inf.ShapeMismatch),
+        (lambda: inf.garble(_U2, "p3", inf.Garbling.identity(2)), inf.ShapeMismatch),
+        (lambda: inf.compose_garblings(inf.Garbling.identity(3), inf.Garbling.identity(2)), inf.ShapeMismatch),
+        (lambda: common_embedding(_U2, inf.no_information([0.2, 0.3, 0.5])), inf.ShapeMismatch),
+        (lambda: inf.marginalize(_U2.probs, (0, 3)), inf.ShapeMismatch),
+        (lambda: inf.marginalize(_U2.probs, (1, 1)), inf.ShapeMismatch),
+    ],
+    ids=[
+        "empty-axis", "garbling-not-2d", "garbling-row-sum", "empty-query-group", "garble-source-2",
+        "garble-side", "compose", "embedding-states", "marginalize-axis", "marginalize-repeat",
+    ],
+)
+def test_malformed_structure_inputs_are_rejected(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_marginalize_and_conditional():
     uniform = np.full((2, 2, 2), 1 / 8)
     assert np.allclose(inf.marginalize(uniform, (0, 1)), np.full((2, 2), 0.25))
@@ -281,6 +308,9 @@ def test_garbling_json_round_trip(rng):
         (inf.ZeroSumGame.from_json, "{", inf.InvalidParameters),
         (inf.BimatrixGame.from_json, '{"payoffs1": [[[1.0]]], "payoffs2": [[[1.0]], [1.0]]}', inf.ShapeMismatch),
         (inf.BimatrixGame.from_json, '{"payoffs1": [[[1.0]]]}', inf.InvalidParameters),
+        (inf.InformationStructure.from_json, '{"probs": [[1.0]]}', inf.ShapeMismatch),
+        (inf.InformationStructure.from_json, '{"probs": [[[1.0]]], "signals1": 2}', inf.ShapeMismatch),
+        (inf.Garbling.from_json, '{"source": 2, "target": 1, "rows": [[1.0]]}', inf.ShapeMismatch),
     ],
 )
 def test_from_json_rejects_malformed_input(load, text, error):

@@ -7,6 +7,7 @@ import pytest
 import hierarchy_oracle as oracle
 import infodist as inf
 from infodist import hierarchy
+from infodist.config import DIST_TOL
 from infodist.errors import ShapeMismatch
 from infodist.hierarchy import _ROUND_DIGITS, NULL_CLASS, is_redundant
 
@@ -174,6 +175,19 @@ def test_dnzs_matches_the_three_refinement_reference():
     pairs += [(a, b) for a in mixtures for b in mixtures]
     for u, v in pairs:
         assert inf.dnzs(u, v) == oracle.dnzs(u, v)
+
+
+def test_value_distance_is_at_most_dnzs_on_the_catalog():
+    # d <= dnzs on every catalog-sweep pair.  The closest is the
+    # signal_quality counterexample: d = 1.7e-16, dnzs = 0.
+    for label, generate, _, _ in catalog_members():
+        u, v = generate()
+        assert inf.value_distance(u, v) <= inf.dnzs(u, v) + DIST_TOL, label
+
+
+def test_mix_needs_a_component():
+    with pytest.raises(ShapeMismatch):
+        inf.mix([])
 
 
 def test_dnzs_keeps_a_tiny_signal_live_as_reduce_does():
