@@ -13,8 +13,10 @@ garblings have their natural shapes: q1 maps u's player-1 signals to v's
 (l1 = v's player-1 signal count) and q2 maps v's player-2 signals to u's
 (l2 = u's player-2 signal count), so the witness g has player-1 actions
 for v's player-1 signals and player-2 actions for u's player-2 signals.
-Signals of mass at most ZERO_TOL are left out of the LP, and each row is
-divided by its signal's mass (see ``_gap_problem``).  One solve gives all
+Signals of mass at most ZERO_TOL are left out of the LP and get uniform
+garbling rows, by the rules ``lp._live_signals`` and ``lp._lift`` that the
+game-value LP follows too, and each row is divided by its signal's mass
+(see ``_gap_problem``).  One solve gives all
 three: the optimum is the gap, the primal g is a witness game, and the row
 duals are the attaining garblings q1 and q2.  The full distance is the max
 of the two one-sided gaps.
@@ -70,8 +72,9 @@ afresh.  Apart from the memo, the gap LP's index arrays and bounds are
 built once per shape for an LP of at most ``lp._CACHE_ENTRIES`` (1,024)
 entries, and per call for a larger one (see ``_gap_pattern``).  They are
 in HiGHS's column-wise order, which ``lp.LpProblem`` takes as it is.  Per
-call, ``_gap_problem`` reads the signal masses, writes the beliefs into
-that order and drops the zero coefficients, and ``lp`` checks the problem.
+call, ``_gap_problem`` reads the signal masses and writes the beliefs into
+that order, and ``lp.LpProblem`` checks the problem and drops its zero
+coefficients, as it does for every LP.
 """
 
 from __future__ import annotations
@@ -212,11 +215,6 @@ def _posed(u: InformationStructure, v: InformationStructure):
     return (_marginal(u), _marginal(v)) if _collapses(u, v) else (u, v)
 
 
-def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    live = np.flatnonzero(masses > ZERO_TOL)
-    return live, masses[live]
-
-
 @functools.lru_cache(maxsize=256)
 def _gap_pattern(n_k: int, n1: int, l1: int, n2: int, l2: int):
     """The gap LP's triplet indices and bounds for every cell, by shape.
@@ -226,7 +224,7 @@ def _gap_pattern(n_k: int, n1: int, l1: int, n2: int, l2: int):
     each g(k,e,f), in C order, holds the (c,e) rows of u's n1 live signals
     c and then the (d,f) rows of v's n2 live signals d; each a_c column
     holds its l1 (c,e) rows and each b_d column its l2 (d,f) rows.
-    ``zeros`` is g's part of the objective.  ``_gap_problem`` drops the
+    ``zeros`` is g's part of the objective.  ``lp.LpProblem`` drops the
     entries of zero coefficient, so the pattern depends on the shape alone,
     and reads it through ``lp._per_shape``, so only the pattern of an LP of
     at most ``lp._CACHE_ENTRIES`` entries is kept.  Every array is shared by
@@ -287,7 +285,7 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
 
     The index arrays and bounds come from ``_gap_pattern`` for the shape,
     in column-wise order.  Per call, the beliefs are written into that
-    order, and the triplets of zero coefficient are dropped with one mask.
+    order, and ``lp.LpProblem`` drops the triplets of zero coefficient.
     """
     if u.state_count != v.state_count:
         raise ShapeMismatch(
@@ -296,8 +294,8 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     n_k = u.state_count
     l1 = v.signals1_count
     l2 = u.signals2_count
-    live1, mass1 = _live_signals(u.probs.sum(axis=(0, 2)))
-    live2, mass2 = _live_signals(v.probs.sum(axis=(0, 1)))
+    live1, mass1 = lp._live_signals(u.probs.sum(axis=(0, 2)))
+    live2, mass2 = lp._live_signals(v.probs.sum(axis=(0, 1)))
     n1, n2 = live1.size, live2.size
     n_entries = n_k * l1 * l2 * (n1 + n2) + n1 * l1 + n2 * l2
     rows, cols, row_lower, row_upper, col_lower, col_upper, zeros = lp._per_shape(
@@ -312,10 +310,6 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     # The tails: -a_c in every (c,e) row, +b_d in every (d,f) row.
     values[cells.size : cells.size + n1 * l1] = -1.0
     values[cells.size + n1 * l1 :] = 1.0
-    # Beliefs are >= 0, so a coefficient is 0 exactly where its belief is.
-    keep = values != 0.0
-    if not keep.all():
-        rows, cols, values = rows[keep], cols[keep], values[keep]
     problem = lp.LpProblem(
         objective=np.concatenate((zeros, -mass1, mass2)),
         row_idx=rows,
@@ -406,12 +400,10 @@ def _solve_gaps(u, v) -> tuple[_GapSolve, _GapSolve]:
 
 def _garbling(duals: np.ndarray, live: np.ndarray, mass: np.ndarray, n_source: int) -> Garbling:
     """Garbling rows from one block of row duals: each live signal's duals
-    over its mass, made row-stochastic by ``lp._stochastic``.  A dropped
-    signal gets a zero row, which that rule makes uniform (any
-    distribution would do, as the signal carries at most ZERO_TOL)."""
-    rows = np.zeros((n_source, duals.size // live.size))
-    rows[live] = duals.reshape(live.size, -1) / mass[:, None]
-    return Garbling(lp._stochastic(rows))
+    over its mass, made row-stochastic by ``lp._stochastic``, and a dropped
+    signal's uniform row from ``lp._lift``, as in ``games.value``."""
+    rows = lp._stochastic(duals.reshape(live.size, -1) / mass[:, None])
+    return Garbling(lp._lift(rows, live, n_source))
 
 
 def one_sided_gap(

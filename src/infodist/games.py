@@ -8,7 +8,8 @@ value LP uses the per-signal best-response decomposition (polynomial size):
                             for every (d, j), sigma rows in the simplex,
 
 whose duals on the (d, j) rows are player 2's optimal behavioral strategy.
-``value`` solves it scaled by the players' signal masses.
+``value`` poses it on the signals of mass above ZERO_TOL, as the gap LP is
+posed, scaled by their masses.
 """
 
 from __future__ import annotations
@@ -143,40 +144,44 @@ def _check_compatible(u: InformationStructure, g: ZeroSumGame) -> None:
         )
 
 
-def _coefficients(u: InformationStructure, g: ZeroSumGame) -> np.ndarray:
-    """M[c, i, d, j] = sum_k u(k,c,d) g(k,i,j)."""
-    return np.einsum("kcd,kij->cidj", u.probs, g.payoffs)
-
-
-def _signal_scale(masses: np.ndarray) -> np.ndarray:
-    """Each signal's mass, or 1 for a signal of mass at most ZERO_TOL."""
-    return np.where(masses > ZERO_TOL, masses, 1.0)
+def _coefficients(probs: np.ndarray, g: ZeroSumGame) -> np.ndarray:
+    """M[c, i, d, j] = sum_k probs(k,c,d) g(k,i,j)."""
+    return np.einsum("kcd,kij->cidj", probs, g.payoffs)
 
 
 def value(u: InformationStructure, g: ZeroSumGame) -> ValueResult:
     """Value of the zero-sum Bayesian game and optimal behavioral strategies.
 
-    The LP is scaled by signal mass: the variables are x(c,i) = m_c
-    sigma(c,i), each (d,j) row is divided by n_d, and z_d = n_d w_d, so
+    The LP is posed on the live signals, those of mass above ZERO_TOL
+    (``lp._live_signals``, the gap LP's rule), and scaled by their masses:
+    the variables are x(c,i) = m_c sigma(c,i), each (d,j) row is divided by
+    n_d, and z_d = n_d w_d, so
 
         max sum_d n_d w_d   s.t.   w_d <= sum_{k,c,i} u(k,c,d) g(k,i,j) x(c,i) / (m_c n_d),
-                                   sum_i x(c,i) = m_c.
+                                   sum_i x(c,i) = m_c,
 
-    The binomial cells of the Blackwell members reach 1e-9, and unscaled
-    rows of such masses fail the dual gate.  m_c and n_d are the players'
-    signal masses, or 1 for a signal of mass at most ZERO_TOL.  sigma (x
-    over m_c) and tau (the (d, j) duals over n_d) are ``lp.best_response``'s.
+    for live c and d.  The binomial cells of the Blackwell members reach
+    1e-9, and unscaled rows of such masses fail the dual gate.  Leaving a
+    dead signal out moves the value by at most its mass; it plays
+    uniformly (``lp._lift``).  sigma (x over m_c) and tau (the (d, j) duals
+    over n_d) are ``lp.best_response``'s, given the coefficients in its
+    column order, (c, i) then (d, j).
     """
     _check_compatible(u, g)
-    n_c, n_d, n_j = u.signals1_count, u.signals2_count, g.actions2_count
-    coeff = _coefficients(u, g)
-    m = _signal_scale(u.probs.sum(axis=(0, 2)))
-    n = _signal_scale(u.probs.sum(axis=(0, 1)))
+    live1, m = lp._live_signals(u.probs.sum(axis=(0, 2)))
+    live2, n = lp._live_signals(u.probs.sum(axis=(0, 1)))
+    probs = u.probs.take(live1, axis=1).take(live2, axis=2)
 
     # Variables: x(c, i) flattened, then w(d); rows (d, j).
-    payoff = coeff.transpose(2, 3, 0, 1) / (n[:, None, None, None] * m[:, None])
-    objective, sigma, tau = lp.best_response(payoff.reshape(n_d, n_j, -1), n_c, block_mass=m, weights=n)
-    return ValueResult(objective, Garbling(sigma), Garbling(tau))
+    payoff = _coefficients(probs, g) / (m[:, None, None, None] * n[:, None])
+    objective, sigma, tau = lp.best_response(
+        payoff.reshape(-1, live2.size, g.actions2_count), live1.size, block_mass=m, weights=n
+    )
+    return ValueResult(
+        objective,
+        Garbling(lp._lift(sigma, live1, u.signals1_count)),
+        Garbling(lp._lift(tau, live2, u.signals2_count)),
+    )
 
 
 def guarantee(
@@ -258,7 +263,7 @@ def value_normal_form(
     n_i, n_j = g.actions1_count, g.actions2_count
     n_rules1 = n_i**n_c
     n_rules2 = n_j**n_d
-    coeff = _coefficients(u, g)  # (c, i, d, j)
+    coeff = _coefficients(u.probs, g)  # (c, i, d, j)
 
     if n_rules1 * n_rules2 <= budget:
         # M[s, t] = sum_c sum_d coeff[c, s(c), d, t(d)]: (c, i, d, j) -> (s, d, j) -> (s, t)
@@ -272,10 +277,11 @@ def value_normal_form(
 
     if n_rules2 <= n_rules1:
         # min over mixtures y of player 2's pure rules of
-        # sum_c max_i sum_t y_t A[c, i, t], A[c, i, t] = sum_d coeff[c, i, d, t(d)].
-        # That is minus the best-response LP on the negated payoff.
-        return -lp.best_response(-_fold(coeff, 2), 1)[0]
+        # sum_c max_i sum_t y_t A[t, c, i], A[t, c, i] = sum_d coeff[c, i, d, t(d)].
+        # That is minus the best-response LP on the negated payoff, whose
+        # columns are player 2's rules: fold (d, j, c, i) over d.
+        return -lp.best_response(-_fold(coeff.transpose(2, 3, 0, 1), 0), 1)[0]
 
     # Symmetric case: enumerate player 1's rules, decompose player 2.
-    # a[d, j, s] = sum_c coeff[c, s(c), d, j]
-    return lp.best_response(_fold(coeff.transpose(2, 3, 0, 1), 2), 1)[0]
+    # a[s, d, j] = sum_c coeff[c, s(c), d, j]
+    return lp.best_response(_fold(coeff, 0), 1)[0]

@@ -428,7 +428,9 @@ def _decompose(u: InformationStructure) -> Decomposition:
     components = []
     blocks = []
     # Components come out ordered by their smallest player-1 signal; one
-    # without player-1 signals has no mass.
+    # without player-1 signals has no mass.  One with a player-2 signal
+    # holds a link, a (c, d) pair of mass above ZERO_TOL, so its weight is
+    # at least that.
     for root in np.flatnonzero(label1 == np.arange(n_c)).tolist():
         cs = np.flatnonzero(label1 == root)
         ds = np.flatnonzero(label2 == root)
@@ -436,8 +438,6 @@ def _decompose(u: InformationStructure) -> Decomposition:
             continue
         block = u.probs.take(cs, axis=1).take(ds, axis=2)
         weight = float(block.sum())
-        if weight <= ZERO_TOL:
-            continue
         components.append((weight, InformationStructure(block / weight, u.state_labels)))
         blocks.append((tuple(cs.tolist()), tuple(ds.tolist())))
     total = sum(w for w, _ in components)

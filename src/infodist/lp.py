@@ -9,9 +9,10 @@ most of a cold ``import infodist`` (1.01 s -> 0.36 s, 2-core machine).
 An LP takes two forms.  An ``LpProblem`` is plain arrays: the constraint
 matrix as (row, column, value) triplets in HiGHS's column-wise order, and
 ``row_lower <= A.x <= row_upper``, ``col_lower <= x <= col_upper`` with
-infinite entries for absent bounds.  Building one checks it and adds, with
-numpy (no ``scipy.sparse``), the column starts and the minimization cost,
-so the triplets are the model HiGHS solves.  ``linprog`` hands those
+infinite entries for absent bounds.  Building one checks it, drops its
+zero coefficients (which HiGHS would drop too) and adds, with numpy (no
+``scipy.sparse``), the column starts and the minimization cost, so the
+triplets are the model HiGHS solves.  ``linprog`` hands those
 arrays to the binding's flat ``passModel``, with no ``HighsLp``
 object in between: each thread reuses one instance, given the options
 once, for every model.  HiGHS runs dual simplex without presolve, a fixed
@@ -22,7 +23,10 @@ read the problem's own triplets, so they check the matrix HiGHS
 solved: A.x and A^T.lam are one ``np.bincount`` each over its entries, and
 each gate is one maximum over all its violations.
 
-HiGHS solves each model as posed, without scaling it.  The package scales
+HiGHS solves each model as posed, without scaling it.  The gap and value
+LPs follow one support rule: they are posed on the signals of mass above
+ZERO_TOL (``_live_signals``), and one left out gets a uniform row in the
+strategies or garblings read off the LP (``_lift``).  The package scales
 its LPs itself: each row of the gap and value LPs is divided by its
 signal's mass, so rows hold beliefs in [0, 1], the witness is boxed in
 [-1, 1] and the costs are masses.  HiGHS's equilibration on top of that
@@ -42,10 +46,11 @@ A solve does only per-call work: it runs HiGHS and gates the answer.
 An ``LpProblem`` takes its triplets sorted by (column, row), each (row,
 column) once, and raises ``ShapeMismatch`` otherwise, so building one sorts
 and sums nothing: it checks the order, the indices, the shapes, values and
-bounds, and takes the column starts from one ``searchsorted``.  The
-package's two builders emit that order by construction, from index arrays
-that depend on the shape alone: the gap LP takes them from
-``distance._gap_pattern``, and ``best_response`` from
+bounds, drops the zero coefficients with one mask, and takes the column
+starts from one ``searchsorted``.  The package's two builders emit that
+order by construction, from index arrays that depend on the shape alone:
+the gap LP takes them from ``distance._gap_pattern``, and
+``best_response``, whose payoff comes in its column order, from
 ``_best_response_pattern``, each cached per shape for an LP of at most
 ``_CACHE_ENTRIES`` (1,024) matrix entries.  On a 2-core machine, building
 a K=4, L=9 gap LP (5,994 entries) took 131 us against 202 us when
@@ -105,7 +110,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import LP_TOL, NORM_TOL
+from .config import LP_TOL, NORM_TOL, ZERO_TOL
 from .errors import NumericalFailure, ShapeMismatch
 
 _CORE = "scipy.optimize._highspy._core"
@@ -203,9 +208,10 @@ class LpProblem:
     order: triplets sorted by (column, row), each (row, column) once.  An
     infinite bound is an absent bound: a ``<=`` row has ``row_lower =
     -inf``, an ``==`` row equal bounds.  Every row needs a finite bound.
-    Building a problem checks it and adds what HiGHS needs besides the
-    triplets: ``_start``, where each column's entries start, and the
-    minimization cost ``_cost``.
+    Building a problem checks it, keeps only the triplets of nonzero
+    coefficient, and adds what HiGHS needs besides the triplets:
+    ``_start``, where each column's entries start, and the minimization
+    cost ``_cost``.
     """
 
     objective: np.ndarray
@@ -246,6 +252,11 @@ class LpProblem:
         key = cols * n_rows + rows
         if not (key[:-1] < key[1:]).all():
             raise ShapeMismatch("triplets must be sorted by (column, row), each (row, column) once")
+        # HiGHS drops explicit zeros itself; the problem keeps none, so the
+        # gates read the matrix HiGHS solves.  Dropping keeps the order.
+        keep = vals != 0.0
+        if not keep.all():
+            rows, cols, floats[1] = rows[keep], cols[keep], vals[keep]
         # Past the frozen dataclass's __setattr__, as object.__setattr__ goes.
         self.__dict__.update(
             zip(_FLOAT_FIELDS, floats),
@@ -556,6 +567,22 @@ def _best_response_pattern(n_d: int, n_j: int, n_x: int, n_blocks: int):
     return arrays
 
 
+def _live_signals(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The signals of mass above ZERO_TOL, the only ones an LP is posed on,
+    and their masses."""
+    live = np.flatnonzero(masses > ZERO_TOL)
+    return live, masses[live]
+
+
+def _lift(rows: np.ndarray, live: np.ndarray, n_signals: int) -> np.ndarray:
+    """Rows for all ``n_signals`` signals from ``rows``, one a live signal;
+    a signal left out of the LP, which carries at most ZERO_TOL, plays the
+    uniform row that ``_stochastic`` gives a row of no weight."""
+    lifted = np.full((n_signals, rows.shape[1]), 1.0 / rows.shape[1])
+    lifted[live] = rows
+    return lifted
+
+
 def _stochastic(weights: np.ndarray) -> np.ndarray:
     """LP multipliers as row-stochastic rows, the one rule for every strategy
     and garbling read off an LP: negative entries clip to 0, a row summing
@@ -577,24 +604,27 @@ def best_response(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Solve the per-signal best-response LP
 
-        max sum_d w_d z_d   s.t.   z_d <= payoff[d, j, :] . x   for every (d, j),
+        max sum_d w_d z_d   s.t.   z_d <= x . payoff[:, d, j]   for every (d, j),
 
     with x cut into ``n_blocks`` equal consecutive blocks, block b summing
     to ``block_mass[b]`` (1 if not given), x >= 0, and weights w (1 if not
-    given).  Variables are x, then the free z.  Returns the objective and
+    given).  Variables are x, then the free z.  ``payoff`` comes in the
+    LP's own column order, (x, d, j): column x's (d, j) rows, so its values
+    go into the column-wise triplets as they lie.  Returns the objective and
     both players' strategies through ``_stochastic``: x's blocks over their
     masses, and the (D, J) duals of the (d, j) rows over w_d (>= 0 and
     summing to w_d for each d by stationarity in z_d).  The index arrays
-    and bounds come from ``_best_response_pattern`` for the shape.
+    and bounds come from ``_best_response_pattern`` for the shape, and the
+    problem keeps no zero entry of ``payoff``.
     """
-    n_d, n_j, n_x = payoff.shape
+    n_x, n_d, n_j = payoff.shape
     n_rows = n_d * n_j
     rows, cols, row_lower, row_upper, col_lower, col_upper, zeros = _per_shape(
         _best_response_pattern, payoff.size + n_rows + n_x, n_d, n_j, n_x, n_blocks
     )
     # Each x column's -payoff entries and its block row's 1, then z's ones.
     values = np.ones(rows.size)
-    values[: n_x * (n_rows + 1)].reshape(n_x, -1)[:, :n_rows] = -payoff.reshape(n_rows, n_x).T
+    values[: n_x * (n_rows + 1)].reshape(n_x, -1)[:, :n_rows] = -payoff.reshape(n_x, n_rows)
     mass = np.ones(n_blocks) if block_mass is None else block_mass
     w = np.ones(n_d) if weights is None else weights
     problem = LpProblem(
@@ -622,10 +652,10 @@ def solve_matrix_game(matrix: np.ndarray) -> tuple[float, np.ndarray, np.ndarray
     ``matrix[i, j]`` is the payoff to the row maximizer.  Returns
     ``(value, row_strategy, col_strategy)``: the best-response LP with one
     opponent signal, z <= x.A[:, j] for every column j, whose row duals give
-    the column strategy.
+    the column strategy.  The matrix is already in that LP's column order.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or min(a.shape) < 1:
         raise ShapeMismatch(f"matrix game needs a 2-D payoff array, got {a.shape}")
-    value, x, y = best_response(a.T[np.newaxis], 1)
+    value, x, y = best_response(a[:, np.newaxis], 1)
     return value, x[0], y[0]

@@ -69,6 +69,30 @@ def test_strategies_of_a_live_signal_of_tiny_mass():
     assert_optimal(u, g, result)
 
 
+def test_value_leaves_out_signals_of_no_mass(rng):
+    # Padding a structure with zero-mass signals for both players changes
+    # nothing: the LP is posed on the live signals, so the value and the
+    # live signals' strategies are the unpadded ones bit for bit, and a pad
+    # plays uniformly.  Masses in 1/128ths keep every sum exact, so the two
+    # structures hold the same live cells to the bit.
+    for n_k, n_c, n_d, n_i, n_j in [(1, 1, 1, 2, 2), (2, 2, 3, 2, 3), (3, 3, 2, 3, 2), (2, 4, 4, 3, 3)]:
+        cells = rng.integers(1, 4, (n_k, n_c, n_d)).astype(float)
+        cells[0, 0, 0] += 128 - cells.sum()
+        u = inf.validate_structure(cells / 128)
+        # Player 1's pads come first and last, player 2's last.
+        padded = np.zeros((n_k, n_c + 2, n_d + 1))
+        padded[:, 1 : n_c + 1, :n_d] = u.probs
+        padded = inf.validate_structure(padded)
+        assert np.array_equal(padded.probs[:, 1 : n_c + 1, :n_d], u.probs)
+        g = random_game(rng, n_k, n_i, n_j)
+        want, have = inf.value(u, g), inf.value(padded, g)
+        assert have.value == want.value
+        assert np.array_equal(have.strategy1.rows[1 : n_c + 1], want.strategy1.rows)
+        assert np.array_equal(have.strategy2.rows[:n_d], want.strategy2.rows)
+        assert np.array_equal(have.strategy1.rows[[0, n_c + 1]], np.full((2, n_i), 1.0 / n_i))
+        assert np.array_equal(have.strategy2.rows[n_d], np.full(n_j, 1.0 / n_j))
+
+
 def test_brute_force_oracle_small(rng):
     for _ in range(10):
         u = random_structure(rng, 2, 3, 2)

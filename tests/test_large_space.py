@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import infodist as inf
-from infodist import PLAYER1, PLAYER2, markov
+from infodist import PLAYER1, PLAYER2, lp, markov
 from infodist.games import guarantee
 from infodist.markov import NICE, NOT_NICE_P1, NOT_NICE_P2
 
@@ -391,6 +391,20 @@ def test_truthful_guarantee_brackets_value(world4):
     assert val <= tg.upper + 1e-9
     # one-round game: reporting the first signal truthfully is exactly optimal
     assert val == pytest.approx(world4.epsilon, abs=1e-9)
+
+
+def test_value_lp_is_posed_on_the_live_signals(world4, monkeypatch):
+    # u3 has 36 live signals a player of 64, and the u2 -> u3 witness has
+    # 64 player-1 and 16 player-2 actions: 36 * 16 (d, j) rows and 36 block
+    # rows, 36 * 64 x columns and 36 z columns, not one block per signal.
+    u2, u3 = inf.chain_structure(world4, 2), inf.chain_structure(world4, 3)
+    g = inf.witness_game(u2, u3)
+    problems = []
+    solve = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda problem: problems.append(problem) or solve(problem))
+    inf.value(u3, g)
+    assert [(p.n_rows, p.n_vars) for p in problems] == [(612, 2340)]
+    assert not (problems[0].coefficients == 0.0).any()
 
 
 def test_truthful_guarantee_validation(world4):

@@ -113,10 +113,11 @@ def test_only_small_problems_are_cached():
     lp._best_response_pattern.cache_clear()
     distance._gap_pattern.cache_clear()
     rng = np.random.default_rng(5)
-    lp.best_response(rng.uniform(-1.0, 1.0, (2, 3, 4)), 2)
-    lp.best_response(rng.uniform(-1.0, 1.0, (2, 3, 4)), 2, block_mass=np.array([0.5, 0.5]))
+    # best_response takes its payoff as (x, d, j).
+    lp.best_response(rng.uniform(-1.0, 1.0, (2, 3, 4)).transpose(2, 0, 1), 2)
+    lp.best_response(rng.uniform(-1.0, 1.0, (2, 3, 4)).transpose(2, 0, 1), 2, block_mass=np.array([0.5, 0.5]))
     assert lp._best_response_pattern.cache_info()[:2] == (1, 1)
-    lp.best_response(rng.uniform(-1.0, 1.0, (1, 40, 30)), 1)  # 1,270 entries
+    lp.best_response(rng.uniform(-1.0, 1.0, (1, 40, 30)).transpose(2, 0, 1), 1)  # 1,270 entries
     assert lp._best_response_pattern.cache_info()[:2] == (1, 1)
     u, v = random_structure(rng, 2, 3, 2), random_structure(rng, 2, 2, 3)
     distance._gap_problem(u, v)
@@ -516,7 +517,7 @@ def test_a_scaled_fallback_that_misses_a_gate_raises(monkeypatch):
 def test_best_response_raises_unless_the_solve_is_optimal(monkeypatch, status):
     monkeypatch.setattr(lp, "solve", lambda problem: lp.LpSolution(status))
     with pytest.raises(NumericalFailure, match=f"best-response LP ended with status {status}"):
-        lp.best_response(np.ones((1, 2, 2)), 1)
+        lp.best_response(np.ones((2, 1, 2)), 1)
 
 
 def _same(a, b):
@@ -527,6 +528,35 @@ def _same(a, b):
         and a.dual.tobytes() == b.dual.tobytes()
         and np.float64(a.objective).tobytes() == np.float64(b.objective).tobytes()
     )
+
+
+def test_a_problem_keeps_no_zero_coefficient(rng):
+    # A matrix game max z s.t. z <= x.A[:, j], sum x = 1, whose A has zero
+    # entries, posed with its explicit zeros (both +0 and -0) and without
+    # them: the problems hold the same triplets and solve bit for bit alike.
+    n_x, n_j = 4, 5
+    a = rng.uniform(-1.0, 1.0, (n_x, n_j))
+    a[rng.random(a.shape) < 0.4] = 0.0
+    a[0, 0] = 0.0
+    rows = np.concatenate((np.tile(np.arange(n_j + 1), n_x), np.arange(n_j)))
+    cols = np.repeat(np.arange(n_x + 1), [n_j + 1] * n_x + [n_j])
+    values = np.concatenate((np.column_stack((-a, np.ones(n_x))).ravel(), np.ones(n_j)))
+    fields = dict(
+        objective=np.append(np.zeros(n_x), 1.0),
+        row_lower=np.append(np.full(n_j, -np.inf), 1.0),
+        row_upper=np.append(np.zeros(n_j), 1.0),
+        col_lower=np.append(np.zeros(n_x), -np.inf),
+        col_upper=np.full(n_x + 1, np.inf),
+        maximize=True,
+    )
+    keep = values != 0.0
+    with_zeros = lp.LpProblem(row_idx=rows, col_idx=cols, coefficients=values, **fields)
+    without = lp.LpProblem(row_idx=rows[keep], col_idx=cols[keep], coefficients=values[keep], **fields)
+    assert with_zeros.coefficients.size == keep.sum() < values.size
+    for name in ("row_idx", "col_idx", "coefficients", "_start"):
+        assert np.array_equal(getattr(with_zeros, name), getattr(without, name)), name
+    first, second = lp.solve(with_zeros), lp.solve(without)
+    assert first.status == lp.OPTIMAL and _same(first, second)
 
 
 def test_threads_solve_as_one_thread_does():

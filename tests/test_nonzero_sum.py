@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import infodist as inf
 from infodist import PLAYER1, lp
 from infodist.catalog import parity_coordination_game
-from infodist.payoffs import best_common_payoff, clip_polygon_to_halfplane, point_to_polygon_distance
+from infodist.payoffs import _convex_hull, best_common_payoff, clip_polygon_to_halfplane, point_to_polygon_distance
 
 from conftest import columnwise_problem, random_ci_structure, random_garbling, random_structure
 
@@ -86,6 +86,14 @@ def test_polygon_degenerate_inputs():
     segment = inf.PayoffPolygon(np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]))
     assert len(segment.vertices) == 2
     assert point_to_polygon_distance(np.array([0.5, 0.5]), segment) <= 1e-12
+
+
+def test_polygon_drops_a_last_vertex_next_to_the_first():
+    # The hull of this cloud has four vertices, the last within NORM_TOL of
+    # the first; the polygon keeps the triangle's three.
+    cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [1e-10, 5e-10]])
+    assert len(_convex_hull(cloud)) == 4
+    assert inf.PayoffPolygon(cloud).vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]]
 
 
 _SQUARE = inf.PayoffPolygon(np.array([[0, 0], [1, 0], [1, 1], [0, 1]], float))

@@ -418,6 +418,49 @@ def test_dnzs_on_block_mixtures_matches_the_reference(pair):
     assert inf.dnzs(v, u) == oracle.dnzs(v, u)
 
 
+# The three counterexamples that ROADMAP item 1 lists, at full precision
+# (replayed from their hypothesis blobs, which tie them to one hypothesis
+# version): u and v as nested lists of probs.
+_DNZS_COUNTEREXAMPLES = {
+    # Seed 33: u puts all mass on state 0; v holds entries of 2e-15, far
+    # below ZERO_TOL, on its live cells (c = 2, d = 1).
+    "tiny-entries": (
+        [[[1.0]], [[0.0]]],
+        [[[0.0, 0.1999999999999992], [0.0, 0.1999999999999992], [0.1999999999999992, 1.999999999999992e-15]],
+         [[0.0, 0.1999999999999992], [0.0, 0.1999999999999992], [0.0, 1.999999999999992e-15]]],
+    ),
+    # Seed 4, first case: v is u scaled by 8/9 beside a 1/9 atom on its own
+    # signal pair; the reference depends on the order.
+    "half-point-beliefs": (
+        [[[0.09356658937696355, 0.1871341144198209, 0.19882900242604754, 0.02046779376466791], [0.0, 0.0, 0.0, 0.0]],
+         [[0.04678376252610704, 0.09356799288983934, 0.09941549536797746, 0.010233999222326177], [0.0, 0.0, 0.0, 0.0]],
+         [[0.04678376252610704, 0.09356799288983934, 0.09941549536797746, 0.010233999222326177], [0.0, 0.0, 0.0, 0.0]]],
+        [[[0.08317030166841205, 0.1663414350398408, 0.1767368910453756, 0.01819359445748259, 0.0],
+          [0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.11111111111111112]],
+         [[0.04158556668987293, 0.08317154923541276, 0.08836932921597998, 0.00909688819762327, 0.0],
+          [0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]],
+         [[0.04158556668987293, 0.08317154923541276, 0.08836932921597998, 0.00909688819762327, 0.0],
+          [0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0]]],
+    ),
+    # Seed 4, second case: u is v's 2x2x2 block beside an atom of 1e-12
+    # (= ZERO_TOL) in each state.
+    "atom-at-zero-tol": (
+        [[[0.24999812499481253, 0.12500031250053126, 0.0], [0.12500031250053126, 0.12500031250053126, 0.0], [0.0, 0.0, 1e-12]],
+         [[0.0, 0.12500031250053126, 0.0], [0.12500031250053126, 0.12500031250053126, 0.0], [0.0, 0.0, 1e-12]]],
+        [[[0.24999812499531252, 0.12500031250078125], [0.12500031250078125, 0.12500031250078125]],
+         [[0.0, 0.12500031250078125], [0.12500031250078125, 0.12500031250078125]]],
+    ),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1: dnzs and its reference disagree on these pairs")
+@pytest.mark.parametrize("name", sorted(_DNZS_COUNTEREXAMPLES))
+def test_dnzs_matches_the_reference_on_the_pinned_counterexamples(name):
+    u, v = (inf.validate_structure(probs) for probs in _DNZS_COUNTEREXAMPLES[name])
+    assert inf.dnzs(u, v) == oracle.dnzs(u, v)
+    assert inf.dnzs(v, u) == oracle.dnzs(v, u)
+
+
 @st.composite
 def same_state_pairs(draw, structures):
     n_k = draw(st.integers(2, 3))
