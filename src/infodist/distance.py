@@ -99,6 +99,7 @@ from .structures import (
     PLAYER1,
     PLAYER2,
     _check_nonnegative,
+    _check_same_states,
     _frozen,
     _garbled_probs,
     _SIGNALS_GIVEN_STATE,
@@ -287,10 +288,7 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
     in column-wise order.  Per call, the beliefs are written into that
     order, and ``lp.LpProblem`` drops the triplets of zero coefficient.
     """
-    if u.state_count != v.state_count:
-        raise ShapeMismatch(
-            f"state counts differ: {u.state_count} vs {v.state_count}"
-        )
+    _check_same_states(u, v)
     n_k = u.state_count
     l1 = v.signals1_count
     l2 = u.signals2_count
@@ -319,7 +317,6 @@ def _gap_problem(u: InformationStructure, v: InformationStructure):
         row_upper=row_upper,
         col_lower=col_lower,
         col_upper=col_upper,
-        maximize=True,
     )
     return problem, _GapLayout((n_k, l1, l2), live1, mass1, live2, mass2)
 

@@ -137,7 +137,8 @@ class ValueResult:
     strategy2: Garbling  # rows: player-2 signals -> mixed actions
 
 
-def _check_compatible(u: InformationStructure, g: ZeroSumGame) -> None:
+def _check_compatible(u: InformationStructure, g: ZeroSumGame | BimatrixGame) -> None:
+    """The one check that a game is played on a structure's states."""
     if u.state_count != g.state_count:
         raise ShapeMismatch(
             f"structure has {u.state_count} states, game has {g.state_count}"

@@ -54,7 +54,7 @@ import numpy as np
 
 from .config import DIST_TOL, NORM_TOL, ZERO_TOL
 from .errors import ShapeMismatch
-from .structures import PLAYER1, PLAYER2, InformationStructure, validate_structure
+from .structures import PLAYER1, PLAYER2, InformationStructure, _check_same_states, validate_structure
 
 _ROUND_DIGITS = 12
 NULL_CLASS = -1
@@ -474,10 +474,7 @@ def dnzs(u: InformationStructure, v: InformationStructure) -> float:
     the sides is a hierarchy both induce.  The union is not rescaled, so a
     signal is null in it exactly when it is null in its own structure.
     """
-    if u.state_count != v.state_count:
-        raise ShapeMismatch(
-            f"state counts differ: {u.state_count} vs {v.state_count}"
-        )
+    _check_same_states(u, v)
     n_k, n_c, n_d = u.shape
     union = np.zeros((n_k, n_c + v.signals1_count, n_d + v.signals2_count))
     union[:, :n_c, :n_d] = u.probs

@@ -6,22 +6,22 @@ of scipy; scipy >= 1.17).  ``_load_highs`` loads that one extension from
 its file, without importing ``scipy.optimize``, whose own imports were
 most of a cold ``import infodist`` (1.01 s -> 0.36 s, 2-core machine).
 
-An LP takes two forms.  An ``LpProblem`` is plain arrays: the constraint
-matrix as (row, column, value) triplets in HiGHS's column-wise order, and
-``row_lower <= A.x <= row_upper``, ``col_lower <= x <= col_upper`` with
-infinite entries for absent bounds.  Building one checks it, drops its
-zero coefficients (which HiGHS would drop too) and adds, with numpy (no
-``scipy.sparse``), the column starts and the minimization cost, so the
-triplets are the model HiGHS solves.  ``linprog`` hands those
-arrays to the binding's flat ``passModel``, with no ``HighsLp``
-object in between: each thread reuses one instance, given the options
-once, for every model.  HiGHS runs dual simplex without presolve, a fixed
+An LP takes two forms.  An ``LpProblem`` is plain arrays: the objective
+it maximizes, the constraint matrix as (row, column, value) triplets in
+HiGHS's column-wise order, and ``row_lower <= A.x <= row_upper``,
+``col_lower <= x <= col_upper`` with infinite entries for absent bounds.
+Building one checks it, drops its zero coefficients (which HiGHS would
+drop too) and adds, with numpy (no ``scipy.sparse``), the column starts
+and the negated objective that HiGHS minimizes, so the triplets are the
+model HiGHS solves.  ``linprog`` hands those arrays to the binding's flat
+``passModel`` on the thread's one HiGHS instance, with no ``HighsLp``
+object in between.  HiGHS runs dual simplex without presolve, a fixed
 pass per solve that these small LPs do not need.  ``linprog`` returns the
-``LpSolution``, the second form: already oriented as the problem is posed,
-with HiGHS's iteration count.  ``solve`` then gates it.  The residual gates
-read the problem's own triplets, so they check the matrix HiGHS
-solved: A.x and A^T.lam are one ``np.bincount`` each over its entries, and
-each gate is one maximum over all its violations.
+``LpSolution``, the second form: the maximization's objective and row
+duals, with HiGHS's iteration count.  ``solve`` then gates it.  The residual gates read the problem's own triplets, so
+they check the matrix HiGHS solved: A.x and A^T.lam are one
+``np.bincount`` each over its entries, and each gate is one maximum over
+all its violations.
 
 HiGHS solves each model as posed, without scaling it.  The gap and value
 LPs follow one support rule: they are posed on the signals of mass above
@@ -37,10 +37,13 @@ the Blackwell (18,16) -> (16,16) gap LP misses the gap gate (1.6e-8), and
 scaled, a 5-row max-norm LP misses the primal gate (9e-7).  So ``solve``
 keeps an unscaled answer only when it is OPTIMAL within the gates.  Any
 other outcome, a failed gate or any status but OPTIMAL, is solved once
-more on the thread's second HiGHS instance, at HiGHS's own scaling (the
-options every solve ran at before), and that answer stands.  The second
-instance is made at the thread's first fallback; one pass of ops and
-checks of each benchmark workload took none.
+more at HiGHS's own scaling (the options every solve ran at before), and
+that answer stands; one pass of ops and checks of each benchmark
+workload took no such fallback.  A solver configuration is an options
+object, not an instance: the fallback passes ``_SCALED_OPTIONS`` to the
+thread's one instance, and its next solve passes ``_HIGHS_OPTIONS`` back
+(about 3 us a ``passOptions``, 2-core machine).  A model solved after a
+fallback gets every bit it gets on a fresh instance.
 
 A solve does only per-call work: it runs HiGHS and gates the answer.
 An ``LpProblem`` takes its triplets sorted by (column, row), each (row,
@@ -92,10 +95,10 @@ The contract the rest of the package relies on:
   solved once more with HiGHS's scaling, the package's only re-solve, and
   that answer's status, gates and ``NumericalFailure`` stand.
 
-For a minimization problem the Lagrange multiplier of a ``<=`` row is
-``-dual[i] >= 0``; for a maximization it is ``dual[i] >= 0``.  One rule,
-``_stochastic``, turns multipliers into ``best_response``'s strategies and
-the gap LP's garblings.
+Every problem is a maximization, so the Lagrange multiplier of a ``<=``
+row is ``dual[i] >= 0`` and that of a ``>=`` row ``dual[i] <= 0``.  One
+rule, ``_stochastic``, turns multipliers into ``best_response``'s
+strategies and the gap LP's garblings.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ _FLOAT_FIELDS = ("objective", "coefficients", "row_lower", "row_upper", "col_low
 
 @dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min/max c.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
+    """max c.x  s.t.  row_lower <= A.x <= row_upper,  col_lower <= x <= col_upper.
 
     ``(row_idx, col_idx, coefficients)`` hold A in HiGHS's column-wise
     order: triplets sorted by (column, row), each (row, column) once.  An
@@ -210,8 +213,8 @@ class LpProblem:
     -inf``, an ``==`` row equal bounds.  Every row needs a finite bound.
     Building a problem checks it, keeps only the triplets of nonzero
     coefficient, and adds what HiGHS needs besides the triplets:
-    ``_start``, where each column's entries start, and the minimization
-    cost ``_cost``.
+    ``_start``, where each column's entries start, and ``_cost`` = -c,
+    which HiGHS minimizes.
     """
 
     objective: np.ndarray
@@ -222,7 +225,6 @@ class LpProblem:
     row_upper: np.ndarray
     col_lower: np.ndarray
     col_upper: np.ndarray
-    maximize: bool = False
 
     def __post_init__(self):
         floats = [np.asarray(getattr(self, name), dtype=float) for name in _FLOAT_FIELDS]
@@ -263,7 +265,7 @@ class LpProblem:
             row_idx=rows,
             col_idx=cols,
             _start=cols.searchsorted(np.arange(c.size + 1)),
-            _cost=-c if self.maximize else c,
+            _cost=-c,
         )
 
     @property
@@ -289,33 +291,34 @@ class LpSolution:
 
 
 class _Local(threading.local):
-    """Per-thread state: the thread's HiGHS instances, as posed and scaled
-    (the latter made at the thread's first fallback), and the model that
-    ``solve_pair`` has handed to a helper, if any."""
+    """Per-thread state: the thread's one HiGHS instance, the options it
+    holds, and the model that ``solve_pair`` has handed to a helper, if
+    any."""
 
     highs: _highs._Highs | None = None
-    scaled: _highs._Highs | None = None
+    options: _highs.HighsOptions | None = None
     handoff: _Handoff | None = None
 
 
 _THREAD = _Local()
 
 
-def _thread_highs(scaled: bool = False) -> _highs._Highs:
-    """This thread's reused HiGHS instance at ``_HIGHS_OPTIONS``, or at
-    ``_SCALED_OPTIONS`` when ``scaled``; the only place one is made.
+def _thread_highs(options: _highs.HighsOptions) -> _highs._Highs:
+    """This thread's one HiGHS instance, holding ``options``; the only
+    place one is made.
 
-    ``passModel`` clears the previous model, basis, solution and info, so a
-    reused instance solves every model as a new one would; no instance
-    runs two models at once.
+    ``options`` are passed only when they are not the ones the instance
+    holds (``_Local.options``).  ``passModel`` clears the previous model,
+    basis, solution and info, so a reused instance solves every model as
+    a new one at the same options would; no instance runs two models at
+    once.
     """
-    name = "scaled" if scaled else "highs"
-    highs = getattr(_THREAD, name)
-    if highs is None:
-        highs = _highs._Highs()
-        highs.passOptions(_SCALED_OPTIONS if scaled else _HIGHS_OPTIONS)
-        setattr(_THREAD, name, highs)
-    return highs
+    if _THREAD.highs is None:
+        _THREAD.highs = _highs._Highs()
+    if _THREAD.options is not options:
+        _THREAD.highs.passOptions(options)
+        _THREAD.options = options
+    return _THREAD.highs
 
 
 # A pair of models goes to two threads only when the second has at least
@@ -336,7 +339,7 @@ class _Handoff(threading.Thread):
 
     def run(self) -> None:
         try:
-            self._result = _run(_thread_highs(), self.problem)
+            self._result = _run(_thread_highs(_HIGHS_OPTIONS), self.problem)
         except Exception as exc:  # re-raised by the waiting caller
             self._result = exc
 
@@ -395,19 +398,19 @@ def _run(highs: _highs._Highs, problem: LpProblem) -> LpSolution:
         return LpSolution(status, nit=nit)
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    # HiGHS solved the minimization, so its row duals are duals_min.
-    duals_min = np.array(solution.row_dual)
-    duals = -duals_min if problem.maximize else duals_min
-    return LpSolution(status, x, duals, float(problem.objective @ x), nit)
+    # HiGHS minimized -c.x, so the maximization's row duals are HiGHS's negated.
+    dual = -np.array(solution.row_dual)
+    return LpSolution(status, x, dual, float(problem.objective @ x), nit)
 
 
 def linprog(problem: LpProblem, scaled: bool = False) -> LpSolution:
     """One HiGHS run of ``problem``, without the gates.
 
-    The one function that talks to HiGHS.  HiGHS minimizes ``_cost`` as
-    posed, or with its own scaling when ``scaled`` (``solve``'s fallback),
-    and the answer comes back oriented as ``problem`` is posed: the
-    objective is c.x, and a maximization's row duals are negated.
+    The one function that talks to HiGHS.  The thread's instance
+    minimizes ``_cost`` at ``_HIGHS_OPTIONS``, or at ``_SCALED_OPTIONS``
+    (HiGHS's own scaling) when ``scaled``, ``solve``'s fallback.  The
+    answer is the maximization's: the objective is c.x, and the row duals
+    are HiGHS's negated.
     ``status`` is OPTIMAL, INFEASIBLE, UNBOUNDED or else HiGHS's own name
     for its model status.  ``solve`` calls it through this module's
     global, so a wrapper installed as ``lp.linprog`` (the benchmark's
@@ -420,7 +423,7 @@ def linprog(problem: LpProblem, scaled: bool = False) -> LpSolution:
     if handoff is not None and problem is handoff.problem:
         _THREAD.handoff = None
         return handoff.result()
-    return _run(_thread_highs(scaled), problem)
+    return _run(_thread_highs(_SCALED_OPTIONS if scaled else _HIGHS_OPTIONS), problem)
 
 
 # An LP of at most this many matrix entries keeps the arrays that depend on
@@ -442,9 +445,12 @@ def _per_shape(cached, n_entries: int, *args):
 
 
 def _residuals(
-    problem: LpProblem, x: np.ndarray, duals_min: np.ndarray, objective: float
+    problem: LpProblem, x: np.ndarray, lam: np.ndarray, objective: float
 ) -> tuple[float, float, float]:
-    """(primal, dual-sign, relative-gap) residuals, minimization orientation.
+    """(primal, dual-sign, relative-gap) residuals of the primal x and the
+    row duals ``lam`` as ``linprog`` reports them (legal: >= 0 on <= rows,
+    <= 0 on >= rows), checked on the minimization of ``_cost`` that HiGHS
+    solved.
 
     ``objective`` is ``problem.objective @ x``, which ``solve`` reports too.
     A.x and A^T.lam are one ``np.bincount`` each over the problem's
@@ -456,12 +462,11 @@ def _residuals(
     row_lower, row_upper = problem.row_lower, problem.row_upper
     lower, upper = problem.col_lower, problem.col_upper
     rows, cols, vals = problem.row_idx, problem.col_idx, problem.coefficients
-    lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
     ax = np.bincount(rows, weights=x[cols] * vals, minlength=problem.n_rows)
     at_lam = np.bincount(cols, weights=lam[rows] * vals, minlength=problem.n_vars)
     primal = _max(np.concatenate((row_lower - ax, ax - row_upper, lower - x, x - upper)), initial=0.0)
 
-    reduced = problem._cost + at_lam  # c_min + A^T.lam
+    reduced = problem._cost + at_lam  # -c + A^T.lam
     # Row 0 is about the lower column bounds, row 1 the upper ones: the
     # bound multipliers max(+-reduced, 0) and which bounds are absent.  A
     # column lacking a bound cannot take its multiplier, which is then a
@@ -471,7 +476,7 @@ def _residuals(
     free = np.isinf(bounds)
     leq = row_lower == -np.inf
     geq = row_upper == np.inf
-    dual_sign = _max(np.concatenate((duals_min[leq], lam[geq], rho[free])), initial=0.0)
+    dual_sign = _max(np.concatenate((-lam[leq], lam[geq], rho[free])), initial=0.0)
 
     # The bound lam prices: a one-sided row's finite one, whatever lam's
     # sign (a wrong sign shows in dual_sign); a two-sided row's upper bound
@@ -481,7 +486,7 @@ def _residuals(
     lower_term, upper_term = _sum(np.where(free, 0.0, bounds) * rho, axis=1)
     dual_obj += float(lower_term)
     dual_obj -= float(upper_term)
-    primal_obj = -objective if problem.maximize else objective
+    primal_obj = -objective  # _cost . x
     gap = abs(primal_obj - dual_obj) / (1.0 + abs(primal_obj))
     return float(primal), float(dual_sign), gap
 
@@ -489,8 +494,7 @@ def _residuals(
 def _gate_failure(problem: LpProblem, solution: LpSolution) -> str | None:
     """Why an OPTIMAL ``solution``'s residuals fail the gates, or None when
     they pass."""
-    duals_min = -solution.dual if problem.maximize else solution.dual
-    primal, dual, gap = _residuals(problem, solution.primal, duals_min, solution.objective)
+    primal, dual, gap = _residuals(problem, solution.primal, solution.dual, solution.objective)
     if primal > LP_TOL or dual > _DUAL_GATE or gap > LP_TOL:
         return f"residuals beyond gates: primal={primal:g} dual={dual:g} gap={gap:g}"
     return None
@@ -636,7 +640,6 @@ def best_response(
         row_upper=np.concatenate((row_upper, mass)),
         col_lower=col_lower,
         col_upper=col_upper,
-        maximize=True,
     )
     sol = solve(problem)
     if sol.status != OPTIMAL:

@@ -36,7 +36,7 @@ import numpy as np
 from .config import check_integer, resolve_budget
 from .errors import BudgetExceeded, InvalidParameters, InvalidSymbol
 from .games import ZeroSumGame
-from .structures import Garbling, InformationStructure, PLAYER1, PLAYER2, validate_structure
+from .structures import InformationStructure, validate_structure
 
 NICE = "nice"
 NOT_NICE_P1 = "not-nice-player1"
@@ -215,14 +215,6 @@ def is_nice(sequence, matrix: MixingMatrix) -> str:
             first_dead = i + 2  # 1-based length of the first zero-probability prefix
             return NOT_NICE_P1 if first_dead % 2 == 1 else NOT_NICE_P2
     return NICE
-
-
-def chain_probability(world: MarkovWorld, sequence) -> float:
-    """nu of a symbol sequence: (1/N) (2/N)^(len-1) on the support, else 0."""
-    if is_nice(sequence, world.matrix) != NICE:
-        return 0.0
-    n = world.N
-    return (1.0 / n) * (2.0 / n) ** (len(list(sequence)) - 1)
 
 
 def _atoms(matrix: MixingMatrix, length: int) -> np.ndarray:
@@ -729,26 +721,6 @@ class TruthfulGuarantee:
 
     lower: float | None
     upper: float
-
-
-def truthful_strategy(world: MarkovWorld, l: int, p: int, side: str) -> Garbling:
-    """Deterministic report of the first p (player 1) or p-1 (player 2)
-    observed symbols, as a behavioral strategy on the dense signal space."""
-    l, p = check_integer(l, "l", 1), check_integer(p, "p", 1)
-    n = world.N
-    if side == PLAYER1:
-        if p > l:
-            raise InvalidParameters("player 1 cannot truthfully report p > l symbols")
-        keep = p
-    elif side == PLAYER2:
-        if p - 1 > l:
-            raise InvalidParameters("player 2 cannot truthfully report p-1 > l symbols")
-        keep = p - 1
-    else:
-        raise InvalidParameters(f"side must be {PLAYER1!r} or {PLAYER2!r}")
-    rows = np.zeros((n**l, max(n**keep, 1)))
-    rows[np.arange(n**l), np.arange(n**l) // (n ** (l - keep))] = 1.0
-    return Garbling(rows)
 
 
 def _expected_base_score(world: MarkovWorld, c1_true, report):

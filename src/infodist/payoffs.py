@@ -26,7 +26,7 @@ import numpy as np
 from .config import NORM_TOL, DIST_TOL, ZERO_TOL, resolve_budget
 from .distance import value_distance
 from .errors import BudgetExceeded, HypothesisViolated, InvalidParameters, NotNormalized, ShapeMismatch
-from .games import BimatrixGame, _fold, minmax_levels
+from .games import BimatrixGame, _check_compatible, _fold, minmax_levels
 from .structures import HYPOTHESIS_TOL, InformationStructure, check_signals_cond_indep
 
 
@@ -153,10 +153,7 @@ def feasible_set(
 ) -> PayoffPolygon:
     """Convex hull of expected payoff pairs over pure decision-rule profiles, each
     summed by the normal-form oracle's kernel ``games._fold``, one signal at a time."""
-    if u.state_count != g.state_count:
-        raise ShapeMismatch(
-            f"structure has {u.state_count} states, game has {g.state_count}"
-        )
+    _check_compatible(u, g)
     budget = resolve_budget(budget)
     n_c, n_d = u.signals1_count, u.signals2_count
     n_i, n_j = g.actions1_count, g.actions2_count
@@ -307,8 +304,3 @@ def verify_ir_bound(
         passed=dist <= 3.0 * d + DIST_TOL,
     )
 
-
-def best_common_payoff(polygon: PayoffPolygon) -> float:
-    """Best payoff for player 1 over the polygon; for common-interest games
-    this is the best equilibrium payoff."""
-    return float(polygon.vertices[:, 0].max())

@@ -297,14 +297,20 @@ def embed_signals(
     return InformationStructure(probs, u.state_labels)
 
 
-def common_embedding(
-    u: InformationStructure, v: InformationStructure
-) -> tuple[InformationStructure, InformationStructure]:
-    """Embed both structures into the per-player maximum signal spaces."""
+def _check_same_states(u: InformationStructure, v: InformationStructure) -> None:
+    """The one check that two structures compared with each other share
+    their state count."""
     if u.state_count != v.state_count:
         raise ShapeMismatch(
             f"state counts differ: {u.state_count} vs {v.state_count}"
         )
+
+
+def common_embedding(
+    u: InformationStructure, v: InformationStructure
+) -> tuple[InformationStructure, InformationStructure]:
+    """Embed both structures into the per-player maximum signal spaces."""
+    _check_same_states(u, v)
     n1 = max(u.signals1_count, v.signals1_count)
     n2 = max(u.signals2_count, v.signals2_count)
     return embed_signals(u, n1, n2), embed_signals(v, n1, n2)

@@ -79,7 +79,6 @@ def triplet_gap_problem(u: InformationStructure, v: InformationStructure):
         row_upper=np.zeros(n_rows),
         col_lower=np.concatenate((np.full(n_cells, -1.0), np.full(n1 + n2, -np.inf))),
         col_upper=np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
-        maximize=True,
     )
     return problem, ((n_k, l1, l2), live1, mass1, live2, mass2)
 
@@ -117,7 +116,6 @@ def plain_gap(u: InformationStructure, v: InformationStructure) -> float:
         row_upper=np.zeros(n_rows),
         col_lower=np.concatenate((np.full(n_cells, -1.0), np.full(n1 + n2, -np.inf))),
         col_upper=np.concatenate((np.ones(n_cells), np.full(n1 + n2, np.inf))),
-        maximize=True,
     )
     return max(_vertex_objective(problem), 0.0)
 

@@ -1,10 +1,12 @@
 """Reference for ``infodist.lp``'s residual gates.
 
 ``_residuals`` below is the gate function as ``lp.solve`` used it before
-its residuals were gathered into fewer passes, copied unchanged.  The
-library's ``lp._residuals`` must return the same (primal, dual-sign, gap)
-triple on every input, so a solve passes or fails its gates exactly as it
-did.
+its residuals were gathered into fewer passes, copied unchanged but for
+its orientation: it takes the row duals of the maximization, as
+``lp.linprog`` reports them, where it took the minimization's, their
+negation.  The library's ``lp._residuals`` must return the same (primal,
+dual-sign, gap) triple on every input, so a solve passes or fails its
+gates exactly as it did.
 """
 
 from __future__ import annotations
@@ -20,17 +22,18 @@ def _residuals(
     cols: np.ndarray,
     vals: np.ndarray,
     x: np.ndarray,
-    duals_min: np.ndarray,
+    dual: np.ndarray,
 ) -> tuple[float, float, float]:
-    """(primal, dual-sign, relative-gap) residuals, minimization orientation.
+    """(primal, dual-sign, relative-gap) residuals of x and the row duals
+    ``dual`` of the maximization, checked on the minimization of -c.
 
     A.x and A^T.lam are one ``np.bincount`` each over the column-wise
     arrays HiGHS was given, so the gates check the matrix HiGHS solved.
     """
     row_lower, row_upper = problem.row_lower, problem.row_upper
     lower, upper = problem.col_lower, problem.col_upper
-    c_min = -problem.objective if problem.maximize else problem.objective
-    lam = -duals_min  # legal: >= 0 on <= rows, <= 0 on >= rows
+    c_min = -problem.objective
+    lam = dual  # legal: >= 0 on <= rows, <= 0 on >= rows
     ax = np.bincount(rows, weights=x[cols] * vals, minlength=problem.n_rows)
     at_lam = np.bincount(cols, weights=lam[rows] * vals, minlength=problem.n_vars)
     primal = float(np.maximum(row_lower - ax, ax - row_upper).max(initial=0.0))

@@ -372,7 +372,6 @@ def test_gap_lp_row_layout():
     assert np.array_equal(problem.objective, [0.0] * 8 + [-m[0], -m[2], n[0], n[1]])
     assert np.array_equal(problem.col_lower, [-1.0] * 8 + [-np.inf] * 4)
     assert np.array_equal(problem.col_upper, [1.0] * 8 + [np.inf] * 4)
-    assert problem.maximize
 
     # The garblings have their natural shapes; a dropped signal's row is
     # uniform, and the certificate still rechecks.
@@ -437,7 +436,6 @@ def test_gap_problem_matches_the_triplet_reference():
                 "row_lower", "row_upper", "col_lower", "col_upper",
             ):
                 assert _same_array(getattr(problem, name), getattr(want, name)), name
-            assert problem.maximize == want.maximize
             assert layout.shape == want_layout[0]
             assert all(_same_array(x, y) for x, y in zip(layout[1:], want_layout[1:]))
     assert _gap_pattern.cache_info().hits > hits

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import infodist as inf
 from infodist import PLAYER1, PLAYER2, lp, markov
+from infodist.config import check_integer
 from infodist.games import guarantee
 from infodist.markov import NICE, NOT_NICE_P1, NOT_NICE_P2
 
@@ -15,6 +16,35 @@ from infodist.markov import NICE, NOT_NICE_P1, NOT_NICE_P2
 @pytest.fixture(scope="module")
 def world4():
     return inf.MarkovWorld(inf.sample_S(4, 0))
+
+
+def chain_probability(world, sequence):
+    """nu of a symbol sequence: (1/N) (2/N)^(len-1) on the support, else 0."""
+    if inf.is_nice(sequence, world.matrix) != NICE:
+        return 0.0
+    n = world.N
+    return (1.0 / n) * (2.0 / n) ** (len(sequence) - 1)
+
+
+def truthful_strategy(world, l, p, side):
+    """Deterministic report of the first p (player 1) or p-1 (player 2)
+    observed symbols, as a behavioral strategy on the dense signal space:
+    the strategy ``truthful_guarantee_dense`` plays against."""
+    l, p = check_integer(l, "l", 1), check_integer(p, "p", 1)
+    n = world.N
+    if side == PLAYER1:
+        if p > l:
+            raise inf.InvalidParameters("player 1 cannot truthfully report p > l symbols")
+        keep = p
+    elif side == PLAYER2:
+        if p - 1 > l:
+            raise inf.InvalidParameters("player 2 cannot truthfully report p-1 > l symbols")
+        keep = p - 1
+    else:
+        raise inf.InvalidParameters(f"side must be {PLAYER1!r} or {PLAYER2!r}")
+    rows = np.zeros((n**l, max(n**keep, 1)))
+    rows[np.arange(n**l), np.arange(n**l) // (n ** (l - keep))] = 1.0
+    return inf.Garbling(rows)
 
 
 def test_sample_row_sums_and_determinism():
@@ -122,9 +152,11 @@ def test_revelation_game_is_budgeted(world4):
 
 def test_truthful_strategy_checks_the_report_length_and_side(world4):
     with pytest.raises(inf.InvalidParameters, match="player 2"):
-        markov.truthful_strategy(world4, 1, 3, PLAYER2)
+        truthful_strategy(world4, 1, 3, PLAYER2)
     with pytest.raises(inf.InvalidParameters, match="side"):
-        markov.truthful_strategy(world4, 1, 1, "p3")
+        truthful_strategy(world4, 1, 1, "p3")
+    with pytest.raises(inf.InvalidParameters, match="l must be an integer"):
+        truthful_strategy(world4, 1.5, 1, PLAYER1)
 
 
 def test_is_nice_reports_a_numpy_symbol_as_a_plain_number(world4):
@@ -145,10 +177,10 @@ def test_nice_sequences_are_budgeted(world4, monkeypatch):
 
 def test_chain_probability(world4):
     seqs = markov.nice_sequences(world4, 3)
-    total = sum(markov.chain_probability(world4, s) for s in seqs)
+    total = sum(chain_probability(world4, s) for s in seqs)
     assert total == pytest.approx(1.0)
     dead = [1, int(np.flatnonzero(~world4.matrix.S[0])[0]) + 1]
-    assert markov.chain_probability(world4, dead) == 0.0
+    assert chain_probability(world4, dead) == 0.0
 
 
 def test_markov_property_of_chain(world4):
@@ -157,7 +189,7 @@ def test_markov_property_of_chain(world4):
     seqs = markov.nice_sequences(world4, 4)
     mass = {}
     for seq in seqs:
-        mass[seq] = markov.chain_probability(world4, seq)
+        mass[seq] = chain_probability(world4, seq)
     by_prefix = {}
     for seq, m in mass.items():
         by_prefix.setdefault(seq[:3], {})[seq[3]] = m
@@ -365,8 +397,8 @@ def truthful_guarantee_dense(world, l, p):
     g = inf.revelation_game(world, p)
     lower = None
     if p <= l:
-        lower = guarantee(u, g, markov.truthful_strategy(world, l, p, PLAYER1), PLAYER1)
-    upper = guarantee(u, g, markov.truthful_strategy(world, l, p, PLAYER2), PLAYER2)
+        lower = guarantee(u, g, truthful_strategy(world, l, p, PLAYER1), PLAYER1)
+    upper = guarantee(u, g, truthful_strategy(world, l, p, PLAYER2), PLAYER2)
     return markov.TruthfulGuarantee(lower=lower, upper=upper)
 
 
@@ -422,12 +454,12 @@ def test_truthful_guarantee_budget_counts_atoms(world4):
 
 
 def test_truthful_strategy_shapes(world4):
-    s1 = markov.truthful_strategy(world4, 2, 1, inf.PLAYER1)
+    s1 = truthful_strategy(world4, 2, 1, inf.PLAYER1)
     assert s1.rows.shape == (16, 4)
-    s2 = markov.truthful_strategy(world4, 2, 1, inf.PLAYER2)
+    s2 = truthful_strategy(world4, 2, 1, inf.PLAYER2)
     assert s2.rows.shape == (16, 1)
     with pytest.raises(inf.InvalidParameters):
-        markov.truthful_strategy(world4, 1, 2, inf.PLAYER1)
+        truthful_strategy(world4, 1, 2, inf.PLAYER1)
 
 
 def test_reports_pinned_at_n300():

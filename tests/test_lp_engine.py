@@ -17,8 +17,8 @@ from conftest import columnwise_problem, random_game, random_structure
 from workloads import catalog_members
 
 
-def _one_variable_problem(objective, rows, maximize):
-    """Problem in x >= 0 with rows ``coefficient * x <= rhs``."""
+def _one_variable_problem(objective, rows):
+    """max objective * x over x >= 0 with rows ``coefficient * x <= rhs``."""
     return lp.LpProblem(
         objective=[objective],
         row_idx=np.arange(len(rows)),
@@ -28,12 +28,11 @@ def _one_variable_problem(objective, rows, maximize):
         row_upper=[rhs for _, rhs in rows],
         col_lower=[0.0],
         col_upper=[np.inf],
-        maximize=maximize,
     )
 
 
 def _simple_problem(scale=1.0):
-    return _one_variable_problem(scale, [(1.0, 3.0)], maximize=True)
+    return _one_variable_problem(scale, [(1.0, 3.0)])
 
 
 def test_bounded_maximum():
@@ -45,12 +44,13 @@ def test_bounded_maximum():
     assert sol.dual[0] == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("maximize, bound", [(True, 3.0), (False, 1.0)])
-def test_two_sided_row(maximize, bound):
-    # 1 <= x <= 3 as one row: the dual prices whichever bound is active.
+@pytest.mark.parametrize("objective, bound", [(1.0, 3.0), (-1.0, 1.0)])
+def test_two_sided_row(objective, bound):
+    # 1 <= x <= 3 as one row: max x and max -x (min x) each price their
+    # active bound, with the derivative of the objective c.x.
     sol = lp.solve(
         lp.LpProblem(
-            objective=[1.0],
+            objective=[objective],
             row_idx=[0],
             col_idx=[0],
             coefficients=[1.0],
@@ -58,12 +58,11 @@ def test_two_sided_row(maximize, bound):
             row_upper=[3.0],
             col_lower=[-np.inf],
             col_upper=[np.inf],
-            maximize=maximize,
         )
     )
     assert sol.status == lp.OPTIMAL
-    assert sol.objective == pytest.approx(bound, abs=1e-9)
-    assert sol.dual[0] == pytest.approx(1.0, abs=1e-8)
+    assert sol.objective == pytest.approx(objective * bound, abs=1e-9)
+    assert sol.dual[0] == pytest.approx(objective, abs=1e-8)
 
 
 @pytest.mark.parametrize(
@@ -129,12 +128,12 @@ def test_only_small_problems_are_cached():
 
 
 def test_infeasible_detected():
-    sol = lp.solve(_one_variable_problem(0.0, [(1.0, -1.0)], maximize=False))
+    sol = lp.solve(_one_variable_problem(0.0, [(1.0, -1.0)]))
     assert sol.status == lp.INFEASIBLE
 
 
 def test_unbounded_detected():
-    sol = lp.solve(_one_variable_problem(1.0, [], maximize=True))
+    sol = lp.solve(_one_variable_problem(1.0, []))
     assert sol.status == lp.UNBOUNDED
 
 
@@ -177,7 +176,6 @@ def test_complementary_slackness(rng):
             row_upper=[0.0, 0.0, 0.0, 0.0, 1.0],
             col_lower=[-np.inf] + [0.0] * 4,
             col_upper=[np.inf] * 5,
-            maximize=True,
         )
         sol = lp.solve(problem)
         assert sol.status == lp.OPTIMAL
@@ -212,8 +210,9 @@ def _linprog_oracle(problem, presolve=False):
     """``problem`` through ``scipy.optimize.linprog`` at the options
     ``lp.solve`` first gives HiGHS, unscaled (unless ``presolve`` is set,
     which keeps scipy's scaling too): ``<=`` and sign-flipped ``>=`` rows
-    as A_ub, ``==`` rows as A_eq.  Returns (status, primal, duals,
-    objective), the duals oriented as ``lp.solve`` reports them."""
+    as A_ub, ``==`` rows as A_eq, minimizing -c.  Returns (status,
+    primal, duals, objective), the duals negated to the maximization's, as
+    ``lp.solve`` reports them."""
     a = sp.csr_matrix(
         (problem.coefficients, (problem.row_idx, problem.col_idx)),
         shape=(problem.n_rows, problem.n_vars),
@@ -235,7 +234,7 @@ def _linprog_oracle(problem, presolve=False):
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "Unrecognized options", OptimizeWarning)
         res = linprog(
-            -problem.objective if problem.maximize else problem.objective,
+            -problem.objective,
             A_ub=sp.diags(sign) @ a[ub] if ub.size else None,
             b_ub=np.where(geq, -lower[ub], upper[ub]) if ub.size else None,
             A_eq=a[eq] if eq.size else None,
@@ -250,9 +249,7 @@ def _linprog_oracle(problem, presolve=False):
     duals = np.zeros(problem.n_rows)
     duals[ub] = sign * res.ineqlin.marginals
     duals[eq] = res.eqlin.marginals
-    if problem.maximize:
-        duals = -duals
-    return status, res.x, duals, float(problem.objective @ res.x)
+    return status, res.x, -duals, float(problem.objective @ res.x)
 
 
 def _recorded_problems(monkeypatch, call):
@@ -300,10 +297,10 @@ def _oracle_problems(monkeypatch):
         problems += _recorded_problems(monkeypatch, lambda: games.value(u, g))
     # Small problems, one with >= and == rows.
     problems.append(_simple_problem())
-    problems.append(_one_variable_problem(-1.0, [(1.0, 3.0), (-2.0, 1.0)], maximize=False))
+    problems.append(_one_variable_problem(1.0, [(1.0, 3.0), (-2.0, 1.0)]))
     problems.append(
         columnwise_problem(
-            objective=[1.0, 2.0],
+            objective=[-1.0, -2.0],
             row_idx=[0, 0, 1, 1],
             col_idx=[0, 1, 0, 1],
             coefficients=[1.0, 1.0, 1.0, -1.0],
@@ -363,18 +360,18 @@ def test_gates_match_the_reference_residuals(monkeypatch):
     for problem in _oracle_problems(monkeypatch) + _blackwell_gap_problems():
         sol = lp.linprog(problem)
         assert sol.status == lp.OPTIMAL
-        x, duals_min = sol.primal, -sol.dual if problem.maximize else sol.dual
-        points = [(x, duals_min)]
+        x, dual = sol.primal, sol.dual
+        points = [(x, dual)]
         for scale in (1e-9, 1e-6, 1e-2):
-            points.append((x + scale * rng.normal(size=x.size), duals_min))
-            points.append((x, duals_min + scale * rng.normal(size=duals_min.size)))
+            points.append((x + scale * rng.normal(size=x.size), dual))
+            points.append((x, dual + scale * rng.normal(size=dual.size)))
         # Every row dual of the wrong sign, and x beyond its bounds.
-        points.append((x, -duals_min))
-        points.append((np.where(rng.random(x.size) < 0.5, 2.0 * x + 1.0, x), duals_min))
+        points.append((x, -dual))
+        points.append((np.where(rng.random(x.size) < 0.5, 2.0 * x + 1.0, x), dual))
         arrays = problem.row_idx, problem.col_idx, problem.coefficients
-        for x, duals_min in points:
-            got = lp._residuals(problem, x, duals_min, float(problem.objective @ x))
-            want = gate_oracle._residuals(problem, *arrays, x, duals_min)
+        for x, dual in points:
+            got = lp._residuals(problem, x, dual, float(problem.objective @ x))
+            want = gate_oracle._residuals(problem, *arrays, x, dual)
             assert got == want
             failing += want[0] > LP_TOL or want[1] > 10 * LP_TOL or want[2] > LP_TOL
     assert failing > 100
@@ -396,17 +393,16 @@ def _recorded_linprog(monkeypatch):
 def _gates_pass(problem, sol):
     """``sol`` is inside every gate of gate_oracle's residuals."""
     arrays = problem.row_idx, problem.col_idx, problem.coefficients
-    duals_min = -sol.dual if problem.maximize else sol.dual
-    primal, dual, gap = gate_oracle._residuals(problem, *arrays, sol.primal, duals_min)
+    primal, dual, gap = gate_oracle._residuals(problem, *arrays, sol.primal, sol.dual)
     return primal <= LP_TOL and dual <= 10 * LP_TOL and gap <= LP_TOL
 
 
 @pytest.mark.parametrize(
     "problem, status",
     [
-        (_one_variable_problem(0.0, [(1.0, -1.0)], maximize=False), lp.INFEASIBLE),
-        (_one_variable_problem(1.0, [], maximize=True), lp.UNBOUNDED),
-        (_one_variable_problem(-1.0, [(-1.0, 1.0)], maximize=False), lp.UNBOUNDED),
+        (_one_variable_problem(0.0, [(1.0, -1.0)]), lp.INFEASIBLE),
+        (_one_variable_problem(1.0, []), lp.UNBOUNDED),
+        (_one_variable_problem(1.0, [(-1.0, 1.0)]), lp.UNBOUNDED),
     ],
 )
 def test_infeasible_and_unbounded_match_linprog(monkeypatch, problem, status):
@@ -418,12 +414,12 @@ def test_infeasible_and_unbounded_match_linprog(monkeypatch, problem, status):
 
 def test_badly_scaled_max_norm_lp_solves():
     # min s s.t. |p - sum_j lambda_j c_j|_max <= s, lambda in the simplex,
-    # from p = (0, 0.1) to the cloud (-1e-6, 0), (0.1, 1e-6), posed as it
-    # is: HiGHS's scaled solve of it left a primal residual of 9e-7.
+    # from p = (0, 0.1) to the cloud (-1e-6, 0), (0.1, 1e-6), posed as
+    # max -s: HiGHS's scaled solve of it left a primal residual of 9e-7.
     point, cloud = np.array([0.0, 0.1]), np.array([[-1e-6, 0.0], [0.1, 1e-6]])
     signs, coords = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0, 1, 0, 1])
     problem = columnwise_problem(
-        objective=[0.0, 0.0, 1.0],
+        objective=-np.array([0.0, 0.0, 1.0]),
         row_idx=np.concatenate((np.repeat(np.arange(4), 2), np.arange(4), [4, 4])),
         col_idx=np.concatenate((np.tile([0, 1], 4), np.full(4, 2), [0, 1])),
         coefficients=np.concatenate(((signs[:, None] * cloud[:, coords].T).ravel(), -np.ones(4), np.ones(2))),
@@ -434,27 +430,38 @@ def test_badly_scaled_max_norm_lp_solves():
     )
     sol = lp.solve(problem)
     assert sol.status == lp.OPTIMAL
-    assert sol.objective == pytest.approx(0.099999, abs=1e-8)
+    assert sol.objective == pytest.approx(-0.099999, abs=1e-8)
     assert _gates_pass(problem, sol)
+
+
+def _recorded_options(monkeypatch):
+    """The options passed to every HiGHS instance made from here on, in
+    order: (instance number, options object)."""
+    made, passed = [], []
+
+    class RecordingHighs(_highs._Highs):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+        def passOptions(self, options):
+            passed.append((made.index(self), options))
+            return super().passOptions(options)
+
+    monkeypatch.setattr(lp._highs, "_Highs", RecordingHighs)
+    return passed
 
 
 def test_well_scaled_lps_never_make_the_scaled_instance(monkeypatch):
     # The package's LPs and the small hand-built ones keep their unscaled
     # answers: one linprog call each, and a new thread solving all of them
-    # makes no scaled HiGHS instance.
+    # makes one HiGHS instance and passes it _HIGHS_OPTIONS once, never the
+    # scaled options.
     problems = _oracle_problems(monkeypatch)
     calls = _recorded_linprog(monkeypatch)
-    scaled = []
-
-    def work():
-        for problem in problems:
-            assert lp.solve(problem).status == lp.OPTIMAL
-        scaled.append(lp._THREAD.scaled)
-
-    thread = threading.Thread(target=work, daemon=True)
-    thread.start()
-    thread.join(timeout=120)
-    assert scaled == [None]
+    passed = _recorded_options(monkeypatch)
+    _solve_in_new_thread(problems)
+    assert passed == [(0, lp._HIGHS_OPTIONS)]
     assert calls == [False] * len(problems)
 
 
@@ -482,6 +489,27 @@ def test_a_gate_failure_falls_back_to_the_scaled_solve(monkeypatch):
     assert want.status == lp.OPTIMAL
     assert _same(sol, want) and sol.nit == want.nit
     assert _gates_pass(problem, sol)
+
+
+def test_after_a_fallback_the_thread_solves_as_a_fresh_instance(monkeypatch):
+    # A new thread solves the Blackwell (18,16) -> (16,16) gap LP, which
+    # falls back, then a small gap LP.  It makes one HiGHS instance, passes
+    # it the scaled options for the fallback and the unscaled ones back for
+    # the next model, which gets every bit, and the iteration count, of its
+    # solve on a fresh instance.
+    a = blackwell_structure(BlackwellSpec(18, 16, 0.75, 0.75))
+    b = blackwell_structure(BlackwellSpec(16, 16, 0.75, 0.75))
+    fallback = distance._gap_problem(a, b)[0]
+    rng = np.random.default_rng(20261025)
+    small = distance._gap_problem(random_structure(rng, 3, 3, 4), random_structure(rng, 3, 4, 3))[0]
+    fresh = _solve_in_new_thread([small])[0]
+    calls = _recorded_linprog(monkeypatch)
+    passed = _recorded_options(monkeypatch)
+    got = _solve_in_new_thread([fallback, small])
+    assert calls == [False, True, False]
+    assert passed == [(0, lp._HIGHS_OPTIONS), (0, lp._SCALED_OPTIONS), (0, lp._HIGHS_OPTIONS)]
+    assert got[0].status == fresh.status == lp.OPTIMAL
+    assert _same(got[1], fresh) and got[1].nit == fresh.nit
 
 
 def _fallback_answers(monkeypatch, answer):
@@ -547,7 +575,6 @@ def test_a_problem_keeps_no_zero_coefficient(rng):
         row_upper=np.append(np.zeros(n_j), 1.0),
         col_lower=np.append(np.zeros(n_x), -np.inf),
         col_upper=np.full(n_x + 1, np.inf),
-        maximize=True,
     )
     keep = values != 0.0
     with_zeros = lp.LpProblem(row_idx=rows, col_idx=cols, coefficients=values, **fields)
@@ -660,8 +687,8 @@ def test_flat_model_solves_as_a_highs_lp_object_does(monkeypatch):
     assert large.coefficients.size > 5000
     problems = _oracle_problems(monkeypatch) + [
         large,
-        _one_variable_problem(0.0, [(1.0, -1.0)], maximize=False),
-        _one_variable_problem(1.0, [], maximize=True),
+        _one_variable_problem(0.0, [(1.0, -1.0)]),
+        _one_variable_problem(1.0, []),
     ]
     statuses = set()
     for problem in problems:
@@ -669,7 +696,7 @@ def test_flat_model_solves_as_a_highs_lp_object_does(monkeypatch):
         status, x, row_dual, nit = _linprog_through_highs_lp(problem)
         assert (got.status, got.nit) == (status, nit)
         assert got.primal.tobytes() == x.tobytes()
-        assert got.dual.tobytes() == (-row_dual if problem.maximize else row_dual).tobytes()
+        assert got.dual.tobytes() == (-row_dual).tobytes()
         statuses.add(got.status)
     assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
 
@@ -679,7 +706,7 @@ def test_a_rejected_model_reports_no_iterations():
     # nothing; its iteration counts are then unavailable, not the last
     # solve's.
     assert lp.solve(_simple_problem()).status == lp.OPTIMAL
-    res = lp.linprog(_one_variable_problem(1.0, [(1e15, 1.0)], maximize=False))
+    res = lp.linprog(_one_variable_problem(-1.0, [(1e15, 1.0)]))
     assert (res.status, res.nit) == (lp.INFEASIBLE, 0)
 
 
@@ -724,18 +751,28 @@ def test_paired_solves_are_the_serial_solves(handoffs):
 
 def test_small_or_single_cpu_pairs_solve_in_series(monkeypatch, handoffs):
     # Below _PAIR_MIN_ENTRIES, or on one CPU, solve_pair is two solves on
-    # this thread and starts no helper.
+    # this thread and starts no helper.  With no affinity call and no CPU
+    # count, the process is taken to have one CPU.
     rng = np.random.default_rng(20261022)
     u, v = random_structure(rng, 3, 4, 4), random_structure(rng, 3, 4, 4)
     small = (distance._gap_problem(u, v)[0], distance._gap_problem(v, u)[0])
     assert small[1].coefficients.size < lp._PAIR_MIN_ENTRIES
     large = _large_gap_pairs(20261023, [6])[0]
-    for first, second in (small, large):
-        want = (lp.solve(first), lp.solve(second))
-        if second is large[1]:
-            monkeypatch.setattr(lp.os, "sched_getaffinity", lambda pid: {0})
-        got = lp.solve_pair(first, second)
-        assert _same(got[0], want[0]) and _same(got[1], want[1])
+    want = {pair: (lp.solve(pair[0]), lp.solve(pair[1])) for pair in (small, large)}
+
+    def one_cpu():
+        monkeypatch.setattr(lp.os, "sched_getaffinity", lambda pid: {0})
+
+    def no_cpu_count():
+        monkeypatch.delattr(lp.os, "sched_getaffinity")
+        monkeypatch.setattr(lp.os, "cpu_count", lambda: None)
+
+    for pair, limit in ((small, None), (large, one_cpu), (large, no_cpu_count)):
+        if limit:
+            limit()
+        got = lp.solve_pair(*pair)
+        assert _same(got[0], want[pair][0]) and _same(got[1], want[pair][1])
+    assert lp._cpu_count() == 1
     assert handoffs == []
 
 

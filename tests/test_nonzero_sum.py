@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import infodist as inf
 from infodist import PLAYER1, lp
 from infodist.catalog import parity_coordination_game
-from infodist.payoffs import _convex_hull, best_common_payoff, clip_polygon_to_halfplane, point_to_polygon_distance
+from infodist.payoffs import _convex_hull, clip_polygon_to_halfplane, point_to_polygon_distance
 
 from conftest import columnwise_problem, random_ci_structure, random_garbling, random_structure
 
@@ -154,7 +154,8 @@ def test_clip_polygon_to_halfplane():
 
 
 def _lp_distance(point, cloud) -> float:
-    """min s s.t. |point - sum_j lambda_j cloud_j|_max <= s, lambda in the simplex.
+    """min s s.t. |point - sum_j lambda_j cloud_j|_max <= s, lambda in the
+    simplex, posed as max -s.
 
     Posed with the point moved to the origin: a right-hand side such as 0.2
     against cloud entries of 1e-6 leaves HiGHS's scaled solve outside the
@@ -164,7 +165,7 @@ def _lp_distance(point, cloud) -> float:
     cloud = cloud - np.asarray(point)
     signs, coords = np.array([1.0, 1.0, -1.0, -1.0]), np.array([0, 1, 0, 1])
     problem = columnwise_problem(
-        objective=np.append(np.zeros(n), 1.0),
+        objective=-np.append(np.zeros(n), 1.0),
         row_idx=np.concatenate((np.repeat(np.arange(4), n), np.arange(4), np.full(n, 4))),
         col_idx=np.concatenate((np.tile(np.arange(n), 4), np.full(4, n), np.arange(n))),
         coefficients=np.concatenate(((signs[:, None] * cloud[:, coords].T).ravel(), -np.ones(4), np.ones(n))),
@@ -175,7 +176,7 @@ def _lp_distance(point, cloud) -> float:
     )
     solution = lp.solve(problem)
     assert solution.status == lp.OPTIMAL
-    return solution.objective
+    return -solution.objective
 
 
 # Coordinates on a 1e-6 grid or rounded to 0.1: a polygon merges vertices
@@ -376,6 +377,8 @@ def test_common_interest_best_payoff_gap(rng):
         payoff = rng.uniform(-1, 1, (2, 2, 2))
         g = inf.BimatrixGame(payoff, payoff)
         d = inf.value_distance(u, v)
-        best_u = best_common_payoff(inf.feasible_set(u, g))
-        best_v = best_common_payoff(inf.feasible_set(v, g))
+        # Player 1's best payoff over the feasible set: in a common-interest
+        # game, the best equilibrium payoff.
+        best_u = inf.feasible_set(u, g).vertices[:, 0].max()
+        best_v = inf.feasible_set(v, g).vertices[:, 0].max()
         assert abs(best_u - best_v) <= 3 * d + 1e-6

@@ -324,7 +324,6 @@ def test_from_json_rejects_malformed_input(load, text, error):
         ("mk.chain_structure(world, 1.5)", inf.InvalidParameters),
         ("mk.revelation_game(world, 1.5)", inf.InvalidParameters),
         ("mk.truthful_guarantee(world, 2, 1.5)", inf.InvalidParameters),
-        ("mk.truthful_strategy(world, 1.5, 1, PLAYER1)", inf.InvalidParameters),
         ("mk.nice_sequences(world, 1.5)", inf.InvalidParameters),
         ("mk.check_mixing(world, 1.5)", inf.InvalidParameters),
         ("mk.check_mixing(world, 1, sample_budget=1.5)", inf.InvalidParameters),
