@@ -155,6 +155,9 @@ def test_truthful_strategy_checks_the_report_length_and_side(world4):
         truthful_strategy(world4, 1, 3, PLAYER2)
     with pytest.raises(inf.InvalidParameters, match="side"):
         truthful_strategy(world4, 1, 1, "p3")
+
+
+def test_truthful_strategy_rejects_a_non_integer_report_length(world4):
     with pytest.raises(inf.InvalidParameters, match="l must be an integer"):
         truthful_strategy(world4, 1.5, 1, PLAYER1)
 
